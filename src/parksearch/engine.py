@@ -6,9 +6,12 @@ claim resources at their exact arrival position on the edge, and the engine
 merges both occupancy sources: a spot a fleet agent parked on stays occupied
 for the rest of the run regardless of later trace flips.
 
-Event ordering at equal timestamps is fixed (resource flips, then claim
-resolutions, then agent decisions in agent-id order), which makes every run
-a pure function of its configuration and seed.
+Resource flips are not queued: the validated trace is already in replay
+order, so the engine merges it into the event queue, applying every flip up
+to the time of the next queued claim or agent event before taking that
+event. Event ordering at equal timestamps is fixed (resource flips, then
+claim resolutions, then agent decisions in agent-id order), which makes
+every run a pure function of its configuration and seed.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .planners import (
 DEFAULT_HORIZON_S = 7200.0
 DEFAULT_CTMC = CtmcParams.from_mean_times(120.0, 2091.0)
 
-_RANK_FLIP = 0
 _RANK_CLAIM = 1
 _RANK_AGENT = 2
 
@@ -74,7 +76,8 @@ def replay_trace(trace: OccupationTrace) -> list[TraceEvent]:
     """Validate and return the trace events in deterministic replay order."""
     last_time: dict[str, float] = {}
     last_state: dict[str, ResourceState] = dict(trace.initial_states)
-    for ev in sorted(trace.events, key=lambda e: (e.time, e.resource)):
+    events = sorted(trace.events, key=lambda e: (e.time, e.resource))
+    for ev in events:
         prev_t = last_time.get(ev.resource)
         if prev_t is not None and ev.time <= prev_t:
             raise TraceError(f"non-increasing event times for resource {ev.resource!r} at {ev.time}")
@@ -83,7 +86,7 @@ def replay_trace(trace: OccupationTrace) -> list[TraceEvent]:
             raise TraceError(f"non-alternating states for resource {ev.resource!r} at {ev.time}")
         last_time[ev.resource] = ev.time
         last_state[ev.resource] = ev.state
-    return sorted(trace.events, key=lambda e: (e.time, e.resource))
+    return events
 
 
 def synthesize_occupations(
@@ -334,12 +337,26 @@ def run_simulation(
     for ev in flips:
         if ev.resource not in ctx.res_index:
             raise TraceError(f"trace references unknown resource {ev.resource!r}")
-        if ev.time <= horizon_s:
-            push(ev.time, _RANK_FLIP, ev.resource, "flip", ev.state)
+    flips = [ev for ev in flips if ev.time <= horizon_s]
+    flip_time = [ev.time for ev in flips]
+    flip_res = [ctx.res_index[ev.resource] for ev in flips]
+    flip_up = [ev.state is ResourceState.AVAILABLE for ev in flips]
+    next_flip = 0
+
     for spec in specs:
         push(spec.start_time, _RANK_AGENT, spec.id, "spawn", spec.start_node)
 
     log: list[SimEvent] = []
+
+    def apply_flips(until: float) -> None:
+        """Replay the trace up to and including ``until``; flips rank first at equal times."""
+        nonlocal next_flip
+        while next_flip < len(flip_time) and flip_time[next_flip] <= until:
+            trace_avail[flip_res[next_flip]] = flip_up[next_flip]
+            if collect_events:
+                ev = flips[next_flip]
+                log.append(SimEvent(ev.time, "resource_flip", resource=ev.resource, detail=ev.state.value))
+            next_flip += 1
 
     def decide(rt: AgentRuntime, now: float) -> None:
         kind = rt.spec.planner
@@ -351,15 +368,8 @@ def run_simulation(
             agent_id=rt.spec.id,
             lam_vec=lam_vec, mu_vec=mu_vec, t_claim_vec=t_claim_vec,
         )
-        if measure_computation:
-            t0 = _time.perf_counter()
-            decision = rt.policy.decide(view, rt.node, rt.rng)
-            rt.computation_s += _time.perf_counter() - t0
-        else:
-            decision = rt.policy.decide(view, rt.node, rt.rng)
-
-        if table is not None and kind in _RESERVATION_KINDS and decision.target_resource is not None:
-            table.place(rt.spec.id, decision.target_resource, decision.expected_arrival)
+        t0 = _time.perf_counter()
+        decision = rt.policy.decide(view, rt.node, rt.rng)
         if overlay is not None and kind in _OVERLAY_KINDS:
             if decision.target_resource != rt.adaption_target:
                 if rt.adaption_record is not None:
@@ -381,6 +391,10 @@ def run_simulation(
                         dest_node=ctx.dest_node(rt.spec.destination),
                         max_steps=settings.adaption_max_steps,
                     )
+        if measure_computation:  # adaption is planner work too
+            rt.computation_s += _time.perf_counter() - t0
+        if table is not None and kind in _RESERVATION_KINDS and decision.target_resource is not None:
+            table.place(rt.spec.id, decision.target_resource, decision.expected_arrival)
 
         action = decision.action
         if isinstance(action, TakeRoad):
@@ -404,14 +418,11 @@ def run_simulation(
             rt.adaption_target = None
 
     while heap:
+        apply_flips(heap[0][0])
         now, rank, key, _, kind, payload = heapq.heappop(heap)
         if now > horizon_s:
             break
-        if kind == "flip":
-            trace_avail[ctx.res_index[key]] = payload is ResourceState.AVAILABLE
-            if collect_events:
-                log.append(SimEvent(now, "resource_flip", resource=key, detail=payload.value))
-        elif kind == "spawn":
+        if kind == "spawn":
             rt = runtimes[key]
             rt.node = payload
             if collect_events:
@@ -446,6 +457,7 @@ def run_simulation(
                 push(decision_time + edge.drive_time_s, _RANK_AGENT, key, "at_node", edge.to_node)
                 if collect_events:
                     log.append(SimEvent(now, "agent_claim", agent=key, resource=rid, detail="failed"))
+    apply_flips(horizon_s)
 
     records: list[MetricsRecord] = []
     for spec in specs:

@@ -116,6 +116,7 @@ class PlannerContext:
         self._walk_cache: dict[tuple[float, float], np.ndarray] = {}
         self._node_walk_cache: dict[tuple[float, float], np.ndarray] = {}
         self._t_claim_cache: dict[CtmcParams, np.ndarray] = {}
+        self._street_mid: tuple[tuple[str, ...], np.ndarray, np.ndarray] | None = None
 
     @property
     def n_resources(self) -> int:
@@ -132,6 +133,21 @@ class PlannerContext:
         if key not in self._node_walk_cache:
             self._node_walk_cache[key] = walking_time_many(self.node_lat, self.node_lon, destination)
         return self._node_walk_cache[key]
+
+    def street_midpoints(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+        """Edge ids in graph order with the latitude and longitude of each street's midpoint.
+
+        Built on first use, so contexts whose agents never need them pay nothing.
+        """
+        if self._street_mid is None:
+            nodes = self.graph.nodes
+            ends = [(nodes[e.from_node].position, nodes[e.to_node].position) for e in self.graph.edges.values()]
+            self._street_mid = (
+                tuple(self.graph.edges),
+                np.array([(a.lat + b.lat) / 2.0 for a, b in ends]),
+                np.array([(a.lon + b.lon) / 2.0 for a, b in ends]),
+            )
+        return self._street_mid
 
     def dest_node(self, destination: GeoPoint) -> str:
         """Node whose position is walk-closest to the destination."""
@@ -433,14 +449,16 @@ class RandomPolicy:
         self.ctx = ctx
         self.destination = destination
         self._searching = False
+        edge_ids, mid_lat, mid_lon = ctx.street_midpoints()
+        dist = great_circle_m_many(mid_lat, mid_lon, destination)
+        # The vectorized and scalar formulas may differ in the last ulps, so the
+        # streets near the minimum are ranked again with the scalar one: exact
+        # ties (both directions of a two-way street) go to the first in graph order.
         best_eid, best_walk = None, np.inf
-        for eid, e in ctx.graph.edges.items():
-            a = ctx.graph.nodes[e.from_node].position
-            b = ctx.graph.nodes[e.to_node].position
-            mid = GeoPoint((a.lat + b.lat) / 2.0, (a.lon + b.lon) / 2.0)
-            w = great_circle_m(mid, destination)
+        for i in np.flatnonzero(dist <= dist.min() + 1e-6):
+            w = great_circle_m(GeoPoint(float(mid_lat[i]), float(mid_lon[i])), destination)
             if w < best_walk:
-                best_eid, best_walk = eid, w
+                best_eid, best_walk = edge_ids[i], w
         self.dest_edge = ctx.graph.edges[best_eid]
 
     def decide(self, view: PlanningView, node: str, rng: np.random.Generator) -> RouteDecision:
@@ -482,14 +500,18 @@ class HeuristicPolicy:
         self.relax_s_per_min = settings.heuristic_relax_s_per_min
         self.dest_node = ctx.dest_node(destination)
         self._search_started: float | None = None
+        self._far: dict[str, bool] = {}  # per node: outside the search radius
+        self._circling_pool: list[Edge] | None = None  # streets to circle on from dest_node
 
     def accept_threshold(self, search_time_s: float) -> float:
         return self.accept_walk_s + self.relax_s_per_min * (search_time_s / 60.0)
 
     def decide(self, view: PlanningView, node: str, rng: np.random.Generator) -> RouteDecision:
         ctx = view.ctx
-        here = ctx.graph.nodes[node].position
-        if great_circle_m(here, self.destination) > self.far_radius_m and node != self.dest_node:
+        if node not in self._far:
+            here = ctx.graph.nodes[node].position
+            self._far[node] = great_circle_m(here, self.destination) > self.far_radius_m
+        if self._far[node] and node != self.dest_node:
             return RouteDecision(TakeRoad(ctx.first_hop(node, self.dest_node).id))
         if self._search_started is None:
             self._search_started = view.now
@@ -504,17 +526,23 @@ class HeuristicPolicy:
             return RouteDecision(TakeResource(rid), rid, float(view.now + ctx.res_offset[best_ridx]))
         if node != self.dest_node:
             return RouteDecision(TakeRoad(ctx.first_hop(node, self.dest_node).id))
-        edges = ctx.out_edges[node]
+        if self._circling_pool is None:
+            self._circling_pool = self._circling_streets(ctx)
+        pool = self._circling_pool
+        return RouteDecision(TakeRoad(pool[int(rng.integers(len(pool)))].id))
+
+    def _circling_streets(self, ctx: PlannerContext) -> list[Edge]:
+        """Streets out of dest_node ending inside the search radius, else the one ending closest."""
+        edges = ctx.out_edges[self.dest_node]
         if not edges:
-            raise NoPathError(f"dead end at {node!r}")
+            raise NoPathError(f"dead end at {self.dest_node!r}")
         dist = great_circle_m_many(
             np.array([ctx.graph.nodes[e.to_node].position.lat for e in edges]),
             np.array([ctx.graph.nodes[e.to_node].position.lon for e in edges]),
             self.destination,
         )
         inside = [e for e, d in zip(edges, dist) if d <= self.far_radius_m]
-        pool = inside if inside else [edges[int(np.argmin(dist))]]
-        return RouteDecision(TakeRoad(pool[int(rng.integers(len(pool)))].id))
+        return inside if inside else [edges[int(np.argmin(dist))]]
 
 
 PLANNER_KINDS = ("random", "heuristic", "rpl", "hs", "rpl_r", "hs_r", "hs_a")

@@ -1,8 +1,11 @@
+import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
 
+from parksearch import engine
 from parksearch.availability import CtmcParams, ResourceState
 from parksearch.engine import (
     AgentSpec,
@@ -22,6 +25,7 @@ from parksearch.engine import (
 from parksearch.errors import ConfigError, TraceError
 from parksearch.geo import EARTH_RADIUS_M, GeoPoint, walking_time
 from parksearch.graph import all_pairs_travel_times, load_graph
+from parksearch.planners import PlannerSettings
 from parksearch.scenario import build_grid_graph_doc
 
 M_PER_DEG = math.pi * EARTH_RADIUS_M / 180.0
@@ -355,3 +359,63 @@ def test_static_world_replanning_reduces_to_best_candidate():
     assert rec.parked_resource == best_rid
     assert rec.total_trip_s == pytest.approx(best_cost, rel=1e-9)
     assert rec.unsuccessful_claims == 0
+
+
+def test_flips_apply_before_claims_and_arrivals_at_equal_time():
+    # a0 decides at t=0 to claim r1 at t=12; the trace takes r1 at exactly t=12,
+    # so the claim fails. a0 drives on to n1 (t=30) and back to n0, arriving at
+    # t=60 exactly when the trace frees r1 again, and parks at t=72.
+    graph = line_world()
+    dest = GeoPoint(0.0, 0.001)
+    trace = OccupationTrace([TraceEvent("r1", 12.0, O), TraceEvent("r1", 60.0, A)])
+    records, log = run_simulation(graph, [AgentSpec("a0", "n0", dest, 0.0, "rpl")], trace,
+                                  params=FROZEN, horizon_s=600.0, measure_computation=False,
+                                  collect_events=True)
+    assert records[0].unsuccessful_claims == 1
+    assert records[0].status == "parked"
+    assert records[0].total_trip_s == pytest.approx(72.0 + walking_time(graph.resources["r1"].position, dest))
+    at = [(ev.time, ev.kind, ev.detail) for ev in log if ev.time in (12.0, 60.0)]
+    assert at == [
+        (12.0, "resource_flip", "occupied"),
+        (12.0, "agent_claim", "failed"),
+        (60.0, "resource_flip", "available"),
+        (60.0, "agent_at_node", None),
+    ]
+
+
+def test_event_log_order():
+    graph = load_graph(build_grid_graph_doc(5, 5, n_resources=15, seed=8))
+    agents = [AgentSpec(f"a{i:02d}", "n0000", GeoPoint(0.001, 0.001), 10.0 * i, "rpl") for i in range(5)]
+    _, log = run_simulation(graph, agents, CtmcParams.from_mean_times(200.0, 600.0), seed=3,
+                            horizon_s=3000.0, measure_computation=False, collect_events=True)
+    rank = {"resource_flip": 0, "agent_claim": 1, "agent_spawn": 2, "agent_at_node": 2}
+    for a, b in zip(log, log[1:]):
+        assert (a.time, rank[a.kind]) <= (b.time, rank[b.kind])
+    # the trace keeps replaying after the last agent event
+    last_agent = max(i for i, ev in enumerate(log) if ev.agent is not None)
+    assert any(ev.kind == "resource_flip" for ev in log[last_agent:])
+    assert log[-1].time <= 3000.0
+
+    # the exact record order is pinned, flips between agent events included
+    text = "\n".join(repr((ev.time, ev.kind, ev.agent, ev.node, ev.resource, ev.detail)) for ev in log)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a07e5cfc3ae5a00e9466dbae99b1493a4ee581b3c08ca54e572a7039cc2e8d91")
+
+
+def test_hs_a_computation_includes_adaption(monkeypatch):
+    # every adaption call is padded by 5 ms; the agents' reported planner time must cover it
+    original = engine.adapt_probabilities
+    calls = []
+
+    def padded(*args, **kwargs):
+        calls.append(1)
+        time.sleep(0.005)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "adapt_probabilities", padded)
+    graph = load_graph(build_grid_graph_doc(4, 4, n_resources=10, seed=1))
+    agents = [AgentSpec(f"a{i}", "n0000", GeoPoint(0.002, 0.002), 0.0, "hs_a") for i in range(2)]
+    records = run_simulation(graph, agents, CtmcParams.from_mean_times(200.0, 600.0), seed=1,
+                             horizon_s=3000.0, settings=PlannerSettings(determinizations=10))
+    assert calls
+    assert sum(r.computation_s for r in records) >= 0.005 * len(calls)

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from parksearch import planners
 from parksearch.availability import CtmcParams
 from parksearch.errors import NoPathError
 from parksearch.fleet import ReservationTable
-from parksearch.geo import EARTH_RADIUS_M, GeoPoint
+from parksearch.geo import EARTH_RADIUS_M, GeoPoint, great_circle_m
 from parksearch.planners import (
     HeuristicPolicy,
     HindsightPolicy,
@@ -22,6 +23,7 @@ from parksearch.planners import (
     sample_determinizations,
     solve_determinization,
 )
+from parksearch.scenario import build_grid_graph_doc
 
 from conftest import make_context, random_graph_doc
 
@@ -340,6 +342,53 @@ def test_random_policy_street_then_spot():
             took += 1
             assert d.action.resource == "r"
     assert took == 200  # x has a single outgoing street and it holds the spot
+
+
+def scalar_dest_edge(ctx, destination):
+    """Oracle: the street whose midpoint is nearest, scanned in graph order with the scalar formula."""
+    best_eid, best_walk = None, np.inf
+    for eid, e in ctx.graph.edges.items():
+        a = ctx.graph.nodes[e.from_node].position
+        b = ctx.graph.nodes[e.to_node].position
+        mid = GeoPoint((a.lat + b.lat) / 2.0, (a.lon + b.lon) / 2.0)
+        w = great_circle_m(mid, destination)
+        if w < best_walk:
+            best_eid, best_walk = eid, w
+    return best_eid
+
+
+@pytest.mark.parametrize("one_way", [False, True])
+def test_random_policy_dest_edge_matches_scalar_oracle(one_way):
+    spacing = 440.0
+    graph, ctx = make_context(build_grid_graph_doc(10, 10, spacing_m=spacing, n_resources=20, seed=42,
+                                                   one_way=one_way))
+    deg = spacing / 111_194.93
+    rng = np.random.default_rng(2024)
+    dests = [GeoPoint(float(rng.uniform(-0.5, 9.5)) * deg, float(rng.uniform(-0.5, 9.5)) * deg)
+             for _ in range(200)]
+    # block centres are equidistant from four streets (eight on two-way grids), and
+    # street midpoints tie both directions of a two-way street
+    dests += [GeoPoint(4.5 * deg, 4.5 * deg), GeoPoint(0.5 * deg, 0.5 * deg), GeoPoint(0.0, 2.5 * deg),
+              GeoPoint(4.5 * deg, 3.0 * deg), GeoPoint(9.0 * deg, 7.5 * deg)]
+    for dest in dests:
+        assert RandomPolicy(ctx, dest).dest_edge.id == scalar_dest_edge(ctx, dest), dest
+
+
+def test_random_policy_dest_edge_ignores_last_ulp_of_vectorized_distances(monkeypatch):
+    # The vectorized haversine may round differently from the scalar one; nudge
+    # every distance by one ulp, alternately up and down, and the pick must not move.
+    spacing = 440.0
+    graph, ctx = make_context(build_grid_graph_doc(10, 10, spacing_m=spacing, n_resources=20, seed=42))
+    exact = planners.great_circle_m_many
+
+    def nudged(lat, lon, point):
+        d = exact(lat, lon, point)
+        return np.where(np.arange(len(d)) % 2 == 0, np.nextafter(d, np.inf), np.nextafter(d, 0.0))
+
+    monkeypatch.setattr(planners, "great_circle_m_many", nudged)
+    deg = spacing / 111_194.93
+    for dest in (GeoPoint(4.5 * deg, 4.5 * deg), GeoPoint(0.0, 2.5 * deg), GeoPoint(3.0 * deg, 6.5 * deg)):
+        assert RandomPolicy(ctx, dest).dest_edge.id == scalar_dest_edge(ctx, dest), dest
 
 
 def test_random_policy_uniform_street_choice():
