@@ -1,97 +1,49 @@
-"""Multi-agent parking search: road graphs, availability prediction, planners, simulation."""
+"""Multi-agent parking search: road graphs, availability prediction, planners, simulation.
 
-from .availability import (
-    AdaptionOverlay,
-    CtmcParams,
-    ResourceBelief,
-    ResourceState,
-    availability_probability,
-    expected_wait_time,
-    sample_future_state,
-    sample_sojourn,
-    stationary_availability,
-    transition_probability,
-)
+The names in ``__all__`` are the library surface; everything else is reachable
+through the submodules (``parksearch.planners``, ``parksearch.fleet``, ...).
+"""
+
+from .availability import AdaptionOverlay, CtmcParams, ResourceState, stationary_availability
 from .engine import (
-    AgentSpec,
-    MetricsRecord,
-    OccupationTrace,
-    TraceEvent,
-    compute_metrics,
-    load_trace,
-    replay_trace,
-    run_simulation,
-    save_trace,
-    synthesize_occupations,
-    taxi_time,
+    AgentSpec, MetricsRecord, OccupationTrace, TraceEvent, compute_metrics, load_trace, read_results,
+    run_simulation, save_trace, synthesize_occupations, taxi_time, write_results,
 )
 from .errors import (
-    AdaptionError,
-    ConfigError,
-    DegenerateTargetError,
-    GraphFormatError,
-    GraphValidationError,
-    NoPathError,
-    ParkSearchError,
-    TraceError,
+    AdaptionError, ConfigError, DegenerateTargetError, GraphFormatError, GraphValidationError, NoPathError,
+    ParkSearchError, TraceError,
 )
-from .fleet import (
-    AdaptionRecord,
-    Reservation,
-    ReservationTable,
-    WalkPath,
-    adapt_probabilities,
-    create_adaptions,
-    effective_availability,
-    reservation_from_decision,
-    reverse_adaptions,
-)
+from .fleet import ReservationTable, adapt_probabilities, reverse_adaptions
 from .geo import GeoPoint, great_circle_m, walking_time
-from .graph import (
-    Edge,
-    Node,
-    Resource,
-    RoadGraph,
-    TravelTimeMatrix,
-    all_pairs_travel_times,
-    dump_graph,
-    isochrone_nodes,
-    load_graph,
-    reachable_resources,
-    save_graph,
-)
+from .graph import RoadGraph, TravelTimeMatrix, all_pairs_travel_times, dump_graph, load_graph, save_graph
 from .planners import (
-    Action,
-    Determinization,
-    HeuristicPolicy,
-    HindsightPolicy,
-    PlannerContext,
-    PlannerSettings,
-    PlanningView,
-    RandomPolicy,
-    ReplanningPolicy,
-    RouteDecision,
-    TakeResource,
-    TakeRoad,
+    PLANNER_KINDS, PlannerContext, PlannerSettings, PlanningView, RouteDecision, TakeResource, TakeRoad,
     make_policy,
-    replan_route,
-    sample_determinizations,
-    solve_determinization,
 )
 from .scenario import (
-    Cluster,
-    RateZone,
-    ScenarioConfig,
-    build_grid_graph_doc,
-    dbscan,
-    generate_data_driven,
-    generate_single_destination,
-    load_config,
-    occupation_points,
-    run_batch,
-    run_scenario,
-    summarize_results,
-    zone_rate_overrides,
+    ScenarioConfig, build_grid_graph_doc, generate_data_driven, generate_single_destination, load_config,
+    run_batch, run_scenario, summarize_results,
 )
+
+__all__ = [
+    # availability process and fleet state
+    "AdaptionOverlay", "CtmcParams", "ResourceState", "stationary_availability",
+    "ReservationTable", "adapt_probabilities", "reverse_adaptions",
+    # simulation
+    "AgentSpec", "MetricsRecord", "OccupationTrace", "TraceEvent", "compute_metrics", "load_trace",
+    "read_results", "run_simulation", "save_trace", "synthesize_occupations", "taxi_time", "write_results",
+    # errors
+    "AdaptionError", "ConfigError", "DegenerateTargetError", "GraphFormatError", "GraphValidationError",
+    "NoPathError", "ParkSearchError", "TraceError",
+    # geometry and road graphs
+    "GeoPoint", "great_circle_m", "walking_time",
+    "RoadGraph", "TravelTimeMatrix", "all_pairs_travel_times", "dump_graph", "load_graph", "save_graph",
+    # planners
+    "PLANNER_KINDS", "PlannerContext", "PlannerSettings", "PlanningView", "RouteDecision", "TakeResource",
+    "TakeRoad", "make_policy",
+    # scenarios
+    "ScenarioConfig", "build_grid_graph_doc", "generate_data_driven", "generate_single_destination",
+    "load_config", "run_batch", "run_scenario", "summarize_results",
+]
 
 __version__ = "0.1.0"

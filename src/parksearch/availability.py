@@ -10,7 +10,6 @@ active after a given time; overlays are reversible exactly.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,24 +41,6 @@ def stationary_availability(params: CtmcParams) -> float:
     return params.mu / (params.lam + params.mu)
 
 
-def transition_probability(params: CtmcParams, frm: ResourceState, to: ResourceState, dt: float) -> float:
-    """Probability of being in ``to`` after ``dt`` seconds, starting in ``frm``."""
-    if dt < 0:
-        raise ValueError(f"dt must be non-negative, got {dt}")
-    pi_a = stationary_availability(params)
-    decay = math.exp(-(params.lam + params.mu) * dt)
-    if frm is ResourceState.AVAILABLE:
-        p_avail = pi_a + (1.0 - pi_a) * decay
-    else:
-        p_avail = pi_a * (1.0 - decay)
-    return p_avail if to is ResourceState.AVAILABLE else 1.0 - p_avail
-
-
-def availability_after(params: CtmcParams, dt: np.ndarray | float, available_now: np.ndarray | bool) -> np.ndarray:
-    """Vectorized probability of being available after ``dt``, given the current state."""
-    return availability_after_rates(params.lam, params.mu, dt, available_now)
-
-
 def availability_after_rates(
     lam: np.ndarray | float,
     mu: np.ndarray | float,
@@ -74,16 +55,6 @@ def availability_after_rates(
     pi_a = mu / total
     decay = np.exp(-total * dt)
     return pi_a + np.where(np.asarray(available_now, dtype=bool), 1.0 - pi_a, -pi_a) * decay
-
-
-@dataclass(frozen=True)
-class ResourceBelief:
-    """Latest observation anchor for one resource."""
-
-    resource_id: str
-    state: ResourceState
-    anchor_time: float
-    params: CtmcParams
 
 
 @dataclass(frozen=True)
@@ -140,57 +111,15 @@ class AdaptionOverlay:
         return sum(len(v) for v in self._entries.values())
 
 
-def availability_probability(
-    belief: ResourceBelief,
-    at: float,
-    overlay: AdaptionOverlay | None = None,
-    exclude_owner: str | None = None,
-) -> float:
-    """Predicted availability at time ``at``, minus any active overlay deltas, clamped to [0, 1]."""
-    if at < belief.anchor_time:
-        raise ValueError(f"query time {at} precedes anchor {belief.anchor_time}")
-    p = transition_probability(belief.params, belief.state, ResourceState.AVAILABLE, at - belief.anchor_time)
-    if overlay is not None:
-        p -= overlay.pending_subtraction(belief.resource_id, at, exclude_owner)
-    return min(1.0, max(0.0, p))
-
-
-def expected_wait_time(params: CtmcParams, t_tr: float) -> float:
-    """Expected time circling an occupied resource until it can be claimed.
+def expected_wait_times_rates(
+    lam: np.ndarray | float, mu: np.ndarray | float, t_tr: np.ndarray
+) -> np.ndarray:
+    """Expected time circling an occupied resource until it can be claimed, per element.
 
     Each round trip of duration ``t_tr`` succeeds independently with the
     probability that the occupied-anchored process is available after ``t_tr``,
     so the expected number of trips is geometric.
     """
-    if t_tr <= 0:
-        raise ValueError(f"round trip time must be positive, got {t_tr}")
-    p = transition_probability(params, ResourceState.OCCUPIED, ResourceState.AVAILABLE, t_tr)
-    return t_tr / p
-
-
-def expected_wait_times(params: CtmcParams, t_tr: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`expected_wait_time`."""
-    t_tr = np.asarray(t_tr, dtype=float)
-    p = availability_after(params, t_tr, False)
-    return t_tr / p
-
-
-def expected_wait_times_rates(
-    lam: np.ndarray | float, mu: np.ndarray | float, t_tr: np.ndarray
-) -> np.ndarray:
-    """:func:`expected_wait_time` with per-element flip rates."""
     t_tr = np.asarray(t_tr, dtype=float)
     p = availability_after_rates(lam, mu, t_tr, False)
     return t_tr / p
-
-
-def sample_future_state(belief: ResourceBelief, at: float, rng: np.random.Generator) -> ResourceState:
-    """Draw the resource state at time ``at`` from the anchored prediction."""
-    p = availability_probability(belief, at)
-    return ResourceState.AVAILABLE if rng.random() < p else ResourceState.OCCUPIED
-
-
-def sample_sojourn(params: CtmcParams, state: ResourceState, rng: np.random.Generator) -> float:
-    """Draw how long the resource stays in ``state`` before flipping."""
-    rate = params.lam if state is ResourceState.AVAILABLE else params.mu
-    return float(rng.exponential(1.0 / rate))

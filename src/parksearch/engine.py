@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import heapq
+import math
 import time as _time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,7 +36,7 @@ from .availability import (
 from .errors import ConfigError, ParkSearchError, TraceError
 from .fleet import ReservationTable, adapt_probabilities, reverse_adaptions
 from .geo import GeoPoint, walking_time
-from .graph import RoadGraph, TravelTimeMatrix, all_pairs_travel_times
+from .graph import RoadGraph, all_pairs_travel_times
 from .planners import (
     PlannerContext,
     PlannerSettings,
@@ -138,8 +139,10 @@ def load_trace(path: str | Path) -> OccupationTrace:
             rid, time_s, state = row
             try:
                 t = float(time_s)
-            except ValueError as exc:
-                raise TraceError(f"line {lineno}: bad time {time_s!r}") from exc
+            except ValueError:
+                t = math.nan
+            if not 0.0 <= t < math.inf:
+                raise TraceError(f"line {lineno}: bad time {time_s!r}, need finite non-negative seconds")
             if state not in ("available", "occupied"):
                 raise TraceError(f"line {lineno}: bad state {state!r}")
             events.append(TraceEvent(rid, t, ResourceState(state)))
@@ -227,20 +230,9 @@ _RESERVATION_KINDS = {"rpl_r", "hs_r"}
 _OVERLAY_KINDS = {"hs_a"}
 
 
-def taxi_time(graph: RoadGraph, matrix: TravelTimeMatrix, spec: AgentSpec) -> float:
+def taxi_time(ctx: PlannerContext, start_node: str, destination: GeoPoint) -> float:
     """Trip time with a drop-off as close to the destination as any node allows."""
-    from .geo import walking_time_many
-
-    lat = np.array([graph.nodes[n].position.lat for n in matrix.node_ids])
-    lon = np.array([graph.nodes[n].position.lon for n in matrix.node_ids])
-    walk = walking_time_many(lat, lon, spec.destination)
-    i = matrix.index(spec.start_node)
-    return float(np.min(matrix.values[i] + walk))
-
-
-def _taxi_time_ctx(ctx: PlannerContext, start_node: str, destination: GeoPoint) -> float:
-    i = ctx.node_index[start_node]
-    return float(np.min(ctx.M[i] + ctx.node_walk_vector(destination)))
+    return float(np.min(ctx.M[ctx.node_index[start_node]] + ctx.node_walk_vector(destination)))
 
 
 def _validate_agents(graph: RoadGraph, agents: Iterable[AgentSpec]) -> list[AgentSpec]:
@@ -306,7 +298,7 @@ def run_simulation(
             if rid in ctx.res_index:
                 lam_vec[ctx.res_index[rid]] = p.lam
                 mu_vec[ctx.res_index[rid]] = p.mu
-    t_claim_vec = expected_wait_times_rates(lam_vec, mu_vec, ctx.res_t_tr)
+    t_claim = expected_wait_times_rates(lam_vec, mu_vec, ctx.res_t_tr)
 
     trace_avail = np.ones(ctx.n_resources, dtype=bool)
     for rid, state in trace.initial_states.items():
@@ -366,7 +358,7 @@ def run_simulation(
             reservations=table if kind in _RESERVATION_KINDS else None,
             overlay=overlay if kind in _OVERLAY_KINDS else None,
             agent_id=rt.spec.id,
-            lam_vec=lam_vec, mu_vec=mu_vec, t_claim_vec=t_claim_vec,
+            lam_vec=lam_vec, mu_vec=mu_vec, t_claim=t_claim,
         )
         t0 = _time.perf_counter()
         decision = rt.policy.decide(view, rt.node, rt.rng)
@@ -377,10 +369,8 @@ def run_simulation(
                     rt.adaption_record = None
                 rt.adaption_target = decision.target_resource
                 if decision.target_resource is not None:
-                    adapt_view = PlanningView(ctx, now, avail, params, None, overlay, rt.spec.id,
-                                              lam_vec=lam_vec, mu_vec=mu_vec, t_claim_vec=t_claim_vec)
                     rt.adaption_record = adapt_probabilities(
-                        adapt_view,
+                        view,  # hs_a agents never see reservations
                         decision.target_resource,
                         decision.expected_arrival,
                         rt.spec.id,
@@ -462,7 +452,7 @@ def run_simulation(
     records: list[MetricsRecord] = []
     for spec in specs:
         rt = runtimes[spec.id]
-        taxi = _taxi_time_ctx(ctx, spec.start_node, spec.destination)
+        taxi = taxi_time(ctx, spec.start_node, spec.destination)
         if rt.status == "parked":
             total = (rt.park_time - spec.start_time) + rt.walk_s
             status = "parked"

@@ -15,12 +15,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .availability import AdaptionOverlay, OverlayDelta, availability_after_rates
+from .availability import AdaptionOverlay, OverlayDelta
 from .errors import AdaptionError, DegenerateTargetError
 from .graph import isochrone_nodes
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
-    from .planners import PlanningView, RouteDecision
+    from .planners import PlanningView
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,15 @@ class ReservationTable:
     def for_resource(self, resource: str) -> tuple[Reservation, ...]:
         return tuple(self._by_resource.get(resource, {}).values())
 
-    def all(self) -> tuple[Reservation, ...]:
-        return tuple(self._by_agent.values())
+    def resources(self) -> tuple[str, ...]:
+        return tuple(self._by_resource)
+
+    def blocks(self, resource: str, agent: str | None, arrival: float) -> bool:
+        """Whether any reservation makes ``resource`` look occupied to ``agent`` arriving at ``arrival``."""
+        for res in self._by_resource.get(resource, {}).values():
+            if reservation_blocks(res, agent, arrival):
+                return True
+        return False
 
     def __len__(self) -> int:
         return len(self._by_agent)
@@ -78,28 +85,6 @@ def reservation_blocks(res: Reservation, querying_agent: str | None, query_arriv
     if res.t_arrival < query_arrival:
         return True
     return res.t_arrival == query_arrival and (querying_agent is None or res.agent < querying_agent)
-
-
-def effective_availability(
-    table: ReservationTable | None,
-    resource: str,
-    querying_agent: str | None,
-    query_arrival: float,
-    currently_available: bool,
-) -> bool:
-    """Availability as seen by a fleet agent expecting to arrive at ``query_arrival``."""
-    if not currently_available:
-        return False
-    if table is None:
-        return True
-    return not any(reservation_blocks(r, querying_agent, query_arrival) for r in table.for_resource(resource))
-
-
-def reservation_from_decision(agent: str, decision: "RouteDecision") -> Reservation | None:
-    """Reservation implied by a decision: the committed target at its expected arrival."""
-    if decision.target_resource is None or decision.expected_arrival is None:
-        return None
-    return Reservation(decision.target_resource, agent, decision.expected_arrival)
 
 
 @dataclass(frozen=True)
@@ -121,18 +106,6 @@ class AdaptionRecord:
     reversed: bool = False
 
 
-def _occupied_probability(view: "PlanningView", res_idx: int, at: float) -> float:
-    p = float(
-        availability_after_rates(
-            view.lam_vec[res_idx], view.mu_vec[res_idx],
-            max(0.0, at - view.now), bool(view.avail[res_idx]),
-        )
-    )
-    if view.overlay is not None:
-        p -= view.overlay.pending_subtraction(view.ctx.res_ids[res_idx], at, view.agent_id)
-    return 1.0 - min(1.0, max(0.0, p))
-
-
 def _edge_jump_weight(
     view: "PlanningView",
     edge_id: str,
@@ -144,12 +117,15 @@ def _edge_jump_weight(
 ) -> float:
     """Biased jump weight: visit decay times distance penalty times the chance of a free spot."""
     ctx = view.ctx
+    spots = ctx.street_spots(edge_id)
+    if not len(spots):
+        return 0.0  # a street without spots offers no chance to park
+    occupied_product = 1.0
+    for p in view.availability(t_acc, spots).tolist():  # sequentially, in resources_by_edge order
+        occupied_product *= 1.0 - p
     edge = ctx.graph.edges[edge_id]
     theta = visit_decay if edge_id in visited else 1.0
     delta = min(1.0, ctx.M[ctx.node_index[edge.to_node], dest_node_idx] / isochrone_s)
-    occupied_product = 1.0
-    for rid in ctx.graph.resources_by_edge[edge_id]:
-        occupied_product *= _occupied_probability(view, ctx.res_index[rid], t_acc)
     return theta * delta * (1.0 - occupied_product)
 
 
@@ -192,7 +168,7 @@ def adapt_probabilities(
     iso_nodes = isochrone_nodes(ctx.graph, ctx.matrix, target_edge.from_node, isochrone_s)
     dest_idx = ctx.node_index[dest_node if dest_node is not None else target_edge.from_node]
 
-    p_initial = _occupied_probability(view, t_idx, t_arrival)
+    p_initial = 1.0 - float(view.availability(t_arrival, [t_idx])[0])
     t_partial = target_edge.drive_time_s - target.offset_s
     paths: list[WalkPath] = []
     for _ in range(samples):
@@ -235,7 +211,7 @@ def adapt_probabilities(
         # A walk that never left the target's street describes staying at the
         # target itself, so it anchors at the arrival time there.
         paths.append(WalkPath(tuple(taken), p_path, t_acc if taken else t_arrival, final_edge))
-    return create_adaptions(paths, agent, view.graph, view.overlay)
+    return create_adaptions(paths, agent, ctx.graph, view.overlay)
 
 
 def create_adaptions(paths, agent: str, graph, overlay: AdaptionOverlay) -> AdaptionRecord:

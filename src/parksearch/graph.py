@@ -229,13 +229,10 @@ class TravelTimeMatrix:
     def __init__(self, node_ids: tuple[str, ...], values: np.ndarray):
         self.node_ids = node_ids
         self.values = values
-        self._index = {nid: i for i, nid in enumerate(node_ids)}
-
-    def index(self, node_id: str) -> int:
-        return self._index[node_id]
+        self.node_index = {nid: i for i, nid in enumerate(node_ids)}
 
     def time(self, from_node: str, to_node: str) -> float:
-        return float(self.values[self._index[from_node], self._index[to_node]])
+        return float(self.values[self.node_index[from_node], self.node_index[to_node]])
 
 
 def all_pairs_travel_times(graph: RoadGraph) -> TravelTimeMatrix:
@@ -263,13 +260,7 @@ def all_pairs_travel_times(graph: RoadGraph) -> TravelTimeMatrix:
 
 def isochrone_nodes(graph: RoadGraph, matrix: TravelTimeMatrix, around: str, limit_s: float) -> set[str]:
     """Nodes from which ``around`` can be reached within ``limit_s`` of driving."""
-    j = matrix.index(around)
+    j = matrix.node_index[around]
     mask = matrix.values[:, j] <= limit_s
     return {matrix.node_ids[i] for i in np.nonzero(mask)[0]}
 
-
-def reachable_resources(graph: RoadGraph, edge_id: str) -> list[Resource]:
-    """Resources on the edge, ordered by drive offset from the edge start."""
-    if edge_id not in graph.edges:
-        raise GraphValidationError(f"unknown edge {edge_id!r}")
-    return [graph.resources[rid] for rid in graph.resources_by_edge[edge_id]]

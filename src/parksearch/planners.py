@@ -21,17 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .availability import (
-    AdaptionOverlay,
-    CtmcParams,
-    ResourceBelief,
-    ResourceState,
-    availability_after_rates,
-    expected_wait_times,
-    expected_wait_times_rates,
-)
+from .availability import AdaptionOverlay, CtmcParams, availability_after_rates, expected_wait_times_rates
 from .errors import NoPathError
-from .fleet import ReservationTable, reservation_blocks
+from .fleet import ReservationTable
 from .geo import GeoPoint, great_circle_m, great_circle_m_many, walking_time_many
 from .graph import Edge, RoadGraph, TravelTimeMatrix
 
@@ -87,7 +79,7 @@ class PlannerContext:
         self.matrix = matrix
         self.M = matrix.values
         self.node_ids = matrix.node_ids
-        self.node_index = {nid: i for i, nid in enumerate(self.node_ids)}
+        self.node_index = matrix.node_index
         self.node_lat = np.array([graph.nodes[n].position.lat for n in self.node_ids])
         self.node_lon = np.array([graph.nodes[n].position.lon for n in self.node_ids])
 
@@ -113,9 +105,9 @@ class PlannerContext:
             nid: tuple(sorted(ids, key=lambda i: (self.res_edge_ids[i], self.res_offset[i], self.res_ids[i])))
             for nid, ids in adj.items()
         }
+        self._street_spots: dict[str, np.ndarray] = {}
         self._walk_cache: dict[tuple[float, float], np.ndarray] = {}
         self._node_walk_cache: dict[tuple[float, float], np.ndarray] = {}
-        self._t_claim_cache: dict[CtmcParams, np.ndarray] = {}
         self._street_mid: tuple[tuple[str, ...], np.ndarray, np.ndarray] | None = None
 
     @property
@@ -149,14 +141,17 @@ class PlannerContext:
             )
         return self._street_mid
 
+    def street_spots(self, edge_id: str) -> np.ndarray:
+        """Resource indices on a street in ``resources_by_edge`` order, built on first use."""
+        spots = self._street_spots.get(edge_id)
+        if spots is None:
+            rids = self.graph.resources_by_edge[edge_id]
+            spots = self._street_spots[edge_id] = np.array([self.res_index[r] for r in rids], dtype=int)
+        return spots
+
     def dest_node(self, destination: GeoPoint) -> str:
         """Node whose position is walk-closest to the destination."""
         return self.node_ids[int(np.argmin(self.node_walk_vector(destination)))]
-
-    def t_claim_vector(self, params: CtmcParams) -> np.ndarray:
-        if params not in self._t_claim_cache:
-            self._t_claim_cache[params] = expected_wait_times(params, self.res_t_tr)
-        return self._t_claim_cache[params]
 
     def drive_to_resources(self, node: str) -> np.ndarray:
         """Drive seconds from a node to every resource (via its edge start, then the offset)."""
@@ -177,6 +172,13 @@ class PlannerContext:
             raise NoPathError(f"no path from {from_node!r} to {to_node!r}")
         return best
 
+    def action_toward(self, node: str, ridx: int) -> Action:
+        """Claim resource ``ridx`` if its street starts at ``node``, else take the first hop toward it."""
+        decision_node = self.node_ids[self.res_from_idx[ridx]]
+        if decision_node == node:
+            return TakeResource(self.res_ids[ridx])
+        return TakeRoad(self.first_hop(node, decision_node).id)
+
 
 @dataclass
 class PlanningView:
@@ -184,6 +186,7 @@ class PlanningView:
 
     ``lam_vec``/``mu_vec`` carry per-resource flip rates; they default to the
     global pair in ``params`` when the scenario does not override them.
+    ``t_claim`` is the expected circling wait at each resource.
     """
 
     ctx: PlannerContext
@@ -195,7 +198,7 @@ class PlanningView:
     agent_id: str | None = None
     lam_vec: np.ndarray | None = None
     mu_vec: np.ndarray | None = None
-    t_claim_vec: np.ndarray | None = None
+    t_claim: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         n = self.ctx.n_resources
@@ -203,67 +206,44 @@ class PlanningView:
             self.lam_vec = np.full(n, self.params.lam)
         if self.mu_vec is None:
             self.mu_vec = np.full(n, self.params.mu)
-        if self.t_claim_vec is None:
-            self.t_claim_vec = expected_wait_times_rates(self.lam_vec, self.mu_vec, self.ctx.res_t_tr)
+        if self.t_claim is None:
+            self.t_claim = expected_wait_times_rates(self.lam_vec, self.mu_vec, self.ctx.res_t_tr)
 
-    @property
-    def graph(self) -> RoadGraph:
-        return self.ctx.graph
+    def availability(self, at: np.ndarray | float, idx=None) -> np.ndarray:
+        """Predicted availability at ``at`` of every resource, or of the resource indices ``idx``.
 
-    @property
-    def matrix(self) -> TravelTimeMatrix:
-        return self.ctx.matrix
+        ``at`` is one time or one time per resource. Overlay deltas active by
+        then are subtracted and the result clamped to [0, 1]. The viewing
+        agent's own deltas are not subtracted, mirroring how reservations never
+        block their holder.
+        """
+        sel = slice(None) if idx is None else idx
+        p = availability_after_rates(self.lam_vec[sel], self.mu_vec[sel], at - self.now, self.avail[sel])
+        if self.overlay is not None and len(self.overlay):
+            at = np.broadcast_to(at, p.shape)
+            index, ids = self.ctx.res_index, self.ctx.res_ids
+            slots = ([(index[rid], rid) for rid in self.overlay.resources() if rid in index] if idx is None
+                     else [(k, ids[i]) for k, i in enumerate(idx)])
+            for k, rid in slots:
+                p[k] -= self.overlay.pending_subtraction(rid, float(at[k]), self.agent_id)
+            np.clip(p, 0.0, 1.0, out=p)
+        return p
 
-    @property
-    def t_claim(self) -> np.ndarray:
-        return self.t_claim_vec
-
-    @property
-    def beliefs(self) -> dict[str, ResourceBelief]:
-        return {
-            rid: ResourceBelief(
-                rid,
-                ResourceState.AVAILABLE if self.avail[i] else ResourceState.OCCUPIED,
-                self.now,
-                CtmcParams(float(self.lam_vec[i]), float(self.mu_vec[i])),
-            )
-            for i, rid in enumerate(self.ctx.res_ids)
-        }
+    def claim_wait(self, available: np.ndarray) -> np.ndarray:
+        """Extra cost per resource: nothing where available, the expected circling wait where occupied."""
+        return np.where(available, 0.0, self.t_claim)
 
 
 def _reserved_against(view: PlanningView, arrivals: np.ndarray) -> np.ndarray:
     """Resources another fleet agent will reach no later than this agent."""
     forced = np.zeros(view.ctx.n_resources, dtype=bool)
-    if view.reservations is None:
-        return forced
-    for res in view.reservations.all():
-        if res.agent == view.agent_id:
-            continue
-        i = view.ctx.res_index.get(res.resource)
-        if i is not None and reservation_blocks(res, view.agent_id, float(arrivals[i])):
-            forced[i] = True
+    if view.reservations is not None:
+        blocks, index, agent = view.reservations.blocks, view.ctx.res_index, view.agent_id
+        for rid in view.reservations.resources():
+            i = index.get(rid)
+            if i is not None and blocks(rid, agent, float(arrivals[i])):
+                forced[i] = True
     return forced
-
-
-def _availability_probs(view: PlanningView, arrivals: np.ndarray) -> np.ndarray:
-    """Predicted availability per resource at per-resource arrival times.
-
-    Overlay deltas from other agents are subtracted; the viewing agent's own
-    deltas are not, mirroring how reservations never block their holder.
-    """
-    p = availability_after_rates(view.lam_vec, view.mu_vec, arrivals - view.now, view.avail)
-    if view.overlay is not None and len(view.overlay):
-        for rid in view.overlay.resources():
-            i = view.ctx.res_index.get(rid)
-            if i is not None:
-                p[i] -= view.overlay.pending_subtraction(rid, float(arrivals[i]), view.agent_id)
-        np.clip(p, 0.0, 1.0, out=p)
-    return p
-
-
-def _treated_available(view: PlanningView, arrivals: np.ndarray) -> np.ndarray:
-    """State-frozen availability with reservation exclusions applied."""
-    return view.avail & ~_reserved_against(view, arrivals)
 
 
 def replan_route(view: PlanningView, from_node: str, destination: GeoPoint) -> RouteDecision:
@@ -271,24 +251,40 @@ def replan_route(view: PlanningView, from_node: str, destination: GeoPoint) -> R
     ctx = view.ctx
     drive = ctx.drive_to_resources(from_node)
     arrivals = view.now + drive
-    treated = _treated_available(view, arrivals)
-    costs = drive + ctx.walk_vector(destination) + np.where(treated, 0.0, view.t_claim)
+    treated = view.avail & ~_reserved_against(view, arrivals)
+    costs = drive + ctx.walk_vector(destination) + view.claim_wait(treated)
     best = int(np.argmin(costs))
     if not np.isfinite(costs[best]):
         raise NoPathError(f"no resource reachable from {from_node!r}")
-    target = ctx.res_ids[best]
-    decision_node = ctx.graph.edges[ctx.res_edge_ids[best]].from_node
-    if decision_node == from_node:
-        action: Action = TakeResource(target)
-    else:
-        action = TakeRoad(ctx.first_hop(from_node, decision_node).id)
+    action = ctx.action_toward(from_node, best)
     return RouteDecision(
         action,
-        target_resource=target,
+        target_resource=ctx.res_ids[best],
         expected_arrival=float(view.now + drive[best]),
         q_estimates={_action_key(action): float(costs[best])},
         recomputed=True,
     )
+
+
+def _future_probabilities(view: PlanningView, from_node: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Drive times from ``from_node``, the resources reserved against the agent, and the
+    availability at arrival that every sampled future thresholds (zero where reserved)."""
+    drive = view.ctx.drive_to_resources(from_node)
+    arrivals = view.now + drive
+    forced = _reserved_against(view, arrivals)
+    probs = view.availability(arrivals)
+    probs[forced] = 0.0
+    return drive, forced, probs
+
+
+def _future_costs(view: PlanningView, node: str, walk: np.ndarray, wait: np.ndarray,
+                  out_of_scope: np.ndarray | None = None) -> np.ndarray:
+    """Cost of taking each resource from ``node`` in each sampled future: drive, walk, and the
+    circling ``wait`` where that future has the resource occupied."""
+    base = view.ctx.drive_to_resources(node) + walk
+    if out_of_scope is not None:
+        base = np.where(out_of_scope, np.inf, base)
+    return base + wait
 
 
 def sample_determinizations(
@@ -297,33 +293,20 @@ def sample_determinizations(
     """Draw ``n`` futures of all resource states at the agent's arrival times."""
     if n < 1:
         raise ValueError("need at least one determinization")
-    matrix = _sample_determinization_matrix(view, from_node, n, rng)
-    return [Determinization(available=matrix[i].copy()) for i in range(n)]
-
-
-def _sample_determinization_matrix(
-    view: PlanningView, from_node: str, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    arrivals = view.now + view.ctx.drive_to_resources(from_node)
-    probs = _availability_probs(view, arrivals)
-    probs[_reserved_against(view, arrivals)] = 0.0
-    return rng.random((n, view.ctx.n_resources)) < probs
+    _, _, probs = _future_probabilities(view, from_node)
+    available = rng.random((n, view.ctx.n_resources)) < probs
+    return [Determinization(available=row.copy()) for row in available]
 
 
 def solve_determinization(
     view: PlanningView, from_node: str, det: Determinization, destination: GeoPoint
 ) -> tuple[str, float]:
     """Cheapest resource in one determinized future; ties go to the smallest id."""
-    ctx = view.ctx
-    costs = (
-        ctx.drive_to_resources(from_node)
-        + ctx.walk_vector(destination)
-        + np.where(det.available, 0.0, view.t_claim)
-    )
+    costs = _future_costs(view, from_node, view.ctx.walk_vector(destination), view.claim_wait(det.available))
     best = int(np.argmin(costs))
     if not np.isfinite(costs[best]):
         raise NoPathError(f"no resource reachable from {from_node!r}")
-    return ctx.res_ids[best], float(costs[best])
+    return view.ctx.res_ids[best], float(costs[best])
 
 
 def _action_key(action: Action) -> str:
@@ -343,28 +326,14 @@ class ReplanningPolicy:
         self.destination = destination
         self._target: str | None = None
 
-    def _target_treated(self, view: PlanningView, node: str) -> bool:
-        i = view.ctx.res_index[self._target]
-        if not view.avail[i]:
-            return False
-        arrival = view.now + view.ctx.M[view.ctx.node_index[node], view.ctx.res_from_idx[i]] + view.ctx.res_offset[i]
-        if view.reservations is not None:
-            for res in view.reservations.for_resource(self._target):
-                if res.agent != view.agent_id and reservation_blocks(res, view.agent_id, arrival):
-                    return False
-        return True
-
     def decide(self, view: PlanningView, node: str, rng: np.random.Generator) -> RouteDecision:
         ctx = view.ctx
-        if self._target is not None and self._target_treated(view, node):
+        if self._target is not None:
             i = ctx.res_index[self._target]
-            decision_node = ctx.graph.edges[ctx.res_edge_ids[i]].from_node
-            if decision_node == node:
-                action: Action = TakeResource(self._target)
-            else:
-                action = TakeRoad(ctx.first_hop(node, decision_node).id)
             arrival = view.now + ctx.M[ctx.node_index[node], ctx.res_from_idx[i]] + ctx.res_offset[i]
-            return RouteDecision(action, self._target, float(arrival), recomputed=False)
+            if view.avail[i] and (view.reservations is None
+                                  or not view.reservations.blocks(self._target, view.agent_id, arrival)):
+                return RouteDecision(ctx.action_toward(node, i), self._target, float(arrival), recomputed=False)
         decision = replan_route(view, node, self.destination)
         self._target = decision.target_resource
         return decision
@@ -390,38 +359,26 @@ class HindsightPolicy:
     def decide(self, view: PlanningView, node: str, rng: np.random.Generator) -> RouteDecision:
         ctx = view.ctx
         walk = ctx.walk_vector(self.destination)
-        drive_here = ctx.drive_to_resources(node)
-        arrivals = view.now + drive_here
-        forced = _reserved_against(view, arrivals)
-        probs = _availability_probs(view, arrivals)
-        probs[forced] = 0.0
+        drive_here, forced, probs = _future_probabilities(view, node)
         if self._uniforms is None:
             self._uniforms = rng.random((self.n, ctx.n_resources))
-        available_in = self._uniforms < probs
-        penalty = np.where(available_in, 0.0, view.t_claim)
-        out_of_scope = None
-        if self.scope_horizon_s is not None:
-            out_of_scope = drive_here > self.scope_horizon_s
+        wait = view.claim_wait(self._uniforms < probs)
+        out_of_scope = None if self.scope_horizon_s is None else drive_here > self.scope_horizon_s
 
-        # (value, preference rank, id) per candidate action; TakeResource wins ties.
-        candidates: list[tuple[float, int, str, Action, Edge | None]] = []
+        # (value, preference rank, id, action, per-future costs) per candidate; TakeResource wins ties.
+        candidates: list[tuple[float, int, str, Action, np.ndarray | None]] = []
         for ridx in ctx.adjacent_res[node]:
             if view.avail[ridx] and not forced[ridx]:
-                value = float(ctx.res_offset[ridx] + walk[ridx])
                 rid = ctx.res_ids[ridx]
-                candidates.append((value, 0, rid, TakeResource(rid), None))
+                candidates.append((float(ctx.res_offset[ridx] + walk[ridx]), 0, rid, TakeResource(rid), None))
         for edge in ctx.out_edges[node]:
-            succ = ctx.node_index[edge.to_node]
-            base = ctx.M[succ, ctx.res_from_idx] + ctx.res_offset + walk
-            if out_of_scope is not None:
-                base = np.where(out_of_scope, np.inf, base)
-            det_costs = (base[None, :] + penalty).min(axis=1)
-            value = float(edge.drive_time_s + det_costs.mean())
-            candidates.append((value, 1, edge.id, TakeRoad(edge.id), edge))
+            costs = _future_costs(view, edge.to_node, walk, wait, out_of_scope)
+            value = float(edge.drive_time_s + costs.min(axis=1).mean())
+            candidates.append((value, 1, edge.id, TakeRoad(edge.id), costs))
         if not candidates:
             raise NoPathError(f"no actions available at {node!r}")
-        candidates.sort(key=lambda c: (c[0], c[1], c[2]))
-        value, _, _, action, via_edge = candidates[0]
+        candidates.sort(key=lambda c: c[:3])
+        value, _, _, action, costs = candidates[0]
         if not np.isfinite(value):
             raise NoPathError(f"no resource reachable from {node!r}")
 
@@ -432,13 +389,10 @@ class HindsightPolicy:
                 action, action.resource, float(view.now + ctx.res_offset[ridx]), q_estimates
             )
         # Commit to the resource chosen most often across the sampled futures.
-        succ = ctx.node_index[via_edge.to_node]
-        base = ctx.M[succ, ctx.res_from_idx] + ctx.res_offset + walk
-        if out_of_scope is not None:
-            base = np.where(out_of_scope, np.inf, base)
-        choices = (base[None, :] + penalty).argmin(axis=1)
-        modal = modal_choice(choices, ctx.n_resources)
-        arrival = view.now + via_edge.drive_time_s + ctx.M[succ, ctx.res_from_idx[modal]] + ctx.res_offset[modal]
+        modal = modal_choice(costs.argmin(axis=1), ctx.n_resources)
+        edge = ctx.graph.edges[action.edge]
+        arrival = (view.now + edge.drive_time_s + ctx.M[ctx.node_index[edge.to_node], ctx.res_from_idx[modal]]
+                   + ctx.res_offset[modal])
         return RouteDecision(action, ctx.res_ids[modal], float(arrival), q_estimates)
 
 

@@ -11,6 +11,7 @@ against its single-agent base.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -110,9 +111,33 @@ class ScenarioConfig:
 
 
 def _expect_keys(obj: dict, allowed: set[str], what: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be an object, got {obj!r}")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"{what} has unknown keys: {sorted(unknown)}")
+
+
+def _number(section: dict, key: str, prefix: str = "", default=None, *, integer: bool = False,
+            positive: bool = True) -> float | int:
+    """``section[key]`` (or ``default``) as a finite number; a ConfigError naming the key path otherwise."""
+    value = section.get(key, default)
+    if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
+            or not math.isfinite(value) or value < 0 or (positive and value == 0)):
+        need = ("a positive " if positive else "a non-negative ") + ("integer" if integer else "number")
+        raise ConfigError(f"{prefix}{key} must be {need}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _point(value, path: str) -> GeoPoint:
+    """A ``[lat, lon]`` pair in degrees; a ConfigError naming the key path otherwise."""
+    try:
+        lat, lon = value
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in (lat, lon)):
+            raise TypeError
+        return GeoPoint(float(lat), float(lon))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path} must be a [lat, lon] pair in degrees, got {value!r}") from exc
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
@@ -156,17 +181,19 @@ def parse_config(doc: dict, *, base_dir: Path | None = None, default_name: str =
     else:
         syn = occupation["synthetic"]
         _expect_keys(syn, {"lambda_inv_s", "mu_inv_s", "zones"}, "occupation.synthetic")
+        where = "occupation.synthetic."
         synthetic = CtmcParams.from_mean_times(
-            float(syn.get("lambda_inv_s", 120.0)), float(syn.get("mu_inv_s", 2091.0))
+            _number(syn, "lambda_inv_s", where, 120.0), _number(syn, "mu_inv_s", where, 2091.0)
         )
-        for raw in syn.get("zones", []):
-            _expect_keys(raw, {"center", "radius_m", "lambda_inv_s", "mu_inv_s"}, "zone")
-            lat, lon = raw["center"]
+        for k, raw in enumerate(syn.get("zones", [])):
+            where = f"occupation.synthetic.zones[{k}]."
+            _expect_keys(raw, {"center", "radius_m", "lambda_inv_s", "mu_inv_s"}, where[:-1])
             zones.append(
                 RateZone(
-                    GeoPoint(float(lat), float(lon)),
-                    float(raw["radius_m"]),
-                    CtmcParams.from_mean_times(float(raw["lambda_inv_s"]), float(raw["mu_inv_s"])),
+                    _point(raw.get("center"), f"{where}center"),
+                    _number(raw, "radius_m", where, positive=False),
+                    CtmcParams.from_mean_times(_number(raw, "lambda_inv_s", where),
+                                               _number(raw, "mu_inv_s", where)),
                 )
             )
 
@@ -179,6 +206,9 @@ def parse_config(doc: dict, *, base_dir: Path | None = None, default_name: str =
         for key in ("destination", "start_node"):
             if key not in destinations:
                 raise ConfigError(f"single destinations missing {key!r}")
+        _point(destinations["destination"], "destinations.destination")
+        _number(destinations, "agents", "destinations.", 20, integer=True)
+        _number(destinations, "start_time_s", "destinations.", 0.0, positive=False)
     elif mode == "explicit":
         _expect_keys(destinations, {"mode", "agents"}, "destinations")
         if not destinations.get("agents"):
@@ -194,6 +224,9 @@ def parse_config(doc: dict, *, base_dir: Path | None = None, default_name: str =
         for key in ("eps_m", "min_pts"):
             if key not in destinations:
                 raise ConfigError(f"data_driven destinations missing {key!r} (no default)")
+        _number(destinations, "eps_m", "destinations.")
+        _number(destinations, "min_pts", "destinations.", integer=True)
+        _number(destinations, "clusters", "destinations.", 2, integer=True)
         if "trace" in destinations:
             dd_trace = resolve(destinations["trace"])
             if not dd_trace.exists():
@@ -217,28 +250,31 @@ def parse_config(doc: dict, *, base_dir: Path | None = None, default_name: str =
     adaption = doc.get("adaption", {})
     _expect_keys(adaption, {"samples", "isochrone_s", "visit_decay", "max_steps"}, "adaption")
     settings = PlannerSettings(
-        determinizations=int(planner.get("determinizations", 100)),
-        scope_horizon_s=planner.get("scope_horizon_s"),
-        heuristic_far_radius_m=float(planner.get("heuristic_far_radius_m", 500.0)),
-        heuristic_accept_walk_s=float(planner.get("heuristic_accept_walk_s", 120.0)),
-        heuristic_relax_s_per_min=float(planner.get("heuristic_relax_s_per_min", 10.0)),
-        adaption_samples=int(adaption.get("samples", 30)),
-        adaption_isochrone_s=float(adaption.get("isochrone_s", 300.0)),
-        adaption_visit_decay=float(adaption.get("visit_decay", 0.95)),
-        adaption_max_steps=int(adaption.get("max_steps", 1000)),
+        determinizations=_number(planner, "determinizations", "planner.", 100, integer=True),
+        scope_horizon_s=(None if planner.get("scope_horizon_s") is None
+                         else _number(planner, "scope_horizon_s", "planner.")),
+        heuristic_far_radius_m=_number(planner, "heuristic_far_radius_m", "planner.", 500.0, positive=False),
+        heuristic_accept_walk_s=_number(planner, "heuristic_accept_walk_s", "planner.", 120.0, positive=False),
+        heuristic_relax_s_per_min=_number(planner, "heuristic_relax_s_per_min", "planner.", 10.0, positive=False),
+        adaption_samples=_number(adaption, "samples", "adaption.", 30, integer=True),
+        adaption_isochrone_s=_number(adaption, "isochrone_s", "adaption.", 300.0),
+        adaption_visit_decay=_number(adaption, "visit_decay", "adaption.", 0.95, positive=False),
+        adaption_max_steps=_number(adaption, "max_steps", "adaption.", 1000, integer=True, positive=False),
     )
 
     ctmc_doc = doc.get("ctmc", {})
     _expect_keys(ctmc_doc, {"lambda_inv_s", "mu_inv_s"}, "ctmc")
     if ctmc_doc:
         ctmc = CtmcParams.from_mean_times(
-            float(ctmc_doc.get("lambda_inv_s", 120.0)), float(ctmc_doc.get("mu_inv_s", 2091.0))
+            _number(ctmc_doc, "lambda_inv_s", "ctmc.", 120.0), _number(ctmc_doc, "mu_inv_s", "ctmc.", 2091.0)
         )
     else:
         ctmc = synthetic or CtmcParams.from_mean_times(120.0, 2091.0)
 
     defaults = doc.get("graph_defaults", {})
     _expect_keys(defaults, {"round_trip_s", "speed_factor"}, "graph_defaults")
+    if not isinstance(doc.get("measure_computation", True), bool):
+        raise ConfigError(f"measure_computation must be true or false, got {doc['measure_computation']!r}")
 
     return ScenarioConfig(
         name=str(doc.get("name", default_name)),
@@ -249,11 +285,11 @@ def parse_config(doc: dict, *, base_dir: Path | None = None, default_name: str =
         planner_kind=kind,
         settings=settings,
         ctmc=ctmc,
-        seed=int(doc["seed"]),
-        horizon_s=float(doc.get("horizon_s", DEFAULT_HORIZON_S)),
-        measure_computation=bool(doc.get("measure_computation", True)),
-        round_trip_s=float(defaults.get("round_trip_s", DEFAULT_ROUND_TRIP_S)),
-        speed_factor=float(defaults.get("speed_factor", DEFAULT_SPEED_FACTOR)),
+        seed=_number(doc, "seed", integer=True, positive=False),
+        horizon_s=_number(doc, "horizon_s", default=DEFAULT_HORIZON_S),
+        measure_computation=doc.get("measure_computation", True),
+        round_trip_s=_number(defaults, "round_trip_s", "graph_defaults.", DEFAULT_ROUND_TRIP_S),
+        speed_factor=_number(defaults, "speed_factor", "graph_defaults.", DEFAULT_SPEED_FACTOR),
         zones=tuple(zones),
     )
 
@@ -415,10 +451,9 @@ def build_agents(config: ScenarioConfig, graph: RoadGraph, rng: np.random.Genera
     dest = config.destinations
     mode = dest["mode"]
     if mode == "single":
-        lat, lon = dest["destination"]
         return generate_single_destination(
             graph,
-            GeoPoint(float(lat), float(lon)),
+            _point(dest["destination"], "destinations.destination"),
             dest["start_node"],
             int(dest.get("agents", 20)),
             float(dest.get("start_time_s", 0.0)),
@@ -426,15 +461,18 @@ def build_agents(config: ScenarioConfig, graph: RoadGraph, rng: np.random.Genera
         )
     if mode == "explicit":
         specs = []
-        for raw in dest["agents"]:
-            _expect_keys(raw, {"id", "start_node", "destination", "start_time_s", "planner"}, "agent")
-            lat, lon = raw["destination"]
+        for k, raw in enumerate(dest["agents"]):
+            where = f"destinations.agents[{k}]."
+            _expect_keys(raw, {"id", "start_node", "destination", "start_time_s", "planner"}, where[:-1])
+            for key in ("id", "start_node"):
+                if key not in raw:
+                    raise ConfigError(f"{where}{key} is missing")
             specs.append(
                 AgentSpec(
                     str(raw["id"]),
                     str(raw["start_node"]),
-                    GeoPoint(float(lat), float(lon)),
-                    float(raw.get("start_time_s", 0.0)),
+                    _point(raw.get("destination"), f"{where}destination"),
+                    _number(raw, "start_time_s", where, 0.0, positive=False),
                     str(raw.get("planner", config.planner_kind)),
                 )
             )

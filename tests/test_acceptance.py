@@ -15,14 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from parksearch.availability import (
-    AdaptionOverlay,
-    CtmcParams,
-    ResourceBelief,
-    ResourceState,
-    availability_probability,
-    transition_probability,
-)
+from parksearch.availability import AdaptionOverlay, CtmcParams, ResourceState
 from parksearch.engine import AgentSpec, run_simulation, synthesize_occupations
 from parksearch.errors import NoPathError
 from parksearch.fleet import ReservationTable
@@ -38,6 +31,7 @@ from parksearch.planners import (
 from parksearch.scenario import build_grid_graph_doc, dbscan, run_batch
 
 from conftest import bellman_ford_times, random_graph_doc
+from ctmc_oracle import ResourceBelief, availability_probability, transition_probability
 
 M_PER_DEG = math.pi * EARTH_RADIUS_M / 180.0
 A, O = ResourceState.AVAILABLE, ResourceState.OCCUPIED

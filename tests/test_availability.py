@@ -6,14 +6,17 @@ import pytest
 from parksearch.availability import (
     AdaptionOverlay,
     CtmcParams,
-    ResourceBelief,
     ResourceState,
     availability_after_rates,
+    stationary_availability,
+)
+
+from ctmc_oracle import (
+    ResourceBelief,
     availability_probability,
     expected_wait_time,
     sample_future_state,
     sample_sojourn,
-    stationary_availability,
     transition_probability,
 )
 
@@ -253,3 +256,45 @@ def test_rates_vectorization_matches_scalar(default_params):
         p = CtmcParams(float(lam[i]), float(mu[i]))
         frm = A if avail[i] else O
         assert vec[i] == pytest.approx(transition_probability(p, frm, A, float(dt[i])), rel=1e-12)
+
+
+def test_view_availability_matches_oracle():
+    # The planners' vectorized prediction against the scalar oracle, on random
+    # worlds with per-resource rates and overlay deltas from several owners,
+    # the viewing agent among them (its own deltas must not count).
+    from parksearch.planners import PlanningView
+
+    from conftest import make_context, random_graph_doc
+
+    rng = np.random.default_rng(77)
+    checked = 0
+    for _ in range(40):
+        graph, ctx = make_context(random_graph_doc(rng, n_nodes=8, edge_prob=0.4, n_resources=8))
+        n = ctx.n_resources
+        if n == 0:
+            continue
+        now = float(rng.uniform(0, 500))
+        lam, mu = rng.uniform(1e-4, 0.02, size=n), rng.uniform(1e-4, 0.02, size=n)
+        avail = rng.random(n) < 0.5
+        overlay = AdaptionOverlay()
+        for _ in range(int(rng.integers(0, 12))):
+            overlay.add(str(rng.choice(ctx.res_ids)), now + float(rng.uniform(0, 300)),
+                        float(rng.uniform(0, 0.6)), str(rng.choice(["me", "a1", "a2"])))
+        view = PlanningView(ctx, now, avail, CtmcParams(1.0, 1.0), overlay=overlay, agent_id="me",
+                            lam_vec=lam, mu_vec=mu)
+        beliefs = [ResourceBelief(rid, A if avail[i] else O, now, CtmcParams(float(lam[i]), float(mu[i])))
+                   for i, rid in enumerate(ctx.res_ids)]
+
+        arrivals = now + rng.uniform(0, 400, size=n)
+        vec = view.availability(arrivals)
+        subset = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+        at = now + float(rng.uniform(0, 400))
+        sub = view.availability(at, subset)
+        for i in range(n):
+            ref = availability_probability(beliefs[i], float(arrivals[i]), overlay, exclude_owner="me")
+            assert vec[i] == pytest.approx(ref, rel=1e-12, abs=1e-15)
+        for k, i in enumerate(subset):
+            ref = availability_probability(beliefs[i], at, overlay, exclude_owner="me")
+            assert sub[k] == pytest.approx(ref, rel=1e-12, abs=1e-15)
+        checked += n
+    assert checked > 100

@@ -25,7 +25,7 @@ from parksearch.engine import (
 from parksearch.errors import ConfigError, TraceError
 from parksearch.geo import EARTH_RADIUS_M, GeoPoint, walking_time
 from parksearch.graph import all_pairs_travel_times, load_graph
-from parksearch.planners import PlannerSettings
+from parksearch.planners import PlannerContext, PlannerSettings
 from parksearch.scenario import build_grid_graph_doc
 
 M_PER_DEG = math.pi * EARTH_RADIUS_M / 180.0
@@ -79,8 +79,8 @@ def test_single_agent_parks_with_exact_times():
     assert rec.unsuccessful_claims == 0
     walk = walking_time(graph.resources["r1"].position, dest)
     assert rec.total_trip_s == pytest.approx(12.0 + walk)  # offset drive plus walk
-    matrix = all_pairs_travel_times(graph)
-    assert rec.taxi_s == pytest.approx(taxi_time(graph, matrix, spec))
+    ctx = PlannerContext(graph, all_pairs_travel_times(graph))
+    assert rec.taxi_s == pytest.approx(taxi_time(ctx, spec.start_node, spec.destination))
     assert rec.parking_s == pytest.approx(rec.total_trip_s - rec.taxi_s)
 
 
@@ -171,19 +171,20 @@ def test_synthesize_respects_per_resource_rates():
 def test_taxi_time_examples():
     graph = line_world()
     matrix = all_pairs_travel_times(graph)
+    ctx = PlannerContext(graph, matrix)
     # destination exactly at node n1: pure drive time
     spec = AgentSpec("a", "n0", GeoPoint(0.0, 0.001), 0.0, "rpl")
-    assert taxi_time(graph, matrix, spec) == pytest.approx(30.0)
+    assert taxi_time(ctx, spec.start_node, spec.destination) == pytest.approx(30.0)
     # destination at the start node: zero
     spec0 = AgentSpec("a", "n0", GeoPoint(0.0, 0.0), 0.0, "rpl")
-    assert taxi_time(graph, matrix, spec0) == 0.0
+    assert taxi_time(ctx, spec0.start_node, spec0.destination) == 0.0
     # brute force over candidate drop-off nodes
     dest = GeoPoint(0.0005, 0.0013)
     spec2 = AgentSpec("a", "n0", dest, 0.0, "rpl")
     brute = min(
         matrix.time("n0", v) + walking_time(graph.nodes[v].position, dest) for v in graph.nodes
     )
-    assert taxi_time(graph, matrix, spec2) == brute
+    assert taxi_time(ctx, spec2.start_node, spec2.destination) == brute
 
 
 def test_compute_metrics_arithmetic():
@@ -234,9 +235,10 @@ def test_trace_file_roundtrip(tmp_path):
     assert t0 == occupied_initially
 
     bad = tmp_path / "bad.csv"
-    bad.write_text("resource_id,time_s,state\nr1,10,weird\n")
-    with pytest.raises(TraceError):
-        load_trace(bad)
+    for row in ("r1,10,weird", "r1,nan,occupied", "r1,inf,occupied", "r1,-5,occupied"):
+        bad.write_text(f"resource_id,time_s,state\nr0,5,occupied\n{row}\n")
+        with pytest.raises(TraceError, match="line 3"):
+            load_trace(bad)
 
 
 def test_determinism_byte_identical(tmp_path):

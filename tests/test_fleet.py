@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from parksearch.availability import AdaptionOverlay, CtmcParams, ResourceBelief, ResourceState, availability_probability
+from parksearch.availability import AdaptionOverlay, CtmcParams, ResourceState
 from parksearch.errors import AdaptionError, DegenerateTargetError
 from parksearch.fleet import (
     Reservation,
@@ -12,16 +12,20 @@ from parksearch.fleet import (
     _edge_jump_weight,
     adapt_probabilities,
     create_adaptions,
-    effective_availability,
-    reservation_from_decision,
     reverse_adaptions,
 )
 from parksearch.graph import isochrone_nodes
-from parksearch.planners import PlanningView, RouteDecision, TakeResource
+from parksearch.planners import PlanningView
 
 from conftest import make_context
+from ctmc_oracle import ResourceBelief, availability_probability
 
 FROZEN = CtmcParams(1e-9, 1e-9)
+
+
+def effective_availability(table, resource, querying_agent, query_arrival, currently_available):
+    """Availability as seen by a fleet agent expecting to arrive at ``query_arrival``."""
+    return currently_available and not table.blocks(resource, querying_agent, query_arrival)
 
 
 def test_reservation_table_basics():
@@ -95,13 +99,6 @@ def test_per_agent_uniqueness_random_ops():
         assert len(held) == len(table)
         by_res = [res for r in resources for res in table.for_resource(r)]
         assert sorted(id(x) for x in by_res) == sorted(id(x) for x in held)
-
-
-def test_reservation_from_decision():
-    decision = RouteDecision(TakeResource("r5"), target_resource="r5", expected_arrival=1004.0)
-    res = reservation_from_decision("a7", decision)
-    assert res == Reservation("r5", "a7", 1004.0)
-    assert reservation_from_decision("a7", RouteDecision(TakeResource("r5"))) is None
 
 
 def linear_walk_world():

@@ -8,6 +8,7 @@ claim or parked spot changes them and must be declared as a behaviour change.
 Regenerate the table with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import dataclasses
 import hashlib
 from functools import partial
 from pathlib import Path
@@ -19,13 +20,14 @@ from parksearch.engine import AgentSpec, run_simulation, write_results
 from parksearch.geo import GeoPoint
 from parksearch.graph import all_pairs_travel_times, load_graph
 from parksearch.planners import PLANNER_KINDS, PlannerContext
-from parksearch.scenario import build_grid_graph_doc
+from parksearch.scenario import build_grid_graph_doc, load_config, run_scenario
 
 from test_acceptance import competition_world
 
 COMPETITION_SEEDS = (1, 2)
 GRID_KINDS = ("random", "heuristic", "rpl", "rpl_r")
 GRID_SEED = 11
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 GOLDEN = {
     "competition-heuristic-1": "c2d65ea61a11f1de5e965f7844d19dca95554ad793244f490fdc4acf475932a0",
@@ -42,6 +44,9 @@ GOLDEN = {
     "competition-rpl-2": "ef15b32eb01476d189c866414527fc071afba937e69c6a831ed2c9d2e7da6ac6",
     "competition-rpl_r-1": "18c0c7a9770fba0e59a4e83385d73af60e14663bfb5ff9a2c847fa69fb28845d",
     "competition-rpl_r-2": "61824b2f91d064c9f343559c28671a818a297c1689fe2e0c1fd4ea1899ee53f6",
+    "config-competition_study": "4f16a420f57ecf901ec3ff06d92730ac2940d5d299a5224ab7d6d8fc73047c80",
+    "config-data_driven_demo": "0aded180ade26733e791ea768de63c9702451cceb7a23398e9b5c7e0950446ac",
+    "config-single_destination_demo": "fae9f94a2dc17f651f666271d30782fc84fd1d44c9674dba5f2f3b71be4a5c99",
     "grid-heuristic": "f70073880cf9036b181c00187faa8d6d89759280a35822b4af6a1bb12b20474b",
     "grid-random": "c05baa13c92b6df6d5fdf52e4fc19bc06b2e05b0a202cf301e6a050d82358d1a",
     "grid-rpl": "3b8ad26b58ebbed1fa6964b330c615ee8f7f2a274eb9cb904e070eaf4d341548",
@@ -78,10 +83,16 @@ def _grid_records(kind):
                           ctx=ctx, measure_computation=False)
 
 
+def _config_records(name):
+    config = load_config(CONFIGS / f"{name}.json")
+    return run_scenario(dataclasses.replace(config, measure_computation=False))
+
+
 CASES = {
     **{f"competition-{kind}-{seed}": partial(_competition_records, kind, seed)
        for kind in PLANNER_KINDS for seed in COMPETITION_SEEDS},
     **{f"grid-{kind}": partial(_grid_records, kind) for kind in GRID_KINDS},
+    **{f"config-{path.stem}": partial(_config_records, path.stem) for path in CONFIGS.glob("*.json")},
 }
 
 

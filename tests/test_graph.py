@@ -9,7 +9,6 @@ from parksearch.graph import (
     dump_graph,
     isochrone_nodes,
     load_graph,
-    reachable_resources,
     save_graph,
 )
 
@@ -153,10 +152,9 @@ def test_reachable_resources_ordering():
         {"id": "rc", "edge": "e-vw", "lat": 0.0, "lon": 0.0, "offset_s": 1.0},
     ]
     g = load_graph(doc)
-    assert [r.id for r in reachable_resources(g, "e-uv")] == ["ra", "rb"]
-    assert reachable_resources(g, "e-wu") == []
-    with pytest.raises(GraphValidationError):
-        reachable_resources(g, "missing")
+    assert list(g.resources_by_edge["e-uv"]) == ["ra", "rb"]
+    assert list(g.resources_by_edge["e-wu"]) == []
+    assert "missing" not in g.resources_by_edge
 
 
 def test_roundtrip_serialization(tmp_path):

@@ -461,12 +461,3 @@ def test_actions_are_adjacent_on_random_worlds():
                 edge = graph.edges[graph.resources[decision.action.resource].edge_id]
                 assert edge.from_node == node
 
-
-def test_view_beliefs_surface(default_params):
-    graph, ctx, dest = two_candidate_world()
-    view = make_view(ctx, [True, False], params=default_params, now=50.0)
-    beliefs = view.beliefs
-    assert beliefs["rA"].state.value == "available"
-    assert beliefs["rB"].state.value == "occupied"
-    assert beliefs["rA"].anchor_time == 50.0
-    assert beliefs["rA"].params == default_params

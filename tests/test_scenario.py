@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from parksearch.scenario import (
     generate_single_destination,
     load_config,
     occupation_points,
+    parse_config,
     run_batch,
     run_scenario,
     summarize_results,
@@ -83,6 +86,28 @@ def test_config_validation(tmp_path):
     cfg_path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError):
         load_config(cfg_path)  # eps/min_pts are mandatory
+
+
+@pytest.mark.parametrize("path, value", [
+    ("seed", "x"),
+    ("destinations.destination", 5),
+    ("occupation.synthetic.lambda_inv_s", 0),
+    ("horizon_s", -5),
+    ("destinations.agents", "many"),
+    ("planner.determinizations", 0),
+])
+def test_malformed_config_value_names_its_key(tmp_path, path, value):
+    graph_path, _ = write_demo_world(tmp_path)
+    doc = base_config(graph_path, kind="hs")
+    *parents, key = path.split(".")
+    section = doc
+    for name in parents:
+        section = section[name]
+    section[key] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning on the way would hide the real cause
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            run_scenario(parse_config(doc, base_dir=tmp_path))
 
 
 def test_generate_single_destination(tmp_path):
