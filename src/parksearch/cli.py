@@ -65,11 +65,25 @@ def gen_scenario() -> None:
     """Generate scenario configuration files."""
 
 
+def _write_scenario(out_path: str, graph: str, trace: str | None, destinations: dict, planner: str,
+                    seed: int) -> None:
+    """Write a scenario with absolute paths; parse defaults fill in synthetic rates and destination keys left None."""
+    doc = {
+        "graph": str(Path(graph).resolve()),
+        "occupation": {"trace": str(Path(trace).resolve())} if trace else {"synthetic": {}},
+        "destinations": {key: value for key, value in destinations.items() if value is not None},
+        "planner": {"kind": planner},
+        "seed": seed,
+    }
+    Path(out_path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    click.echo(f"wrote {out_path}")
+
+
 @gen_scenario.command()
 @click.option("--graph", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--destination", nargs=2, type=float, required=True, metavar="LAT LON")
 @click.option("--start-node", required=True)
-@click.option("--agents", type=int, default=20, show_default=True)
+@click.option("--agents", type=int, default=None, help="Number of agents; the scenario default when omitted.")
 @click.option("--planner", default="rpl", show_default=True)
 @click.option("--seed", type=int, default=1, show_default=True)
 @click.option("--trace", type=click.Path(exists=True, dir_okay=False), default=None,
@@ -77,22 +91,8 @@ def gen_scenario() -> None:
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 def single(graph, destination, start_node, agents, planner, seed, trace, out_path) -> None:
     """Scenario with identical start, destination and departure for all agents."""
-    occupation = {"trace": trace} if trace else {"synthetic": {"lambda_inv_s": 120.0, "mu_inv_s": 2091.0}}
-    doc = {
-        "graph": str(graph),
-        "occupation": occupation,
-        "destinations": {
-            "mode": "single",
-            "destination": list(destination),
-            "start_node": start_node,
-            "agents": agents,
-            "start_time_s": 0.0,
-        },
-        "planner": {"kind": planner},
-        "seed": seed,
-    }
-    Path(out_path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    click.echo(f"wrote {out_path}")
+    destinations = {"mode": "single", "destination": list(destination), "start_node": start_node, "agents": agents}
+    _write_scenario(out_path, graph, trace, destinations, planner, seed)
 
 
 @gen_scenario.command("data-driven")
@@ -101,28 +101,15 @@ def single(graph, destination, start_node, agents, planner, seed, trace, out_pat
 @click.option("--start-node", required=True)
 @click.option("--eps-m", type=float, default=100.0, show_default=True)
 @click.option("--min-pts", type=int, default=10, show_default=True)
-@click.option("--clusters", type=int, default=2, show_default=True)
+@click.option("--clusters", type=int, default=None, help="Clusters kept per hour; the scenario default when omitted.")
 @click.option("--planner", default="hs", show_default=True)
 @click.option("--seed", type=int, default=1, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 def data_driven(graph, trace, start_node, eps_m, min_pts, clusters, planner, seed, out_path) -> None:
     """Scenario with destinations clustered from recorded occupation events."""
-    doc = {
-        "graph": str(graph),
-        "occupation": {"trace": str(trace)},
-        "destinations": {
-            "mode": "data_driven",
-            "trace": str(trace),
-            "start_node": start_node,
-            "eps_m": eps_m,
-            "min_pts": min_pts,
-            "clusters": clusters,
-        },
-        "planner": {"kind": planner},
-        "seed": seed,
-    }
-    Path(out_path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    click.echo(f"wrote {out_path}")
+    destinations = {"mode": "data_driven", "start_node": start_node, "eps_m": eps_m, "min_pts": min_pts,
+                    "clusters": clusters}
+    _write_scenario(out_path, graph, trace, destinations, planner, seed)
 
 
 @gen_scenario.command("grid-demo")

@@ -79,6 +79,8 @@ def replay_trace(trace: OccupationTrace) -> list[TraceEvent]:
     last_state: dict[str, ResourceState] = dict(trace.initial_states)
     events = sorted(trace.events, key=lambda e: (e.time, e.resource))
     for ev in events:
+        if not 0.0 <= ev.time < math.inf:
+            raise TraceError(f"resource {ev.resource!r}: event time must be finite and non-negative, got {ev.time}")
         prev_t = last_time.get(ev.resource)
         if prev_t is not None and ev.time <= prev_t:
             raise TraceError(f"non-increasing event times for resource {ev.resource!r} at {ev.time}")

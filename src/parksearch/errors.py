@@ -21,8 +21,8 @@ class TraceError(ParkSearchError):
     """Occupation trace is malformed or inconsistent."""
 
 
-class ConfigError(ParkSearchError):
-    """Scenario configuration is invalid."""
+class ConfigError(ParkSearchError, ValueError):
+    """Scenario configuration or planner settings are invalid."""
 
 
 class AdaptionError(ParkSearchError):

@@ -17,12 +17,13 @@ tie-breaks resolve to the smallest id everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .availability import AdaptionOverlay, CtmcParams, availability_after_rates, expected_wait_times_rates
-from .errors import NoPathError
+from .errors import ConfigError, NoPathError
 from .fleet import ReservationTable
 from .geo import GeoPoint, great_circle_m, great_circle_m_many, walking_time_many
 from .graph import Edge, RoadGraph, TravelTimeMatrix
@@ -58,6 +59,15 @@ class Determinization:
     seed: int | None = None
 
 
+def check_number(value, name: str, *, integer: bool = False, positive: bool = True) -> float | int:
+    """``value`` as a finite number within its bounds; a ConfigError naming ``name`` otherwise."""
+    if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
+            or not math.isfinite(value) or value < 0 or (positive and value == 0)):
+        need = ("a positive " if positive else "a non-negative ") + ("integer" if integer else "number")
+        raise ConfigError(f"{name} must be {need}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
 @dataclass(frozen=True)
 class PlannerSettings:
     determinizations: int = 100
@@ -69,6 +79,26 @@ class PlannerSettings:
     adaption_isochrone_s: float = 300.0
     adaption_visit_decay: float = 0.95
     adaption_max_steps: int = 1000
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None or f.default is not None:
+                check_number(value, f.name, **SETTING_BOUNDS[f.name])
+
+
+# check_number bounds of each PlannerSettings field (default: a positive number); a None default allows None.
+SETTING_BOUNDS = {
+    "determinizations": {"integer": True},
+    "scope_horizon_s": {},
+    "heuristic_far_radius_m": {"positive": False},
+    "heuristic_accept_walk_s": {"positive": False},
+    "heuristic_relax_s_per_min": {"positive": False},
+    "adaption_samples": {"integer": True},
+    "adaption_isochrone_s": {},
+    "adaption_visit_decay": {"positive": False},
+    "adaption_max_steps": {"integer": True, "positive": False},
+}
 
 
 class PlannerContext:

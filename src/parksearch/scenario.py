@@ -11,17 +11,17 @@ against its single-agent base.
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .availability import CtmcParams, ResourceState
 from .engine import (
+    DEFAULT_CTMC,
     DEFAULT_HORIZON_S,
     AgentSpec,
     MetricsRecord,
@@ -35,13 +35,18 @@ from .engine import (
 from .errors import ConfigError
 from .geo import GeoPoint, great_circle_m
 from .graph import DEFAULT_ROUND_TRIP_S, DEFAULT_SPEED_FACTOR, RoadGraph, load_graph
-from .planners import PLANNER_KINDS, PlannerSettings
+from .planners import PLANNER_KINDS, SETTING_BOUNDS, PlannerSettings, check_number
 
 _TOP_KEYS = {
     "name", "graph", "occupation", "destinations", "planner", "adaption",
     "ctmc", "graph_defaults", "seed", "horizon_s", "measure_computation",
 }
 _FLEET_BASE = {"rpl_r": "rpl", "hs_r": "hs", "hs_a": "hs"}
+# Config section and key of each PlannerSettings field: adaption_samples is adaption.samples, others sit in planner.
+_SETTING_KEYS = {
+    f.name: ("adaption", f.name.removeprefix("adaption_")) if f.name.startswith("adaption_") else ("planner", f.name)
+    for f in fields(PlannerSettings)
+}
 
 
 @dataclass(frozen=True)
@@ -53,8 +58,14 @@ class RateZone:
     params: CtmcParams
 
 
+def _mean_times(params: CtmcParams) -> dict:
+    return {"lambda_inv_s": 1.0 / params.lam, "mu_inv_s": 1.0 / params.mu}
+
+
 @dataclass
 class ScenarioConfig:
+    """A parsed scenario: every value validated, every default filled in, every path absolute."""
+
     name: str
     graph_path: Path
     trace_path: Path | None
@@ -71,38 +82,23 @@ class ScenarioConfig:
     zones: tuple[RateZone, ...] = ()
 
     def to_dict(self) -> dict:
-        """Fully resolved configuration, suitable for provenance echoes."""
+        """The config as a document that ``parse_config`` turns back into an equal config, from any directory."""
         if self.trace_path is not None:
             occupation = {"trace": str(self.trace_path)}
         else:
-            synthetic = {"lambda_inv_s": 1.0 / self.synthetic.lam, "mu_inv_s": 1.0 / self.synthetic.mu}
-            if self.zones:
-                synthetic["zones"] = [
-                    {"center": [z.center.lat, z.center.lon], "radius_m": z.radius_m,
-                     "lambda_inv_s": 1.0 / z.params.lam, "mu_inv_s": 1.0 / z.params.mu}
-                    for z in self.zones
-                ]
-            occupation = {"synthetic": synthetic}
+            zones = [{"center": [z.center.lat, z.center.lon], "radius_m": z.radius_m, **_mean_times(z.params)}
+                     for z in self.zones]
+            occupation = {"synthetic": {**_mean_times(self.synthetic), "zones": zones}}
+        sections = {"planner": {"kind": self.planner_kind}, "adaption": {}}
+        for name, (section, key) in _SETTING_KEYS.items():
+            sections[section][key] = getattr(self.settings, name)
         return {
             "name": self.name,
             "graph": str(self.graph_path),
             "occupation": occupation,
             "destinations": self.destinations,
-            "planner": {
-                "kind": self.planner_kind,
-                "determinizations": self.settings.determinizations,
-                "scope_horizon_s": self.settings.scope_horizon_s,
-                "heuristic_far_radius_m": self.settings.heuristic_far_radius_m,
-                "heuristic_accept_walk_s": self.settings.heuristic_accept_walk_s,
-                "heuristic_relax_s_per_min": self.settings.heuristic_relax_s_per_min,
-            },
-            "adaption": {
-                "samples": self.settings.adaption_samples,
-                "isochrone_s": self.settings.adaption_isochrone_s,
-                "visit_decay": self.settings.adaption_visit_decay,
-                "max_steps": self.settings.adaption_max_steps,
-            },
-            "ctmc": {"lambda_inv_s": 1.0 / self.ctmc.lam, "mu_inv_s": 1.0 / self.ctmc.mu},
+            **sections,
+            "ctmc": _mean_times(self.ctmc),
             "graph_defaults": {"round_trip_s": self.round_trip_s, "speed_factor": self.speed_factor},
             "seed": self.seed,
             "horizon_s": self.horizon_s,
@@ -110,34 +106,55 @@ class ScenarioConfig:
         }
 
 
-def _expect_keys(obj: dict, allowed: set[str], what: str) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{what} must be an object, got {obj!r}")
+def _require(ok, path: str, need: str, value) -> None:
+    """A ConfigError naming the key path and what its value must be, unless ``ok``."""
+    if not ok:
+        raise ConfigError(f"{path} must be {need}, got {value!r}")
+
+
+def _expect_keys(obj, allowed: set[str], prefix: str, required: tuple[str, ...] = ()) -> None:
+    """An object with only ``allowed`` keys and all ``required`` ones; a ConfigError naming the key path otherwise."""
+    what = prefix[:-1] or "scenario config"
+    _require(isinstance(obj, dict), what, "an object", obj)
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"{what} has unknown keys: {sorted(unknown)}")
+    for key in required:
+        if key not in obj:
+            raise ConfigError(f"{prefix}{key} is missing")
 
 
-def _number(section: dict, key: str, prefix: str = "", default=None, *, integer: bool = False,
-            positive: bool = True) -> float | int:
+def _number(section: dict, key: str, prefix: str = "", default=None, **bounds) -> float | int:
     """``section[key]`` (or ``default``) as a finite number; a ConfigError naming the key path otherwise."""
-    value = section.get(key, default)
-    if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
-            or not math.isfinite(value) or value < 0 or (positive and value == 0)):
-        need = ("a positive " if positive else "a non-negative ") + ("integer" if integer else "number")
-        raise ConfigError(f"{prefix}{key} must be {need}, got {value!r}")
-    return int(value) if integer else float(value)
+    return check_number(section.get(key, default), prefix + key, **bounds)
 
 
-def _point(value, path: str) -> GeoPoint:
+def _point(value, path: str) -> list[float]:
     """A ``[lat, lon]`` pair in degrees; a ConfigError naming the key path otherwise."""
     try:
         lat, lon = value
         if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in (lat, lon)):
             raise TypeError
-        return GeoPoint(float(lat), float(lon))
+        GeoPoint(float(lat), float(lon))  # range check
+        return [float(lat), float(lon)]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path} must be a [lat, lon] pair in degrees, got {value!r}") from exc
+
+
+def _rates(section: dict, prefix: str, default: CtmcParams | None = DEFAULT_CTMC) -> CtmcParams:
+    """Mean sojourn times ``lambda_inv_s``/``mu_inv_s`` as rates; missing keys take ``default``'s."""
+    means = _mean_times(default) if default else {}
+    return CtmcParams.from_mean_times(*(_number(section, key, prefix, means.get(key))
+                                        for key in ("lambda_inv_s", "mu_inv_s")))
+
+
+def _file(value, path: str, base_dir: Path | None) -> Path:
+    """An existing file, as an absolute path; relative paths resolve against ``base_dir`` (default: the cwd)."""
+    _require(isinstance(value, str), path, "a file path", value)
+    file = Path(base_dir or ".").joinpath(value).resolve()
+    if not file.exists():
+        raise ConfigError(f"{path} file not found: {file}")
+    return file
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
@@ -150,148 +167,114 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 
 def parse_config(doc: dict, *, base_dir: Path | None = None, default_name: str = "scenario") -> ScenarioConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("scenario config must be a JSON object")
-    _expect_keys(doc, _TOP_KEYS, "scenario config")
-    base = base_dir or Path(".")
-
-    def resolve(p: str) -> Path:
-        q = Path(p)
-        return q if q.is_absolute() else base / q
-
-    for key in ("graph", "occupation", "destinations", "planner", "seed"):
-        if key not in doc:
-            raise ConfigError(f"scenario config missing {key!r}")
-
-    graph_path = resolve(doc["graph"])
-    if not graph_path.exists():
-        raise ConfigError(f"graph file not found: {graph_path}")
-
+    """Validate a scenario document; relative paths resolve against ``base_dir`` (default: the cwd)."""
+    _expect_keys(doc, _TOP_KEYS, "", ("graph", "occupation", "destinations", "planner", "seed"))
+    graph_path = _file(doc["graph"], "graph", base_dir)
     occupation = doc["occupation"]
-    _expect_keys(occupation, {"trace", "synthetic"}, "occupation")
+    _expect_keys(occupation, {"trace", "synthetic"}, "occupation.")
     if ("trace" in occupation) == ("synthetic" in occupation):
         raise ConfigError("occupation needs exactly one of 'trace' or 'synthetic'")
-    trace_path = None
-    synthetic = None
+    trace_path = synthetic = None
     zones: list[RateZone] = []
     if "trace" in occupation:
-        trace_path = resolve(occupation["trace"])
-        if not trace_path.exists():
-            raise ConfigError(f"trace file not found: {trace_path}")
+        trace_path = _file(occupation["trace"], "occupation.trace", base_dir)
     else:
         syn = occupation["synthetic"]
-        _expect_keys(syn, {"lambda_inv_s", "mu_inv_s", "zones"}, "occupation.synthetic")
-        where = "occupation.synthetic."
-        synthetic = CtmcParams.from_mean_times(
-            _number(syn, "lambda_inv_s", where, 120.0), _number(syn, "mu_inv_s", where, 2091.0)
-        )
+        _expect_keys(syn, {"lambda_inv_s", "mu_inv_s", "zones"}, "occupation.synthetic.")
+        synthetic = _rates(syn, "occupation.synthetic.")
+        _require(isinstance(syn.get("zones", []), list), "occupation.synthetic.zones", "a list", syn.get("zones"))
         for k, raw in enumerate(syn.get("zones", [])):
             where = f"occupation.synthetic.zones[{k}]."
-            _expect_keys(raw, {"center", "radius_m", "lambda_inv_s", "mu_inv_s"}, where[:-1])
-            zones.append(
-                RateZone(
-                    _point(raw.get("center"), f"{where}center"),
-                    _number(raw, "radius_m", where, positive=False),
-                    CtmcParams.from_mean_times(_number(raw, "lambda_inv_s", where),
-                                               _number(raw, "mu_inv_s", where)),
-                )
-            )
+            _expect_keys(raw, {"center", "radius_m", "lambda_inv_s", "mu_inv_s"}, where)
+            zones.append(RateZone(GeoPoint(*_point(raw.get("center"), f"{where}center")),
+                                  _number(raw, "radius_m", where, positive=False), _rates(raw, where, None)))
 
-    destinations = doc["destinations"]
-    if not isinstance(destinations, dict) or "mode" not in destinations:
-        raise ConfigError("destinations needs a 'mode'")
-    mode = destinations["mode"]
-    if mode == "single":
-        _expect_keys(destinations, {"mode", "destination", "start_node", "agents", "start_time_s"}, "destinations")
-        for key in ("destination", "start_node"):
-            if key not in destinations:
-                raise ConfigError(f"single destinations missing {key!r}")
-        _point(destinations["destination"], "destinations.destination")
-        _number(destinations, "agents", "destinations.", 20, integer=True)
-        _number(destinations, "start_time_s", "destinations.", 0.0, positive=False)
-    elif mode == "explicit":
-        _expect_keys(destinations, {"mode", "agents"}, "destinations")
-        if not destinations.get("agents"):
-            raise ConfigError("explicit destinations need a non-empty agent list")
-    elif mode == "data_driven":
-        _expect_keys(
-            destinations,
-            {"mode", "trace", "start_node", "eps_m", "min_pts", "clusters"},
-            "destinations",
-        )
-        if "start_node" not in destinations:
-            raise ConfigError("data_driven destinations missing 'start_node'")
-        for key in ("eps_m", "min_pts"):
-            if key not in destinations:
-                raise ConfigError(f"data_driven destinations missing {key!r} (no default)")
-        _number(destinations, "eps_m", "destinations.")
-        _number(destinations, "min_pts", "destinations.", integer=True)
-        _number(destinations, "clusters", "destinations.", 2, integer=True)
-        if "trace" in destinations:
-            dd_trace = resolve(destinations["trace"])
-            if not dd_trace.exists():
-                raise ConfigError(f"data_driven trace not found: {dd_trace}")
-            destinations = dict(destinations)
-            destinations["trace"] = str(dd_trace)
-    else:
-        raise ConfigError(f"unknown destination mode {mode!r}")
-
-    planner = doc["planner"]
-    _expect_keys(
-        planner,
-        {"kind", "determinizations", "scope_horizon_s", "heuristic_far_radius_m",
-         "heuristic_accept_walk_s", "heuristic_relax_s_per_min"},
-        "planner",
-    )
-    kind = planner.get("kind")
-    if kind not in PLANNER_KINDS:
-        raise ConfigError(f"unknown planner kind {kind!r}")
-
-    adaption = doc.get("adaption", {})
-    _expect_keys(adaption, {"samples", "isochrone_s", "visit_decay", "max_steps"}, "adaption")
-    settings = PlannerSettings(
-        determinizations=_number(planner, "determinizations", "planner.", 100, integer=True),
-        scope_horizon_s=(None if planner.get("scope_horizon_s") is None
-                         else _number(planner, "scope_horizon_s", "planner.")),
-        heuristic_far_radius_m=_number(planner, "heuristic_far_radius_m", "planner.", 500.0, positive=False),
-        heuristic_accept_walk_s=_number(planner, "heuristic_accept_walk_s", "planner.", 120.0, positive=False),
-        heuristic_relax_s_per_min=_number(planner, "heuristic_relax_s_per_min", "planner.", 10.0, positive=False),
-        adaption_samples=_number(adaption, "samples", "adaption.", 30, integer=True),
-        adaption_isochrone_s=_number(adaption, "isochrone_s", "adaption.", 300.0),
-        adaption_visit_decay=_number(adaption, "visit_decay", "adaption.", 0.95, positive=False),
-        adaption_max_steps=_number(adaption, "max_steps", "adaption.", 1000, integer=True, positive=False),
-    )
+    sections = {"planner": doc["planner"], "adaption": doc.get("adaption", {})}
+    for section, raw in sections.items():
+        extra = {"kind"} if section == "planner" else set()
+        _expect_keys(raw, extra | {key for s, key in _SETTING_KEYS.values() if s == section}, f"{section}.")
+    kind = sections["planner"].get("kind")
+    _require(kind in PLANNER_KINDS, "planner.kind", f"one of {PLANNER_KINDS}", kind)
+    settings = {}
+    for f in fields(PlannerSettings):
+        section, key = _SETTING_KEYS[f.name]
+        if f.default is not None or sections[section].get(key) is not None:  # absent or null keeps a None default
+            settings[f.name] = _number(sections[section], key, f"{section}.", f.default, **SETTING_BOUNDS[f.name])
 
     ctmc_doc = doc.get("ctmc", {})
-    _expect_keys(ctmc_doc, {"lambda_inv_s", "mu_inv_s"}, "ctmc")
-    if ctmc_doc:
-        ctmc = CtmcParams.from_mean_times(
-            _number(ctmc_doc, "lambda_inv_s", "ctmc.", 120.0), _number(ctmc_doc, "mu_inv_s", "ctmc.", 2091.0)
-        )
-    else:
-        ctmc = synthetic or CtmcParams.from_mean_times(120.0, 2091.0)
-
+    _expect_keys(ctmc_doc, {"lambda_inv_s", "mu_inv_s"}, "ctmc.")
     defaults = doc.get("graph_defaults", {})
-    _expect_keys(defaults, {"round_trip_s", "speed_factor"}, "graph_defaults")
-    if not isinstance(doc.get("measure_computation", True), bool):
-        raise ConfigError(f"measure_computation must be true or false, got {doc['measure_computation']!r}")
+    _expect_keys(defaults, {"round_trip_s", "speed_factor"}, "graph_defaults.")
+    measure_computation = doc.get("measure_computation", True)
+    _require(isinstance(measure_computation, bool), "measure_computation", "true or false", measure_computation)
 
     return ScenarioConfig(
         name=str(doc.get("name", default_name)),
         graph_path=graph_path,
         trace_path=trace_path,
         synthetic=synthetic,
-        destinations=destinations,
+        destinations=_destinations(doc["destinations"], kind, trace_path, base_dir),
         planner_kind=kind,
-        settings=settings,
-        ctmc=ctmc,
+        settings=PlannerSettings(**settings),
+        ctmc=_rates(ctmc_doc, "ctmc.") if ctmc_doc else synthetic or DEFAULT_CTMC,
         seed=_number(doc, "seed", integer=True, positive=False),
         horizon_s=_number(doc, "horizon_s", default=DEFAULT_HORIZON_S),
-        measure_computation=doc.get("measure_computation", True),
+        measure_computation=measure_computation,
         round_trip_s=_number(defaults, "round_trip_s", "graph_defaults.", DEFAULT_ROUND_TRIP_S),
         speed_factor=_number(defaults, "speed_factor", "graph_defaults.", DEFAULT_SPEED_FACTOR),
         zones=tuple(zones),
     )
+
+
+def _destinations(raw, kind: str, trace_path: Path | None, base_dir: Path | None) -> dict:
+    """The ``destinations`` section validated, with every default filled in and every path absolute."""
+    _require(isinstance(raw, dict) and "mode" in raw, "destinations", "an object with a 'mode'", raw)
+    mode, where = raw["mode"], "destinations."
+    if mode == "single":
+        _expect_keys(raw, {"mode", "destination", "start_node", "agents", "start_time_s"}, where,
+                     ("destination", "start_node"))
+        return {
+            "mode": mode,
+            "destination": _point(raw["destination"], f"{where}destination"),
+            "start_node": raw["start_node"],
+            "agents": _number(raw, "agents", where, 20, integer=True),
+            "start_time_s": _number(raw, "start_time_s", where, 0.0, positive=False),
+        }
+    if mode == "explicit":
+        _expect_keys(raw, {"mode", "agents"}, where, ("agents",))
+        listed = raw["agents"]
+        _require(isinstance(listed, list) and listed, f"{where}agents", "a non-empty list", listed)
+        agents = {}
+        for k, agent in enumerate(listed):
+            at = f"{where}agents[{k}]."
+            _expect_keys(agent, {"id", "start_node", "destination", "start_time_s", "planner"}, at,
+                         ("id", "start_node"))
+            agent_id = str(agent["id"])
+            _require(agent_id not in agents, f"{at}id", "unique", agent_id)
+            planner = agent.get("planner", kind)
+            _require(planner in PLANNER_KINDS, f"{at}planner", f"one of {PLANNER_KINDS}", planner)
+            agents[agent_id] = {
+                "id": agent_id,
+                "start_node": str(agent["start_node"]),
+                "destination": _point(agent.get("destination"), f"{at}destination"),
+                "start_time_s": _number(agent, "start_time_s", at, 0.0, positive=False),
+                "planner": planner,
+            }
+        return {"mode": mode, "agents": list(agents.values())}
+    if mode == "data_driven":
+        _expect_keys(raw, {"mode", "trace", "start_node", "eps_m", "min_pts", "clusters"}, where,
+                     ("start_node", "eps_m", "min_pts"))
+        trace = _file(raw["trace"], f"{where}trace", base_dir) if "trace" in raw else trace_path
+        _require(trace is not None, f"{where}trace", "given when occupations are synthetic", trace)
+        return {
+            "mode": mode,
+            "trace": str(trace),
+            "start_node": raw["start_node"],
+            "eps_m": _number(raw, "eps_m", where),
+            "min_pts": _number(raw, "min_pts", where, integer=True),
+            "clusters": _number(raw, "clusters", where, 2, integer=True),
+        }
+    raise ConfigError(f"unknown destination mode {mode!r}")
 
 
 def zone_rate_overrides(graph: RoadGraph, zones: tuple[RateZone, ...]) -> dict[str, CtmcParams]:
@@ -449,46 +432,20 @@ def generate_data_driven(
 
 def build_agents(config: ScenarioConfig, graph: RoadGraph, rng: np.random.Generator) -> list[AgentSpec]:
     dest = config.destinations
-    mode = dest["mode"]
-    if mode == "single":
-        return generate_single_destination(
-            graph,
-            _point(dest["destination"], "destinations.destination"),
-            dest["start_node"],
-            int(dest.get("agents", 20)),
-            float(dest.get("start_time_s", 0.0)),
-            config.planner_kind,
-        )
-    if mode == "explicit":
-        specs = []
-        for k, raw in enumerate(dest["agents"]):
-            where = f"destinations.agents[{k}]."
-            _expect_keys(raw, {"id", "start_node", "destination", "start_time_s", "planner"}, where[:-1])
-            for key in ("id", "start_node"):
-                if key not in raw:
-                    raise ConfigError(f"{where}{key} is missing")
-            specs.append(
-                AgentSpec(
-                    str(raw["id"]),
-                    str(raw["start_node"]),
-                    _point(raw.get("destination"), f"{where}destination"),
-                    _number(raw, "start_time_s", where, 0.0, positive=False),
-                    str(raw.get("planner", config.planner_kind)),
-                )
-            )
-        return specs
-    trace_path = dest.get("trace", config.trace_path)
-    if trace_path is None:
-        raise ConfigError("data_driven destinations need an occupation trace")
-    trace = load_trace(trace_path)
+    if dest["mode"] == "single":
+        return generate_single_destination(graph, GeoPoint(*dest["destination"]), dest["start_node"],
+                                           dest["agents"], dest["start_time_s"], config.planner_kind)
+    if dest["mode"] == "explicit":
+        return [AgentSpec(a["id"], a["start_node"], GeoPoint(*a["destination"]), a["start_time_s"], a["planner"])
+                for a in dest["agents"]]
     return generate_data_driven(
         graph,
-        occupation_points(graph, trace),
+        occupation_points(graph, load_trace(dest["trace"])),
         dest["start_node"],
         config.planner_kind,
-        eps_m=float(dest["eps_m"]),
-        min_pts=int(dest["min_pts"]),
-        n_clusters=int(dest.get("clusters", 2)),
+        eps_m=dest["eps_m"],
+        min_pts=dest["min_pts"],
+        n_clusters=dest["clusters"],
         rng=rng,
     )
 

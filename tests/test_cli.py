@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 from click.testing import CliRunner
 
@@ -88,6 +89,33 @@ def test_cli_rejects_bad_config(tmp_path):
     assert result.exit_code != 0
 
 
+def test_cli_generated_scenarios_resolve_from_any_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    runner = CliRunner()
+    runner.invoke(main, ["gen-scenario", "grid-demo", "--rows", "4", "--cols", "4", "--resources", "8",
+                         "--out", "grid.json"])
+    Path("trace.csv").write_text("resource_id,time_s,state\nr000,10,occupied\n")
+    Path("sub").mkdir()
+    result = runner.invoke(main, ["gen-scenario", "single", "--graph", "grid.json", "--destination", "0.0005", "0.0005",
+                                  "--start-node", "n0000", "--agents", "2", "--out", "sub/s.json"])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["gen-scenario", "single", "--graph", "grid.json", "--destination", "0.0005", "0.0005",
+                                  "--start-node", "n0000", "--trace", "trace.csv", "--out", "sub/t.json"])
+    assert result.exit_code == 0, result.output
+    s, t = (json.loads(Path(f"sub/{name}.json").read_text()) for name in ("s", "t"))
+    # paths written absolute; parse defaults (rates, agent count, start time) are not restated
+    assert s["graph"] == str(tmp_path.resolve() / "grid.json")
+    assert t["occupation"] == {"trace": str(tmp_path.resolve() / "trace.csv")}
+    assert s["occupation"] == {"synthetic": {}}
+    assert s["destinations"] == {"mode": "single", "destination": [0.0005, 0.0005], "start_node": "n0000", "agents": 2}
+    assert "agents" not in t["destinations"]
+
+    for name, agents in (("s", 2), ("t", 20)):
+        result = runner.invoke(main, ["simulate", f"sub/{name}.json", "--out", "out"])
+        assert result.exit_code == 0, result.output
+        assert len(read_results(Path(f"out/{name}.results.csv"))) == agents
+
+
 def test_cli_gen_data_driven(tmp_path):
     runner = CliRunner()
     graph_path = tmp_path / "grid.json"
@@ -105,3 +133,4 @@ def test_cli_gen_data_driven(tmp_path):
     assert result.exit_code == 0, result.output
     config = json.loads(cfg_path.read_text())
     assert config["destinations"]["mode"] == "data_driven"
+    assert "clusters" not in config["destinations"] and "trace" not in config["destinations"]

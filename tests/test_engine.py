@@ -65,6 +65,10 @@ def test_replay_trace_validation():
     with pytest.raises(TraceError):
         # resources start available: the first flip must change the state
         replay_trace(OccupationTrace([TraceEvent("r1", 10.0, A)]))
+    for bad in (math.nan, math.inf, -5.0):
+        # a flip at such a time would be dropped by the horizon filter or replayed before time 0
+        with pytest.raises(TraceError, match="finite and non-negative"):
+            replay_trace(OccupationTrace([TraceEvent("r0", 10.0, O), TraceEvent("r1", bad, O)]))
 
 
 def test_single_agent_parks_with_exact_times():

@@ -5,11 +5,16 @@ SHA-256 digest of its results file. A refactor or optimization that keeps
 every decision leaves the digests unchanged; a change that moves any trip,
 claim or parked spot changes them and must be declared as a behaviour change.
 
+The ``configs/`` cases also re-run the config echo that the run writes next
+to its results, from another directory, and require the same digest.
+
 Regenerate the table with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import dataclasses
 import hashlib
+import json
+import os
 from functools import partial
 from pathlib import Path
 
@@ -20,7 +25,7 @@ from parksearch.engine import AgentSpec, run_simulation, write_results
 from parksearch.geo import GeoPoint
 from parksearch.graph import all_pairs_travel_times, load_graph
 from parksearch.planners import PLANNER_KINDS, PlannerContext
-from parksearch.scenario import build_grid_graph_doc, load_config, run_scenario
+from parksearch.scenario import build_grid_graph_doc, load_config, parse_config, run_scenario
 
 from test_acceptance import competition_world
 
@@ -83,9 +88,14 @@ def _grid_records(kind):
                           ctx=ctx, measure_computation=False)
 
 
-def _config_records(name):
-    config = load_config(CONFIGS / f"{name}.json")
-    return run_scenario(dataclasses.replace(config, measure_computation=False))
+def _config(name):
+    # a relative path, as in `parksearch simulate configs/<name>.json`
+    path = os.path.relpath(CONFIGS / f"{name}.json")
+    return dataclasses.replace(load_config(path), measure_computation=False)
+
+
+def _config_records(name, out_dir=None):
+    return run_scenario(_config(name), out_dir)
 
 
 CASES = {
@@ -102,8 +112,18 @@ def _digest(records, path):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_results(name, tmp_path):
-    assert _digest(CASES[name](), tmp_path / "results.csv") == GOLDEN[name]
+def test_golden_results(name, tmp_path, monkeypatch):
+    if not name.startswith("config-"):
+        assert _digest(CASES[name](), tmp_path / "results.csv") == GOLDEN[name]
+        return
+    stem = name.removeprefix("config-")
+    assert _digest(_config_records(stem, tmp_path / "run"), tmp_path / "results.csv") == GOLDEN[name]
+    echo = tmp_path / "run" / f"{stem}.config.json"
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert parse_config(json.loads(echo.read_text()), base_dir=elsewhere) == _config(stem)
+    assert _digest(run_scenario(echo), tmp_path / "rerun.csv") == GOLDEN[name]
 
 
 if __name__ == "__main__":

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -405,6 +407,25 @@ def test_random_policy_uniform_street_choice():
         counts[d.action.edge] += 1
     for edge, count in counts.items():
         assert count / trials == pytest.approx(1 / 3, abs=0.02), edge
+
+
+BAD_SETTINGS = {
+    "determinizations": 0,
+    "scope_horizon_s": 0.0,
+    "heuristic_far_radius_m": -1.0,
+    "heuristic_accept_walk_s": math.nan,
+    "heuristic_relax_s_per_min": math.inf,
+    "adaption_samples": 2.5,
+    "adaption_isochrone_s": -300.0,
+    "adaption_visit_decay": True,
+    "adaption_max_steps": None,
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(PlannerSettings)])
+def test_planner_settings_reject_out_of_bounds_values(name):
+    with pytest.raises(ValueError, match=re.escape(name)):
+        PlannerSettings(**{name: BAD_SETTINGS[name]})
 
 
 def test_heuristic_policy_thresholds():

@@ -95,6 +95,8 @@ def test_config_validation(tmp_path):
     ("horizon_s", -5),
     ("destinations.agents", "many"),
     ("planner.determinizations", 0),
+    ("occupation.synthetic.zones", 5),
+    ("graph", 5),
 ])
 def test_malformed_config_value_names_its_key(tmp_path, path, value):
     graph_path, _ = write_demo_world(tmp_path)
@@ -108,6 +110,46 @@ def test_malformed_config_value_names_its_key(tmp_path, path, value):
         warnings.simplefilter("error")  # a numpy warning on the way would hide the real cause
         with pytest.raises(ConfigError, match=re.escape(path)):
             run_scenario(parse_config(doc, base_dir=tmp_path))
+
+
+def explicit_agents(agents):
+    return {"mode": "explicit", "agents": agents}
+
+
+@pytest.mark.parametrize("path, destinations", [
+    ("destinations.agents[0]", explicit_agents([{"id": "a", "start_node": "n0000", "speed": 3}])),
+    ("destinations.agents[0].id", explicit_agents([{"start_node": "n0000", "destination": [0.0, 0.0]}])),
+    ("destinations.agents[0].destination", explicit_agents([{"id": "a", "start_node": "n0000", "destination": 5}])),
+    ("destinations.agents[0].planner",
+     explicit_agents([{"id": "a", "start_node": "n0000", "destination": [0.0, 0.0], "planner": "psychic"}])),
+    ("destinations.agents", explicit_agents("abc")),
+    ("destinations.agents[1].id", explicit_agents([{"id": "a", "start_node": "n0000", "destination": [0.0, 0.0]},
+                                                   {"id": "a", "start_node": "n0001", "destination": [0.0, 0.0]}])),
+    ("destinations.trace", {"mode": "data_driven", "start_node": "n0000", "eps_m": 100.0, "min_pts": 3}),
+])
+def test_destination_errors_raise_at_parse_time(tmp_path, path, destinations):
+    graph_path, _ = write_demo_world(tmp_path)
+    doc = base_config(graph_path)
+    doc["destinations"] = destinations
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        parse_config(doc, base_dir=tmp_path)
+
+
+def test_explicit_agents_fill_defaults_and_run(tmp_path):
+    graph_path, _ = write_demo_world(tmp_path)
+    doc = base_config(graph_path, kind="rpl")
+    doc["destinations"] = explicit_agents([
+        {"id": 7, "start_node": "n0000", "destination": [0.0005, 0.0005]},
+        {"id": "b", "start_node": "n0003", "destination": [0, 0.001], "start_time_s": 30, "planner": "heuristic"},
+    ])
+    config = parse_config(doc, base_dir=tmp_path)
+    assert config.destinations["agents"] == [
+        {"id": "7", "start_node": "n0000", "destination": [0.0005, 0.0005], "start_time_s": 0.0, "planner": "rpl"},
+        {"id": "b", "start_node": "n0003", "destination": [0.0, 0.001], "start_time_s": 30.0, "planner": "heuristic"},
+    ]
+    assert parse_config(json.loads(json.dumps(config.to_dict())), base_dir=tmp_path / "elsewhere") == config
+    records = run_scenario(config)
+    assert {(r.agent_id, r.planner) for r in records} == {("7", "rpl"), ("b", "heuristic")}
 
 
 def test_generate_single_destination(tmp_path):
