@@ -65,6 +65,15 @@ def gen_scenario() -> None:
     """Generate scenario configuration files."""
 
 
+def _write_json(out_path: str, doc: dict, *, sort_keys: bool = False) -> None:
+    """Write ``doc`` to ``out_path``, creating missing directories as ``simulate --out`` does."""
+    try:
+        Path(out_path).parent.mkdir(parents=True, exist_ok=True)
+        Path(out_path).write_text(json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n")
+    except OSError as exc:
+        raise click.ClickException(f"cannot write {out_path}: {exc}") from exc
+
+
 def _write_scenario(out_path: str, graph: str, trace: str | None, destinations: dict, planner: str,
                     seed: int) -> None:
     """Write a scenario with absolute paths; parse defaults fill in synthetic rates and destination keys left None."""
@@ -75,7 +84,7 @@ def _write_scenario(out_path: str, graph: str, trace: str | None, destinations: 
         "planner": {"kind": planner},
         "seed": seed,
     }
-    Path(out_path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(out_path, doc, sort_keys=True)
     click.echo(f"wrote {out_path}")
 
 
@@ -122,7 +131,7 @@ def data_driven(graph, trace, start_node, eps_m, min_pts, clusters, planner, see
 def grid_demo(rows, cols, resources, seed, out_path) -> None:
     """Write a synthetic grid network graph for demos and experiments."""
     doc = build_grid_graph_doc(rows, cols, n_resources=resources, seed=seed)
-    Path(out_path).write_text(json.dumps(doc, indent=2) + "\n")
+    _write_json(out_path, doc)
     click.echo(f"wrote {out_path} ({len(doc['nodes'])} nodes, {len(doc['edges'])} edges, "
                f"{len(doc['resources'])} resources)")
 

@@ -43,7 +43,7 @@ from .planners import (
     PlanningView,
     TakeRoad,
     make_policy,
-    PLANNER_KINDS,
+    PLANNERS,
 )
 
 DEFAULT_HORIZON_S = 7200.0
@@ -228,8 +228,8 @@ class SimEvent:
     detail: str | None = None
 
 
-_RESERVATION_KINDS = {"rpl_r", "hs_r"}
-_OVERLAY_KINDS = {"hs_a"}
+_RESERVATION_KINDS = {kind for kind, spec in PLANNERS.items() if spec.shares == "reservations"}
+_OVERLAY_KINDS = {kind for kind, spec in PLANNERS.items() if spec.shares == "overlay"}
 
 
 def taxi_time(ctx: PlannerContext, start_node: str, destination: GeoPoint) -> float:
@@ -248,7 +248,7 @@ def _validate_agents(graph: RoadGraph, agents: Iterable[AgentSpec]) -> list[Agen
             raise ConfigError(f"agent {spec.id!r}: unknown start node {spec.start_node!r}")
         if spec.start_time < 0:
             raise ConfigError(f"agent {spec.id!r}: negative start time")
-        if spec.planner not in PLANNER_KINDS:
+        if spec.planner not in PLANNERS:
             raise ConfigError(f"agent {spec.id!r}: unknown planner {spec.planner!r}")
     return specs
 

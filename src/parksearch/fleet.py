@@ -31,60 +31,46 @@ class Reservation:
 
 
 class ReservationTable:
-    """Active reservations, at most one per agent, indexed both ways."""
+    """Active reservations, at most one per agent."""
 
     def __init__(self) -> None:
         self._by_agent: dict[str, Reservation] = {}
-        self._by_resource: dict[str, dict[str, Reservation]] = {}
 
     def place(self, agent: str, resource: str, t_arrival: float) -> Reservation:
         """Replace the agent's previous reservation with a new one."""
         self.cancel(agent)
-        res = Reservation(resource, agent, t_arrival)
-        self._by_agent[agent] = res
-        self._by_resource.setdefault(resource, {})[agent] = res
+        res = self._by_agent[agent] = Reservation(resource, agent, t_arrival)
         return res
 
     def cancel(self, agent: str) -> None:
-        old = self._by_agent.pop(agent, None)
-        if old is not None:
-            holders = self._by_resource[old.resource]
-            del holders[agent]
-            if not holders:
-                del self._by_resource[old.resource]
+        self._by_agent.pop(agent, None)
 
     def for_agent(self, agent: str) -> Reservation | None:
         return self._by_agent.get(agent)
 
     def for_resource(self, resource: str) -> tuple[Reservation, ...]:
-        return tuple(self._by_resource.get(resource, {}).values())
+        return tuple(res for res in self._by_agent.values() if res.resource == resource)
 
-    def resources(self) -> tuple[str, ...]:
-        return tuple(self._by_resource)
+    def blocked(self, agent: str | None, arrivals: np.ndarray | list[float], index: dict[str, int]) -> np.ndarray:
+        """Mask over ``arrivals`` (``index`` maps resource ids into it) of the spots another agent reaches first.
 
-    def blocks(self, resource: str, agent: str | None, arrival: float) -> bool:
-        """Whether any reservation makes ``resource`` look occupied to ``agent`` arriving at ``arrival``."""
-        for res in self._by_resource.get(resource, {}).values():
-            if reservation_blocks(res, agent, arrival):
-                return True
-        return False
+        A strictly earlier reservation blocks. At an equal arrival the smaller
+        agent id keeps the claim, as the simulator resolves simultaneous claims;
+        an anonymous query (``agent`` None) loses every tie. An agent's own
+        reservation never blocks it, and resources outside ``index`` are ignored.
+        """
+        mask = np.zeros(len(arrivals), dtype=bool)
+        for res in self._by_agent.values():
+            i = index.get(res.resource)
+            if i is None or res.agent == agent:
+                continue
+            t = arrivals[i]
+            if res.t_arrival < t or (res.t_arrival == t and (agent is None or res.agent < agent)):
+                mask[i] = True
+        return mask
 
     def __len__(self) -> int:
         return len(self._by_agent)
-
-
-def reservation_blocks(res: Reservation, querying_agent: str | None, query_arrival: float) -> bool:
-    """Whether a reservation makes the resource look occupied to a later arrival.
-
-    Strictly earlier reservations always block. At exactly equal arrival times
-    the agent that reserved first in id order keeps the claim, which mirrors
-    how the simulator resolves simultaneous claims.
-    """
-    if res.agent == querying_agent:
-        return False
-    if res.t_arrival < query_arrival:
-        return True
-    return res.t_arrival == query_arrival and (querying_agent is None or res.agent < querying_agent)
 
 
 @dataclass(frozen=True)

@@ -130,17 +130,11 @@ def load_graph(
     speed_factor: float = DEFAULT_SPEED_FACTOR,
     default_round_trip_s: float = DEFAULT_ROUND_TRIP_S,
 ) -> RoadGraph:
-    """Parse and validate a graph document from a path, JSON string or dict."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        text = str(source)
-        if not text.lstrip().startswith("{"):  # a path, not inline JSON
-            text = Path(source).read_text()
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError(f"invalid JSON: {exc}") from exc
+    """Parse and validate a graph document from a JSON file path or an already parsed dict."""
+    try:
+        doc = source if isinstance(source, dict) else json.loads(Path(source).read_text())
+    except json.JSONDecodeError as exc:
+        raise GraphFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise GraphFormatError("graph document must be a JSON object")
     unknown = set(doc) - _TOP_FIELDS

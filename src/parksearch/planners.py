@@ -266,14 +266,9 @@ class PlanningView:
 
 def _reserved_against(view: PlanningView, arrivals: np.ndarray) -> np.ndarray:
     """Resources another fleet agent will reach no later than this agent."""
-    forced = np.zeros(view.ctx.n_resources, dtype=bool)
-    if view.reservations is not None:
-        blocks, index, agent = view.reservations.blocks, view.ctx.res_index, view.agent_id
-        for rid in view.reservations.resources():
-            i = index.get(rid)
-            if i is not None and blocks(rid, agent, float(arrivals[i])):
-                forced[i] = True
-    return forced
+    if view.reservations is None:
+        return np.zeros(view.ctx.n_resources, dtype=bool)
+    return view.reservations.blocked(view.agent_id, arrivals, view.ctx.res_index)
 
 
 def replan_route(view: PlanningView, from_node: str, destination: GeoPoint) -> RouteDecision:
@@ -360,9 +355,11 @@ class ReplanningPolicy:
         ctx = view.ctx
         if self._target is not None:
             i = ctx.res_index[self._target]
+            # (now + M) + offset, not replan_route's now + (M + offset): the last ulp decides equal-arrival
+            # reservation ties, and regrouping this sum moves the config-single_destination_demo golden.
             arrival = view.now + ctx.M[ctx.node_index[node], ctx.res_from_idx[i]] + ctx.res_offset[i]
             if view.avail[i] and (view.reservations is None
-                                  or not view.reservations.blocks(self._target, view.agent_id, arrival)):
+                                  or not view.reservations.blocked(view.agent_id, [arrival], {self._target: 0})[0]):
                 return RouteDecision(ctx.action_toward(node, i), self._target, float(arrival), recomputed=False)
         decision = replan_route(view, node, self.destination)
         self._target = decision.target_resource
@@ -421,6 +418,8 @@ class HindsightPolicy:
         # Commit to the resource chosen most often across the sampled futures.
         modal = modal_choice(costs.argmin(axis=1), ctx.n_resources)
         edge = ctx.graph.edges[action.edge]
+        # Summed left to right, not as replan_route's now + (M + offset): the last ulp decides
+        # equal-arrival reservation ties, and regrouping this sum moves the competition-hs_r goldens.
         arrival = (view.now + edge.drive_time_s + ctx.M[ctx.node_index[edge.to_node], ctx.res_from_idx[modal]]
                    + ctx.res_offset[modal])
         return RouteDecision(action, ctx.res_ids[modal], float(arrival), q_estimates)
@@ -529,20 +528,27 @@ class HeuristicPolicy:
         return inside if inside else [edges[int(np.argmin(dist))]]
 
 
-PLANNER_KINDS = ("random", "heuristic", "rpl", "hs", "rpl_r", "hs_r", "hs_a")
+@dataclass(frozen=True)
+class PlannerKind:
+    policy: type
+    shares: str | None = None  # fleet state its agents share: "reservations" or "overlay"
+    base: str | None = None  # the single-agent kind a fleet variant is measured against
 
-_POLICY_CLASSES = {
-    "random": RandomPolicy,
-    "heuristic": HeuristicPolicy,
-    "rpl": ReplanningPolicy,
-    "rpl_r": ReplanningPolicy,
-    "hs": HindsightPolicy,
-    "hs_r": HindsightPolicy,
-    "hs_a": HindsightPolicy,
+
+# Every planner kind, in the order studies and summaries list them.
+PLANNERS = {
+    "random": PlannerKind(RandomPolicy),
+    "heuristic": PlannerKind(HeuristicPolicy),
+    "rpl": PlannerKind(ReplanningPolicy),
+    "hs": PlannerKind(HindsightPolicy),
+    "rpl_r": PlannerKind(ReplanningPolicy, "reservations", "rpl"),
+    "hs_r": PlannerKind(HindsightPolicy, "reservations", "hs"),
+    "hs_a": PlannerKind(HindsightPolicy, "overlay", "hs"),
 }
+PLANNER_KINDS = tuple(PLANNERS)
 
 
 def make_policy(kind: str, ctx: PlannerContext, destination: GeoPoint, settings: PlannerSettings | None = None):
-    if kind not in _POLICY_CLASSES:
+    if kind not in PLANNERS:
         raise ValueError(f"unknown planner kind {kind!r}; expected one of {PLANNER_KINDS}")
-    return _POLICY_CLASSES[kind](ctx, destination, settings)
+    return PLANNERS[kind].policy(ctx, destination, settings)

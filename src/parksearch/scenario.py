@@ -35,13 +35,12 @@ from .engine import (
 from .errors import ConfigError
 from .geo import GeoPoint, great_circle_m
 from .graph import DEFAULT_ROUND_TRIP_S, DEFAULT_SPEED_FACTOR, RoadGraph, load_graph
-from .planners import PLANNER_KINDS, SETTING_BOUNDS, PlannerSettings, check_number
+from .planners import PLANNER_KINDS, PLANNERS, SETTING_BOUNDS, PlannerSettings, check_number
 
 _TOP_KEYS = {
     "name", "graph", "occupation", "destinations", "planner", "adaption",
     "ctmc", "graph_defaults", "seed", "horizon_s", "measure_computation",
 }
-_FLEET_BASE = {"rpl_r": "rpl", "hs_r": "hs", "hs_a": "hs"}
 # Config section and key of each PlannerSettings field: adaption_samples is adaption.samples, others sit in planner.
 _SETTING_KEYS = {
     f.name: ("adaption", f.name.removeprefix("adaption_")) if f.name.startswith("adaption_") else ("planner", f.name)
@@ -430,7 +429,9 @@ def generate_data_driven(
     return specs
 
 
-def build_agents(config: ScenarioConfig, graph: RoadGraph, rng: np.random.Generator) -> list[AgentSpec]:
+def build_agents(config: ScenarioConfig, graph: RoadGraph, rng: np.random.Generator,
+                 trace: OccupationTrace | None = None) -> list[AgentSpec]:
+    """The scenario's agents; ``trace``, when given, is the loaded ``destinations.trace`` file."""
     dest = config.destinations
     if dest["mode"] == "single":
         return generate_single_destination(graph, GeoPoint(*dest["destination"]), dest["start_node"],
@@ -440,7 +441,7 @@ def build_agents(config: ScenarioConfig, graph: RoadGraph, rng: np.random.Genera
                 for a in dest["agents"]]
     return generate_data_driven(
         graph,
-        occupation_points(graph, load_trace(dest["trace"])),
+        occupation_points(graph, trace if trace is not None else load_trace(dest["trace"])),
         dest["start_node"],
         config.planner_kind,
         eps_m=dest["eps_m"],
@@ -460,8 +461,9 @@ def run_scenario(config: ScenarioConfig | str | Path, out_dir: str | Path | None
         default_round_trip_s=config.round_trip_s,
     )
     agent_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0xA6E7)))
-    agents = build_agents(config, graph, agent_rng)
     occupation = config.synthetic if config.synthetic is not None else load_trace(config.trace_path)
+    shared = config.trace_path is not None and config.destinations.get("trace") == str(config.trace_path)
+    agents = build_agents(config, graph, agent_rng, occupation if shared else None)
     records = run_simulation(
         graph,
         agents,
@@ -522,9 +524,9 @@ def summarize_results(results_dir: str | Path) -> dict:
         records.extend(read_results(path))
     per_planner = compute_metrics(records)
     reductions = {}
-    for variant, base in _FLEET_BASE.items():
-        if variant in per_planner and base in per_planner:
-            base_total = per_planner[base]["total_parking_s"]
+    for variant, spec in PLANNERS.items():
+        if variant in per_planner and spec.base in per_planner:  # single-agent kinds have no base
+            base_total = per_planner[spec.base]["total_parking_s"]
             if base_total > 0:
                 variant_total = per_planner[variant]["total_parking_s"]
                 reductions[variant] = 100.0 * (base_total - variant_total) / base_total

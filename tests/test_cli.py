@@ -134,3 +134,23 @@ def test_cli_gen_data_driven(tmp_path):
     config = json.loads(cfg_path.read_text())
     assert config["destinations"]["mode"] == "data_driven"
     assert "clusters" not in config["destinations"] and "trace" not in config["destinations"]
+
+
+def test_cli_gen_commands_create_missing_output_directories(tmp_path):
+    runner = CliRunner()
+    graph_path = tmp_path / "nosuch" / "grid.json"
+    result = runner.invoke(main, ["gen-scenario", "grid-demo", "--rows", "3", "--cols", "3", "--resources", "4",
+                                  "--out", str(graph_path)])
+    assert result.exit_code == 0, result.output
+    trace_path = tmp_path / "trace.csv"
+    trace_path.write_text("resource_id,time_s,state\nr000,10,occupied\n")
+    common = ["--graph", str(graph_path), "--start-node", "n0000"]
+    extras = {"single": ["--destination", "0.0005", "0.0005"], "data-driven": ["--trace", str(trace_path)]}
+    for command, extra in extras.items():
+        out = tmp_path / command / "deeper" / "s.json"
+        result = runner.invoke(main, ["gen-scenario", command, *common, *extra, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(out.read_text())["graph"] == str(graph_path.resolve())
+    # a file where the directory should be is a CLI error, not a traceback
+    result = runner.invoke(main, ["gen-scenario", "grid-demo", "--out", str(trace_path / "grid.json")])
+    assert result.exit_code == 1 and "cannot write" in result.output

@@ -25,7 +25,51 @@ FROZEN = CtmcParams(1e-9, 1e-9)
 
 def effective_availability(table, resource, querying_agent, query_arrival, currently_available):
     """Availability as seen by a fleet agent expecting to arrive at ``query_arrival``."""
-    return currently_available and not table.blocks(resource, querying_agent, query_arrival)
+    return currently_available and not table.blocked(querying_agent, [query_arrival], {resource: 0})[0]
+
+
+def reservation_blocks(res, querying_agent, query_arrival):
+    """Scalar oracle: whether one reservation makes its resource look occupied to a query."""
+    if res.agent == querying_agent:
+        return False
+    if res.t_arrival < query_arrival:
+        return True
+    return res.t_arrival == query_arrival and (querying_agent is None or res.agent < querying_agent)
+
+
+def test_blocked_matches_scalar_oracle():
+    rng = np.random.default_rng(515)
+    agents = [f"a{i}" for i in range(8)]
+    resources = [f"r{i}" for i in range(6)]
+    seen = {"tie": 0, "own": 0, "anonymous": 0, "cancelled": 0, "outside": 0}
+    for _ in range(300):
+        table = ReservationTable()
+        held: dict[str, Reservation] = {}  # the test's own model of the active reservations
+        for _ in range(int(rng.integers(1, 12))):
+            agent = str(rng.choice(agents))
+            if rng.random() < 0.25:
+                table.cancel(agent)
+                seen["cancelled"] += held.pop(agent, None) is not None
+            else:
+                res = Reservation(str(rng.choice(resources)), agent, float(rng.integers(0, 4)))
+                table.place(res.agent, res.resource, res.t_arrival)
+                held[agent] = res
+        in_index = [str(r) for r in rng.permutation(resources)[: int(rng.integers(1, len(resources) + 1))]]
+        index = {rid: k for k, rid in enumerate(in_index)}
+        seen["outside"] += any(res.resource not in index for res in held.values())
+        arrivals = rng.integers(0, 4, size=len(in_index)).astype(float)
+        for agent in [None, *agents]:
+            seen["anonymous"] += agent is None
+            seen["own"] += agent in held and held[agent].resource in index
+            expected = np.array([any(reservation_blocks(res, agent, arrivals[k])
+                                     for res in held.values() if res.resource == rid)
+                                 for rid, k in index.items()], dtype=bool)
+            seen["tie"] += sum(res.resource in index and res.t_arrival == arrivals[index[res.resource]]
+                               for res in held.values())
+            assert np.array_equal(table.blocked(agent, arrivals, index), expected)
+            for rid, k in index.items():
+                assert table.blocked(agent, [arrivals[k]], {rid: 0})[0] == expected[k]
+    assert min(seen.values()) > 0, seen
 
 
 def test_reservation_table_basics():

@@ -62,6 +62,13 @@ def test_invalid_json_rejected(tmp_path):
         load_graph(path)
 
 
+def test_load_graph_reads_a_path_that_starts_with_a_brace(tmp_path, monkeypatch):
+    (tmp_path / "{city}.json").write_text(json.dumps(triangle_doc()))
+    monkeypatch.chdir(tmp_path)
+    assert len(load_graph("{city}.json").nodes) == 3
+    assert len(load_graph(tmp_path / "{city}.json").nodes) == 3
+
+
 def test_validation_errors():
     doc = triangle_doc()
     doc["edges"][0]["length_m"] = -1.0

@@ -2,10 +2,12 @@ import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from parksearch import scenario as scenario_module
 from parksearch.availability import CtmcParams, ResourceState
 from parksearch.engine import OccupationTrace, TraceEvent, read_results, write_results
 from parksearch.engine import MetricsRecord
@@ -328,6 +330,16 @@ def test_run_scenario_and_echo(tmp_path):
     assert echo["ctmc"]["lambda_inv_s"] == pytest.approx(300.0)
     file_records = read_results(out / "demo.results.csv")
     assert [r.agent_id for r in file_records] == [r.agent_id for r in sorted(records, key=lambda r: r.agent_id)]
+
+
+def test_data_driven_scenario_reads_its_trace_once(monkeypatch):
+    calls = []
+    load = scenario_module.load_trace
+    monkeypatch.setattr(scenario_module, "load_trace", lambda path: calls.append(path) or load(path))
+    config = load_config(Path(__file__).resolve().parent.parent / "configs" / "data_driven_demo.json")
+    assert config.destinations["trace"] == str(config.trace_path)
+    assert run_scenario(config)
+    assert calls == [config.trace_path]
 
 
 def test_run_batch_and_summary_reductions(tmp_path):
