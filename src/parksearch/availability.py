@@ -110,6 +110,10 @@ class AdaptionOverlay:
     def __len__(self) -> int:
         return sum(len(v) for v in self._entries.values())
 
+    def __bool__(self) -> bool:
+        # O(1): ``remove`` drops a resource's key together with its last entry.
+        return bool(self._entries)
+
 
 def expected_wait_times_rates(
     lam: np.ndarray | float, mu: np.ndarray | float, t_tr: np.ndarray

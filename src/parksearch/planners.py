@@ -183,9 +183,14 @@ class PlannerContext:
         """Node whose position is walk-closest to the destination."""
         return self.node_ids[int(np.argmin(self.node_walk_vector(destination)))]
 
-    def drive_to_resources(self, node: str) -> np.ndarray:
-        """Drive seconds from a node to every resource (via its edge start, then the offset)."""
-        return self.M[self.node_index[node], self.res_from_idx] + self.res_offset
+    def drive_to_resources(self, nodes: str | list[str]) -> np.ndarray:
+        """Drive seconds to every resource (via its edge start, then the offset) from a node,
+        or one row per node of a list."""
+        if isinstance(nodes, str):
+            return self.M[self.node_index[nodes], self.res_from_idx] + self.res_offset
+        # np.ix_ returns C-ordered rows; M[rows][:, cols] would lay them out column-major, and
+        # every reduction along resources would then stride across memory.
+        return self.M[np.ix_([self.node_index[n] for n in nodes], self.res_from_idx)] + self.res_offset
 
     def first_hop(self, from_node: str, to_node: str) -> Edge:
         """Edge starting a least-time path; ties resolve to the smallest edge id."""
@@ -249,7 +254,7 @@ class PlanningView:
         """
         sel = slice(None) if idx is None else idx
         p = availability_after_rates(self.lam_vec[sel], self.mu_vec[sel], at - self.now, self.avail[sel])
-        if self.overlay is not None and len(self.overlay):
+        if self.overlay:
             at = np.broadcast_to(at, p.shape)
             index, ids = self.ctx.res_index, self.ctx.res_ids
             slots = ([(index[rid], rid) for rid in self.overlay.resources() if rid in index] if idx is None
@@ -259,9 +264,10 @@ class PlanningView:
             np.clip(p, 0.0, 1.0, out=p)
         return p
 
-    def claim_wait(self, available: np.ndarray) -> np.ndarray:
-        """Extra cost per resource: nothing where available, the expected circling wait where occupied."""
-        return np.where(available, 0.0, self.t_claim)
+    def claim_wait(self, available: np.ndarray, idx=None) -> np.ndarray:
+        """Extra cost per resource, or per resource index in ``idx``: nothing where available, the
+        expected circling wait where occupied."""
+        return np.where(available, 0.0, self.t_claim if idx is None else self.t_claim[idx])
 
 
 def _reserved_against(view: PlanningView, arrivals: np.ndarray) -> np.ndarray:
@@ -302,14 +308,61 @@ def _future_probabilities(view: PlanningView, from_node: str) -> tuple[np.ndarra
     return drive, forced, probs
 
 
-def _future_costs(view: PlanningView, node: str, walk: np.ndarray, wait: np.ndarray,
-                  out_of_scope: np.ndarray | None = None) -> np.ndarray:
-    """Cost of taking each resource from ``node`` in each sampled future: drive, walk, and the
-    circling ``wait`` where that future has the resource occupied."""
-    base = view.ctx.drive_to_resources(node) + walk
-    if out_of_scope is not None:
-        base = np.where(out_of_scope, np.inf, base)
-    return base + wait
+# Columns of each cost row that every future evaluates; with at most twice as many resources, the
+# bookkeeping costs more than it saves and every column is evaluated.
+PRUNE_COLUMNS = 96
+
+
+class FutureMinima:
+    """Least cost over resources of ``base[row] + wait`` in every sampled future, per row.
+
+    Future ``f`` finds resource ``c`` available when ``uniforms[f, c] < probs[c]``; otherwise it
+    pays the circling wait ``view.t_claim[c]``. ``mins[row, f]`` equals the minimum over the full
+    ``(futures x resources)`` cost matrix bit for bit, and ``argmin(row)`` its first argmin.
+
+    With more than ``2 * PRUNE_COLUMNS`` resources only S, the union of every row's
+    ``PRUNE_COLUMNS`` cheapest ``base`` columns, is evaluated for all futures. S is sorted
+    ascending, so the first argmin over S is the smallest resource index among ties.
+    """
+
+    def __init__(self, view: PlanningView, base: np.ndarray, uniforms: np.ndarray, probs: np.ndarray):
+        n_rows, n_res = base.shape
+        pruned = n_res > 2 * PRUNE_COLUMNS
+        if pruned:
+            part = np.argpartition(base, PRUNE_COLUMNS, axis=1)
+            in_s = np.zeros(n_res, dtype=bool)
+            in_s[part[:, :PRUNE_COLUMNS]] = True
+            self._cols = np.flatnonzero(in_s)
+        else:
+            self._cols = slice(None)
+        cols = self._cols
+        # (rows, futures, |S|): the reductions run along the contiguous last axis
+        self._costs = base[:, None, cols] + view.claim_wait(uniforms[:, cols] < probs[cols], cols)
+        self.mins = self._costs.min(axis=2)
+        self._fallback: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        if pruned:
+            # wait >= 0, because t_claim = round_trip / p is positive or inf (round_trip_s > 0 is
+            # validated). So a column outside S costs at least its base, which is at least the row's
+            # (PRUNE_COLUMNS + 1)-th cheapest base, and a minimum strictly below that is exact. At
+            # equality an omitted column with a smaller index could tie, so those pairs, like every
+            # other failing pair, are solved over every column.
+            bound = base[np.arange(n_rows), part[:, PRUNE_COLUMNS]]
+            rows, futures = np.nonzero(~(self.mins < bound[:, None]))
+            if rows.size:
+                full = base[rows] + view.claim_wait(uniforms[futures] < probs)
+                self.mins[rows, futures] = full.min(axis=1)
+                self._fallback = (rows, futures, full)
+
+    def argmin(self, row: int) -> np.ndarray:
+        """Cheapest resource index of ``row`` in every future; ties go to the smallest index."""
+        choice = self._costs[row].argmin(axis=1)
+        if isinstance(self._cols, np.ndarray):
+            choice = self._cols[choice]
+        if self._fallback is not None:
+            rows, futures, full = self._fallback
+            mine = rows == row
+            choice[futures[mine]] = full[mine].argmin(axis=1)
+        return choice
 
 
 def sample_determinizations(
@@ -327,11 +380,14 @@ def solve_determinization(
     view: PlanningView, from_node: str, det: Determinization, destination: GeoPoint
 ) -> tuple[str, float]:
     """Cheapest resource in one determinized future; ties go to the smallest id."""
-    costs = _future_costs(view, from_node, view.ctx.walk_vector(destination), view.claim_wait(det.available))
-    best = int(np.argmin(costs))
-    if not np.isfinite(costs[best]):
+    ctx = view.ctx
+    base = ctx.drive_to_resources([from_node]) + ctx.walk_vector(destination)
+    # The future whose uniforms are all 0: 0 < p holds exactly where det.available is set.
+    future = FutureMinima(view, base, np.zeros((1, ctx.n_resources)), det.available)
+    cost = float(future.mins[0, 0])
+    if not np.isfinite(cost):
         raise NoPathError(f"no resource reachable from {from_node!r}")
-    return view.ctx.res_ids[best], float(costs[best])
+    return ctx.res_ids[int(future.argmin(0)[0])], cost
 
 
 def _action_key(action: Action) -> str:
@@ -389,23 +445,28 @@ class HindsightPolicy:
         drive_here, forced, probs = _future_probabilities(view, node)
         if self._uniforms is None:
             self._uniforms = rng.random((self.n, ctx.n_resources))
-        wait = view.claim_wait(self._uniforms < probs)
-        out_of_scope = None if self.scope_horizon_s is None else drive_here > self.scope_horizon_s
 
-        # (value, preference rank, id, action, per-future costs) per candidate; TakeResource wins ties.
-        candidates: list[tuple[float, int, str, Action, np.ndarray | None]] = []
+        # (value, preference rank, id, action, out-edge row) per candidate; TakeResource wins ties.
+        candidates: list[tuple[float, int, str, Action, int | None]] = []
         for ridx in ctx.adjacent_res[node]:
             if view.avail[ridx] and not forced[ridx]:
                 rid = ctx.res_ids[ridx]
                 candidates.append((float(ctx.res_offset[ridx] + walk[ridx]), 0, rid, TakeResource(rid), None))
-        for edge in ctx.out_edges[node]:
-            costs = _future_costs(view, edge.to_node, walk, wait, out_of_scope)
-            value = float(edge.drive_time_s + costs.min(axis=1).mean())
-            candidates.append((value, 1, edge.id, TakeRoad(edge.id), costs))
+        edges = ctx.out_edges[node]
+        if edges:
+            base = ctx.drive_to_resources([e.to_node for e in edges]) + walk
+            if self.scope_horizon_s is not None:
+                base[:, drive_here > self.scope_horizon_s] = np.inf
+            futures = FutureMinima(view, base, self._uniforms, probs)
+            # mins is C-ordered, so each row is summed exactly as the 1-D mean of that row would be.
+            means = futures.mins.mean(axis=1)
+            for row, edge in enumerate(edges):
+                value = float(edge.drive_time_s + means[row])
+                candidates.append((value, 1, edge.id, TakeRoad(edge.id), row))
         if not candidates:
             raise NoPathError(f"no actions available at {node!r}")
         candidates.sort(key=lambda c: c[:3])
-        value, _, _, action, costs = candidates[0]
+        value, _, _, action, row = candidates[0]
         if not np.isfinite(value):
             raise NoPathError(f"no resource reachable from {node!r}")
 
@@ -416,7 +477,7 @@ class HindsightPolicy:
                 action, action.resource, float(view.now + ctx.res_offset[ridx]), q_estimates
             )
         # Commit to the resource chosen most often across the sampled futures.
-        modal = modal_choice(costs.argmin(axis=1), ctx.n_resources)
+        modal = modal_choice(futures.argmin(row), ctx.n_resources)
         edge = ctx.graph.edges[action.edge]
         # Summed left to right, not as replan_route's now + (M + offset): the last ulp decides
         # equal-arrival reservation ties, and regrouping this sum moves the competition-hs_r goldens.

@@ -244,6 +244,12 @@ def test_overlay_reversal_restores_exactly(default_params):
     with pytest.raises(KeyError):
         overlay.remove(added[0])
 
+    # emptiness is read without counting entries; it must agree with len()
+    for entry in baseline_entries:
+        assert overlay and len(overlay) > 0
+        overlay.remove(entry)
+    assert not overlay and len(overlay) == 0
+
 
 def test_rates_vectorization_matches_scalar(default_params):
     rng = np.random.default_rng(4)

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from parksearch.availability import CtmcParams
-from parksearch.engine import AgentSpec, run_simulation, write_results
+from parksearch.engine import DEFAULT_CTMC, AgentSpec, run_simulation, write_results
 from parksearch.geo import GeoPoint
 from parksearch.graph import all_pairs_travel_times, load_graph
 from parksearch.planners import PLANNER_KINDS, PlannerContext
@@ -32,6 +32,7 @@ from test_acceptance import competition_world
 COMPETITION_SEEDS = (1, 2)
 GRID_KINDS = ("random", "heuristic", "rpl", "rpl_r")
 GRID_SEED = 11
+PRUNED_KINDS = ("hs", "hs_r")
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 GOLDEN = {
@@ -56,6 +57,10 @@ GOLDEN = {
     "grid-random": "c05baa13c92b6df6d5fdf52e4fc19bc06b2e05b0a202cf301e6a050d82358d1a",
     "grid-rpl": "3b8ad26b58ebbed1fa6964b330c615ee8f7f2a274eb9cb904e070eaf4d341548",
     "grid-rpl_r": "f6cd457d4ca59617a05d855caa36d4163ce2fdfe509506fd65a1d404f7980ac3",
+    "pruned-hs-1": "c646a1f3985db14930f98c3131c170155fdc94833b6d157df390be054c5f6089",
+    "pruned-hs-2": "2ad9312560be8b8cdd7e38d1b8f91d2266d4ee0475d37fc777a6d3b8b2b74358",
+    "pruned-hs_r-1": "b14f93a31a6cd113318df3efde77533316e9ab861f553d4715bffedbf0fce861",
+    "pruned-hs_r-2": "cd915ee359d9e63b27060807b183c92e7c752b43b1894928f65fa9aa91564aba",
 }
 
 
@@ -88,6 +93,24 @@ def _grid_records(kind):
                           ctx=ctx, measure_computation=False)
 
 
+def _pruned_records(kind, seed):
+    """600 spots on a 12x12 grid, more than hindsight evaluates in full for every future.
+
+    The network is the benchmark's frozen trace_replay network; agents share
+    two destinations so fleet reservations compete.
+    """
+    spacing = 250.0
+    doc = build_grid_graph_doc(12, 12, spacing_m=spacing, drive_time_s=25.0, n_resources=600, seed=7,
+                               round_trip_s=300.0)
+    graph = load_graph(doc)
+    ctx = PlannerContext(graph, all_pairs_travel_times(graph))
+    deg = spacing / 111_194.93
+    dests = (GeoPoint(5.4 * deg, 6.3 * deg), GeoPoint(8.2 * deg, 3.6 * deg))
+    agents = [AgentSpec(f"a{i:03d}", ("n0000", "n1111", "n0011")[i % 3], dests[i % 2], float(i * 30), kind)
+              for i in range(12)]
+    return run_simulation(graph, agents, DEFAULT_CTMC, seed=seed, ctx=ctx, measure_computation=False)
+
+
 def _config(name):
     # a relative path, as in `parksearch simulate configs/<name>.json`
     path = os.path.relpath(CONFIGS / f"{name}.json")
@@ -102,6 +125,8 @@ CASES = {
     **{f"competition-{kind}-{seed}": partial(_competition_records, kind, seed)
        for kind in PLANNER_KINDS for seed in COMPETITION_SEEDS},
     **{f"grid-{kind}": partial(_grid_records, kind) for kind in GRID_KINDS},
+    **{f"pruned-{kind}-{seed}": partial(_pruned_records, kind, seed)
+       for kind in PRUNED_KINDS for seed in COMPETITION_SEEDS},
     **{f"config-{path.stem}": partial(_config_records, path.stem) for path in CONFIGS.glob("*.json")},
 }
 
