@@ -4,10 +4,10 @@ The names in ``__all__`` are the library surface; everything else is reachable
 through the submodules (``parksearch.planners``, ``parksearch.fleet``, ...).
 """
 
-from .availability import AdaptionOverlay, CtmcParams, ResourceState, stationary_availability
+from .availability import AdaptionOverlay, CtmcParams, stationary_availability
 from .engine import (
-    AgentSpec, MetricsRecord, OccupationTrace, TraceEvent, compute_metrics, load_trace, read_results,
-    run_simulation, save_trace, synthesize_occupations, taxi_time, write_results,
+    AgentSpec, MetricsRecord, OccupationTrace, compute_metrics, load_trace, read_results, run_simulation,
+    save_trace, synthesize_occupations, taxi_time, write_results,
 )
 from .errors import (
     AdaptionError, ConfigError, DegenerateTargetError, GraphFormatError, GraphValidationError, NoPathError,
@@ -27,10 +27,10 @@ from .scenario import (
 
 __all__ = [
     # availability process and fleet state
-    "AdaptionOverlay", "CtmcParams", "ResourceState", "stationary_availability",
+    "AdaptionOverlay", "CtmcParams", "stationary_availability",
     "ReservationTable", "adapt_probabilities", "reverse_adaptions",
     # simulation
-    "AgentSpec", "MetricsRecord", "OccupationTrace", "TraceEvent", "compute_metrics", "load_trace",
+    "AgentSpec", "MetricsRecord", "OccupationTrace", "compute_metrics", "load_trace",
     "read_results", "run_simulation", "save_trace", "synthesize_occupations", "taxi_time", "write_results",
     # errors
     "AdaptionError", "ConfigError", "DegenerateTargetError", "GraphFormatError", "GraphValidationError",

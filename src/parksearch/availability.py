@@ -9,15 +9,9 @@ active after a given time; overlays are reversible exactly.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class ResourceState(enum.Enum):
-    AVAILABLE = "available"
-    OCCUPIED = "occupied"
 
 
 @dataclass(frozen=True)

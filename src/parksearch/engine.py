@@ -2,9 +2,9 @@
 
 Resource states evolve by replaying an occupation trace (recorded or
 synthesized from the availability process); agents decide at intersections,
-claim resources at their exact arrival position on the edge, and the engine
-merges both occupancy sources: a spot a fleet agent parked on stays occupied
-for the rest of the run regardless of later trace flips.
+claim resources at their exact arrival position on the edge. The engine keeps
+one availability array: a spot a fleet agent parked on stays occupied for the
+rest of the run, and later trace flips for it are skipped.
 
 Resource flips are not queued: the validated trace is already in replay
 order, so the engine merges it into the event queue, applying every flip up
@@ -20,19 +20,13 @@ import csv
 import heapq
 import math
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .availability import (
-    AdaptionOverlay,
-    CtmcParams,
-    ResourceState,
-    expected_wait_times_rates,
-    stationary_availability,
-)
+from .availability import AdaptionOverlay, CtmcParams, expected_wait_times_rates, stationary_availability
 from .errors import ConfigError, ParkSearchError, TraceError
 from .fleet import ReservationTable, adapt_probabilities, reverse_adaptions
 from .geo import GeoPoint, walking_time
@@ -58,38 +52,67 @@ RESULTS_HEADER = [
 ]
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    resource: str
-    time: float
-    state: ResourceState
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class OccupationTrace:
-    """Ordered state flips per resource; resources without an entry start available."""
+    """State flips of resources, as columns; with no arguments, a trace without flips.
 
-    events: list[TraceEvent]
-    initial_states: dict[str, ResourceState] = field(default_factory=dict)
+    ``resources`` are the sorted ids and ``start_up`` whether each starts available
+    (resources the trace does not list start available). Flip ``k`` sets
+    ``resources[spot[k]]`` to available (``up[k]``) or occupied at ``time[k]``;
+    construction puts the flips in replay order: by time, then resource id.
+    """
+
+    resources: np.ndarray = ()
+    start_up: np.ndarray = ()
+    time: np.ndarray = ()
+    spot: np.ndarray = ()
+    up: np.ndarray = ()
+
+    def __post_init__(self) -> None:
+        resources = np.asarray(self.resources, dtype=str)
+        time = np.asarray(self.time, dtype=float)
+        spot = np.asarray(self.spot, dtype=np.intp)
+        if np.any(resources[1:] <= resources[:-1]):
+            raise ValueError("trace resource ids must be sorted and unique")
+        if (len(self.start_up) != len(resources) or not len(time) == len(spot) == len(self.up)
+                or np.any((spot < 0) | (spot >= len(resources)))):
+            raise ValueError("trace columns differ in length or a flip names no listed resource")
+        order = np.lexsort((spot, time))
+        columns = {"resources": resources, "start_up": np.asarray(self.start_up, dtype=bool),
+                   "time": time[order], "spot": spot[order], "up": np.asarray(self.up, dtype=bool)[order]}
+        for name, column in columns.items():
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.time)
 
 
-def replay_trace(trace: OccupationTrace) -> list[TraceEvent]:
-    """Validate and return the trace events in deterministic replay order."""
-    last_time: dict[str, float] = {}
-    last_state: dict[str, ResourceState] = dict(trace.initial_states)
-    events = sorted(trace.events, key=lambda e: (e.time, e.resource))
-    for ev in events:
-        if not 0.0 <= ev.time < math.inf:
-            raise TraceError(f"resource {ev.resource!r}: event time must be finite and non-negative, got {ev.time}")
-        prev_t = last_time.get(ev.resource)
-        if prev_t is not None and ev.time <= prev_t:
-            raise TraceError(f"non-increasing event times for resource {ev.resource!r} at {ev.time}")
-        prev_s = last_state.get(ev.resource, ResourceState.AVAILABLE)
-        if ev.state == prev_s:
-            raise TraceError(f"non-alternating states for resource {ev.resource!r} at {ev.time}")
-        last_time[ev.resource] = ev.time
-        last_state[ev.resource] = ev.state
-    return events
+def replay_trace(trace: OccupationTrace) -> OccupationTrace:
+    """Validate the trace and return it; its flips are already in replay order.
+
+    Every flip time must be finite and non-negative, each resource's times must
+    strictly increase and its flips must change its state. The error names the
+    resource of the first offending flip in replay order.
+    """
+    time, spot, up = trace.time, trace.spot, trace.up
+    bad_time = ~((time >= 0.0) & (time < math.inf))
+    # each resource's flips in time order, next to the flip before it (or its start state)
+    by_res = np.argsort(spot, kind="stable")
+    s, t, u = spot[by_res], time[by_res], up[by_res]
+    same = np.r_[False, s[1:] == s[:-1]]
+    stale, repeat = np.zeros((2, len(s)), dtype=bool)
+    stale[by_res] = same & (t <= np.r_[-math.inf, t[:-1]])
+    repeat[by_res] = u == np.where(same, np.r_[False, u[:-1]], trace.start_up[s])
+    bad = bad_time | stale | repeat
+    if bad.any():
+        k = int(np.argmax(bad))
+        rid, at = str(trace.resources[spot[k]]), float(time[k])
+        if bad_time[k]:
+            raise TraceError(f"resource {rid!r}: event time must be finite and non-negative, got {at}")
+        if stale[k]:
+            raise TraceError(f"non-increasing event times for resource {rid!r} at {at}")
+        raise TraceError(f"non-alternating states for resource {rid!r} at {at}")
+    return trace
 
 
 def synthesize_occupations(
@@ -108,28 +131,29 @@ def synthesize_occupations(
     if horizon_s <= 0:
         raise ValueError("horizon must be positive")
     overrides = params_by_resource or {}
-    events: list[TraceEvent] = []
-    initial: dict[str, ResourceState] = {}
-    for rid in graph.resources:
+    resources = sorted(graph.resources)
+    slot = {rid: i for i, rid in enumerate(resources)}
+    start_up = np.empty(len(resources), dtype=bool)
+    time, spot, up = [], [], []
+    for rid in graph.resources:  # in graph order, which fixes the random stream
         p = overrides.get(rid, params)
         available = bool(rng.random() < stationary_availability(p))
-        initial[rid] = ResourceState.AVAILABLE if available else ResourceState.OCCUPIED
+        start_up[slot[rid]] = available
         t = 0.0
         while True:
             t += float(rng.exponential(1.0 / (p.lam if available else p.mu)))
             if t >= horizon_s:
                 break
             available = not available
-            events.append(
-                TraceEvent(rid, t, ResourceState.AVAILABLE if available else ResourceState.OCCUPIED)
-            )
-    events.sort(key=lambda e: (e.time, e.resource))
-    return OccupationTrace(events, initial)
+            time.append(t)
+            spot.append(slot[rid])
+            up.append(available)
+    return OccupationTrace(resources, start_up, time, spot, up)
 
 
 def load_trace(path: str | Path) -> OccupationTrace:
     """Read a ``resource_id,time_s,state`` table; resources start available."""
-    events: list[TraceEvent] = []
+    ids, time, up = [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -147,8 +171,11 @@ def load_trace(path: str | Path) -> OccupationTrace:
                 raise TraceError(f"line {lineno}: bad time {time_s!r}, need finite non-negative seconds")
             if state not in ("available", "occupied"):
                 raise TraceError(f"line {lineno}: bad state {state!r}")
-            events.append(TraceEvent(rid, t, ResourceState(state)))
-    trace = OccupationTrace(events)
+            ids.append(rid)
+            time.append(t)
+            up.append(state == "available")
+    resources, spot = np.unique(np.asarray(ids, dtype=str), return_inverse=True)
+    trace = OccupationTrace(resources, np.ones(len(resources), dtype=bool), time, spot, up)
     replay_trace(trace)
     return trace
 
@@ -156,28 +183,27 @@ def load_trace(path: str | Path) -> OccupationTrace:
 def save_trace(path: str | Path, trace: OccupationTrace) -> None:
     """Write a trace at 1-second resolution.
 
-    Event times are floored to whole seconds (bumped forward where flooring
+    Flip times are floored to whole seconds (bumped forward where flooring
     would collide) and initially occupied resources are encoded as flips at
     time 0, so a reloaded trace replays the same state sequence.
     """
-    per_resource: dict[str, list[TraceEvent]] = {}
-    for rid, state in sorted(trace.initial_states.items()):
-        if state is ResourceState.OCCUPIED:
-            per_resource.setdefault(rid, []).append(TraceEvent(rid, 0.0, state))
-    for ev in sorted(trace.events, key=lambda e: (e.time, e.resource)):
-        per_resource.setdefault(ev.resource, []).append(ev)
-    rows: list[tuple[str, int, str]] = []
-    for rid, evs in per_resource.items():
-        prev = -1
-        for ev in evs:
-            t = max(prev + 1, int(ev.time))
-            prev = t
-            rows.append((rid, t, ev.state.value))
-    rows.sort(key=lambda r: (r[1], r[0]))
+    lead = np.flatnonzero(~trace.start_up)
+    spot = np.concatenate([lead, trace.spot])
+    time = np.concatenate([np.zeros(len(lead)), trace.time])
+    up = np.concatenate([np.zeros(len(lead), dtype=bool), trace.up])
+    by_res = np.argsort(spot, kind="stable")  # each resource's flips in time order
+    rows: list[tuple[int, int, bool]] = []
+    prev_spot, prev = -1, -1
+    for s, t, u in zip(spot[by_res].tolist(), time[by_res].tolist(), up[by_res].tolist()):
+        prev = max(prev + 1 if s == prev_spot else 0, int(t))
+        prev_spot = s
+        rows.append((prev, s, u))
+    rows.sort()  # by second, then resource id
+    ids = trace.resources.tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["resource_id", "time_s", "state"])
-        writer.writerows(rows)
+        writer.writerows((ids[s], t, "available" if u else "occupied") for t, s, u in rows)
 
 
 @dataclass(frozen=True)
@@ -288,7 +314,7 @@ def run_simulation(
     else:
         trace = occupation
         params = params or DEFAULT_CTMC
-    flips = replay_trace(trace)
+    trace = replay_trace(trace)
 
     if ctx is None:
         ctx = PlannerContext(graph, all_pairs_travel_times(graph))
@@ -302,12 +328,14 @@ def run_simulation(
                 mu_vec[ctx.res_index[rid]] = p.mu
     t_claim = expected_wait_times_rates(lam_vec, mu_vec, ctx.res_t_tr)
 
-    trace_avail = np.ones(ctx.n_resources, dtype=bool)
-    for rid, state in trace.initial_states.items():
-        if rid not in ctx.res_index:
-            raise TraceError(f"trace references unknown resource {rid!r}")
-        trace_avail[ctx.res_index[rid]] = state is ResourceState.AVAILABLE
-    fleet_parked = np.zeros(ctx.n_resources, dtype=bool)
+    try:
+        trace_idx = np.array([ctx.res_index[rid] for rid in trace.resources.tolist()], dtype=np.intp)
+    except KeyError as exc:
+        raise TraceError(f"trace references unknown resource {exc.args[0]!r}") from None
+    # one availability array: a spot a fleet car parked on is occupied, and trace flips skip it
+    avail = np.ones(ctx.n_resources, dtype=bool)
+    avail[trace_idx] = trace.start_up
+    fleet_parked: set[int] = set()
 
     table = ReservationTable() if any(s.planner in _RESERVATION_KINDS for s in specs) else None
     overlay = AdaptionOverlay() if any(s.planner in _OVERLAY_KINDS for s in specs) else None
@@ -328,13 +356,10 @@ def run_simulation(
         heapq.heappush(heap, (time_s, rank, key, seq, kind, payload))
         seq += 1
 
-    for ev in flips:
-        if ev.resource not in ctx.res_index:
-            raise TraceError(f"trace references unknown resource {ev.resource!r}")
-    flips = [ev for ev in flips if ev.time <= horizon_s]
-    flip_time = [ev.time for ev in flips]
-    flip_res = [ctx.res_index[ev.resource] for ev in flips]
-    flip_up = [ev.state is ResourceState.AVAILABLE for ev in flips]
+    due = int(np.searchsorted(trace.time, horizon_s, side="right"))
+    flip_time = trace.time[:due].tolist()
+    flip_res = trace_idx[trace.spot[:due]].tolist()
+    flip_up = trace.up[:due].tolist()
     next_flip = 0
 
     for spec in specs:
@@ -345,16 +370,16 @@ def run_simulation(
     def apply_flips(until: float) -> None:
         """Replay the trace up to and including ``until``; flips rank first at equal times."""
         nonlocal next_flip
-        while next_flip < len(flip_time) and flip_time[next_flip] <= until:
-            trace_avail[flip_res[next_flip]] = flip_up[next_flip]
+        while next_flip < due and flip_time[next_flip] <= until:
+            if flip_res[next_flip] not in fleet_parked:
+                avail[flip_res[next_flip]] = flip_up[next_flip]
             if collect_events:
-                ev = flips[next_flip]
-                log.append(SimEvent(ev.time, "resource_flip", resource=ev.resource, detail=ev.state.value))
+                log.append(SimEvent(flip_time[next_flip], "resource_flip", resource=ctx.res_ids[flip_res[next_flip]],
+                                    detail="available" if flip_up[next_flip] else "occupied"))
             next_flip += 1
 
     def decide(rt: AgentRuntime, now: float) -> None:
         kind = rt.spec.planner
-        avail = trace_avail & ~fleet_parked
         view = PlanningView(
             ctx, now, avail, params,
             reservations=table if kind in _RESERVATION_KINDS else None,
@@ -434,8 +459,9 @@ def run_simulation(
                 continue
             rid, decision_time = payload
             ridx = ctx.res_index[rid]
-            if trace_avail[ridx] and not fleet_parked[ridx]:
-                fleet_parked[ridx] = True  # taking the spot occupies it for the rest of the run
+            if avail[ridx]:
+                avail[ridx] = False  # taking the spot occupies it for the rest of the run
+                fleet_parked.add(ridx)
                 rt.status = "parked"
                 rt.park_time = now
                 rt.parked_resource = rid

@@ -47,7 +47,6 @@ class RouteDecision:
     action: Action
     target_resource: str | None = None
     expected_arrival: float | None = None
-    q_estimates: dict[str, float] | None = None
     recomputed: bool = True
 
 
@@ -56,7 +55,6 @@ class Determinization:
     """One sampled future: availability of every in-scope resource at the agent's arrival time."""
 
     available: np.ndarray  # bool, aligned with PlannerContext.res_ids
-    seed: int | None = None
 
 
 def check_number(value, name: str, *, integer: bool = False, positive: bool = True) -> float | int:
@@ -287,14 +285,7 @@ def replan_route(view: PlanningView, from_node: str, destination: GeoPoint) -> R
     best = int(np.argmin(costs))
     if not np.isfinite(costs[best]):
         raise NoPathError(f"no resource reachable from {from_node!r}")
-    action = ctx.action_toward(from_node, best)
-    return RouteDecision(
-        action,
-        target_resource=ctx.res_ids[best],
-        expected_arrival=float(view.now + drive[best]),
-        q_estimates={_action_key(action): float(costs[best])},
-        recomputed=True,
-    )
+    return RouteDecision(ctx.action_toward(from_node, best), ctx.res_ids[best], float(view.now + drive[best]))
 
 
 def _future_probabilities(view: PlanningView, from_node: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -390,10 +381,6 @@ def solve_determinization(
     return ctx.res_ids[int(future.argmin(0)[0])], cost
 
 
-def _action_key(action: Action) -> str:
-    return f"road:{action.edge}" if isinstance(action, TakeRoad) else f"resource:{action.resource}"
-
-
 def modal_choice(choices: np.ndarray, n: int) -> int:
     """Most frequent index among per-future choices; ties go to the smallest index."""
     return int(np.bincount(choices, minlength=n).argmax())
@@ -469,13 +456,9 @@ class HindsightPolicy:
         value, _, _, action, row = candidates[0]
         if not np.isfinite(value):
             raise NoPathError(f"no resource reachable from {node!r}")
-
-        q_estimates = {_action_key(c[3]): c[0] for c in candidates}
         if isinstance(action, TakeResource):
             ridx = ctx.res_index[action.resource]
-            return RouteDecision(
-                action, action.resource, float(view.now + ctx.res_offset[ridx]), q_estimates
-            )
+            return RouteDecision(action, action.resource, float(view.now + ctx.res_offset[ridx]))
         # Commit to the resource chosen most often across the sampled futures.
         modal = modal_choice(futures.argmin(row), ctx.n_resources)
         edge = ctx.graph.edges[action.edge]
@@ -483,7 +466,7 @@ class HindsightPolicy:
         # equal-arrival reservation ties, and regrouping this sum moves the competition-hs_r goldens.
         arrival = (view.now + edge.drive_time_s + ctx.M[ctx.node_index[edge.to_node], ctx.res_from_idx[modal]]
                    + ctx.res_offset[modal])
-        return RouteDecision(action, ctx.res_ids[modal], float(arrival), q_estimates)
+        return RouteDecision(action, ctx.res_ids[modal], float(arrival))
 
 
 class RandomPolicy:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .availability import CtmcParams, ResourceState
+from .availability import CtmcParams
 from .engine import (
     DEFAULT_CTMC,
     DEFAULT_HORIZON_S,
@@ -362,12 +362,11 @@ def dbscan(points: list[GeoPoint], eps_m: float, min_pts: int) -> list[Cluster]:
 
 
 def occupation_points(graph: RoadGraph, trace: OccupationTrace) -> list[tuple[GeoPoint, float]]:
-    """One point per parking event: the resource position at each flip to occupied."""
-    points = []
-    for ev in trace.events:
-        if ev.state is ResourceState.OCCUPIED and ev.resource in graph.resources:
-            points.append((graph.resources[ev.resource].position, ev.time))
-    return points
+    """One point per parking event, in replay order: the resource position at each flip to occupied."""
+    where = [graph.resources[rid].position if rid in graph.resources else None for rid in trace.resources.tolist()]
+    down = ~trace.up
+    return [(where[s], t) for s, t in zip(trace.spot[down].tolist(), trace.time[down].tolist())
+            if where[s] is not None]
 
 
 def _sample_in_cluster(cluster: Cluster, eps_m: float, rng: np.random.Generator) -> GeoPoint:
@@ -409,11 +408,7 @@ def generate_data_driven(
     specs: list[AgentSpec] = []
     counter = 0
     for hour in sorted(hours):
-        points = hours[hour]
-        if not points:
-            warnings.warn(f"hour {hour}: no occupation events, no agents generated")
-            continue
-        clusters = dbscan(points, eps_m, min_pts)
+        clusters = dbscan(hours[hour], eps_m, min_pts)
         if not clusters:
             warnings.warn(f"hour {hour}: no clusters at eps={eps_m}, min_pts={min_pts}")
             continue

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from parksearch.availability import CtmcParams
+from parksearch.engine import OccupationTrace
 from parksearch.graph import all_pairs_travel_times, load_graph
 from parksearch.planners import PlannerContext
 
@@ -84,3 +85,19 @@ def bellman_ford_times(graph, source):
         if not changed:
             break
     return dist
+
+
+def trace_from_rows(rows, start=None):
+    """An ``OccupationTrace`` of ``(id, time, available)`` flip rows, in any order, and
+    ``{id: available}`` start states; other resources start available."""
+    start = start or {}
+    resources = sorted({rid for rid, _, _ in rows} | set(start))
+    slot = {rid: i for i, rid in enumerate(resources)}
+    return OccupationTrace(resources, [start.get(rid, True) for rid in resources], [t for _, t, _ in rows],
+                           [slot[rid] for rid, _, _ in rows], [up for _, _, up in rows])
+
+
+def trace_rows(trace):
+    """The ``(id, time, available)`` rows of ``trace`` in replay order."""
+    ids = trace.resources.tolist()
+    return [(ids[s], t, up) for s, t, up in zip(trace.spot.tolist(), trace.time.tolist(), trace.up.tolist())]

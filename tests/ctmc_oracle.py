@@ -5,12 +5,18 @@ an independent oracle for the vectorized predictions in
 ``parksearch.availability`` and ``parksearch.planners.PlanningView``.
 """
 
+import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from parksearch.availability import AdaptionOverlay, CtmcParams, ResourceState, stationary_availability
+from parksearch.availability import AdaptionOverlay, CtmcParams, stationary_availability
+
+
+class ResourceState(enum.Enum):
+    AVAILABLE = "available"
+    OCCUPIED = "occupied"
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from parksearch.availability import AdaptionOverlay, CtmcParams, ResourceState
+from parksearch.availability import AdaptionOverlay, CtmcParams
 from parksearch.engine import AgentSpec, run_simulation, synthesize_occupations
 from parksearch.errors import NoPathError
 from parksearch.fleet import ReservationTable
@@ -30,8 +30,8 @@ from parksearch.planners import (
 )
 from parksearch.scenario import build_grid_graph_doc, dbscan, run_batch
 
-from conftest import bellman_ford_times, random_graph_doc
-from ctmc_oracle import ResourceBelief, availability_probability, transition_probability
+from conftest import bellman_ford_times, random_graph_doc, trace_rows
+from ctmc_oracle import ResourceBelief, ResourceState, availability_probability, transition_probability
 
 M_PER_DEG = math.pi * EARTH_RADIUS_M / 180.0
 A, O = ResourceState.AVAILABLE, ResourceState.OCCUPIED
@@ -96,18 +96,19 @@ def test_criterion_02_stationary_availability():
     horizon = 150_000.0
     trace = synthesize_occupations(graph, params, horizon, np.random.default_rng(77))
 
-    per_resource_events: dict[str, list] = {rid: [] for rid in graph.resources}
-    for ev in trace.events:
-        per_resource_events[ev.resource].append(ev)
+    per_resource_flips: dict[str, list] = {rid: [] for rid in graph.resources}
+    for rid, t, up in trace_rows(trace):
+        per_resource_flips[rid].append((t, up))
+    start_up = dict(zip(trace.resources.tolist(), trace.start_up.tolist()))
     available_time = 0.0
     for rid in graph.resources:
-        state = trace.initial_states[rid] is A
+        state = start_up[rid]
         t_prev = 0.0
-        for ev in per_resource_events[rid]:
+        for t, up in per_resource_flips[rid]:
             if state:
-                available_time += ev.time - t_prev
-            t_prev = ev.time
-            state = ev.state is A
+                available_time += t - t_prev
+            t_prev = t
+            state = up
         if state:
             available_time += horizon - t_prev
     fraction = available_time / (len(graph.resources) * horizon)

@@ -6,13 +6,13 @@ import pytest
 from parksearch.availability import (
     AdaptionOverlay,
     CtmcParams,
-    ResourceState,
     availability_after_rates,
     stationary_availability,
 )
 
 from ctmc_oracle import (
     ResourceBelief,
+    ResourceState,
     availability_probability,
     expected_wait_time,
     sample_future_state,

@@ -1,17 +1,18 @@
 import hashlib
 import math
+import re
 import time
 
 import numpy as np
 import pytest
 
 from parksearch import engine
-from parksearch.availability import CtmcParams, ResourceState
+from parksearch.availability import CtmcParams
 from parksearch.engine import (
+    DEFAULT_CTMC,
     AgentSpec,
     MetricsRecord,
     OccupationTrace,
-    TraceEvent,
     compute_metrics,
     load_trace,
     read_results,
@@ -28,9 +29,11 @@ from parksearch.graph import all_pairs_travel_times, load_graph
 from parksearch.planners import PlannerContext, PlannerSettings
 from parksearch.scenario import build_grid_graph_doc
 
+from conftest import trace_from_rows, trace_rows
+
 M_PER_DEG = math.pi * EARTH_RADIUS_M / 180.0
 FROZEN = CtmcParams(1e-9, 1e-9)
-A, O = ResourceState.AVAILABLE, ResourceState.OCCUPIED
+A, O = True, False  # the available flag of a trace row
 
 
 def line_world(n_resources=1):
@@ -54,28 +57,123 @@ def line_world(n_resources=1):
 
 
 def test_replay_trace_validation():
-    ok = OccupationTrace([TraceEvent("r1", 10.0, O), TraceEvent("r1", 50.0, A)])
-    events = replay_trace(ok)
-    assert [e.time for e in events] == [10.0, 50.0]
+    ok = trace_from_rows([("r1", 50.0, A), ("r1", 10.0, O)])
+    assert replay_trace(ok) is ok
+    assert len(ok) == 2 and ok.time.tolist() == [10.0, 50.0]
 
-    with pytest.raises(TraceError):
-        replay_trace(OccupationTrace([TraceEvent("r1", 10.0, O), TraceEvent("r1", 10.0, A)]))
-    with pytest.raises(TraceError):
-        replay_trace(OccupationTrace([TraceEvent("r1", 10.0, O), TraceEvent("r1", 20.0, O)]))
-    with pytest.raises(TraceError):
+    with pytest.raises(TraceError, match="non-increasing"):
+        replay_trace(trace_from_rows([("r1", 10.0, O), ("r1", 10.0, A)]))
+    with pytest.raises(TraceError, match="non-alternating"):
+        replay_trace(trace_from_rows([("r1", 10.0, O), ("r1", 20.0, O)]))
+    with pytest.raises(TraceError, match="non-alternating"):
         # resources start available: the first flip must change the state
-        replay_trace(OccupationTrace([TraceEvent("r1", 10.0, A)]))
+        replay_trace(trace_from_rows([("r1", 10.0, A)]))
     for bad in (math.nan, math.inf, -5.0):
         # a flip at such a time would be dropped by the horizon filter or replayed before time 0
-        with pytest.raises(TraceError, match="finite and non-negative"):
-            replay_trace(OccupationTrace([TraceEvent("r0", 10.0, O), TraceEvent("r1", bad, O)]))
+        with pytest.raises(TraceError, match="'r1': event time must be finite and non-negative"):
+            replay_trace(trace_from_rows([("r0", 10.0, O), ("r1", bad, O)]))
+
+
+def oracle_replay(rows, start):
+    """The per-flip validator: ``rows`` are ``(id, time, available)`` flips in any order and
+    ``start`` maps ids to their start state. Returns the rows in replay order."""
+    last_time: dict[str, float] = {}
+    last_state: dict[str, bool] = dict(start)
+    events = sorted(rows, key=lambda r: (r[1], r[0]))
+    for rid, t, up in events:
+        if not 0.0 <= t < math.inf:
+            raise TraceError(f"resource {rid!r}: event time must be finite and non-negative, got {t}")
+        prev_t = last_time.get(rid)
+        if prev_t is not None and t <= prev_t:
+            raise TraceError(f"non-increasing event times for resource {rid!r} at {t}")
+        if up == last_state.get(rid, True):
+            raise TraceError(f"non-alternating states for resource {rid!r} at {t}")
+        last_time[rid] = t
+        last_state[rid] = up
+    return events
+
+
+TRACE_CORRUPTIONS = ("equal time", "repeated state", "first flip equals start", "nan time", "inf time",
+                     "negative time", "only a later resource")
+
+
+def _fuzz_trace(rng):
+    """Valid rows over a few resources (integer times, so resources share times), then at most one
+    corruption, in file order or shuffled."""
+    ids = [f"r{int(i)}" for i in rng.choice(12, size=int(rng.integers(1, 6)), replace=False)]
+    start = {rid: bool(rng.random() < 0.5) for rid in ids if rng.random() < 0.7}
+    per_res = {}
+    for rid in ids:
+        up, t, flips = start.get(rid, True), float(rng.integers(0, 3)), []
+        for _ in range(int(rng.integers(0, 6))):
+            up = not up
+            flips.append([rid, t, up])
+            t += float(rng.integers(1, 8))
+        per_res[rid] = flips
+    corruption = None if rng.random() < 0.25 else str(rng.choice(TRACE_CORRUPTIONS))
+    flipped = [rid for rid in ids if per_res[rid]]
+    if corruption and flipped:
+        rid = max(flipped) if corruption == "only a later resource" else str(rng.choice(flipped))
+        flips = per_res[rid]
+        k = int(rng.integers(len(flips)))
+        kind = str(rng.choice(TRACE_CORRUPTIONS[:6])) if corruption == "only a later resource" else corruption
+        if kind == "equal time" and k > 0:
+            flips[k][1] = flips[k - 1][1]
+        elif kind == "repeated state" or kind == "equal time":
+            flips[k][2] = not flips[k][2]
+        elif kind == "first flip equals start":
+            for flip in flips:
+                flip[2] = not flip[2]
+        else:
+            flips[k][1] = {"nan time": math.nan, "inf time": math.inf}.get(kind, -float(rng.integers(1, 5)))
+    rows = [tuple(flip) for rid in ids for flip in per_res[rid]]
+    if rng.random() < 0.5:
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+    return rows, start, corruption
+
+
+def test_replay_trace_matches_per_flip_oracle():
+    rng = np.random.default_rng(2024)
+    outcomes = set()
+    for _ in range(400):
+        rows, start, corruption = _fuzz_trace(rng)
+        trace = trace_from_rows(rows, start)
+        try:
+            expected = oracle_replay(rows, start)
+        except TraceError as exc:
+            with pytest.raises(TraceError) as got:
+                replay_trace(trace)
+            named = [re.search(r"resource ('[^']*')", str(e)).group(1) for e in (got.value, exc)]
+            assert named[0] == named[1], (rows, start)
+            if not any(math.isnan(t) for _, t, _ in rows):  # Python's sort leaves a NaN key where it lies
+                assert str(got.value) == str(exc)
+            outcomes.add((corruption, "rejected"))
+            continue
+        assert replay_trace(trace) is trace
+        assert trace_rows(trace) == [(rid, t, up) for rid, t, up in expected]
+        outcomes.add((corruption, "accepted"))
+    assert {(c, "rejected") for c in TRACE_CORRUPTIONS} <= outcomes
+    assert (None, "accepted") in outcomes
+
+
+def test_synthesized_trace_is_pinned():
+    # The digest of the object-per-flip synthesis; the columnar one must draw the same stream.
+    graph = load_graph(build_grid_graph_doc(50, 50, n_resources=5000, seed=0))
+    trace = synthesize_occupations(graph, DEFAULT_CTMC, 7200.0, np.random.default_rng(11))
+    digest = hashlib.sha256()
+    for rid, up in zip(trace.resources.tolist(), trace.start_up.tolist()):
+        digest.update(f"{rid},{up}\n".encode())
+    for rid, t, up in trace_rows(trace):
+        digest.update(f"{rid},{t.hex()},{up}\n".encode())
+    assert len(trace) == 32566
+    assert digest.hexdigest() == "dacd73fead57e86fa52e23c3da2d1147bc8615e4feae1dc358c6625d7b9e96bd"
 
 
 def test_single_agent_parks_with_exact_times():
     graph = line_world()
     dest = GeoPoint(0.0, 0.001)
     spec = AgentSpec("a0", "n0", dest, 0.0, "rpl")
-    records = run_simulation(graph, [spec], OccupationTrace([]), params=FROZEN,
+    records = run_simulation(graph, [spec], OccupationTrace(), params=FROZEN,
                              measure_computation=False)
     rec = records[0]
     assert rec.status == "parked"
@@ -92,7 +190,7 @@ def test_two_agent_race_one_winner():
     graph = line_world()
     dest = GeoPoint(0.0, 0.001)
     agents = [AgentSpec(f"a{i}", "n0", dest, 0.0, "rpl") for i in range(2)]
-    records = run_simulation(graph, agents, OccupationTrace([]), params=FROZEN,
+    records = run_simulation(graph, agents, OccupationTrace(), params=FROZEN,
                              horizon_s=600.0, measure_computation=False)
     by_id = {r.agent_id: r for r in records}
     assert by_id["a0"].status == "parked"  # equal claims resolve to the lower agent id
@@ -107,10 +205,7 @@ def test_trace_flip_suppressed_while_fleet_occupied():
     # then reporting occupied/available again must not evict the fleet car.
     graph = line_world()
     dest = GeoPoint(0.0, 0.001)
-    trace = OccupationTrace(
-        [TraceEvent("r1", 5.0, A), TraceEvent("r1", 40.0, O), TraceEvent("r1", 60.0, A)],
-        initial_states={"r1": O},
-    )
+    trace = trace_from_rows([("r1", 5.0, A), ("r1", 40.0, O), ("r1", 60.0, A)], {"r1": O})
     agents = [
         AgentSpec("a0", "n0", dest, 0.0, "rpl"),
         AgentSpec("a1", "n0", dest, 70.0, "rpl"),  # starts after the trace frees r1 again
@@ -128,7 +223,7 @@ def test_fully_observable_view_sees_flips_at_decision_time():
     # agent's spawn decision, so the replanner targets it immediately.
     graph = line_world()
     dest = GeoPoint(0.0, 0.001)
-    trace = OccupationTrace([TraceEvent("r1", 0.0, A)], initial_states={"r1": O})
+    trace = trace_from_rows([("r1", 0.0, A)], {"r1": O})
     records = run_simulation(graph, [AgentSpec("a0", "n0", dest, 0.0, "rpl")], trace,
                              params=FROZEN, measure_computation=False)
     assert records[0].status == "parked"
@@ -138,7 +233,7 @@ def test_fully_observable_view_sees_flips_at_decision_time():
 
 def test_timeout_inclusion_rule():
     graph = line_world()
-    trace = OccupationTrace([], initial_states={"r1": O})
+    trace = trace_from_rows([], {"r1": O})
     records = run_simulation(graph, [AgentSpec("a0", "n0", GeoPoint(0.0, 0.001), 0.0, "rpl")],
                              trace, params=FROZEN, horizon_s=7200.0, measure_computation=False)
     assert records[0].status == "timed_out"
@@ -150,11 +245,12 @@ def test_synthesize_occupations_properties(default_params):
     graph = load_graph(build_grid_graph_doc(4, 4, n_resources=30, seed=1))
     t1 = synthesize_occupations(graph, default_params, 5000.0, np.random.default_rng(5))
     t2 = synthesize_occupations(graph, default_params, 5000.0, np.random.default_rng(5))
-    assert t1.events == t2.events and t1.initial_states == t2.initial_states
+    assert trace_rows(t1) == trace_rows(t2) and np.array_equal(t1.start_up, t2.start_up)
+    assert t1.resources.tolist() == sorted(graph.resources)
     replay_trace(t1)  # valid by construction
 
     tiny = synthesize_occupations(graph, CtmcParams(1e-9, 1e-9), 10.0, np.random.default_rng(2))
-    assert tiny.events == []  # horizon far below any sojourn
+    assert len(tiny) == 0  # horizon far below any sojourn
 
 
 def test_synthesize_respects_per_resource_rates():
@@ -165,8 +261,8 @@ def test_synthesize_respects_per_resource_rates():
     trace = synthesize_occupations(graph, CtmcParams.from_mean_times(120.0, 120.0), 20_000.0,
                                    np.random.default_rng(3), overrides)
     flips = {}
-    for ev in trace.events:
-        flips[ev.resource] = flips.get(ev.resource, 0) + 1
+    for rid, _, _ in trace_rows(trace):
+        flips[rid] = flips.get(rid, 0) + 1
     # the dead resource flips at most once (losing its rare initial availability)
     assert flips.get(rids[0], 0) <= 1
     assert sum(flips.values()) > 100
@@ -234,8 +330,8 @@ def test_trace_file_roundtrip(tmp_path):
     assert header == "resource_id,time_s,state"
     loaded = load_trace(path)  # validates monotonicity and alternation
     # occupied initial states are encoded as flips at t = 0
-    t0 = {e.resource for e in loaded.events if e.time == 0.0}
-    occupied_initially = {rid for rid, s in trace.initial_states.items() if s is O}
+    t0 = {rid for rid, t, _ in trace_rows(loaded) if t == 0.0}
+    occupied_initially = set(trace.resources[~trace.start_up].tolist())
     assert t0 == occupied_initially
 
     bad = tmp_path / "bad.csv"
@@ -286,7 +382,7 @@ def test_conservation_and_no_teleport():
 
 def test_unknown_trace_resource_rejected():
     graph = line_world()
-    trace = OccupationTrace([TraceEvent("ghost", 5.0, O)])
+    trace = trace_from_rows([("ghost", 5.0, O)])
     with pytest.raises(TraceError):
         run_simulation(graph, [AgentSpec("a0", "n0", GeoPoint(0.0, 0.001), 0.0, "rpl")],
                        trace, params=FROZEN)
@@ -296,13 +392,13 @@ def test_agent_validation():
     graph = line_world()
     dest = GeoPoint(0.0, 0.001)
     with pytest.raises(ConfigError):
-        run_simulation(graph, [AgentSpec("a", "nope", dest, 0.0, "rpl")], OccupationTrace([]))
+        run_simulation(graph, [AgentSpec("a", "nope", dest, 0.0, "rpl")], OccupationTrace())
     with pytest.raises(ConfigError):
-        run_simulation(graph, [AgentSpec("a", "n0", dest, -5.0, "rpl")], OccupationTrace([]))
+        run_simulation(graph, [AgentSpec("a", "n0", dest, -5.0, "rpl")], OccupationTrace())
     with pytest.raises(ConfigError):
-        run_simulation(graph, [AgentSpec("a", "n0", dest, 0.0, "warp")], OccupationTrace([]))
+        run_simulation(graph, [AgentSpec("a", "n0", dest, 0.0, "warp")], OccupationTrace())
     with pytest.raises(ConfigError):
-        run_simulation(graph, [AgentSpec("a", "n0", dest, 0.0, "rpl")] * 2, OccupationTrace([]))
+        run_simulation(graph, [AgentSpec("a", "n0", dest, 0.0, "rpl")] * 2, OccupationTrace())
 
 
 def test_fleet_reservation_spreads_identical_cohort():
@@ -328,7 +424,7 @@ def test_fleet_reservation_spreads_identical_cohort():
     graph = load_graph(doc)
     dest = GeoPoint(0.0, 0.0005)  # at ra's position: ra is the better spot
     agents = [AgentSpec(f"a{i}", "n0", dest, 0.0, "rpl_r") for i in range(2)]
-    records = run_simulation(graph, agents, OccupationTrace([]), params=FROZEN,
+    records = run_simulation(graph, agents, OccupationTrace(), params=FROZEN,
                              measure_computation=False)
     by_id = {r.agent_id: r for r in records}
     assert by_id["a0"].parked_resource == "ra"
@@ -337,7 +433,7 @@ def test_fleet_reservation_spreads_identical_cohort():
 
     # without reservations both race ra and a1 wastes a claim
     agents_plain = [AgentSpec(f"a{i}", "n0", dest, 0.0, "rpl") for i in range(2)]
-    plain = {r.agent_id: r for r in run_simulation(graph, agents_plain, OccupationTrace([]),
+    plain = {r.agent_id: r for r in run_simulation(graph, agents_plain, OccupationTrace(),
                                                    params=FROZEN, measure_computation=False)}
     assert plain["a1"].unsuccessful_claims >= 1
 
@@ -351,7 +447,7 @@ def test_static_world_replanning_reduces_to_best_candidate():
     matrix = all_pairs_travel_times(graph)
     dest = GeoPoint(0.0008, 0.0011)
     spec = AgentSpec("a0", "n0000", dest, 0.0, "rpl")
-    records = run_simulation(graph, [spec], OccupationTrace([]), params=FROZEN,
+    records = run_simulation(graph, [spec], OccupationTrace(), params=FROZEN,
                              measure_computation=False)
 
     best_rid, best_cost = None, np.inf
@@ -373,7 +469,7 @@ def test_flips_apply_before_claims_and_arrivals_at_equal_time():
     # t=60 exactly when the trace frees r1 again, and parks at t=72.
     graph = line_world()
     dest = GeoPoint(0.0, 0.001)
-    trace = OccupationTrace([TraceEvent("r1", 12.0, O), TraceEvent("r1", 60.0, A)])
+    trace = trace_from_rows([("r1", 12.0, O), ("r1", 60.0, A)])
     records, log = run_simulation(graph, [AgentSpec("a0", "n0", dest, 0.0, "rpl")], trace,
                                   params=FROZEN, horizon_s=600.0, measure_computation=False,
                                   collect_events=True)

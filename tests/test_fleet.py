@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from parksearch.availability import AdaptionOverlay, CtmcParams, ResourceState
+from parksearch.availability import AdaptionOverlay, CtmcParams
 from parksearch.errors import AdaptionError, DegenerateTargetError
 from parksearch.fleet import (
     Reservation,
@@ -18,7 +18,7 @@ from parksearch.graph import isochrone_nodes
 from parksearch.planners import PlanningView
 
 from conftest import make_context
-from ctmc_oracle import ResourceBelief, availability_probability
+from ctmc_oracle import ResourceBelief, ResourceState, availability_probability
 
 FROZEN = CtmcParams(1e-9, 1e-9)
 

@@ -11,6 +11,7 @@ from parksearch.errors import NoPathError
 from parksearch.fleet import ReservationTable
 from parksearch.geo import EARTH_RADIUS_M, GeoPoint, great_circle_m
 from parksearch.planners import (
+    FutureMinima,
     HeuristicPolicy,
     HindsightPolicy,
     PlannerSettings,
@@ -90,7 +91,8 @@ def test_replan_picks_cheaper_total():
     assert decision.target_resource == "rB"
     assert decision.action == TakeRoad("e-sb")
     assert decision.expected_arrival == pytest.approx(70.0)
-    assert decision.q_estimates["road:e-sb"] == pytest.approx(90.0, abs=1e-6)
+    walk = ctx.walk_vector(dest)[ctx.res_index[decision.target_resource]]
+    assert decision.expected_arrival + walk == pytest.approx(90.0, abs=1e-6)
 
 
 def test_replan_avoids_expensive_wait():
@@ -269,8 +271,12 @@ def test_hindsight_takes_adjacent_resource():
     assert decision.expected_arrival == pytest.approx(10.0)
     # one-step look-ahead of the only road action: 30 to drive, then the best
     # hindsight solution from `a` costs 60 via rN in every certain future
-    assert decision.q_estimates["road:e-sa"] == pytest.approx(90.0, rel=1e-6)
-    assert decision.q_estimates["resource:rN"] == pytest.approx(30.0, rel=1e-9)
+    walk = ctx.walk_vector(GeoPoint(0.0, 0.0))
+    _, _, probs = planners._future_probabilities(view, "s")
+    futures = FutureMinima(view, ctx.drive_to_resources(["a"]) + walk, policy._uniforms, probs)
+    assert 30.0 + futures.mins.mean(axis=1)[0] == pytest.approx(90.0, rel=1e-6)
+    rn = ctx.res_index["rN"]
+    assert ctx.res_offset[rn] + walk[rn] == pytest.approx(30.0, rel=1e-9)  # the spot action's value
 
 
 def test_hindsight_single_road_action():

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from parksearch import scenario as scenario_module
-from parksearch.availability import CtmcParams, ResourceState
-from parksearch.engine import OccupationTrace, TraceEvent, read_results, write_results
+from parksearch.availability import CtmcParams
+from parksearch.engine import read_results, write_results
 from parksearch.engine import MetricsRecord
 from parksearch.errors import ConfigError
 from parksearch.geo import EARTH_RADIUS_M, GeoPoint, great_circle_m
@@ -27,6 +27,8 @@ from parksearch.scenario import (
     summarize_results,
     zone_rate_overrides,
 )
+
+from conftest import trace_from_rows
 
 M_PER_DEG = math.pi * EARTH_RADIUS_M / 180.0
 
@@ -297,11 +299,9 @@ def test_generate_data_driven_noise_only_warns_then_errors():
 def test_occupation_points():
     graph = load_graph(build_grid_graph_doc(3, 3, n_resources=4, seed=5))
     rid = next(iter(graph.resources))
-    trace = OccupationTrace([TraceEvent(rid, 10.0, ResourceState.OCCUPIED),
-                             TraceEvent(rid, 50.0, ResourceState.AVAILABLE),
-                             TraceEvent(rid, 80.0, ResourceState.OCCUPIED)])
+    trace = trace_from_rows([(rid, 80.0, False), (rid, 10.0, False), (rid, 50.0, True), ("elsewhere", 20.0, False)])
     pts = occupation_points(graph, trace)
-    assert len(pts) == 2
+    assert len(pts) == 2  # flips to occupied on this graph's resources, in replay order
     assert all(p == graph.resources[rid].position for p, _ in pts)
     assert [t for _, t in pts] == [10.0, 80.0]
 
