@@ -156,6 +156,11 @@ def adapt_probabilities(
 
     p_initial = 1.0 - float(view.availability(t_arrival, [t_idx])[0])
     t_partial = target_edge.drive_time_s - target.offset_s
+    # Nothing a weight reads changes during the walks (the overlay is written
+    # after them), so candidates and weights repeat exactly within this call:
+    # weights are keyed by node, time and which candidates were visited.
+    cands_of: dict[str, list] = {}
+    weights_of: dict[tuple, tuple[list[float], float]] = {}
     paths: list[WalkPath] = []
     for _ in range(samples):
         p_path = p_initial
@@ -165,14 +170,20 @@ def adapt_probabilities(
         taken: list[str] = []
         final_edge = target_edge.id
         for _ in range(max_steps):
-            cands = [e for e in ctx.out_edges[node] if e.to_node in iso_nodes]
+            cands = cands_of.get(node)
+            if cands is None:
+                cands = cands_of[node] = [e for e in ctx.out_edges[node] if e.to_node in iso_nodes]
             if not cands:
                 break
-            weights = [
-                _edge_jump_weight(view, e.id, t_acc, visited, dest_idx, isochrone_s, visit_decay)
-                for e in cands
-            ]
-            total = float(sum(weights))
+            key = (node, t_acc, frozenset(e.id for e in cands if e.id in visited))
+            memo = weights_of.get(key)
+            if memo is None:
+                weights = [
+                    _edge_jump_weight(view, e.id, t_acc, visited, dest_idx, isochrone_s, visit_decay)
+                    for e in cands
+                ]
+                memo = weights_of[key] = (weights, float(sum(weights)))
+            weights, total = memo
             if total <= 0.0:
                 break
             draw = float(rng.random()) * max(total, 1.0)

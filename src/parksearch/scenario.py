@@ -11,13 +11,15 @@ against its single-agent base.
 from __future__ import annotations
 
 import json
+import math
 import warnings
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .availability import CtmcParams
 from .engine import (
@@ -33,7 +35,7 @@ from .engine import (
     write_results,
 )
 from .errors import ConfigError
-from .geo import GeoPoint, great_circle_m
+from .geo import EARTH_RADIUS_M, GeoPoint, great_circle_m
 from .graph import DEFAULT_ROUND_TRIP_S, DEFAULT_SPEED_FACTOR, RoadGraph, load_graph
 from .planners import PLANNER_KINDS, PLANNERS, SETTING_BOUNDS, PlannerSettings, check_number
 
@@ -314,51 +316,82 @@ class Cluster:
     member_indices: tuple[int, ...]
 
 
-def _pairwise_gc_m(points: list[GeoPoint]) -> np.ndarray:
+# Cells at least this wide keep the three cell coordinates of a unit vector packable into one int64 key.
+_MIN_CELL = 2.0 ** -19
+
+
+def _neighbour_pairs(points: list[GeoPoint], eps_m: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered pair ``(i, j)`` of points within ``eps_m`` of each other, ``(i, i)`` included.
+
+    Unit-sphere vectors are hashed into cubic cells at least one chord radius
+    wide, so every neighbour of a point lies in one of the 27 cells around its
+    own. Candidates from each cell offset are kept when their haversine
+    distance, computed per pair with the same operations in the same order as
+    one row of a full distance matrix, is at most ``eps_m``; memory grows with
+    the points and the kept pairs.
+    """
     lat = np.radians(np.array([p.lat for p in points]))
     lon = np.radians(np.array([p.lon for p in points]))
-    dphi = lat[:, None] - lat[None, :]
-    dlam = lon[:, None] - lon[None, :]
-    h = np.sin(dphi / 2.0) ** 2 + np.cos(lat)[:, None] * np.cos(lat)[None, :] * np.sin(dlam / 2.0) ** 2
-    return 2.0 * 6_371_000.0 * np.arcsin(np.minimum(1.0, np.sqrt(h)))
+    cos_lat = np.cos(lat)
+    xyz = np.stack((cos_lat * np.cos(lon), cos_lat * np.sin(lon), np.sin(lat)), axis=1)
+    chord = 2.0 * math.sin(min(eps_m / (2.0 * EARTH_RADIUS_M), math.pi / 2.0))
+    cell = max(chord + 1e-9, _MIN_CELL)  # the margin absorbs rounding between chords and haversine distances
+    ijk = np.floor(xyz / cell).astype(np.int64)
+    ijk -= ijk.min(axis=0) - 1  # coordinates from 1, so a neighbouring cell's are never negative
+    width = int(ijk.max()) + 2
+    key = (ijk[:, 0] * width + ijk[:, 1]) * width + ijk[:, 2]
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    steps = (-1, 0, 1)
+    rows, cols = [], []
+    for offset in [(dx * width + dy) * width + dz for dx in steps for dy in steps for dz in steps]:
+        lo = np.searchsorted(sorted_key, key + offset, side="left")
+        count = np.searchsorted(sorted_key, key + offset, side="right") - lo
+        i = np.repeat(np.arange(len(points)), count)
+        j = order[np.arange(len(i)) + np.repeat(lo - (np.cumsum(count) - count), count)]
+        h = np.sin((lat[i] - lat[j]) / 2.0) ** 2 + cos_lat[i] * cos_lat[j] * np.sin((lon[i] - lon[j]) / 2.0) ** 2
+        keep = 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(h))) <= eps_m
+        rows.append(i[keep])
+        cols.append(j[keep])
+    return np.concatenate(rows), np.concatenate(cols)
 
 
 def dbscan(points: list[GeoPoint], eps_m: float, min_pts: int) -> list[Cluster]:
     """Density-based clustering under great-circle distance.
 
-    Neighborhoods include the point itself. Border points join the cluster of
-    the first core point that reaches them in index order.
+    Neighborhoods include the point itself. A point is core when its
+    neighborhood holds at least ``min_pts`` points; core points within
+    ``eps_m`` of each other share a cluster, and clusters are numbered by their
+    lowest core index. A border point joins the lowest-numbered cluster among
+    its core neighbors, and members are listed in index order.
     """
-    if eps_m <= 0:
-        raise ConfigError("eps must be positive")
+    if not math.isfinite(eps_m) or eps_m <= 0:
+        raise ConfigError(f"eps must be positive and finite, got {eps_m!r}")
     if min_pts < 1:
         raise ConfigError("min_pts must be at least 1")
     n = len(points)
     if n == 0:
         return []
-    dist = _pairwise_gc_m(points)
-    neighbors = [np.nonzero(dist[i] <= eps_m)[0] for i in range(n)]
-    core = np.array([len(nb) >= min_pts for nb in neighbors])
-    labels = np.full(n, -1, dtype=int)
-    next_label = 0
-    for i in range(n):
-        if labels[i] != -1 or not core[i]:
-            continue
-        labels[i] = next_label
-        queue = deque([i])
-        while queue:
-            j = queue.popleft()
-            for k in neighbors[j]:
-                if labels[k] == -1:
-                    labels[k] = next_label
-                    if core[k]:
-                        queue.append(int(k))
-        next_label += 1
-    clusters = []
-    for label in range(next_label):
-        idx = tuple(int(i) for i in np.nonzero(labels == label)[0])
-        clusters.append(Cluster(label, tuple(points[i] for i in idx), idx))
-    return clusters
+    i, j = _neighbour_pairs(points, eps_m)
+    core = np.bincount(i, minlength=n) >= min_pts
+    core_idx = np.flatnonzero(core)
+    if not len(core_idx):
+        return []
+    linked = core[i] & core[j]
+    links = csr_matrix((np.ones(int(linked.sum()), dtype=np.int8), (i[linked], j[linked])), shape=(n, n))
+    component = connected_components(links, directed=False)[1][core_idx]
+    _, first = np.unique(component, return_index=True)  # each component's lowest core index, as a core_idx position
+    rank = np.empty(component.max() + 1, dtype=np.int64)
+    rank[component[np.sort(first)]] = np.arange(len(first))
+    labels = np.full(n, len(first), dtype=np.int64)  # unlabeled: one past the last label
+    labels[core_idx] = rank[component]
+    border = core[i] & ~core[j]
+    np.minimum.at(labels, j[border], labels[i[border]])
+    labeled = np.flatnonzero(labels < len(first))
+    labeled = labeled[np.argsort(labels[labeled], kind="stable")]
+    groups = np.split(labeled, np.cumsum(np.bincount(labels[labeled]))[:-1])
+    return [Cluster(label, tuple(points[m] for m in idx), tuple(idx))
+            for label, idx in enumerate(g.tolist() for g in groups)]
 
 
 def occupation_points(graph: RoadGraph, trace: OccupationTrace) -> list[tuple[GeoPoint, float]]:

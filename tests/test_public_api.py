@@ -1,6 +1,9 @@
 """The documented library surface: the README snippet runs, and every exported name resolves."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import parksearch as ps
@@ -21,3 +24,11 @@ def test_every_exported_name_resolves():
     assert len(ps.__all__) == len(set(ps.__all__))
     missing = [name for name in ps.__all__ if not hasattr(ps, name)]
     assert missing == []
+
+
+def test_import_leaves_scipy_spatial_out():
+    """``scipy.spatial`` alone adds about 6 MB of resident memory to every process that imports the package."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", "import sys, parksearch; print('scipy.spatial' in sys.modules)"],
+                          capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.stdout.strip() == "False"

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import warnings
+from collections import Counter, deque
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from parksearch.errors import ConfigError
 from parksearch.geo import EARTH_RADIUS_M, GeoPoint, great_circle_m
 from parksearch.graph import all_pairs_travel_times, load_graph
 from parksearch.scenario import (
+    Cluster,
     build_grid_graph_doc,
     dbscan,
     generate_data_driven,
@@ -258,6 +260,116 @@ def test_dbscan_order_independent_up_to_labels():
         sorted((p.lat, p.lon) for p in c.members) for c in clusters
     )
     assert canon(first, pts) == canon(second, shuffled)
+
+
+@pytest.mark.parametrize("eps_m, min_pts", [
+    (0.0, 3), (-1.0, 3), (math.nan, 3), (math.inf, 3), (-math.inf, 3), (100.0, 0),
+])
+def test_dbscan_rejects_bad_parameters(eps_m, min_pts):
+    with pytest.raises(ConfigError):
+        dbscan([GeoPoint(0.0, 0.0)], eps_m, min_pts)
+
+
+def oracle_pairwise_gc_m(points):
+    """The full haversine distance matrix, row ``i`` holding every distance from point ``i``."""
+    lat = np.radians(np.array([p.lat for p in points]))
+    lon = np.radians(np.array([p.lon for p in points]))
+    dphi = lat[:, None] - lat[None, :]
+    dlam = lon[:, None] - lon[None, :]
+    h = np.sin(dphi / 2.0) ** 2 + np.cos(lat)[:, None] * np.cos(lat)[None, :] * np.sin(dlam / 2.0) ** 2
+    return 2.0 * 6_371_000.0 * np.arcsin(np.minimum(1.0, np.sqrt(h)))
+
+
+def oracle_dbscan(points, eps_m, min_pts):
+    """DBSCAN over the full distance matrix by breadth-first search from each unlabeled core point in index order."""
+    n = len(points)
+    if n == 0:
+        return []
+    dist = oracle_pairwise_gc_m(points)
+    neighbors = [np.nonzero(dist[i] <= eps_m)[0] for i in range(n)]
+    core = np.array([len(nb) >= min_pts for nb in neighbors])
+    labels = np.full(n, -1, dtype=int)
+    next_label = 0
+    for i in range(n):
+        if labels[i] != -1 or not core[i]:
+            continue
+        labels[i] = next_label
+        queue = deque([i])
+        while queue:
+            j = queue.popleft()
+            for k in neighbors[j]:
+                if labels[k] == -1:
+                    labels[k] = next_label
+                    if core[k]:
+                        queue.append(int(k))
+        next_label += 1
+    clusters = []
+    for label in range(next_label):
+        idx = tuple(int(i) for i in np.nonzero(labels == label)[0])
+        clusters.append(Cluster(label, tuple(points[i] for i in idx), idx))
+    return clusters
+
+
+def fuzz_points(rng, where):
+    """A few clusters of random size and spread plus scattered noise, around a center picked by ``where``."""
+    if where == "polar":
+        lat0, lon0 = float(rng.choice([-1.0, 1.0]) * rng.uniform(89.5, 89.9)), float(rng.uniform(-180.0, 180.0))
+    elif where == "dateline":
+        lat0, lon0 = float(rng.uniform(-60.0, 60.0)), float(rng.choice([-180.0, 180.0]))
+    else:
+        lat0, lon0 = float(rng.uniform(-70.0, 70.0)), float(rng.uniform(-170.0, 170.0))
+    spread = float(10 ** rng.uniform(0.5, 3.0))
+    offsets = []
+    for _ in range(int(rng.integers(1, 5))):
+        center = rng.normal(0.0, 4.0 * spread, 2)
+        offsets += [center + rng.normal(0.0, spread, 2) for _ in range(int(rng.integers(1, 40)))]
+    offsets += [rng.normal(0.0, 10.0 * spread, 2) for _ in range(int(rng.integers(0, 10)))]
+    points = []
+    for north, east in offsets:
+        lat = float(np.clip(lat0 + north / M_PER_DEG, -89.9, 89.9))
+        lon = lon0 + east / (M_PER_DEG * math.cos(math.radians(lat)))
+        points.append(GeoPoint(lat, float((lon + 180.0) % 360.0 - 180.0)))
+    return points, spread
+
+
+def test_dbscan_matches_matrix_oracle_on_fuzzed_sets():
+    rng = np.random.default_rng(2024)
+    seen = Counter()
+    for trial in range(320):
+        where = ("plain", "polar", "dateline")[trial % 3]
+        points, spread = fuzz_points(rng, where)
+        if trial % 5 == 0:  # exact duplicates
+            points += [points[int(k)] for k in rng.integers(len(points), size=int(rng.integers(1, 6)))]
+            seen["duplicates"] += 1
+        if trial % 7 == 3:  # a few points anywhere: cell coordinates span the whole sphere
+            points += [GeoPoint(float(rng.uniform(-89.9, 89.9)), float(rng.uniform(-180.0, 180.0))) for _ in range(3)]
+        if trial % 50 == 7:
+            points = points[:1]
+        n = len(points)
+        eps = spread * float(10 ** rng.uniform(-0.7, 0.7))
+        if trial % 4 == 1 and n > 1:  # eps equal to one pair's distance: the <= boundary
+            dist = oracle_pairwise_gc_m(points)
+            i, j = rng.choice(n, size=2, replace=False)
+            if dist[i, j] > 0.0:
+                eps = float(dist[i, j])
+                seen["eps is a pair distance"] += 1
+        if trial % 40 == 11:  # beyond half the circumference: every pair is a neighbour, the chord is clamped
+            eps = float(rng.uniform(1.0, 3.0) * math.pi * EARTH_RADIUS_M)
+            seen["eps beyond half the circumference"] += 1
+        min_pts = int(rng.integers(1, 7))
+        expected = oracle_dbscan(points, eps, min_pts)
+        assert dbscan(points, eps, min_pts) == expected, (trial, where, n, eps, min_pts)
+
+        seen["n=1"] += n == 1
+        seen["eps under 10 m, points across the globe"] += trial % 7 == 3 and n > 1 and eps < 10.0
+        seen["min_pts=1"] += min_pts == 1
+        seen["all noise"] += not expected
+        seen["|lat| >= 89.5"] += max(abs(p.lat) for p in points) >= 89.5
+        seen["cluster straddles 180"] += any(
+            min(p.lon for p in c.members) < -179.0 and max(p.lon for p in c.members) > 179.0 for c in expected)
+    assert all(seen[case] > 0 for case in (
+        "duplicates", "eps is a pair distance", "eps beyond half the circumference", "n=1", "min_pts=1", "all noise",
+        "|lat| >= 89.5", "cluster straddles 180", "eps under 10 m, points across the globe")), seen
 
 
 def test_generate_data_driven_counts(tmp_path):
