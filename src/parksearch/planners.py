@@ -282,8 +282,8 @@ def replan_route(view: PlanningView, from_node: str, destination: GeoPoint) -> R
     arrivals = view.now + drive
     treated = view.avail & ~_reserved_against(view, arrivals)
     costs = drive + ctx.walk_vector(destination) + view.claim_wait(treated)
-    best = int(np.argmin(costs))
-    if not np.isfinite(costs[best]):
+    best = int(np.argmin(costs)) if costs.size else 0
+    if not costs.size or not np.isfinite(costs[best]):
         raise NoPathError(f"no resource reachable from {from_node!r}")
     return RouteDecision(ctx.action_toward(from_node, best), ctx.res_ids[best], float(view.now + drive[best]))
 
@@ -299,61 +299,67 @@ def _future_probabilities(view: PlanningView, from_node: str) -> tuple[np.ndarra
     return drive, forced, probs
 
 
-# Columns of each cost row that every future evaluates; with at most twice as many resources, the
-# bookkeeping costs more than it saves and every column is evaluated.
+# Columns of each cost row that every future scans; with at most twice as many resources, the
+# bookkeeping costs more than it saves and every column is scanned.
 PRUNE_COLUMNS = 96
 
 
 class FutureMinima:
     """Least cost over resources of ``base[row] + wait`` in every sampled future, per row.
 
-    Future ``f`` finds resource ``c`` available when ``uniforms[f, c] < probs[c]``; otherwise it
+    Future ``f`` finds resource ``c`` available when ``uniforms[c, f] < probs[c]``; otherwise it
     pays the circling wait ``view.t_claim[c]``. ``mins[row, f]`` equals the minimum over the full
-    ``(futures x resources)`` cost matrix bit for bit, and ``argmin(row)`` its first argmin.
+    ``(futures x resources)`` cost matrix bit for bit, and ``argmin(row)`` its first argmin; with
+    no resources every minimum is ``inf``.
 
-    With more than ``2 * PRUNE_COLUMNS`` resources only S, the union of every row's
-    ``PRUNE_COLUMNS`` cheapest ``base`` columns, is evaluated for all futures. S is sorted
-    ascending, so the first argmin over S is the smallest resource index among ties.
+    Each row scans the columns of S in (base, index) order for each future's first available
+    one. That column is the exact minimum and first argmin when its base is strictly below
+    ``bound[row]``: every later column of S costs at least its base, which is no less (ties have
+    a larger index), and every occupied column costs at least ``min(base + t_claim)``. S is every
+    column; with more than ``2 * PRUNE_COLUMNS`` resources it is the union of every row's
+    ``PRUNE_COLUMNS`` cheapest ``base`` columns, and ``bound`` also takes the row's
+    ``(PRUNE_COLUMNS + 1)``-th cheapest base, below which no omitted column costs. Every other
+    (row, future) pair is solved over every column.
     """
 
     def __init__(self, view: PlanningView, base: np.ndarray, uniforms: np.ndarray, probs: np.ndarray):
         n_rows, n_res = base.shape
-        pruned = n_res > 2 * PRUNE_COLUMNS
-        if pruned:
+        n = uniforms.shape[1]
+        if n_res == 0:
+            self.mins = np.full((n_rows, n), np.inf)
+            self._picks = np.zeros((n_rows, n), dtype=int)
+            return
+        # t_claim = round_trip / p is positive or inf (round_trip_s > 0 is validated), so an
+        # occupied column costs at least this, and no column costs less than its base.
+        bound = (base + view.t_claim).min(axis=1)
+        row = np.arange(n_rows)[:, None]
+        if n_res > 2 * PRUNE_COLUMNS:
             part = np.argpartition(base, PRUNE_COLUMNS, axis=1)
             in_s = np.zeros(n_res, dtype=bool)
             in_s[part[:, :PRUNE_COLUMNS]] = True
-            self._cols = np.flatnonzero(in_s)
+            cols = np.flatnonzero(in_s)
+            np.minimum(bound, base[row[:, 0], part[:, PRUNE_COLUMNS]], out=bound)
+            base_s, free = base[:, cols], uniforms[cols] < probs[cols, None]
         else:
-            self._cols = slice(None)
-        cols = self._cols
-        # (rows, futures, |S|): the reductions run along the contiguous last axis
-        self._costs = base[:, None, cols] + view.claim_wait(uniforms[:, cols] < probs[cols], cols)
-        self.mins = self._costs.min(axis=2)
-        self._fallback: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        if pruned:
-            # wait >= 0, because t_claim = round_trip / p is positive or inf (round_trip_s > 0 is
-            # validated). So a column outside S costs at least its base, which is at least the row's
-            # (PRUNE_COLUMNS + 1)-th cheapest base, and a minimum strictly below that is exact. At
-            # equality an omitted column with a smaller index could tie, so those pairs, like every
-            # other failing pair, are solved over every column.
-            bound = base[np.arange(n_rows), part[:, PRUNE_COLUMNS]]
-            rows, futures = np.nonzero(~(self.mins < bound[:, None]))
-            if rows.size:
-                full = base[rows] + view.claim_wait(uniforms[futures] < probs)
-                self.mins[rows, futures] = full.min(axis=1)
-                self._fallback = (rows, futures, full)
+            cols, base_s, free = None, base, uniforms < probs[:, None]
+        # S is ascending, so a stable sort keeps equal bases in index order.
+        order = np.argsort(base_s, axis=1, kind="stable")
+        scan = free[order]  # (rows, |S|, futures): availability in each row's (base, index) order
+        pos = scan.argmax(axis=1)  # the first available position, or 0 when none is
+        first = order[row, pos]
+        self.mins = base_s[row, first]
+        exact = scan[row, pos, np.arange(n)]
+        exact &= self.mins < bound[:, None]
+        self._picks = first if cols is None else cols[first]
+        rows, futures = np.nonzero(~exact)
+        if rows.size:
+            full = base[rows] + view.claim_wait(uniforms[:, futures].T < probs)
+            self.mins[rows, futures] = full.min(axis=1)
+            self._picks[rows, futures] = full.argmin(axis=1)
 
     def argmin(self, row: int) -> np.ndarray:
         """Cheapest resource index of ``row`` in every future; ties go to the smallest index."""
-        choice = self._costs[row].argmin(axis=1)
-        if isinstance(self._cols, np.ndarray):
-            choice = self._cols[choice]
-        if self._fallback is not None:
-            rows, futures, full = self._fallback
-            mine = rows == row
-            choice[futures[mine]] = full[mine].argmin(axis=1)
-        return choice
+        return self._picks[row]
 
 
 def sample_determinizations(
@@ -374,7 +380,7 @@ def solve_determinization(
     ctx = view.ctx
     base = ctx.drive_to_resources([from_node]) + ctx.walk_vector(destination)
     # The future whose uniforms are all 0: 0 < p holds exactly where det.available is set.
-    future = FutureMinima(view, base, np.zeros((1, ctx.n_resources)), det.available)
+    future = FutureMinima(view, base, np.zeros((ctx.n_resources, 1)), det.available)
     cost = float(future.mins[0, 0])
     if not np.isfinite(cost):
         raise NoPathError(f"no resource reachable from {from_node!r}")
@@ -431,7 +437,8 @@ class HindsightPolicy:
         walk = ctx.walk_vector(self.destination)
         drive_here, forced, probs = _future_probabilities(view, node)
         if self._uniforms is None:
-            self._uniforms = rng.random((self.n, ctx.n_resources))
+            # (resources, futures), so the kernel gathers a column's futures as one contiguous row
+            self._uniforms = np.ascontiguousarray(rng.random((self.n, ctx.n_resources)).T)
 
         # (value, preference rank, id, action, out-edge row) per candidate; TakeResource wins ties.
         candidates: list[tuple[float, int, str, Action, int | None]] = []

@@ -23,10 +23,10 @@ from parksearch.engine import (
     taxi_time,
     write_results,
 )
-from parksearch.errors import ConfigError, TraceError
+from parksearch.errors import ConfigError, NoPathError, TraceError
 from parksearch.geo import EARTH_RADIUS_M, GeoPoint, walking_time
 from parksearch.graph import all_pairs_travel_times, load_graph
-from parksearch.planners import PlannerContext, PlannerSettings
+from parksearch.planners import PLANNER_KINDS, PlannerContext, PlannerSettings
 from parksearch.scenario import build_grid_graph_doc
 
 from conftest import trace_from_rows, trace_rows
@@ -239,6 +239,21 @@ def test_timeout_inclusion_rule():
     assert records[0].status == "timed_out"
     assert records[0].total_trip_s == 7200.0
     assert records[0].parking_s == pytest.approx(7200.0 - records[0].taxi_s)
+
+
+@pytest.mark.parametrize("kind", PLANNER_KINDS)
+def test_graph_without_spots(kind):
+    """Planning kinds report that no spot is reachable; the baselines search until the horizon."""
+    graph = load_graph(build_grid_graph_doc(4, 4, n_resources=0))
+    agents = [AgentSpec("a0", "n0000", GeoPoint(0.001, 0.001), 0.0, kind)]
+    if kind in ("random", "heuristic"):
+        records = run_simulation(graph, agents, OccupationTrace(), params=FROZEN, horizon_s=600.0,
+                                 measure_computation=False)
+        assert records[0].status == "timed_out"
+    else:
+        with pytest.raises(NoPathError, match="no resource reachable from 'n0000'"):
+            run_simulation(graph, agents, OccupationTrace(), params=FROZEN, horizon_s=600.0,
+                           measure_computation=False)
 
 
 def test_synthesize_occupations_properties(default_params):

@@ -1,11 +1,13 @@
-"""The pruned hindsight solve against the full (futures x resources) cost matrix.
+"""The first-free hindsight solve against the full (futures x resources) cost matrix.
 
 ``full_costs`` and ``oracle_decide`` are the reference: they build every
 future's cost of every resource, ``base + claim_wait(uniforms < probs)``, and
-take its minimum and first argmin. ``FutureMinima`` evaluates most futures on a
-few of each row's cheapest resources only, so these tests require bit-equal
-minima, equal argmins and equal decisions, on worlds with fewer and with more
-resources than the pruning cut-off.
+take its minimum and first argmin. ``FutureMinima`` takes most futures' minimum
+from the first available resource in (base, index) order among a few of each
+row's cheapest resources, so these tests require bit-equal minima, equal
+argmins and equal decisions, on worlds with fewer and with more resources than
+the pruning cut-off. The kernel and ``HindsightPolicy._uniforms`` hold uniforms
+as (resources, futures); the oracles read them transposed.
 """
 
 from collections import Counter
@@ -48,7 +50,7 @@ def oracle_decide(policy, view, node):
     ctx = view.ctx
     walk = ctx.walk_vector(policy.destination)
     drive_here, forced, probs = planners._future_probabilities(view, node)
-    wait = view.claim_wait(policy._uniforms < probs)
+    wait = view.claim_wait(policy._uniforms.T < probs)
     candidates = []
     for ridx in ctx.adjacent_res[node]:
         if view.avail[ridx] and not forced[ridx]:
@@ -85,7 +87,7 @@ def _context(n_res):
 
 
 def _kernel_case(rng, n_res):
-    """Random base, uniforms, probabilities and waits, with the edge cases planted."""
+    """Random base, (futures, resources) uniforms, probabilities and waits, with the edge cases planted."""
     ctx = _context(n_res)
     n_rows = int(rng.integers(1, 5))
     n = int(rng.choice([1, 2, 10, 100]))
@@ -100,6 +102,13 @@ def _kernel_case(rng, n_res):
         base[rng.random(base.shape) < rng.choice([0.05, 0.95])] = np.inf  # unreachable or out of scope
     if rng.random() < 0.2:
         base[int(rng.integers(n_rows))] = np.inf
+    if rng.random() < 0.5:
+        # Free columns sharing a row's cheapest base: the first in index order is the argmin.
+        e, f = int(rng.integers(n_rows)), int(rng.integers(n))
+        group = rng.choice(n_res, size=min(n_res, 24), replace=False)
+        base[e, group] = base[e].min() if np.isfinite(base[e]).any() else 100.0
+        uniforms[f, group] = 0.0
+        probs[group] = np.maximum(probs[group], 0.5)
     probs[rng.random(n_res) < 0.2] = 0.0  # reserved
     if rng.random() < 0.2:
         probs[:] = 0.0
@@ -121,11 +130,28 @@ def _kernel_case(rng, n_res):
             uniforms[f, c_lo] = 0.0
             probs[c_lo] = max(probs[c_lo], 0.5)
             assert base[e, c_hi] + t_claim[c_hi] == base[e, c_lo]
+
+    # Plant a future whose first free column's base equals an occupied column's cost exactly,
+    # where that occupied column has the smaller index and so is the first argmin.
+    e, f = int(rng.integers(n_rows)), int(rng.integers(n))
+    order = np.argsort(base[e], kind="stable")
+    rank = int(rng.integers(1, min(K, n_res - 1) + 1)) if n_res > 1 else 0
+    c_free = int(order[rank])
+    before = order[:rank]
+    occupied = before[(before < c_free) & (base[e, before] < base[e, c_free])]
+    if occupied.size and np.isfinite(base[e, c_free]):
+        c_occ = int(occupied[0])
+        t_claim[c_occ] = base[e, c_free] - base[e, c_occ]
+        uniforms[f, before] = 0.999999
+        probs[before] = np.minimum(probs[before], 0.9)
+        uniforms[f, c_free] = 0.0
+        probs[c_free] = max(probs[c_free], 0.5)
+        assert base[e, c_occ] + t_claim[c_occ] == base[e, c_free]
     view = PlanningView(ctx, 0.0, np.ones(n_res, dtype=bool), DEFAULT, t_claim=t_claim)
     return view, base, uniforms, probs
 
 
-def _record_cases(seen, base, uniforms, probs, costs, mins):
+def _record_cases(seen, base, uniforms, probs, t_claim, costs, mins):
     n_res = base.shape[1]
     available = uniforms < probs
     ties = (costs == mins[:, :, None]).sum(axis=2) > 1
@@ -139,29 +165,51 @@ def _record_cases(seen, base, uniforms, probs, costs, mins):
     seen["reserved"] += int((probs == 0).any())
     seen["every spot occupied"] += int((~available.any(axis=1)).any())
     seen["one future"] += int(len(uniforms) == 1)
+    seen["2,000 spots"] += int(n_res == 2000)
     if n_res > 2 * K:
         kth = np.sort(base, axis=1)[:, K][:, None]
         seen["minimum not below the cheapest omitted base"] += int((~(mins < kth)).any())
         seen["minimum equals the cheapest omitted base"] += int((ties & (mins == kth)).any())
+        s_cols = np.unique(np.argpartition(base, K, axis=1)[:, :K])
+    else:
+        s_cols = np.arange(n_res)
+    # Each (row, future)'s first free column of S in (base, index) order, found independently.
+    occupied_bound = (base + t_claim).min(axis=1)
+    for r in range(len(base)):
+        ranked = s_cols[np.lexsort((s_cols, base[r, s_cols]))]
+        free = available[:, ranked]  # (futures, |S|)
+        for f in np.flatnonzero(free.any(axis=1)):
+            c = ranked[free[f].argmax()]
+            seen["first free base is inf"] += int(np.isinf(base[r, c]))
+            seen["first free base equals min(base + t_claim)"] += int(
+                np.isfinite(base[r, c]) and base[r, c] == occupied_bound[r])
+            seen["equal-base free columns"] += int(
+                np.isfinite(base[r, c]) and (free[f] & (base[r, ranked] == base[r, c])).sum() > 1)
+        seen["no column of S free"] += int((~free.any(axis=1)).any())
 
 
 def test_future_minima_matches_full_matrix():
     rng = np.random.default_rng(606)
     seen = Counter()
-    for n_res in (1, 7, 150, 2 * K, 2 * K + 1, 250, 600):
+    for n_res in (1, 7, 150, 2 * K, 2 * K + 1, 250, 600, 2000):
         for _ in range(40):
             view, base, uniforms, probs = _kernel_case(rng, n_res)
             costs = full_costs(view, base, uniforms, probs)
             mins = costs.min(axis=2)
-            future = FutureMinima(view, base, uniforms, probs)
+            future = FutureMinima(view, base, uniforms.T, probs)
             assert np.array_equal(future.mins, mins)
+            # C-ordered, so each row mean is summed exactly as the oracle's
+            assert future.mins.flags.c_contiguous
+            assert np.array_equal(future.mins.mean(axis=1), mins.mean(axis=1), equal_nan=True)
             for row in range(len(base)):
                 assert np.array_equal(future.argmin(row), costs[row].argmin(axis=1))
-            _record_cases(seen, base, uniforms, probs, costs, mins)
+            _record_cases(seen, base, uniforms, probs, view.t_claim, costs, mins)
     missing = [case for case in (
         "pruned", "unpruned", "equal minima", "base equals another base + t_claim", "inf base",
         "every resource unreachable", "reserved", "every spot occupied", "one future",
         "minimum not below the cheapest omitted base", "minimum equals the cheapest omitted base",
+        "first free base is inf", "first free base equals min(base + t_claim)", "no column of S free",
+        "equal-base free columns", "2,000 spots",
     ) if not seen[case]]
     assert not missing, missing
 
@@ -214,7 +262,7 @@ def test_hindsight_decisions_match_full_matrix_oracle():
                 _, forced, probs = planners._future_probabilities(view, node)
                 seen["pruned" if ctx.n_resources > 2 * K else "unpruned"] += 1
                 seen["reserved"] += int(forced.any())
-                seen["every spot occupied"] += int((~(policy._uniforms < probs).any(axis=1)).any())
+                seen["every spot occupied"] += int((~(policy._uniforms.T < probs).any(axis=1)).any())
                 seen["one future"] += int(n_det == 1)
                 seen["out of scope"] += int(scope is not None)
                 seen["unreachable"] += int(np.isinf(ctx.drive_to_resources(node)).any())
@@ -222,3 +270,14 @@ def test_hindsight_decisions_match_full_matrix_oracle():
                 seen["spot action"] += int(modal is None)
     assert all(seen[c] for c in ("pruned", "unpruned", "reserved", "every spot occupied", "one future",
                                  "out of scope", "unreachable", "road action", "spot action")), seen
+
+
+def test_common_random_numbers_are_the_seeded_stream():
+    _, ctx = _decision_world(np.random.default_rng(608), 60)
+    dest = GeoPoint(0.0, 0.0)
+    for seed, n_det in ((0, 1), (5, 20), (9, 100)):
+        policy = HindsightPolicy(ctx, dest, PlannerSettings(determinizations=n_det))
+        view = PlanningView(ctx, 0.0, np.ones(ctx.n_resources, dtype=bool), DEFAULT)
+        policy.decide(view, "n0303", np.random.default_rng(seed))
+        assert policy._uniforms.flags.c_contiguous
+        assert np.array_equal(policy._uniforms.T, np.random.default_rng(seed).random((n_det, ctx.n_resources)))
