@@ -13,7 +13,7 @@ from .errors import (
     AdaptionError, ConfigError, DegenerateTargetError, GraphFormatError, GraphValidationError, NoPathError,
     ParkSearchError, TraceError,
 )
-from .fleet import ReservationTable, adapt_probabilities, reverse_adaptions
+from .fleet import ReservationTable, adapt_probabilities
 from .geo import GeoPoint, great_circle_m, walking_time
 from .graph import RoadGraph, TravelTimeMatrix, all_pairs_travel_times, dump_graph, load_graph, save_graph
 from .planners import (
@@ -28,7 +28,7 @@ from .scenario import (
 __all__ = [
     # availability process and fleet state
     "AdaptionOverlay", "CtmcParams", "stationary_availability",
-    "ReservationTable", "adapt_probabilities", "reverse_adaptions",
+    "ReservationTable", "adapt_probabilities",
     # simulation
     "AgentSpec", "MetricsRecord", "OccupationTrace", "compute_metrics", "load_trace",
     "read_results", "run_simulation", "save_trace", "synthesize_occupations", "taxi_time", "write_results",

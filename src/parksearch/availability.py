@@ -4,7 +4,7 @@ Each resource flips between ``available`` and ``occupied`` with exponentially
 distributed sojourn times (rates ``lam`` out of available, ``mu`` out of
 occupied). Predictions are anchored at the latest real-time observation.
 Fleet coordination can overlay additive probability subtractions that become
-active after a given time; overlays are reversible exactly.
+active after a given time; each owner's subtractions are withdrawn exactly.
 """
 
 from __future__ import annotations
@@ -62,25 +62,27 @@ class OverlayDelta:
 
 
 class AdaptionOverlay:
-    """Per-resource probability subtractions, removable exactly by entry identity."""
+    """Per-resource probability subtractions, withdrawn exactly by owner."""
 
     def __init__(self) -> None:
         self._entries: dict[str, list[OverlayDelta]] = {}
+        self._by_owner: dict[str, dict[str, None]] = {}  # owner -> resources it holds entries on, in order
 
     def add(self, resource_id: str, activation_time: float, delta: float, owner: str) -> OverlayDelta:
         entry = OverlayDelta(resource_id, activation_time, delta, owner)
         self._entries.setdefault(resource_id, []).append(entry)
+        self._by_owner.setdefault(owner, {})[resource_id] = None
         return entry
 
-    def remove(self, entry: OverlayDelta) -> None:
-        entries = self._entries.get(entry.resource_id, [])
-        for i, existing in enumerate(entries):
-            if existing is entry:
-                del entries[i]
-                if not entries:
-                    del self._entries[entry.resource_id]
-                return
-        raise KeyError(f"overlay entry not present for resource {entry.resource_id!r}")
+    def withdraw(self, owner: str) -> None:
+        """Remove every entry of ``owner``; the rest keep their order, so each sum reads as if it never
+        added any. Withdrawing an owner without entries changes nothing."""
+        for rid in self._by_owner.pop(owner, ()):
+            kept = [e for e in self._entries[rid] if e.owner != owner]
+            if kept:
+                self._entries[rid] = kept
+            else:
+                del self._entries[rid]
 
     def pending_subtraction(self, resource_id: str, at: float, exclude_owner: str | None = None) -> float:
         """Sum of deltas for the resource whose activation time has passed.
@@ -105,7 +107,7 @@ class AdaptionOverlay:
         return sum(len(v) for v in self._entries.values())
 
     def __bool__(self) -> bool:
-        # O(1): ``remove`` drops a resource's key together with its last entry.
+        # O(1): ``withdraw`` drops a resource's key together with its last entry.
         return bool(self._entries)
 
 

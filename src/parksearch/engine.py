@@ -26,9 +26,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .availability import AdaptionOverlay, CtmcParams, expected_wait_times_rates, stationary_availability
+from .availability import CtmcParams, expected_wait_times_rates, stationary_availability
 from .errors import ConfigError, ParkSearchError, TraceError
-from .fleet import ReservationTable, adapt_probabilities, reverse_adaptions
+from .fleet import Fleet
 from .geo import GeoPoint, walking_time
 from .graph import RoadGraph, all_pairs_travel_times
 from .planners import (
@@ -218,7 +218,6 @@ class AgentSpec:
 @dataclass
 class AgentRuntime:
     spec: AgentSpec
-    policy: object
     rng: np.random.Generator
     status: str = "driving"
     node: str | None = None
@@ -227,8 +226,6 @@ class AgentRuntime:
     parked_resource: str | None = None
     park_time: float | None = None
     walk_s: float = 0.0
-    adaption_record: object | None = None
-    adaption_target: str | None = None
 
 
 @dataclass(frozen=True)
@@ -252,10 +249,6 @@ class SimEvent:
     node: str | None = None
     resource: str | None = None
     detail: str | None = None
-
-
-_RESERVATION_KINDS = {kind for kind, spec in PLANNERS.items() if spec.shares == "reservations"}
-_OVERLAY_KINDS = {kind for kind, spec in PLANNERS.items() if spec.shares == "overlay"}
 
 
 def taxi_time(ctx: PlannerContext, start_node: str, destination: GeoPoint) -> float:
@@ -337,16 +330,10 @@ def run_simulation(
     avail[trace_idx] = trace.start_up
     fleet_parked: set[int] = set()
 
-    table = ReservationTable() if any(s.planner in _RESERVATION_KINDS for s in specs) else None
-    overlay = AdaptionOverlay() if any(s.planner in _OVERLAY_KINDS for s in specs) else None
-
-    runtimes: dict[str, AgentRuntime] = {}
-    for i, spec in enumerate(specs):
-        runtimes[spec.id] = AgentRuntime(
-            spec=spec,
-            policy=make_policy(spec.planner, ctx, spec.destination, settings),
-            rng=np.random.default_rng(children[i + 1]),
-        )
+    fleet = Fleet(settings)
+    runtimes = {spec.id: AgentRuntime(spec, np.random.default_rng(children[i + 1])) for i, spec in enumerate(specs)}
+    # a parked agent never decides again, so its policy is dropped when it parks
+    policies = {spec.id: make_policy(spec.planner, ctx, spec.destination, settings) for spec in specs}
 
     heap: list[tuple] = []
     seq = 0
@@ -379,39 +366,19 @@ def run_simulation(
             next_flip += 1
 
     def decide(rt: AgentRuntime, now: float) -> None:
-        kind = rt.spec.planner
+        shares = PLANNERS[rt.spec.planner].shares
         view = PlanningView(
             ctx, now, avail, params,
-            reservations=table if kind in _RESERVATION_KINDS else None,
-            overlay=overlay if kind in _OVERLAY_KINDS else None,
+            reservations=fleet.reservations if shares == "reservations" else None,
+            overlay=fleet.overlay if shares == "overlay" else None,
             agent_id=rt.spec.id,
             lam_vec=lam_vec, mu_vec=mu_vec, t_claim=t_claim,
         )
         t0 = _time.perf_counter()
-        decision = rt.policy.decide(view, rt.node, rt.rng)
-        if overlay is not None and kind in _OVERLAY_KINDS:
-            if decision.target_resource != rt.adaption_target:
-                if rt.adaption_record is not None:
-                    reverse_adaptions(rt.adaption_record, overlay)
-                    rt.adaption_record = None
-                rt.adaption_target = decision.target_resource
-                if decision.target_resource is not None:
-                    rt.adaption_record = adapt_probabilities(
-                        view,  # hs_a agents never see reservations
-                        decision.target_resource,
-                        decision.expected_arrival,
-                        rt.spec.id,
-                        samples=settings.adaption_samples,
-                        isochrone_s=settings.adaption_isochrone_s,
-                        visit_decay=settings.adaption_visit_decay,
-                        rng=rt.rng,
-                        dest_node=ctx.dest_node(rt.spec.destination),
-                        max_steps=settings.adaption_max_steps,
-                    )
-        if measure_computation:  # adaption is planner work too
+        decision = policies[rt.spec.id].decide(view, rt.node, rt.rng)
+        fleet.publish(view, decision, rt.rng, rt.spec.destination)
+        if measure_computation:  # publishing what the fleet shares is planner work too
             rt.computation_s += _time.perf_counter() - t0
-        if table is not None and kind in _RESERVATION_KINDS and decision.target_resource is not None:
-            table.place(rt.spec.id, decision.target_resource, decision.expected_arrival)
 
         action = decision.action
         if isinstance(action, TakeRoad):
@@ -425,14 +392,6 @@ def run_simulation(
             if edge.from_node != rt.node:
                 raise ParkSearchError(f"policy chose non-adjacent resource {resource.id!r} at {rt.node!r}")
             push(now + resource.offset_s, _RANK_CLAIM, rt.spec.id, "claim", (resource.id, now))
-
-    def release_fleet_state(rt: AgentRuntime) -> None:
-        if table is not None:
-            table.cancel(rt.spec.id)
-        if overlay is not None and rt.adaption_record is not None:
-            reverse_adaptions(rt.adaption_record, overlay)
-            rt.adaption_record = None
-            rt.adaption_target = None
 
     while heap:
         apply_flips(heap[0][0])
@@ -466,7 +425,8 @@ def run_simulation(
                 rt.park_time = now
                 rt.parked_resource = rid
                 rt.walk_s = walking_time(graph.resources[rid].position, rt.spec.destination)
-                release_fleet_state(rt)
+                fleet.withdraw(key)
+                del policies[key]
                 if collect_events:
                     log.append(SimEvent(now, "agent_claim", agent=key, resource=rid, detail="success"))
             else:
@@ -486,7 +446,7 @@ def run_simulation(
             status = "parked"
         else:
             rt.status = "timed_out"
-            release_fleet_state(rt)
+            fleet.withdraw(spec.id)
             total = horizon_s
             status = "timed_out"
         records.append(

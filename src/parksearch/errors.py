@@ -26,7 +26,7 @@ class ConfigError(ParkSearchError, ValueError):
 
 
 class AdaptionError(ParkSearchError):
-    """Adaption record cannot be applied or reversed."""
+    """Probability adaption walks cannot be run for a target."""
 
 
 class DegenerateTargetError(AdaptionError):

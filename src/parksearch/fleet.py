@@ -5,22 +5,24 @@ expects to arrive; other fleet agents treat that resource as occupied when
 they would get there later. Probability adaptions go further: biased random
 walks simulate where an agent would fall back to if its preferred spot is
 taken, and the resulting visit mass is subtracted from the predicted
-availability of surrounding resources.
+availability of surrounding resources. ``Fleet`` decides when an agent's
+shared data is published and when it is withdrawn.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .availability import AdaptionOverlay, OverlayDelta
-from .errors import AdaptionError, DegenerateTargetError
+from .errors import DegenerateTargetError
 from .graph import isochrone_nodes
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
-    from .planners import PlanningView
+    from .geo import GeoPoint
+    from .planners import PlannerSettings, PlanningView, RouteDecision
 
 
 @dataclass(frozen=True)
@@ -83,15 +85,6 @@ class WalkPath:
     final_edge: str
 
 
-@dataclass
-class AdaptionRecord:
-    """All overlay entries one agent created for one target; reversible as a unit."""
-
-    owner: str
-    entries: list[OverlayDelta] = field(default_factory=list)
-    reversed: bool = False
-
-
 def _edge_jump_weight(
     view: "PlanningView",
     edge_id: str,
@@ -120,28 +113,21 @@ def adapt_probabilities(
     target_resource: str,
     t_arrival: float,
     agent: str,
-    *,
-    samples: int = 30,
-    isochrone_s: float = 300.0,
-    visit_decay: float = 0.95,
+    settings: "PlannerSettings",
     rng: np.random.Generator,
     dest_node: str | None = None,
-    max_steps: int = 1000,
-) -> AdaptionRecord:
+) -> list[OverlayDelta]:
     """Simulate fallback search behavior and subtract its visit mass from predictions.
 
-    Runs ``samples`` self-interacting biased random walks starting at the end
-    of the target's street. Each walk carries the probability of still
-    searching; per step, candidate edges inside the isochrone around the
-    target get a jump weight, a single uniform draw either picks an edge
-    (proportionally to the weights) or, when it exceeds the total weight,
-    ends the walk. Finished walks are turned into overlay deltas grouped by
-    their final street.
+    Runs ``settings.adaption_samples`` self-interacting biased random walks
+    starting at the end of the target's street. Each walk carries the
+    probability of still searching; per step, candidate edges inside the
+    isochrone around the target get a jump weight, a single uniform draw
+    either picks an edge (proportionally to the weights) or, when it exceeds
+    the total weight, ends the walk. Finished walks are turned into overlay
+    deltas grouped by their final street; the added entries are returned.
     """
-    if samples < 1:
-        raise ValueError("need at least one walk")
-    if isochrone_s <= 0:
-        raise ValueError("isochrone limit must be positive")
+    isochrone_s, visit_decay = settings.adaption_isochrone_s, settings.adaption_visit_decay
     ctx = view.ctx
     target = ctx.graph.resources[target_resource]
     target_edge = ctx.graph.edges[target.edge_id]
@@ -151,7 +137,7 @@ def adapt_probabilities(
         raise DegenerateTargetError(
             f"target street {target_edge.id!r} ends in a dead end at {start_node!r}"
         )
-    iso_nodes = isochrone_nodes(ctx.graph, ctx.matrix, target_edge.from_node, isochrone_s)
+    iso_nodes = isochrone_nodes(ctx.matrix, target_edge.from_node, isochrone_s)
     dest_idx = ctx.node_index[dest_node if dest_node is not None else target_edge.from_node]
 
     p_initial = 1.0 - float(view.availability(t_arrival, [t_idx])[0])
@@ -162,14 +148,14 @@ def adapt_probabilities(
     cands_of: dict[str, list] = {}
     weights_of: dict[tuple, tuple[list[float], float]] = {}
     paths: list[WalkPath] = []
-    for _ in range(samples):
+    for _ in range(settings.adaption_samples):
         p_path = p_initial
         t_acc = t_arrival + t_partial
         node = start_node
         visited: set[str] = set()
         taken: list[str] = []
         final_edge = target_edge.id
-        for _ in range(max_steps):
+        for _ in range(settings.adaption_max_steps):
             cands = cands_of.get(node)
             if cands is None:
                 cands = cands_of[node] = [e for e in ctx.out_edges[node] if e.to_node in iso_nodes]
@@ -211,9 +197,9 @@ def adapt_probabilities(
     return create_adaptions(paths, agent, ctx.graph, view.overlay)
 
 
-def create_adaptions(paths, agent: str, graph, overlay: AdaptionOverlay) -> AdaptionRecord:
+def create_adaptions(paths, agent: str, graph, overlay: AdaptionOverlay) -> list[OverlayDelta]:
     """Distribute grouped path probabilities over the resources of each final street."""
-    record = AdaptionRecord(owner=agent)
+    entries = []
     groups: dict[str, list[WalkPath]] = {}
     for p in paths:
         groups.setdefault(p.final_edge, []).append(p)
@@ -226,18 +212,38 @@ def create_adaptions(paths, agent: str, graph, overlay: AdaptionOverlay) -> Adap
         mean_prob = sum(p.path_probability for p in members) / len(members)
         delta = mean_prob / len(resource_ids)
         for rid in resource_ids:
-            record.entries.append(overlay.add(rid, mean_arrival, delta, agent))
-    return record
+            entries.append(overlay.add(rid, mean_arrival, delta, agent))
+    return entries
 
 
-def reverse_adaptions(record: AdaptionRecord, overlay: AdaptionOverlay) -> AdaptionOverlay:
-    """Remove exactly the record's entries, restoring prior predictions bit for bit."""
-    if record.reversed:
-        raise AdaptionError(f"adaption record of {record.owner!r} already reversed")
-    try:
-        for entry in record.entries:
-            overlay.remove(entry)
-    except KeyError as exc:
-        raise AdaptionError(f"adaption record of {record.owner!r} is not applied") from exc
-    record.reversed = True
-    return overlay
+class Fleet:
+    """One run's shared fleet data: published after each decision, withdrawn when the agent leaves.
+
+    A view's ``reservations`` and ``overlay`` say what its agent shares. A
+    reservation names the decision's target; adaption walks are re-run, and
+    the agent's old ones withdrawn, only when the target changes.
+    """
+
+    def __init__(self, settings: "PlannerSettings") -> None:
+        self.settings = settings
+        self.reservations = ReservationTable()
+        self.overlay = AdaptionOverlay()
+        self._adapted: dict[str, str | None] = {}  # the target each overlay agent's entries describe
+
+    def publish(self, view: "PlanningView", decision: "RouteDecision", rng: np.random.Generator,
+                destination: "GeoPoint") -> None:
+        agent, target = view.agent_id, decision.target_resource
+        if view.reservations is not None and target is not None:
+            self.reservations.place(agent, target, decision.expected_arrival)
+        if view.overlay is not None and target != self._adapted.get(agent):
+            self.overlay.withdraw(agent)
+            self._adapted[agent] = target
+            if target is not None:
+                adapt_probabilities(view, target, decision.expected_arrival, agent, self.settings, rng,
+                                    view.ctx.dest_node(destination))
+
+    def withdraw(self, agent: str) -> None:
+        """Drop all the agent shared, once it has parked or timed out; idempotent."""
+        self.reservations.cancel(agent)
+        self.overlay.withdraw(agent)
+        self._adapted.pop(agent, None)

@@ -252,7 +252,7 @@ def all_pairs_travel_times(graph: RoadGraph) -> TravelTimeMatrix:
     return TravelTimeMatrix(node_ids, dist)
 
 
-def isochrone_nodes(graph: RoadGraph, matrix: TravelTimeMatrix, around: str, limit_s: float) -> set[str]:
+def isochrone_nodes(matrix: TravelTimeMatrix, around: str, limit_s: float) -> set[str]:
     """Nodes from which ``around`` can be reached within ``limit_s`` of driving."""
     j = matrix.node_index[around]
     mask = matrix.values[:, j] <= limit_s

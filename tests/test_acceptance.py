@@ -493,11 +493,9 @@ def test_criterion_10_reversal_and_uniqueness():
     reference = [availability_probability(beliefs[r], t, overlay) for r, t in probes]
     for _ in range(10_000):
         n_entries = int(rng.integers(1, 5))
-        batch = [overlay.add(str(rng.choice(resources)), float(rng.uniform(0, 1000)),
-                             float(rng.uniform(0, 0.4)), "batch")
-                 for _ in range(n_entries)]
-        for entry in batch:
-            overlay.remove(entry)
+        for _ in range(n_entries):
+            overlay.add(str(rng.choice(resources)), float(rng.uniform(0, 1000)), float(rng.uniform(0, 0.4)), "batch")
+        overlay.withdraw("batch")
         now = [availability_probability(beliefs[r], t, overlay) for r, t in probes]
         if now != reference:
             reversal_ok = False

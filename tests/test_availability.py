@@ -223,31 +223,28 @@ def test_overlay_reversal_restores_exactly(default_params):
     rng = np.random.default_rng(21)
     overlay = AdaptionOverlay()
     belief = {rid: ResourceBelief(rid, A, 0.0, default_params) for rid in ("r1", "r2", "r3")}
-    baseline_entries = [
-        overlay.add(rid, float(rng.uniform(0, 100)), float(rng.uniform(0, 0.2)), "keeper")
-        for rid in ("r1", "r2", "r2")
-    ]
+    keepers = ("keeper0", "keeper1", "keeper2")
+    for rid, owner in zip(("r1", "r2", "r2"), keepers):
+        overlay.add(rid, float(rng.uniform(0, 100)), float(rng.uniform(0, 0.2)), owner)
     probes = [(rid, float(rng.uniform(0, 500))) for rid in ("r1", "r2", "r3") for _ in range(4)]
     before = [availability_probability(belief[rid], t, overlay) for rid, t in probes]
 
-    added = [
+    for _ in range(10):
         overlay.add(str(rng.choice(["r1", "r2", "r3"])), float(rng.uniform(0, 100)),
                     float(rng.uniform(0, 0.3)), "tmp")
-        for _ in range(10)
-    ]
-    for entry in added:
-        overlay.remove(entry)
+    overlay.withdraw("tmp")
     after = [availability_probability(belief[rid], t, overlay) for rid, t in probes]
     assert after == before  # bit-exact
-    assert len(overlay) == len(baseline_entries)
+    assert len(overlay) == len(keepers)
 
-    with pytest.raises(KeyError):
-        overlay.remove(added[0])
+    overlay.withdraw("tmp")  # a second withdrawal changes nothing
+    assert [availability_probability(belief[rid], t, overlay) for rid, t in probes] == before
+    assert len(overlay) == len(keepers)
 
     # emptiness is read without counting entries; it must agree with len()
-    for entry in baseline_entries:
+    for owner in keepers:
         assert overlay and len(overlay) > 0
-        overlay.remove(entry)
+        overlay.withdraw(owner)
     assert not overlay and len(overlay) == 0
 
 

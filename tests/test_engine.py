@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from parksearch import engine
+from parksearch import engine, fleet
 from parksearch.availability import CtmcParams
 from parksearch.engine import (
     DEFAULT_CTMC,
@@ -519,9 +519,37 @@ def test_event_log_order():
         "a07e5cfc3ae5a00e9466dbae99b1493a4ee581b3c08ca54e572a7039cc2e8d91")
 
 
+def test_fleet_holds_nothing_after_a_mixed_run(monkeypatch):
+    # every kind in one run: agents that park and agents that time out both withdraw what they shared
+    fleets, peak = [], {"reservations": 0, "overlay": 0}
+
+    class Captured(fleet.Fleet):
+        def __init__(self, settings):
+            super().__init__(settings)
+            fleets.append(self)
+
+        def publish(self, *args):
+            super().publish(*args)
+            peak["reservations"] = max(peak["reservations"], len(self.reservations))
+            peak["overlay"] = max(peak["overlay"], len(self.overlay))
+
+    monkeypatch.setattr(engine, "Fleet", Captured)
+    graph = load_graph(build_grid_graph_doc(6, 6, n_resources=20, seed=3))
+    agents = [AgentSpec(f"a{i:02d}", "n0000", GeoPoint(0.002, 0.002), 5.0 * i, PLANNER_KINDS[i % 7])
+              for i in range(14)]
+    records = run_simulation(graph, agents, CtmcParams.from_mean_times(200.0, 600.0), seed=2, horizon_s=500.0,
+                             settings=PlannerSettings(determinizations=10), measure_computation=False)
+    outcomes = {(r.planner, r.status) for r in records}
+    assert {(kind, status) for kind in ("rpl_r", "hs_r", "hs_a") for status in ("parked", "timed_out")} <= outcomes
+    assert peak["reservations"] > 0 and peak["overlay"] > 0
+    (captured,) = fleets
+    assert len(captured.reservations) == 0
+    assert not captured.overlay and len(captured.overlay) == 0
+
+
 def test_hs_a_computation_includes_adaption(monkeypatch):
     # every adaption call is padded by 5 ms; the agents' reported planner time must cover it
-    original = engine.adapt_probabilities
+    original = fleet.adapt_probabilities
     calls = []
 
     def padded(*args, **kwargs):
@@ -529,7 +557,7 @@ def test_hs_a_computation_includes_adaption(monkeypatch):
         time.sleep(0.005)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "adapt_probabilities", padded)
+    monkeypatch.setattr(fleet, "adapt_probabilities", padded)
     graph = load_graph(build_grid_graph_doc(4, 4, n_resources=10, seed=1))
     agents = [AgentSpec(f"a{i}", "n0000", GeoPoint(0.002, 0.002), 0.0, "hs_a") for i in range(2)]
     records = run_simulation(graph, agents, CtmcParams.from_mean_times(200.0, 600.0), seed=1,

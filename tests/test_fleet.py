@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from parksearch.availability import AdaptionOverlay, CtmcParams
-from parksearch.errors import AdaptionError, DegenerateTargetError
+from parksearch.errors import DegenerateTargetError
 from parksearch.fleet import (
     Reservation,
     ReservationTable,
@@ -12,10 +12,9 @@ from parksearch.fleet import (
     _edge_jump_weight,
     adapt_probabilities,
     create_adaptions,
-    reverse_adaptions,
 )
 from parksearch.graph import isochrone_nodes
-from parksearch.planners import PlanningView
+from parksearch.planners import PlannerSettings, PlanningView
 
 from conftest import make_context
 from ctmc_oracle import ResourceBelief, ResourceState, availability_probability
@@ -192,10 +191,10 @@ def test_create_adaptions_hand_arithmetic():
         WalkPath(("e12",), 0.4, 700.0, "e12"),
         WalkPath(("e01", "e12"), 0.6, 900.0, "e12"),
     ]
-    record = create_adaptions(paths, "agent", graph, overlay)
+    entries = create_adaptions(paths, "agent", graph, overlay)
     # e12 holds one resource (rx): delta = mean(0.2, 0.4, 0.6) / 1
-    assert len(record.entries) == 1
-    entry = record.entries[0]
+    assert len(entries) == 1
+    entry = entries[0]
     assert entry.resource_id == "rx"
     assert entry.delta == pytest.approx(0.4)
     assert entry.activation_time == pytest.approx(700.0)
@@ -216,11 +215,11 @@ def test_create_adaptions_two_street_groups_split_mass():
     }
     graph, _ = make_context(doc)
     overlay = AdaptionOverlay()
-    record = create_adaptions(
+    entries = create_adaptions(
         [WalkPath(("e1",), 0.3, 100.0, "e1"), WalkPath(("e2",), 0.5, 200.0, "e2")],
         "agent", graph, overlay,
     )
-    by_resource = {e.resource_id: e for e in record.entries}
+    by_resource = {e.resource_id: e for e in entries}
     assert by_resource["p"].delta == pytest.approx(0.15)  # 0.3 split across p and q
     assert by_resource["q"].delta == pytest.approx(0.15)
     assert by_resource["z"].delta == pytest.approx(0.5)
@@ -229,16 +228,16 @@ def test_create_adaptions_two_street_groups_split_mass():
 
     zero = create_adaptions([WalkPath((), 0.0, 50.0, "e1")], "agent", graph, AdaptionOverlay())
     # a group with zero expected mass creates zero-valued deltas
-    assert zero.entries and all(e.delta == 0.0 for e in zero.entries)
+    assert zero and all(e.delta == 0.0 for e in zero)
 
 
 def test_adapt_probabilities_zero_when_target_certainly_available():
     graph, ctx = linear_walk_world()
     view = PlanningView(ctx, 0.0, np.array([True, True, True]), FROZEN,
                         overlay=AdaptionOverlay(), agent_id="me")
-    record = adapt_probabilities(view, "rt", t_arrival=0.0, agent="me",
-                                 samples=20, isochrone_s=600.0, rng=np.random.default_rng(0))
-    assert all(e.delta == pytest.approx(0.0, abs=1e-12) for e in record.entries)
+    settings = PlannerSettings(adaption_samples=20, adaption_isochrone_s=600.0)
+    entries = adapt_probabilities(view, "rt", 0.0, "me", settings, np.random.default_rng(0))
+    assert all(e.delta == pytest.approx(0.0, abs=1e-12) for e in entries)
 
 
 def test_adapt_probabilities_walk_invariants():
@@ -253,10 +252,10 @@ def test_adapt_probabilities_walk_invariants():
     p_initial = 1.0 - availability_probability(
         ResourceBelief("rt", ResourceState.OCCUPIED, 0.0, params), t_arrival
     )
-    record = adapt_probabilities(view, "rt", t_arrival, "me",
-                                 samples=40, isochrone_s=600.0, rng=rng)
-    iso = isochrone_nodes(graph, ctx.matrix, graph.edges[target.edge_id].from_node, 600.0)
-    for entry in record.entries:
+    entries = adapt_probabilities(view, "rt", t_arrival, "me",
+                                  PlannerSettings(adaption_samples=40, adaption_isochrone_s=600.0), rng)
+    iso = isochrone_nodes(ctx.matrix, graph.edges[target.edge_id].from_node, 600.0)
+    for entry in entries:
         # each walk multiplies its survival mass by weights <= 1
         assert entry.delta <= p_initial + 1e-12
         assert entry.activation_time >= t_arrival - 1e-9
@@ -273,8 +272,8 @@ def test_adapt_probabilities_degenerate_target():
     graph, ctx = make_context(doc)
     view = PlanningView(ctx, 0.0, np.array([True]), FROZEN, overlay=AdaptionOverlay(), agent_id="me")
     with pytest.raises(DegenerateTargetError):
-        adapt_probabilities(view, "r", 10.0, "me", samples=5, isochrone_s=300.0,
-                            rng=np.random.default_rng(1))
+        adapt_probabilities(view, "r", 10.0, "me", PlannerSettings(adaption_samples=5, adaption_isochrone_s=300.0),
+                            np.random.default_rng(1))
 
 
 def test_reverse_adaptions_round_trip_exact():
@@ -286,22 +285,22 @@ def test_reverse_adaptions_round_trip_exact():
                for rid in graph.resources}
     probes = [(rid, float(rng.uniform(0, 2000))) for rid in graph.resources for _ in range(4)]
 
-    base_record = create_adaptions([WalkPath(("e12",), 0.25, 400.0, "e12")], "keeper", graph, overlay)
+    create_adaptions([WalkPath(("e12",), 0.25, 400.0, "e12")], "keeper", graph, overlay)
     before = [availability_probability(beliefs[rid], t, overlay) for rid, t in probes]
 
     view = PlanningView(ctx, 0.0, np.array([False, True, False]), params,
                         overlay=overlay, agent_id="walker")
-    record = adapt_probabilities(view, "rt", 300.0, "walker", samples=25,
-                                 isochrone_s=600.0, rng=rng)
-    reverse_adaptions(record, overlay)
+    adapt_probabilities(view, "rt", 300.0, "walker",
+                        PlannerSettings(adaption_samples=25, adaption_isochrone_s=600.0), rng)
+    overlay.withdraw("walker")
     after = [availability_probability(beliefs[rid], t, overlay) for rid, t in probes]
     assert after == before  # exact restoration
 
-    with pytest.raises(AdaptionError):
-        reverse_adaptions(record, overlay)  # second reversal
+    overlay.withdraw("walker")  # a second withdrawal changes nothing
+    assert [availability_probability(beliefs[rid], t, overlay) for rid, t in probes] == before
 
     # keeper's entries survive interleaved reversal
     assert all(e.owner == "keeper" for rid in graph.resources
                for e in overlay.entries_for(rid))
-    reverse_adaptions(base_record, overlay)
+    overlay.withdraw("keeper")
     assert len(overlay) == 0

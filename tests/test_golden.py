@@ -57,6 +57,8 @@ GOLDEN = {
     "grid-random": "c05baa13c92b6df6d5fdf52e4fc19bc06b2e05b0a202cf301e6a050d82358d1a",
     "grid-rpl": "3b8ad26b58ebbed1fa6964b330c615ee8f7f2a274eb9cb904e070eaf4d341548",
     "grid-rpl_r": "f6cd457d4ca59617a05d855caa36d4163ce2fdfe509506fd65a1d404f7980ac3",
+    "mixed-1": "aa861cb1355f69a8ff9db7b06856f3d207be68d527a5fe4a225fda087434b2fc",
+    "mixed-2": "d11ef588c95158026c715537f5acb24c8d348ea2568ffe1e867062862f2ece9d",
     "pruned-hs-1": "c646a1f3985db14930f98c3131c170155fdc94833b6d157df390be054c5f6089",
     "pruned-hs-2": "2ad9312560be8b8cdd7e38d1b8f91d2266d4ee0475d37fc777a6d3b8b2b74358",
     "pruned-hs_r-1": "b14f93a31a6cd113318df3efde77533316e9ab861f553d4715bffedbf0fce861",
@@ -67,6 +69,15 @@ GOLDEN = {
 def _competition_records(kind, seed):
     graph, ctx, dest, ring, overrides = competition_world()
     agents = [AgentSpec(f"a{i:03d}", "n0009", dest, 7.0, kind) for i in range(20)]
+    return run_simulation(graph, agents, ring, params_by_resource=overrides, seed=seed, ctx=ctx,
+                          measure_computation=False)
+
+
+def _mixed_records(seed):
+    """All seven kinds in one run, so reservations and the adaption overlay are shared at once."""
+    graph, ctx, dest, ring, overrides = competition_world()
+    agents = [AgentSpec(f"a{i:03d}", "n0009", dest, 7.0 + 3.0 * (i % 4), PLANNER_KINDS[i % 7])
+              for i in range(28)]
     return run_simulation(graph, agents, ring, params_by_resource=overrides, seed=seed, ctx=ctx,
                           measure_computation=False)
 
@@ -124,6 +135,7 @@ def _config_records(name, out_dir=None):
 CASES = {
     **{f"competition-{kind}-{seed}": partial(_competition_records, kind, seed)
        for kind in PLANNER_KINDS for seed in COMPETITION_SEEDS},
+    **{f"mixed-{seed}": partial(_mixed_records, seed) for seed in COMPETITION_SEEDS},
     **{f"grid-{kind}": partial(_grid_records, kind) for kind in GRID_KINDS},
     **{f"pruned-{kind}-{seed}": partial(_pruned_records, kind, seed)
        for kind in PRUNED_KINDS for seed in COMPETITION_SEEDS},

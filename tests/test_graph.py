@@ -145,10 +145,10 @@ def test_triangle_inequality():
 
 def test_isochrone(triangle_graph):
     m = all_pairs_travel_times(triangle_graph)
-    assert isochrone_nodes(triangle_graph, m, "u", 0.0) == {"u"}
-    assert isochrone_nodes(triangle_graph, m, "u", 1000.0) == {"u", "v", "w"}
+    assert isochrone_nodes(m, "u", 0.0) == {"u"}
+    assert isochrone_nodes(m, "u", 1000.0) == {"u", "v", "w"}
     # time-to-w: u needs 30, v needs 20, w needs 0
-    assert isochrone_nodes(triangle_graph, m, "w", 20.0) == {"v", "w"}
+    assert isochrone_nodes(m, "w", 20.0) == {"v", "w"}
 
 
 def test_reachable_resources_ordering():
