@@ -205,12 +205,17 @@ class PlannerContext:
             raise NoPathError(f"no path from {from_node!r} to {to_node!r}")
         return best
 
-    def action_toward(self, node: str, ridx: int) -> Action:
+    def arrival(self, now: float, node: str, ridx: int) -> float:
+        """Arrival at resource ``ridx`` leaving ``node`` at ``now``: ``now + drive_to_resources(node)[ridx]``
+        bit for bit. Every planner's arrival at a spot is this one sum, so reservations compare
+        predictions made alike."""
+        return float(now + (self.M[self.node_index[node], self.res_from_idx[ridx]] + self.res_offset[ridx]))
+
+    def toward(self, now: float, node: str, ridx: int, recomputed: bool = True) -> RouteDecision:
         """Claim resource ``ridx`` if its street starts at ``node``, else take the first hop toward it."""
-        decision_node = self.node_ids[self.res_from_idx[ridx]]
-        if decision_node == node:
-            return TakeResource(self.res_ids[ridx])
-        return TakeRoad(self.first_hop(node, decision_node).id)
+        rid, start = self.res_ids[ridx], self.node_ids[self.res_from_idx[ridx]]
+        action = TakeResource(rid) if start == node else TakeRoad(self.first_hop(node, start).id)
+        return RouteDecision(action, rid, self.arrival(now, node, ridx), recomputed)
 
 
 @dataclass
@@ -267,36 +272,35 @@ class PlanningView:
         expected circling wait where occupied."""
         return np.where(available, 0.0, self.t_claim if idx is None else self.t_claim[idx])
 
-
-def _reserved_against(view: PlanningView, arrivals: np.ndarray) -> np.ndarray:
-    """Resources another fleet agent will reach no later than this agent."""
-    if view.reservations is None:
-        return np.zeros(view.ctx.n_resources, dtype=bool)
-    return view.reservations.blocked(view.agent_id, arrivals, view.ctx.res_index)
+    def reserved(self, arrivals: np.ndarray, idx=None) -> np.ndarray:
+        """Mask over ``arrivals``, one per resource or per resource index in ``idx``, of the spots
+        another fleet agent reaches first (``ReservationTable.blocked``)."""
+        if self.reservations is None:
+            return np.zeros(len(arrivals), dtype=bool)
+        index = self.ctx.res_index if idx is None else {self.ctx.res_ids[i]: k for k, i in enumerate(idx)}
+        return self.reservations.blocked(self.agent_id, arrivals, index)
 
 
 def replan_route(view: PlanningView, from_node: str, destination: GeoPoint) -> RouteDecision:
     """Least-cost plan in the most likely future; occupied targets pay the expected circling wait."""
     ctx = view.ctx
     drive = ctx.drive_to_resources(from_node)
-    arrivals = view.now + drive
-    treated = view.avail & ~_reserved_against(view, arrivals)
+    treated = view.avail & ~view.reserved(view.now + drive)
     costs = drive + ctx.walk_vector(destination) + view.claim_wait(treated)
     best = int(np.argmin(costs)) if costs.size else 0
     if not costs.size or not np.isfinite(costs[best]):
         raise NoPathError(f"no resource reachable from {from_node!r}")
-    return RouteDecision(ctx.action_toward(from_node, best), ctx.res_ids[best], float(view.now + drive[best]))
+    return ctx.toward(view.now, from_node, best)
 
 
-def _future_probabilities(view: PlanningView, from_node: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Drive times from ``from_node``, the resources reserved against the agent, and the
-    availability at arrival that every sampled future thresholds (zero where reserved)."""
-    drive = view.ctx.drive_to_resources(from_node)
+def _future_probabilities(view: PlanningView, drive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The resources reserved against the agent and the availability at arrival that every sampled
+    future thresholds (zero where reserved), given the drive times to every resource."""
     arrivals = view.now + drive
-    forced = _reserved_against(view, arrivals)
+    forced = view.reserved(arrivals)
     probs = view.availability(arrivals)
     probs[forced] = 0.0
-    return drive, forced, probs
+    return forced, probs
 
 
 # Columns of each cost row that every future scans; with at most twice as many resources, the
@@ -368,7 +372,7 @@ def sample_determinizations(
     """Draw ``n`` futures of all resource states at the agent's arrival times."""
     if n < 1:
         raise ValueError("need at least one determinization")
-    _, _, probs = _future_probabilities(view, from_node)
+    _, probs = _future_probabilities(view, view.ctx.drive_to_resources(from_node))
     available = rng.random((n, view.ctx.n_resources)) < probs
     return [Determinization(available=row.copy()) for row in available]
 
@@ -404,12 +408,10 @@ class ReplanningPolicy:
         ctx = view.ctx
         if self._target is not None:
             i = ctx.res_index[self._target]
-            # (now + M) + offset, not replan_route's now + (M + offset): the last ulp decides equal-arrival
-            # reservation ties, and regrouping this sum moves the config-single_destination_demo golden.
-            arrival = view.now + ctx.M[ctx.node_index[node], ctx.res_from_idx[i]] + ctx.res_offset[i]
-            if view.avail[i] and (view.reservations is None
-                                  or not view.reservations.blocked(view.agent_id, [arrival], {self._target: 0})[0]):
-                return RouteDecision(ctx.action_toward(node, i), self._target, float(arrival), recomputed=False)
+            if view.avail[i]:
+                kept = ctx.toward(view.now, node, i, recomputed=False)
+                if not view.reserved([kept.expected_arrival], [i])[0]:
+                    return kept
         decision = replan_route(view, node, self.destination)
         self._target = decision.target_resource
         return decision
@@ -435,7 +437,9 @@ class HindsightPolicy:
     def decide(self, view: PlanningView, node: str, rng: np.random.Generator) -> RouteDecision:
         ctx = view.ctx
         walk = ctx.walk_vector(self.destination)
-        drive_here, forced, probs = _future_probabilities(view, node)
+        edges = ctx.out_edges[node]
+        drive = ctx.drive_to_resources([node] + [e.to_node for e in edges])  # here, then each edge's end
+        forced, probs = _future_probabilities(view, drive[0])
         if self._uniforms is None:
             # (resources, futures), so the kernel gathers a column's futures as one contiguous row
             self._uniforms = np.ascontiguousarray(rng.random((self.n, ctx.n_resources)).T)
@@ -446,11 +450,10 @@ class HindsightPolicy:
             if view.avail[ridx] and not forced[ridx]:
                 rid = ctx.res_ids[ridx]
                 candidates.append((float(ctx.res_offset[ridx] + walk[ridx]), 0, rid, TakeResource(rid), None))
-        edges = ctx.out_edges[node]
         if edges:
-            base = ctx.drive_to_resources([e.to_node for e in edges]) + walk
+            base = drive[1:] + walk
             if self.scope_horizon_s is not None:
-                base[:, drive_here > self.scope_horizon_s] = np.inf
+                base[:, drive[0] > self.scope_horizon_s] = np.inf
             futures = FutureMinima(view, base, self._uniforms, probs)
             # mins is C-ordered, so each row is summed exactly as the 1-D mean of that row would be.
             means = futures.mins.mean(axis=1)
@@ -464,16 +467,11 @@ class HindsightPolicy:
         if not np.isfinite(value):
             raise NoPathError(f"no resource reachable from {node!r}")
         if isinstance(action, TakeResource):
-            ridx = ctx.res_index[action.resource]
-            return RouteDecision(action, action.resource, float(view.now + ctx.res_offset[ridx]))
+            return ctx.toward(view.now, node, ctx.res_index[action.resource])
         # Commit to the resource chosen most often across the sampled futures.
         modal = modal_choice(futures.argmin(row), ctx.n_resources)
         edge = ctx.graph.edges[action.edge]
-        # Summed left to right, not as replan_route's now + (M + offset): the last ulp decides
-        # equal-arrival reservation ties, and regrouping this sum moves the competition-hs_r goldens.
-        arrival = (view.now + edge.drive_time_s + ctx.M[ctx.node_index[edge.to_node], ctx.res_from_idx[modal]]
-                   + ctx.res_offset[modal])
-        return RouteDecision(action, ctx.res_ids[modal], float(arrival))
+        return RouteDecision(action, ctx.res_ids[modal], ctx.arrival(view.now + edge.drive_time_s, edge.to_node, modal))
 
 
 class RandomPolicy:
@@ -510,9 +508,7 @@ class RandomPolicy:
         for rid in ctx.graph.resources_by_edge[edge.id]:
             ridx = ctx.res_index[rid]
             if view.avail[ridx]:
-                return RouteDecision(
-                    TakeResource(rid), rid, float(view.now + ctx.res_offset[ridx])
-                )
+                return ctx.toward(view.now, node, ridx)
         return RouteDecision(TakeRoad(edge.id))
 
 
@@ -556,8 +552,7 @@ class HeuristicPolicy:
             if view.avail[ridx] and walk[ridx] <= threshold and walk[ridx] < best_walk:
                 best_ridx, best_walk = ridx, walk[ridx]
         if best_ridx is not None:
-            rid = ctx.res_ids[best_ridx]
-            return RouteDecision(TakeResource(rid), rid, float(view.now + ctx.res_offset[best_ridx]))
+            return ctx.toward(view.now, node, best_ridx)
         if node != self.dest_node:
             return RouteDecision(TakeRoad(ctx.first_hop(node, self.dest_node).id))
         if self._circling_pool is None:

@@ -42,8 +42,8 @@ GOLDEN = {
     "competition-hs-2": "2eb0d4bf03afc9bfd418a710a49ebf5c89e13872c205f1b94a5d0e15a3f59db1",
     "competition-hs_a-1": "4f16a420f57ecf901ec3ff06d92730ac2940d5d299a5224ab7d6d8fc73047c80",
     "competition-hs_a-2": "06d6a36f8febb4c9f41568829a30d5f69182a0e17b270d70bb5ac180e828d2bd",
-    "competition-hs_r-1": "8a2eed872cbf346e8dd2affed62cf0c6966404beb0fa074d8d35505f8b95e3e3",
-    "competition-hs_r-2": "8ba997c4fc01e18727b219a10ab4e722226f69ea51d4e0876f0250d978478443",
+    "competition-hs_r-1": "79f57fc4a0012e623088dd54fa296f976d0045be735f5b4554eb3f7c4dc8c920",
+    "competition-hs_r-2": "77fa574816d65f439921990cb06dc5ce0f3862c217f11efef3f3b6e64292ac7a",
     "competition-random-1": "ced56fa82dec3459041e7c8957cca86af2f54100eac4b9b2e1f557e2f19e79eb",
     "competition-random-2": "7b88be68b45bc02473ffdab3ace70f42d00ab01a838f0681064344503d0914dd",
     "competition-rpl-1": "a041e171bfe88e7f97318fdfe27ef1e1fec7d9d0a9b06a2ede5d7f7cab05475f",
@@ -52,7 +52,7 @@ GOLDEN = {
     "competition-rpl_r-2": "61824b2f91d064c9f343559c28671a818a297c1689fe2e0c1fd4ea1899ee53f6",
     "config-competition_study": "4f16a420f57ecf901ec3ff06d92730ac2940d5d299a5224ab7d6d8fc73047c80",
     "config-data_driven_demo": "0aded180ade26733e791ea768de63c9702451cceb7a23398e9b5c7e0950446ac",
-    "config-single_destination_demo": "fae9f94a2dc17f651f666271d30782fc84fd1d44c9674dba5f2f3b71be4a5c99",
+    "config-single_destination_demo": "0f992709d54d830088136a1a48c04a262c57b77b05360b0ef8e0084901bee934",
     "grid-heuristic": "f70073880cf9036b181c00187faa8d6d89759280a35822b4af6a1bb12b20474b",
     "grid-random": "c05baa13c92b6df6d5fdf52e4fc19bc06b2e05b0a202cf301e6a050d82358d1a",
     "grid-rpl": "3b8ad26b58ebbed1fa6964b330c615ee8f7f2a274eb9cb904e070eaf4d341548",

@@ -49,7 +49,8 @@ def oracle_decide(policy, view, node):
     policy has drawn its uniforms."""
     ctx = view.ctx
     walk = ctx.walk_vector(policy.destination)
-    drive_here, forced, probs = planners._future_probabilities(view, node)
+    drive_here = ctx.drive_to_resources(node)
+    forced, probs = planners._future_probabilities(view, drive_here)
     wait = view.claim_wait(policy._uniforms.T < probs)
     candidates = []
     for ridx in ctx.adjacent_res[node]:
@@ -72,8 +73,8 @@ def oracle_decide(policy, view, node):
         return RouteDecision(action, action.resource, float(view.now + ctx.res_offset[ridx])), None
     modal = modal_choice(costs.argmin(axis=1), ctx.n_resources)
     edge = ctx.graph.edges[action.edge]
-    arrival = (view.now + edge.drive_time_s + ctx.M[ctx.node_index[edge.to_node], ctx.res_from_idx[modal]]
-               + ctx.res_offset[modal])
+    arrival = (view.now + edge.drive_time_s) + (ctx.M[ctx.node_index[edge.to_node], ctx.res_from_idx[modal]]
+                                                 + ctx.res_offset[modal])
     return RouteDecision(action, ctx.res_ids[modal], float(arrival)), modal
 
 
@@ -259,7 +260,7 @@ def test_hindsight_decisions_match_full_matrix_oracle():
                 assert decision == expected
                 if modal is not None:
                     assert ctx.res_index[decision.target_resource] == modal
-                _, forced, probs = planners._future_probabilities(view, node)
+                forced, probs = planners._future_probabilities(view, ctx.drive_to_resources(node))
                 seen["pruned" if ctx.n_resources > 2 * K else "unpruned"] += 1
                 seen["reserved"] += int(forced.any())
                 seen["every spot occupied"] += int((~(policy._uniforms.T < probs).any(axis=1)).any())

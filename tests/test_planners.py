@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from parksearch.errors import NoPathError
 from parksearch.fleet import ReservationTable
 from parksearch.geo import EARTH_RADIUS_M, GeoPoint, great_circle_m
 from parksearch.planners import (
+    PLANNER_KINDS,
     FutureMinima,
     HeuristicPolicy,
     HindsightPolicy,
@@ -132,6 +134,42 @@ def test_replanning_policy_cache_contract():
     changed = policy.decide(make_view(ctx, [True, False]), "s", rng)
     assert changed.recomputed
     assert changed.target_resource == "rA"
+
+
+def test_replan_and_cached_plan_predict_the_same_arrival():
+    """s->a takes 0.2 s and spot r sits 0.3 s along a->b. At t = 0.1 replanning and the cached plan
+    both predict 0.1 + (0.2 + 0.3), so a000's reservation of r wins the equal-arrival tie against
+    a001, the larger id, whichever path made each prediction."""
+    doc = {
+        "nodes": [{"id": "s", "lat": 0.0, "lon": 0.0}, {"id": "a", "lat": 0.0, "lon": 0.001},
+                  {"id": "b", "lat": 0.0, "lon": 0.002}],
+        "edges": [
+            {"id": "e-sa", "from": "s", "to": "a", "length_m": 50.0, "drive_time_s": 0.2},
+            {"id": "e-ab", "from": "a", "to": "b", "length_m": 50.0, "drive_time_s": 1.0},
+            {"id": "e-bs", "from": "b", "to": "s", "length_m": 50.0, "drive_time_s": 1.0},
+        ],
+        "resources": [{"id": "r", "edge": "e-ab", "lat": 0.0, "lon": 0.0015, "offset_s": 0.3},
+                      {"id": "r2", "edge": "e-bs", "lat": 0.0, "lon": 0.001, "offset_s": 0.3}],
+    }
+    graph, ctx = make_context(doc)
+    dest = GeoPoint(0.0, 0.0015)
+    table = ReservationTable()
+    params = CtmcParams.from_mean_times(120.0, 2091.0)
+
+    def view(agent):
+        return make_view(ctx, [True, True], params=params, now=0.1, reservations=table, agent_id=agent)
+
+    policy = ReplanningPolicy(ctx, dest)
+    rng = np.random.default_rng(0)
+    first = policy.decide(view("a000"), "s", rng)
+    second = policy.decide(view("a000"), "s", rng)
+    assert first.recomputed and not second.recomputed
+    assert first.target_resource == second.target_resource == "r"
+    assert first.expected_arrival == second.expected_arrival == 0.1 + (0.2 + 0.3)
+
+    table.place("a000", "r", second.expected_arrival)
+    assert view("a001").reserved([second.expected_arrival], [ctx.res_index["r"]])[0]
+    assert replan_route(view("a001"), "s", dest).target_resource == "r2"
 
 
 def test_sample_determinizations_certain_and_reserved():
@@ -272,7 +310,7 @@ def test_hindsight_takes_adjacent_resource():
     # one-step look-ahead of the only road action: 30 to drive, then the best
     # hindsight solution from `a` costs 60 via rN in every certain future
     walk = ctx.walk_vector(GeoPoint(0.0, 0.0))
-    _, _, probs = planners._future_probabilities(view, "s")
+    _, probs = planners._future_probabilities(view, ctx.drive_to_resources("s"))
     futures = FutureMinima(view, ctx.drive_to_resources(["a"]) + walk, policy._uniforms, probs)
     assert 30.0 + futures.mins.mean(axis=1)[0] == pytest.approx(90.0, rel=1e-6)
     rn = ctx.res_index["rN"]
@@ -488,3 +526,41 @@ def test_actions_are_adjacent_on_random_worlds():
                 edge = graph.edges[graph.resources[decision.action.resource].edge_id]
                 assert edge.from_node == node
 
+
+def test_decisions_follow_the_arrival_rule_on_random_worlds():
+    """Every targeted decision of every kind predicts ``now + drive_to_resources(node)[target]``;
+    a hindsight road action predicts that sum from its edge's end, ``now + drive_time_s``. Weights
+    are not integers, so another grouping of the sum would show in the last ulp."""
+    rng = np.random.default_rng(32)
+    params = CtmcParams.from_mean_times(300.0, 900.0)
+    checked = Counter()
+    for _ in range(12):
+        graph, ctx = make_context(random_graph_doc(rng, n_nodes=8, edge_prob=0.4, n_resources=6,
+                                                   integer_weights=False))
+        if not graph.resources:
+            continue
+        dest = GeoPoint(float(rng.uniform(-5e-4, 5e-4)), float(rng.uniform(-5e-4, 5e-4)))  # spots lie at (0, 0)
+        avail = rng.random(ctx.n_resources) < 0.6
+        for kind in PLANNER_KINDS:
+            policy = make_policy(kind, ctx, dest, PlannerSettings(determinizations=10))
+            table = ReservationTable()
+            table.place("other", ctx.res_ids[int(rng.integers(ctx.n_resources))], float(rng.uniform(0, 500)))
+            node, now = str(rng.choice(list(graph.nodes))), float(rng.uniform(0, 1000))
+            for _ in range(6):
+                view = make_view(ctx, avail, params=params, now=now, reservations=table, agent_id="me")
+                try:
+                    decision = policy.decide(view, node, rng)
+                except NoPathError:
+                    break
+                edge = graph.edges[decision.action.edge] if isinstance(decision.action, TakeRoad) else None
+                if decision.target_resource is not None:
+                    ridx = ctx.res_index[decision.target_resource]
+                    start, at = ((edge.to_node, now + edge.drive_time_s)
+                                 if edge is not None and isinstance(policy, HindsightPolicy) else (node, now))
+                    assert decision.expected_arrival == at + ctx.drive_to_resources(start)[ridx], kind
+                    checked[kind, decision.recomputed] += 1
+                if edge is None:
+                    break
+                node, now = edge.to_node, now + edge.drive_time_s
+    assert all(checked[kind, True] for kind in PLANNER_KINDS), checked
+    assert checked["rpl_r", False], checked  # the cached plan's fast path
