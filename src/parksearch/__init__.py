@@ -7,7 +7,7 @@ through the submodules (``parksearch.planners``, ``parksearch.fleet``, ...).
 from .availability import AdaptionOverlay, CtmcParams, stationary_availability
 from .engine import (
     AgentSpec, MetricsRecord, OccupationTrace, compute_metrics, load_trace, read_results, run_simulation,
-    save_trace, synthesize_occupations, taxi_time, write_results,
+    save_trace, synthesize_occupations, write_results,
 )
 from .errors import (
     AdaptionError, ConfigError, DegenerateTargetError, GraphFormatError, GraphValidationError, NoPathError,
@@ -15,7 +15,7 @@ from .errors import (
 )
 from .fleet import ReservationTable, adapt_probabilities
 from .geo import GeoPoint, great_circle_m, walking_time
-from .graph import RoadGraph, TravelTimeMatrix, all_pairs_travel_times, dump_graph, load_graph, save_graph
+from .graph import RoadGraph, all_pairs_travel_times, dump_graph, load_graph, save_graph
 from .planners import (
     PLANNER_KINDS, PlannerContext, PlannerSettings, PlanningView, RouteDecision, TakeResource, TakeRoad,
     make_policy,
@@ -31,13 +31,13 @@ __all__ = [
     "ReservationTable", "adapt_probabilities",
     # simulation
     "AgentSpec", "MetricsRecord", "OccupationTrace", "compute_metrics", "load_trace",
-    "read_results", "run_simulation", "save_trace", "synthesize_occupations", "taxi_time", "write_results",
+    "read_results", "run_simulation", "save_trace", "synthesize_occupations", "write_results",
     # errors
     "AdaptionError", "ConfigError", "DegenerateTargetError", "GraphFormatError", "GraphValidationError",
     "NoPathError", "ParkSearchError", "TraceError",
     # geometry and road graphs
     "GeoPoint", "great_circle_m", "walking_time",
-    "RoadGraph", "TravelTimeMatrix", "all_pairs_travel_times", "dump_graph", "load_graph", "save_graph",
+    "RoadGraph", "all_pairs_travel_times", "dump_graph", "load_graph", "save_graph",
     # planners
     "PLANNER_KINDS", "PlannerContext", "PlannerSettings", "PlanningView", "RouteDecision", "TakeResource",
     "TakeRoad", "make_policy",

@@ -13,7 +13,17 @@ from .errors import ParkSearchError
 from .scenario import build_grid_graph_doc, run_batch, run_scenario, summarize_results
 
 
-@click.group()
+class _Commands(click.Group):
+    """Every command reports a ParkSearchError as a CLI error: its message and exit code 1."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ParkSearchError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Commands)
 def main() -> None:
     """Multi-agent parking search simulator."""
 
@@ -24,10 +34,7 @@ def main() -> None:
               show_default=True, help="Directory for the results file and config echo.")
 def simulate(config: str, out_dir: str) -> None:
     """Run one scenario CONFIG and write its results file."""
-    try:
-        records = run_scenario(config, out_dir)
-    except ParkSearchError as exc:
-        raise click.ClickException(str(exc)) from exc
+    records = run_scenario(config, out_dir)
     metrics = compute_metrics(records)
     click.echo(json.dumps(metrics, indent=2, sort_keys=True))
     click.echo(f"results written to {out_dir}")

@@ -251,11 +251,6 @@ class SimEvent:
     detail: str | None = None
 
 
-def taxi_time(ctx: PlannerContext, start_node: str, destination: GeoPoint) -> float:
-    """Trip time with a drop-off as close to the destination as any node allows."""
-    return float(np.min(ctx.M[ctx.node_index[start_node]] + ctx.node_walk_vector(destination)))
-
-
 def _validate_agents(graph: RoadGraph, agents: Iterable[AgentSpec]) -> list[AgentSpec]:
     specs = sorted(agents, key=lambda a: a.id)
     seen: set[str] = set()
@@ -265,8 +260,8 @@ def _validate_agents(graph: RoadGraph, agents: Iterable[AgentSpec]) -> list[Agen
         seen.add(spec.id)
         if spec.start_node not in graph.nodes:
             raise ConfigError(f"agent {spec.id!r}: unknown start node {spec.start_node!r}")
-        if spec.start_time < 0:
-            raise ConfigError(f"agent {spec.id!r}: negative start time")
+        if not 0.0 <= spec.start_time < math.inf:
+            raise ConfigError(f"agent {spec.id!r}: start time must be finite and non-negative, got {spec.start_time}")
         if spec.planner not in PLANNERS:
             raise ConfigError(f"agent {spec.id!r}: unknown planner {spec.planner!r}")
     return specs
@@ -440,7 +435,7 @@ def run_simulation(
     records: list[MetricsRecord] = []
     for spec in specs:
         rt = runtimes[spec.id]
-        taxi = taxi_time(ctx, spec.start_node, spec.destination)
+        taxi = ctx.taxi_time(spec.start_node, spec.destination)
         if rt.status == "parked":
             total = (rt.park_time - spec.start_time) + rt.walk_s
             status = "parked"
@@ -514,18 +509,23 @@ def read_results(path: str | Path) -> list[MetricsRecord]:
         header = next(reader, None)
         if header != RESULTS_HEADER:
             raise ConfigError(f"bad results header in {path}: {header}")
-        for row in reader:
-            records.append(
-                MetricsRecord(
-                    agent_id=row[0],
-                    planner=row[1],
-                    total_trip_s=float(row[2]),
-                    taxi_s=float(row[3]),
-                    parking_s=float(row[4]),
-                    unsuccessful_claims=int(row[5]),
-                    computation_s=float(row[6]) / 1000.0,
-                    parked_resource=row[7] or None,
-                    status=row[8],
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(RESULTS_HEADER):
+                raise ConfigError(f"{path} line {lineno}: expected {len(RESULTS_HEADER)} columns, got {len(row)}")
+            try:
+                records.append(
+                    MetricsRecord(
+                        agent_id=row[0],
+                        planner=row[1],
+                        total_trip_s=float(row[2]),
+                        taxi_s=float(row[3]),
+                        parking_s=float(row[4]),
+                        unsuccessful_claims=int(row[5]),
+                        computation_s=float(row[6]) / 1000.0,
+                        parked_resource=row[7] or None,
+                        status=row[8],
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise ConfigError(f"{path} line {lineno}: {exc}") from None
     return records

@@ -18,7 +18,6 @@ import numpy as np
 
 from .availability import AdaptionOverlay, OverlayDelta
 from .errors import DegenerateTargetError
-from .graph import isochrone_nodes
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from .geo import GeoPoint
@@ -90,7 +89,7 @@ def _edge_jump_weight(
     edge_id: str,
     t_acc: float,
     visited: set[str],
-    dest_node_idx: int,
+    dest_node: str,
     isochrone_s: float,
     visit_decay: float,
 ) -> float:
@@ -104,7 +103,7 @@ def _edge_jump_weight(
         occupied_product *= 1.0 - p
     edge = ctx.graph.edges[edge_id]
     theta = visit_decay if edge_id in visited else 1.0
-    delta = min(1.0, ctx.M[ctx.node_index[edge.to_node], dest_node_idx] / isochrone_s)
+    delta = min(1.0, ctx.drive_time(edge.to_node, dest_node) / isochrone_s)
     return theta * delta * (1.0 - occupied_product)
 
 
@@ -137,8 +136,8 @@ def adapt_probabilities(
         raise DegenerateTargetError(
             f"target street {target_edge.id!r} ends in a dead end at {start_node!r}"
         )
-    iso_nodes = isochrone_nodes(ctx.matrix, target_edge.from_node, isochrone_s)
-    dest_idx = ctx.node_index[dest_node if dest_node is not None else target_edge.from_node]
+    iso_nodes = ctx.isochrone(target_edge.from_node, isochrone_s)
+    dest_node = dest_node if dest_node is not None else target_edge.from_node
 
     p_initial = 1.0 - float(view.availability(t_arrival, [t_idx])[0])
     t_partial = target_edge.drive_time_s - target.offset_s
@@ -165,7 +164,7 @@ def adapt_probabilities(
             memo = weights_of.get(key)
             if memo is None:
                 weights = [
-                    _edge_jump_weight(view, e.id, t_acc, visited, dest_idx, isochrone_s, visit_decay)
+                    _edge_jump_weight(view, e.id, t_acc, visited, dest_node, isochrone_s, visit_decay)
                     for e in cands
                 ]
                 memo = weights_of[key] = (weights, float(sum(weights)))

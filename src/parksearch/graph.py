@@ -1,4 +1,4 @@
-"""Road network model: nodes, edges, on-street resources and travel-time queries.
+"""Road network model: nodes, edges, on-street resources and all-pairs drive times.
 
 The graph document is a JSON object with three arrays::
 
@@ -67,10 +67,10 @@ class RoadGraph:
         self.edges: dict[str, Edge] = {e.id: e for e in sorted(edges, key=lambda e: e.id)}
         self.resources: dict[str, Resource] = {r.id: r for r in sorted(resources, key=lambda r: r.id)}
         self._validate()
-        out: dict[str, list[str]] = {nid: [] for nid in self.nodes}
-        for e in self.edges.values():
-            out[e.from_node].append(e.id)
-        self.out_edges: dict[str, tuple[str, ...]] = {nid: tuple(sorted(eids)) for nid, eids in out.items()}
+        out: dict[str, list[Edge]] = {nid: [] for nid in self.nodes}
+        for e in self.edges.values():  # in id order
+            out[e.from_node].append(e)
+        self.out_edges: dict[str, tuple[Edge, ...]] = {nid: tuple(edges) for nid, edges in out.items()}
         by_edge: dict[str, list[str]] = {eid: [] for eid in self.edges}
         for r in self.resources.values():
             by_edge[r.edge_id].append(r.id)
@@ -217,20 +217,9 @@ def save_graph(graph: RoadGraph, path: str | Path) -> None:
     Path(path).write_text(json.dumps(dump_graph(graph), indent=2, sort_keys=True) + "\n")
 
 
-class TravelTimeMatrix:
-    """Dense all-pairs drive times in seconds; ``inf`` marks unreachable pairs."""
-
-    def __init__(self, node_ids: tuple[str, ...], values: np.ndarray):
-        self.node_ids = node_ids
-        self.values = values
-        self.node_index = {nid: i for i, nid in enumerate(node_ids)}
-
-    def time(self, from_node: str, to_node: str) -> float:
-        return float(self.values[self.node_index[from_node], self.node_index[to_node]])
-
-
-def all_pairs_travel_times(graph: RoadGraph) -> TravelTimeMatrix:
-    """Least-cost directed drive time between every node pair."""
+def all_pairs_travel_times(graph: RoadGraph) -> np.ndarray:
+    """Least-cost directed drive seconds between every node pair, in ``graph.nodes`` order;
+    ``inf`` marks unreachable pairs."""
     node_ids = tuple(graph.nodes)
     index = {nid: i for i, nid in enumerate(node_ids)}
     n = len(node_ids)
@@ -249,12 +238,5 @@ def all_pairs_travel_times(graph: RoadGraph) -> TravelTimeMatrix:
     adj = csr_matrix((data, (rows, cols)), shape=(n, n))
     dist = dijkstra(adj, directed=True)
     np.fill_diagonal(dist, 0.0)
-    return TravelTimeMatrix(node_ids, dist)
-
-
-def isochrone_nodes(matrix: TravelTimeMatrix, around: str, limit_s: float) -> set[str]:
-    """Nodes from which ``around`` can be reached within ``limit_s`` of driving."""
-    j = matrix.node_index[around]
-    mask = matrix.values[:, j] <= limit_s
-    return {matrix.node_ids[i] for i in np.nonzero(mask)[0]}
+    return dist
 

@@ -26,7 +26,7 @@ from .availability import AdaptionOverlay, CtmcParams, availability_after_rates,
 from .errors import ConfigError, NoPathError
 from .fleet import ReservationTable
 from .geo import GeoPoint, great_circle_m, great_circle_m_many, walking_time_many
-from .graph import Edge, RoadGraph, TravelTimeMatrix
+from .graph import Edge, RoadGraph
 
 
 @dataclass(frozen=True)
@@ -100,21 +100,23 @@ SETTING_BOUNDS = {
 
 
 class PlannerContext:
-    """Precomputed arrays shared by every policy evaluation on one graph."""
+    """Precomputed arrays shared by every policy evaluation on one graph; ``times`` are the least
+    drive seconds between node pairs in ``graph.nodes`` order, read only by the context's methods."""
 
-    def __init__(self, graph: RoadGraph, matrix: TravelTimeMatrix):
+    def __init__(self, graph: RoadGraph, times: np.ndarray):
+        n = len(graph.nodes)
+        if np.shape(times) != (n, n):
+            raise ValueError(f"drive times must be {n}x{n} for the graph's nodes, got shape {np.shape(times)}")
         self.graph = graph
-        self.matrix = matrix
-        self.M = matrix.values
-        self.node_ids = matrix.node_ids
-        self.node_index = matrix.node_index
+        self.M = times
+        self.node_ids: tuple[str, ...] = tuple(graph.nodes)
+        self.node_index = {nid: i for i, nid in enumerate(self.node_ids)}
         self.node_lat = np.array([graph.nodes[n].position.lat for n in self.node_ids])
         self.node_lon = np.array([graph.nodes[n].position.lon for n in self.node_ids])
 
         self.res_ids: tuple[str, ...] = tuple(graph.resources)
         self.res_index = {rid: i for i, rid in enumerate(self.res_ids)}
         res = [graph.resources[rid] for rid in self.res_ids]
-        self.res_edge_ids = [r.edge_id for r in res]
         self.res_from_idx = np.array(
             [self.node_index[graph.edges[r.edge_id].from_node] for r in res], dtype=int
         )
@@ -123,15 +125,11 @@ class PlannerContext:
         self.res_lat = np.array([r.position.lat for r in res])
         self.res_lon = np.array([r.position.lon for r in res])
 
-        self.out_edges: dict[str, list[Edge]] = {
-            nid: [graph.edges[eid] for eid in graph.out_edges[nid]] for nid in graph.nodes
-        }
-        adj: dict[str, list[int]] = {nid: [] for nid in graph.nodes}
-        for i, r in enumerate(res):
-            adj[graph.edges[r.edge_id].from_node].append(i)
+        self.out_edges = graph.out_edges
+        # the spots of each out-street in turn, each street's in resources_by_edge order
         self.adjacent_res: dict[str, tuple[int, ...]] = {
-            nid: tuple(sorted(ids, key=lambda i: (self.res_edge_ids[i], self.res_offset[i], self.res_ids[i])))
-            for nid, ids in adj.items()
+            nid: tuple(self.res_index[rid] for e in edges for rid in graph.resources_by_edge[e.id])
+            for nid, edges in graph.out_edges.items()
         }
         self._street_spots: dict[str, np.ndarray] = {}
         self._walk_cache: dict[tuple[float, float], np.ndarray] = {}
@@ -181,6 +179,18 @@ class PlannerContext:
         """Node whose position is walk-closest to the destination."""
         return self.node_ids[int(np.argmin(self.node_walk_vector(destination)))]
 
+    def drive_time(self, from_node: str, to_node: str) -> float:
+        """Least drive seconds between two nodes; ``inf`` when unreachable."""
+        return float(self.M[self.node_index[from_node], self.node_index[to_node]])
+
+    def isochrone(self, around: str, limit_s: float) -> set[str]:
+        """Nodes from which ``around`` can be reached within ``limit_s`` of driving."""
+        return {self.node_ids[i] for i in np.flatnonzero(self.M[:, self.node_index[around]] <= limit_s)}
+
+    def taxi_time(self, start: str, destination: GeoPoint) -> float:
+        """Trip time with a drop-off as close to the destination as any node allows."""
+        return float(np.min(self.M[self.node_index[start]] + self.node_walk_vector(destination)))
+
     def drive_to_resources(self, nodes: str | list[str]) -> np.ndarray:
         """Drive seconds to every resource (via its edge start, then the offset) from a node,
         or one row per node of a list."""
@@ -194,11 +204,10 @@ class PlannerContext:
         """Edge starting a least-time path; ties resolve to the smallest edge id."""
         if from_node == to_node:
             raise ValueError("already at the target node")
-        ti = self.node_index[to_node]
         best: Edge | None = None
         best_cost = np.inf
         for e in self.out_edges[from_node]:
-            c = e.drive_time_s + self.M[self.node_index[e.to_node], ti]
+            c = e.drive_time_s + self.drive_time(e.to_node, to_node)
             if c < best_cost:
                 best, best_cost = e, c
         if best is None or not np.isfinite(best_cost):
@@ -220,8 +229,10 @@ class PlannerContext:
 
 @dataclass
 class PlanningView:
-    """Immutable snapshot handed to a policy for one decision.
+    """What a policy sees at one decision.
 
+    ``avail`` is the engine's live availability array, not a copy: later trace flips and
+    claims overwrite it, so a view describes the world only until the engine moves on.
     ``lam_vec``/``mu_vec`` carry per-resource flip rates; they default to the
     global pair in ``params`` when the scenario does not override them.
     ``t_claim`` is the expected circling wait at each resource.
@@ -267,10 +278,9 @@ class PlanningView:
             np.clip(p, 0.0, 1.0, out=p)
         return p
 
-    def claim_wait(self, available: np.ndarray, idx=None) -> np.ndarray:
-        """Extra cost per resource, or per resource index in ``idx``: nothing where available, the
-        expected circling wait where occupied."""
-        return np.where(available, 0.0, self.t_claim if idx is None else self.t_claim[idx])
+    def claim_wait(self, available: np.ndarray) -> np.ndarray:
+        """Extra cost per resource: nothing where available, the expected circling wait where occupied."""
+        return np.where(available, 0.0, self.t_claim)
 
     def reserved(self, arrivals: np.ndarray, idx=None) -> np.ndarray:
         """Mask over ``arrivals``, one per resource or per resource index in ``idx``, of the spots
@@ -505,8 +515,7 @@ class RandomPolicy:
         # The driver cruises one random street at a time and takes the first
         # free spot on the street it chose, not spots seen on cross streets.
         edge = edges[int(rng.integers(len(edges)))]
-        for rid in ctx.graph.resources_by_edge[edge.id]:
-            ridx = ctx.res_index[rid]
+        for ridx in ctx.street_spots(edge.id).tolist():
             if view.avail[ridx]:
                 return ctx.toward(view.now, node, ridx)
         return RouteDecision(TakeRoad(edge.id))

@@ -129,11 +129,11 @@ def test_criterion_03_oracle_equivalences():
     for n_nodes, integer in ((50, True), (35, False), (20, True)):
         graph = load_graph(random_graph_doc(rng, n_nodes=n_nodes, n_resources=0,
                                             integer_weights=integer))
-        matrix = all_pairs_travel_times(graph)
+        matrix = PlannerContext(graph, all_pairs_travel_times(graph))
         for source in list(graph.nodes)[:: max(1, n_nodes // 8)]:
             oracle = bellman_ford_times(graph, source)
             for target in graph.nodes:
-                if matrix.time(source, target) != oracle[target]:
+                if matrix.drive_time(source, target) != oracle[target]:
                     apsp_exact = False
 
     solve_exact = True
@@ -151,7 +151,7 @@ def test_criterion_03_oracle_equivalences():
         best_id, best_cost = None, np.inf
         for i, rid in enumerate(ctx.res_ids):
             r = graph.resources[rid]
-            cost = (ctx.matrix.time(start, graph.edges[r.edge_id].from_node) + r.offset_s
+            cost = (ctx.drive_time(start, graph.edges[r.edge_id].from_node) + r.offset_s
                     + walking_time(r.position, dest))
             if not avail[i]:
                 cost += float(view.t_claim[i])

@@ -154,3 +154,19 @@ def test_cli_gen_commands_create_missing_output_directories(tmp_path):
     # a file where the directory should be is a CLI error, not a traceback
     result = runner.invoke(main, ["gen-scenario", "grid-demo", "--out", str(trace_path / "grid.json")])
     assert result.exit_code == 1 and "cannot write" in result.output
+
+
+def test_cli_malformed_results_file_is_a_cli_error(tmp_path):
+    runner = CliRunner()
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    bad = out_dir / "bad.results.csv"
+    bad.write_text("agent_id,planner,total_trip_s,taxi_s,parking_s,unsuccessful_claims,computation_ms,"
+                   "parked_resource,status\na0,rpl,600.0\n")
+    result = runner.invoke(main, ["summarize", str(out_dir)])
+    assert result.exit_code == 1 and f"{bad} line 2" in result.output
+    cfg_dir = tmp_path / "configs"
+    cfg_dir.mkdir()
+    (cfg_dir / "broken.json").write_text(json.dumps({"graph": "missing.json"}))
+    result = runner.invoke(main, ["batch", str(cfg_dir), "--out", str(out_dir)])
+    assert result.exit_code == 1 and f"{bad} line 2" in result.output

@@ -12,6 +12,7 @@ from parksearch.engine import (
     DEFAULT_CTMC,
     AgentSpec,
     MetricsRecord,
+    RESULTS_HEADER,
     OccupationTrace,
     compute_metrics,
     load_trace,
@@ -20,7 +21,6 @@ from parksearch.engine import (
     run_simulation,
     save_trace,
     synthesize_occupations,
-    taxi_time,
     write_results,
 )
 from parksearch.errors import ConfigError, NoPathError, TraceError
@@ -182,7 +182,7 @@ def test_single_agent_parks_with_exact_times():
     walk = walking_time(graph.resources["r1"].position, dest)
     assert rec.total_trip_s == pytest.approx(12.0 + walk)  # offset drive plus walk
     ctx = PlannerContext(graph, all_pairs_travel_times(graph))
-    assert rec.taxi_s == pytest.approx(taxi_time(ctx, spec.start_node, spec.destination))
+    assert rec.taxi_s == pytest.approx(ctx.taxi_time(spec.start_node, spec.destination))
     assert rec.parking_s == pytest.approx(rec.total_trip_s - rec.taxi_s)
 
 
@@ -285,21 +285,20 @@ def test_synthesize_respects_per_resource_rates():
 
 def test_taxi_time_examples():
     graph = line_world()
-    matrix = all_pairs_travel_times(graph)
-    ctx = PlannerContext(graph, matrix)
+    ctx = PlannerContext(graph, all_pairs_travel_times(graph))
     # destination exactly at node n1: pure drive time
     spec = AgentSpec("a", "n0", GeoPoint(0.0, 0.001), 0.0, "rpl")
-    assert taxi_time(ctx, spec.start_node, spec.destination) == pytest.approx(30.0)
+    assert ctx.taxi_time(spec.start_node, spec.destination) == pytest.approx(30.0)
     # destination at the start node: zero
     spec0 = AgentSpec("a", "n0", GeoPoint(0.0, 0.0), 0.0, "rpl")
-    assert taxi_time(ctx, spec0.start_node, spec0.destination) == 0.0
+    assert ctx.taxi_time(spec0.start_node, spec0.destination) == 0.0
     # brute force over candidate drop-off nodes
     dest = GeoPoint(0.0005, 0.0013)
     spec2 = AgentSpec("a", "n0", dest, 0.0, "rpl")
     brute = min(
-        matrix.time("n0", v) + walking_time(graph.nodes[v].position, dest) for v in graph.nodes
+        ctx.drive_time("n0", v) + walking_time(graph.nodes[v].position, dest) for v in graph.nodes
     )
-    assert taxi_time(ctx, spec2.start_node, spec2.destination) == brute
+    assert ctx.taxi_time(spec2.start_node, spec2.destination) == brute
 
 
 def test_compute_metrics_arithmetic():
@@ -333,6 +332,17 @@ def test_results_roundtrip(tmp_path):
         path2 = tmp_path / "bad.csv"
         path2.write_text("nope\n")
         read_results(path2)
+
+
+@pytest.mark.parametrize("row, problem", [
+    ("a0,rpl,600.0,480.0", "expected 9 columns, got 4"),
+    ("a0,rpl,600.0,480.0,120.0,one,0.0,r1,parked", "invalid literal for int"),
+])
+def test_malformed_results_row_names_file_and_line(tmp_path, row, problem):
+    path = tmp_path / "bad.results.csv"
+    path.write_text(",".join(RESULTS_HEADER) + "\na1,rpl,600.0,480.0,120.0,0,0.0,r1,parked\n" + row + "\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path} line 3: {problem}")):
+        read_results(path)
 
 
 def test_trace_file_roundtrip(tmp_path):
@@ -410,6 +420,9 @@ def test_agent_validation():
         run_simulation(graph, [AgentSpec("a", "nope", dest, 0.0, "rpl")], OccupationTrace())
     with pytest.raises(ConfigError):
         run_simulation(graph, [AgentSpec("a", "n0", dest, -5.0, "rpl")], OccupationTrace())
+    for start in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="agent 'a': start time"):
+            run_simulation(graph, [AgentSpec("a", "n0", dest, start, "rpl")], OccupationTrace())
     with pytest.raises(ConfigError):
         run_simulation(graph, [AgentSpec("a", "n0", dest, 0.0, "warp")], OccupationTrace())
     with pytest.raises(ConfigError):
@@ -459,7 +472,7 @@ def test_static_world_replanning_reduces_to_best_candidate():
     rng = np.random.default_rng(55)
     graph = load_graph(build_grid_graph_doc(5, 5, spacing_m=180.0, drive_time_s=15.0,
                                             n_resources=12, seed=9))
-    matrix = all_pairs_travel_times(graph)
+    ctx = PlannerContext(graph, all_pairs_travel_times(graph))
     dest = GeoPoint(0.0008, 0.0011)
     spec = AgentSpec("a0", "n0000", dest, 0.0, "rpl")
     records = run_simulation(graph, [spec], OccupationTrace(), params=FROZEN,
@@ -467,7 +480,7 @@ def test_static_world_replanning_reduces_to_best_candidate():
 
     best_rid, best_cost = None, np.inf
     for rid, r in graph.resources.items():
-        cost = (matrix.time("n0000", graph.edges[r.edge_id].from_node) + r.offset_s
+        cost = (ctx.drive_time("n0000", graph.edges[r.edge_id].from_node) + r.offset_s
                 + walking_time(r.position, dest))
         if cost < best_cost:
             best_rid, best_cost = rid, cost

@@ -13,7 +13,6 @@ from parksearch.fleet import (
     adapt_probabilities,
     create_adaptions,
 )
-from parksearch.graph import isochrone_nodes
 from parksearch.planners import PlannerSettings, PlanningView
 
 from conftest import make_context
@@ -170,16 +169,16 @@ def test_edge_jump_weight_formula():
 
     # edge e12 ends at n2; drive n2 -> n0 is 300 s; with a 600 s isochrone delta = 0.5
     w = _edge_jump_weight(view, "e12", t_acc=dt, visited=set(),
-                          dest_node_idx=ctx.node_index["n0"], isochrone_s=600.0, visit_decay=0.95)
+                          dest_node="n0", isochrone_s=600.0, visit_decay=0.95)
     assert w == pytest.approx(0.5 * 0.2, abs=1e-9)
 
     # visited edges decay by 0.95; a certainly-available resource gives the full gamma
-    w_visited = _edge_jump_weight(view, "e12", dt, {"e12"}, ctx.node_index["n0"], 600.0, 0.95)
+    w_visited = _edge_jump_weight(view, "e12", dt, {"e12"}, "n0", 600.0, 0.95)
     assert w_visited == pytest.approx(0.95 * 0.5 * 0.2, abs=1e-9)
 
     view_sure = PlanningView(ctx, 0.0, np.array([True, True, True]), FROZEN)
-    w_sure = _edge_jump_weight(view_sure, "e12", 100.0, set(), ctx.node_index["n0"], 600.0, 0.95)
-    delta = min(1.0, ctx.matrix.time("n2", "n0") / 600.0)
+    w_sure = _edge_jump_weight(view_sure, "e12", 100.0, set(), "n0", 600.0, 0.95)
+    delta = min(1.0, ctx.drive_time("n2", "n0") / 600.0)
     assert w_sure == pytest.approx(delta * 1.0, rel=1e-6)
 
 
@@ -254,7 +253,7 @@ def test_adapt_probabilities_walk_invariants():
     )
     entries = adapt_probabilities(view, "rt", t_arrival, "me",
                                   PlannerSettings(adaption_samples=40, adaption_isochrone_s=600.0), rng)
-    iso = isochrone_nodes(ctx.matrix, graph.edges[target.edge_id].from_node, 600.0)
+    iso = ctx.isochrone(graph.edges[target.edge_id].from_node, 600.0)
     for entry in entries:
         # each walk multiplies its survival mass by weights <= 1
         assert entry.delta <= p_initial + 1e-12

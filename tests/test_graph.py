@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from parksearch.errors import GraphFormatError, GraphValidationError
-from parksearch.graph import (
-    all_pairs_travel_times,
-    dump_graph,
-    isochrone_nodes,
-    load_graph,
-    save_graph,
-)
+from parksearch.graph import all_pairs_travel_times, dump_graph, load_graph, save_graph
+from parksearch.planners import PlannerContext
 
 from conftest import bellman_ford_times, random_graph_doc, triangle_doc
 
@@ -102,11 +97,11 @@ def test_default_round_trip_applied():
 
 
 def test_apsp_triangle(triangle_graph):
-    m = all_pairs_travel_times(triangle_graph)
-    assert m.time("u", "u") == 0.0
-    assert m.time("u", "v") == 10.0
-    assert m.time("u", "w") == 30.0  # u -> v -> w, only path
-    assert m.time("w", "v") == 25.0
+    m = PlannerContext(triangle_graph, all_pairs_travel_times(triangle_graph))
+    assert m.drive_time("u", "u") == 0.0
+    assert m.drive_time("u", "v") == 10.0
+    assert m.drive_time("u", "w") == 30.0  # u -> v -> w, only path
+    assert m.drive_time("w", "v") == 25.0
 
 
 def test_apsp_unreachable_is_inf():
@@ -115,26 +110,27 @@ def test_apsp_unreachable_is_inf():
         "edges": [{"id": "e", "from": "a", "to": "b", "length_m": 10.0, "drive_time_s": 5.0}],
         "resources": [],
     }
-    m = all_pairs_travel_times(load_graph(doc))
-    assert m.time("a", "b") == 5.0
-    assert m.time("b", "a") == np.inf
+    g = load_graph(doc)
+    m = PlannerContext(g, all_pairs_travel_times(g))
+    assert m.drive_time("a", "b") == 5.0
+    assert m.drive_time("b", "a") == np.inf
 
 
 def test_apsp_matches_bellman_ford_exactly():
     rng = np.random.default_rng(11)
     for trial in range(4):
         g = load_graph(random_graph_doc(rng, n_nodes=30, n_resources=0))
-        m = all_pairs_travel_times(g)
+        m = PlannerContext(g, all_pairs_travel_times(g))
         for source in list(g.nodes)[::7]:
             oracle = bellman_ford_times(g, source)
             for target in g.nodes:
-                assert m.time(source, target) == oracle[target]
+                assert m.drive_time(source, target) == oracle[target]
 
 
 def test_triangle_inequality():
     rng = np.random.default_rng(5)
     g = load_graph(random_graph_doc(rng, n_nodes=20, n_resources=0))
-    vals = all_pairs_travel_times(g).values
+    vals = all_pairs_travel_times(g)
     n = vals.shape[0]
     for u in range(n):
         for v in range(n):
@@ -144,11 +140,11 @@ def test_triangle_inequality():
 
 
 def test_isochrone(triangle_graph):
-    m = all_pairs_travel_times(triangle_graph)
-    assert isochrone_nodes(m, "u", 0.0) == {"u"}
-    assert isochrone_nodes(m, "u", 1000.0) == {"u", "v", "w"}
+    m = PlannerContext(triangle_graph, all_pairs_travel_times(triangle_graph))
+    assert m.isochrone("u", 0.0) == {"u"}
+    assert m.isochrone("u", 1000.0) == {"u", "v", "w"}
     # time-to-w: u needs 30, v needs 20, w needs 0
-    assert isochrone_nodes(m, "w", 20.0) == {"v", "w"}
+    assert m.isochrone("w", 20.0) == {"v", "w"}
 
 
 def test_reachable_resources_ordering():

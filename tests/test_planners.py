@@ -16,6 +16,7 @@ from parksearch.planners import (
     FutureMinima,
     HeuristicPolicy,
     HindsightPolicy,
+    PlannerContext,
     PlannerSettings,
     PlanningView,
     RandomPolicy,
@@ -30,7 +31,7 @@ from parksearch.planners import (
 )
 from parksearch.scenario import build_grid_graph_doc
 
-from conftest import make_context, random_graph_doc
+from conftest import make_context, random_graph_doc, triangle_doc
 
 M_PER_DEG = math.pi * EARTH_RADIUS_M / 180.0
 FROZEN = CtmcParams(1e-9, 1e-9)  # state changes are effectively impossible
@@ -245,7 +246,7 @@ def test_solve_determinization_matches_enumeration():
         best_id, best_cost = None, np.inf
         for i, rid in enumerate(ctx.res_ids):
             r = graph.resources[rid]
-            drive = ctx.matrix.time(start, graph.edges[r.edge_id].from_node) + r.offset_s
+            drive = ctx.drive_time(start, graph.edges[r.edge_id].from_node) + r.offset_s
             cost = drive + walking_time(r.position, dest)
             if not avail[i]:
                 cost += float(view.t_claim[i])
@@ -501,6 +502,41 @@ def test_policies_are_pure_functions_of_inputs():
             da = a.decide(make_view(ctx, [True, True]), node, rng_a)
             db = b.decide(make_view(ctx, [True, True]), node, rng_b)
             assert da == db, kind
+
+
+def test_context_rejects_drive_times_of_the_wrong_shape():
+    graph, ctx = make_context(triangle_doc())
+    for times in (ctx.M[:2, :2], ctx.M[:, :2], ctx.M.ravel()):
+        with pytest.raises(ValueError, match="3x3"):
+            PlannerContext(graph, times)
+
+
+def sorted_adjacent_spots(graph, ctx):
+    """Oracle: each node's spot indices sorted by (street id, offset, spot id)."""
+    adj = {nid: [] for nid in graph.nodes}
+    for i, rid in enumerate(ctx.res_ids):
+        adj[graph.edges[graph.resources[rid].edge_id].from_node].append(i)
+
+    def key(i):
+        return graph.resources[ctx.res_ids[i]].edge_id, ctx.res_offset[i], ctx.res_ids[i]
+    return {nid: tuple(sorted(ids, key=key)) for nid, ids in adj.items()}
+
+
+def test_adjacent_spots_follow_street_order():
+    rng = np.random.default_rng(1313)
+    docs = []
+    for _ in range(30):
+        doc = random_graph_doc(rng, n_nodes=6, edge_prob=0.4, n_resources=20)
+        for r in doc["resources"]:
+            r["offset_s"] = float(rng.integers(2))  # equal offsets on one street tie-break by spot id
+        docs.append(doc)
+    docs.append(build_grid_graph_doc(5, 5, n_resources=60, seed=7, one_way=True))
+    for doc in docs:
+        graph, ctx = make_context(doc)
+        assert ctx.out_edges is graph.out_edges
+        for nid, edges in graph.out_edges.items():
+            assert [e.id for e in edges] == sorted(e.id for e in graph.edges.values() if e.from_node == nid)
+        assert ctx.adjacent_res == sorted_adjacent_spots(graph, ctx)
 
 
 def test_actions_are_adjacent_on_random_worlds():
