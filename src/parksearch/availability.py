@@ -35,20 +35,29 @@ def stationary_availability(params: CtmcParams) -> float:
     return params.mu / (params.lam + params.mu)
 
 
-def availability_after_rates(
-    lam: np.ndarray | float,
-    mu: np.ndarray | float,
-    dt: np.ndarray | float,
-    available_now: np.ndarray | bool,
-) -> np.ndarray:
-    """Availability probability with per-element flip rates (broadcasting)."""
-    lam = np.asarray(lam, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    dt = np.asarray(dt, dtype=float)
-    total = lam + mu
-    pi_a = mu / total
-    decay = np.exp(-total * dt)
-    return pi_a + np.where(np.asarray(available_now, dtype=bool), 1.0 - pi_a, -pi_a) * decay
+class AvailabilityRates:
+    """The availability rule for per-resource flip rates, with its rate terms computed once.
+
+    ``after(dt, available_now, idx)`` is ``pi_a + (1 - pi_a if available_now else -pi_a) * exp(-(lam + mu) * dt)``
+    per resource, or per resource index in ``idx``, where ``pi_a = mu / (lam + mu)``. One run builds
+    one of these and every prediction of that run reads it.
+    """
+
+    def __init__(self, lam: np.ndarray | float, mu: np.ndarray | float) -> None:
+        lam, mu = np.asarray(lam, dtype=float), np.asarray(mu, dtype=float)
+        total = lam + mu
+        self.neg_total = -total
+        self.pi_a = mu / total
+        self.up = 1.0 - self.pi_a  # the gap an available resource closes as it decays to pi_a
+        self.down = -self.pi_a  # the same for an occupied one
+
+    def after(self, dt: np.ndarray | float, available_now: np.ndarray | bool, idx=None) -> np.ndarray:
+        """Availability probability ``dt`` seconds after observing ``available_now`` (broadcasting)."""
+        if idx is None:
+            neg_total, pi_a, up, down = self.neg_total, self.pi_a, self.up, self.down
+        else:
+            neg_total, pi_a, up, down = self.neg_total[idx], self.pi_a[idx], self.up[idx], self.down[idx]
+        return pi_a + np.where(available_now, up, down) * np.exp(neg_total * dt)
 
 
 @dataclass(frozen=True)
@@ -111,15 +120,12 @@ class AdaptionOverlay:
         return bool(self._entries)
 
 
-def expected_wait_times_rates(
-    lam: np.ndarray | float, mu: np.ndarray | float, t_tr: np.ndarray
-) -> np.ndarray:
-    """Expected time circling an occupied resource until it can be claimed, per element.
+def expected_wait_times_rates(rates: AvailabilityRates, t_tr: np.ndarray) -> np.ndarray:
+    """Expected time circling an occupied resource until it can be claimed, per resource.
 
     Each round trip of duration ``t_tr`` succeeds independently with the
     probability that the occupied-anchored process is available after ``t_tr``,
     so the expected number of trips is geometric.
     """
     t_tr = np.asarray(t_tr, dtype=float)
-    p = availability_after_rates(lam, mu, t_tr, False)
-    return t_tr / p
+    return t_tr / rates.after(t_tr, False)

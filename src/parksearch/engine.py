@@ -26,7 +26,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .availability import CtmcParams, expected_wait_times_rates, stationary_availability
+from .availability import AvailabilityRates, CtmcParams, expected_wait_times_rates, stationary_availability
 from .errors import ConfigError, ParkSearchError, TraceError
 from .fleet import Fleet
 from .geo import GeoPoint, walking_time
@@ -314,7 +314,8 @@ def run_simulation(
             if rid in ctx.res_index:
                 lam_vec[ctx.res_index[rid]] = p.lam
                 mu_vec[ctx.res_index[rid]] = p.mu
-    t_claim = expected_wait_times_rates(lam_vec, mu_vec, ctx.res_t_tr)
+    rates = AvailabilityRates(lam_vec, mu_vec)
+    t_claim = expected_wait_times_rates(rates, ctx.res_t_tr)
 
     try:
         trace_idx = np.array([ctx.res_index[rid] for rid in trace.resources.tolist()], dtype=np.intp)
@@ -327,8 +328,18 @@ def run_simulation(
 
     fleet = Fleet(settings)
     runtimes = {spec.id: AgentRuntime(spec, np.random.default_rng(children[i + 1])) for i, spec in enumerate(specs)}
-    # a parked agent never decides again, so its policy is dropped when it parks
-    policies = {spec.id: make_policy(spec.planner, ctx, spec.destination, settings) for spec in specs}
+    # Each agent's policy, its one view for the whole run (sharing the run's arrays) and whether it
+    # shares fleet data; a parked agent never decides again, so its entry is dropped when it parks.
+    planning: dict[str, tuple[object, PlanningView, bool]] = {}
+    for spec in specs:
+        shares = PLANNERS[spec.planner].shares
+        view = PlanningView(
+            ctx, spec.start_time, avail, params,
+            reservations=fleet.reservations if shares == "reservations" else None,
+            overlay=fleet.overlay if shares == "overlay" else None,
+            agent_id=spec.id, rates=rates, t_claim=t_claim,
+        )
+        planning[spec.id] = (make_policy(spec.planner, ctx, spec.destination, settings), view, shares is not None)
 
     heap: list[tuple] = []
     seq = 0
@@ -361,17 +372,13 @@ def run_simulation(
             next_flip += 1
 
     def decide(rt: AgentRuntime, now: float) -> None:
-        shares = PLANNERS[rt.spec.planner].shares
-        view = PlanningView(
-            ctx, now, avail, params,
-            reservations=fleet.reservations if shares == "reservations" else None,
-            overlay=fleet.overlay if shares == "overlay" else None,
-            agent_id=rt.spec.id,
-            lam_vec=lam_vec, mu_vec=mu_vec, t_claim=t_claim,
-        )
-        t0 = _time.perf_counter()
-        decision = policies[rt.spec.id].decide(view, rt.node, rt.rng)
-        fleet.publish(view, decision, rt.rng, rt.spec.destination)
+        policy, view, shares = planning[rt.spec.id]
+        view.now = now
+        if measure_computation:
+            t0 = _time.perf_counter()
+        decision = policy.decide(view, rt.node, rt.rng)
+        if shares:
+            fleet.publish(view, decision, rt.rng, rt.spec.destination)
         if measure_computation:  # publishing what the fleet shares is planner work too
             rt.computation_s += _time.perf_counter() - t0
 
@@ -421,7 +428,7 @@ def run_simulation(
                 rt.parked_resource = rid
                 rt.walk_s = walking_time(graph.resources[rid].position, rt.spec.destination)
                 fleet.withdraw(key)
-                del policies[key]
+                del planning[key]
                 if collect_events:
                     log.append(SimEvent(now, "agent_claim", agent=key, resource=rid, detail="success"))
             else:

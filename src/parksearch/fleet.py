@@ -32,25 +32,33 @@ class Reservation:
 
 
 class ReservationTable:
-    """Active reservations, at most one per agent."""
+    """Active reservations, at most one per agent, indexed by agent and by resource."""
 
     def __init__(self) -> None:
         self._by_agent: dict[str, Reservation] = {}
+        # resource -> its holders' reservations by agent, in the order they were placed; no empty entries
+        self._by_resource: dict[str, dict[str, Reservation]] = {}
 
     def place(self, agent: str, resource: str, t_arrival: float) -> Reservation:
         """Replace the agent's previous reservation with a new one."""
         self.cancel(agent)
         res = self._by_agent[agent] = Reservation(resource, agent, t_arrival)
+        self._by_resource.setdefault(resource, {})[agent] = res
         return res
 
     def cancel(self, agent: str) -> None:
-        self._by_agent.pop(agent, None)
+        res = self._by_agent.pop(agent, None)
+        if res is not None:
+            holders = self._by_resource[res.resource]
+            del holders[agent]
+            if not holders:
+                del self._by_resource[res.resource]
 
     def for_agent(self, agent: str) -> Reservation | None:
         return self._by_agent.get(agent)
 
     def for_resource(self, resource: str) -> tuple[Reservation, ...]:
-        return tuple(res for res in self._by_agent.values() if res.resource == resource)
+        return tuple(self._by_resource.get(resource, {}).values())
 
     def blocked(self, agent: str | None, arrivals: np.ndarray | list[float], index: dict[str, int]) -> np.ndarray:
         """Mask over ``arrivals`` (``index`` maps resource ids into it) of the spots another agent reaches first.
@@ -59,9 +67,16 @@ class ReservationTable:
         agent id keeps the claim, as the simulator resolves simultaneous claims;
         an anonymous query (``agent`` None) loses every tie. An agent's own
         reservation never blocks it, and resources outside ``index`` are ignored.
+        A query naming fewer spots than are reserved walks only those spots'
+        holders; any other walks every reservation. Both give the same mask.
         """
         mask = np.zeros(len(arrivals), dtype=bool)
-        for res in self._by_agent.values():
+        if len(index) < len(self._by_resource):
+            reservations = [res for rid in index if rid in self._by_resource
+                            for res in self._by_resource[rid].values()]
+        else:
+            reservations = self._by_agent.values()
+        for res in reservations:
             i = index.get(res.resource)
             if i is None or res.agent == agent:
                 continue

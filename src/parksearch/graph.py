@@ -15,6 +15,7 @@ lexicographically wherever a deterministic tie-break is needed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
@@ -85,10 +86,12 @@ class RoadGraph:
                 raise GraphValidationError(f"edge {e.id!r}: unknown from-node {e.from_node!r}")
             if e.to_node not in self.nodes:
                 raise GraphValidationError(f"edge {e.id!r}: unknown to-node {e.to_node!r}")
-            if e.length_m <= 0:
-                raise GraphValidationError(f"edge {e.id!r}: non-positive length {e.length_m}")
-            if e.drive_time_s <= 0:
-                raise GraphValidationError(f"edge {e.id!r}: non-positive drive time {e.drive_time_s}")
+            if not 0.0 < e.length_m < math.inf:  # NaN fails too
+                raise GraphValidationError(f"edge {e.id!r}: length_m must be finite and positive, got {e.length_m}")
+            if not 0.0 < e.drive_time_s < math.inf:
+                raise GraphValidationError(
+                    f"edge {e.id!r}: drive_time_s must be finite and positive, got {e.drive_time_s}"
+                )
         for r in self.resources.values():
             edge = self.edges.get(r.edge_id)
             if edge is None:
@@ -97,8 +100,10 @@ class RoadGraph:
                 raise GraphValidationError(
                     f"resource {r.id!r}: offset {r.offset_s} outside [0, {edge.drive_time_s}]"
                 )
-            if r.round_trip_s <= 0:
-                raise GraphValidationError(f"resource {r.id!r}: non-positive round trip {r.round_trip_s}")
+            if not 0.0 < r.round_trip_s < math.inf:
+                raise GraphValidationError(
+                    f"resource {r.id!r}: round_trip_s must be finite and positive, got {r.round_trip_s}"
+                )
 
 
 def _require_fields(obj: dict, allowed: set[str], required: set[str], kind: str) -> None:
@@ -170,10 +175,12 @@ def load_graph(
         if "drive_time_s" in raw:
             drive = _as_float(raw["drive_time_s"], f"edge {eid!r} drive_time_s")
         elif "speed_limit_kmh" in raw:
-            limit_mps = _as_float(raw["speed_limit_kmh"], f"edge {eid!r} speed_limit_kmh") / 3.6
-            if limit_mps <= 0:
-                raise GraphValidationError(f"edge {eid!r}: non-positive speed limit")
-            drive = length / (speed_factor * limit_mps)
+            limit_kmh = _as_float(raw["speed_limit_kmh"], f"edge {eid!r} speed_limit_kmh")
+            if not 0.0 < limit_kmh < math.inf:
+                raise GraphValidationError(
+                    f"edge {eid!r}: speed_limit_kmh must be finite and positive, got {limit_kmh}"
+                )
+            drive = length / (speed_factor * (limit_kmh / 3.6))
         else:
             raise GraphValidationError(f"edge {eid!r}: needs drive_time_s or speed_limit_kmh")
         edges.append(Edge(eid, _as_id(raw["from"], "edge from"), _as_id(raw["to"], "edge to"), length, drive))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .availability import AdaptionOverlay, CtmcParams, availability_after_rates, expected_wait_times_rates
+from .availability import AdaptionOverlay, AvailabilityRates, CtmcParams, expected_wait_times_rates
 from .errors import ConfigError, NoPathError
 from .fleet import ReservationTable
 from .geo import GeoPoint, great_circle_m, great_circle_m_many, walking_time_many
@@ -196,9 +196,11 @@ class PlannerContext:
         or one row per node of a list."""
         if isinstance(nodes, str):
             return self.M[self.node_index[nodes], self.res_from_idx] + self.res_offset
-        # np.ix_ returns C-ordered rows; M[rows][:, cols] would lay them out column-major, and
-        # every reduction along resources would then stride across memory.
-        return self.M[np.ix_([self.node_index[n] for n in nodes], self.res_from_idx)] + self.res_offset
+        # take keeps the gathered rows C-ordered; M[rows][:, cols] would lay them out column-major,
+        # and every reduction along resources would then stride across memory.
+        rows = self.M.take([self.node_index[n] for n in nodes], axis=0).take(self.res_from_idx, axis=1)
+        rows += self.res_offset
+        return rows
 
     def first_hop(self, from_node: str, to_node: str) -> Edge:
         """Edge starting a least-time path; ties resolve to the smallest edge id."""
@@ -231,11 +233,12 @@ class PlannerContext:
 class PlanningView:
     """What a policy sees at one decision.
 
-    ``avail`` is the engine's live availability array, not a copy: later trace flips and
-    claims overwrite it, so a view describes the world only until the engine moves on.
-    ``lam_vec``/``mu_vec`` carry per-resource flip rates; they default to the
-    global pair in ``params`` when the scenario does not override them.
-    ``t_claim`` is the expected circling wait at each resource.
+    The engine keeps one view per agent for the whole run and sets ``now`` before each of
+    that agent's decisions. ``avail`` is the engine's live availability array, not a copy:
+    later trace flips and claims overwrite it, so a view describes the world only at ``now``.
+    ``rates`` is the availability rule for per-resource flip rates; it defaults to the global
+    pair in ``params`` when the scenario does not override them. ``t_claim`` is the expected
+    circling wait at each resource. Every view of a run shares that run's arrays.
     """
 
     ctx: PlannerContext
@@ -245,18 +248,15 @@ class PlanningView:
     reservations: ReservationTable | None = None
     overlay: AdaptionOverlay | None = None
     agent_id: str | None = None
-    lam_vec: np.ndarray | None = None
-    mu_vec: np.ndarray | None = None
+    rates: AvailabilityRates | None = None
     t_claim: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         n = self.ctx.n_resources
-        if self.lam_vec is None:
-            self.lam_vec = np.full(n, self.params.lam)
-        if self.mu_vec is None:
-            self.mu_vec = np.full(n, self.params.mu)
+        if self.rates is None:
+            self.rates = AvailabilityRates(np.full(n, self.params.lam), np.full(n, self.params.mu))
         if self.t_claim is None:
-            self.t_claim = expected_wait_times_rates(self.lam_vec, self.mu_vec, self.ctx.res_t_tr)
+            self.t_claim = expected_wait_times_rates(self.rates, self.ctx.res_t_tr)
 
     def availability(self, at: np.ndarray | float, idx=None) -> np.ndarray:
         """Predicted availability at ``at`` of every resource, or of the resource indices ``idx``.
@@ -266,8 +266,7 @@ class PlanningView:
         agent's own deltas are not subtracted, mirroring how reservations never
         block their holder.
         """
-        sel = slice(None) if idx is None else idx
-        p = availability_after_rates(self.lam_vec[sel], self.mu_vec[sel], at - self.now, self.avail[sel])
+        p = self.rates.after(at - self.now, self.avail if idx is None else self.avail[idx], idx)
         if self.overlay:
             at = np.broadcast_to(at, p.shape)
             index, ids = self.ctx.res_index, self.ctx.res_ids
@@ -454,34 +453,33 @@ class HindsightPolicy:
             # (resources, futures), so the kernel gathers a column's futures as one contiguous row
             self._uniforms = np.ascontiguousarray(rng.random((self.n, ctx.n_resources)).T)
 
-        # (value, preference rank, id, action, out-edge row) per candidate; TakeResource wins ties.
-        candidates: list[tuple[float, int, str, Action, int | None]] = []
+        # (value, preference rank, id, resource index or out-edge row) per candidate; a spot wins ties.
+        candidates: list[tuple[float, int, str, int]] = []
         for ridx in ctx.adjacent_res[node]:
             if view.avail[ridx] and not forced[ridx]:
-                rid = ctx.res_ids[ridx]
-                candidates.append((float(ctx.res_offset[ridx] + walk[ridx]), 0, rid, TakeResource(rid), None))
+                candidates.append((float(ctx.res_offset[ridx] + walk[ridx]), 0, ctx.res_ids[ridx], ridx))
         if edges:
             base = drive[1:] + walk
             if self.scope_horizon_s is not None:
                 base[:, drive[0] > self.scope_horizon_s] = np.inf
             futures = FutureMinima(view, base, self._uniforms, probs)
-            # mins is C-ordered, so each row is summed exactly as the 1-D mean of that row would be.
-            means = futures.mins.mean(axis=1)
+            # mins is C-ordered, so each row is summed exactly as the 1-D mean of that row would be,
+            # and divided by its count as mean divides.
+            means = futures.mins.sum(axis=1) / self.n
             for row, edge in enumerate(edges):
-                value = float(edge.drive_time_s + means[row])
-                candidates.append((value, 1, edge.id, TakeRoad(edge.id), row))
+                candidates.append((float(edge.drive_time_s + means[row]), 1, edge.id, row))
         if not candidates:
             raise NoPathError(f"no actions available at {node!r}")
-        candidates.sort(key=lambda c: c[:3])
-        value, _, _, action, row = candidates[0]
+        value, rank, _, k = min(candidates)  # (value, rank, id) never ties: ids are unique per rank
         if not np.isfinite(value):
             raise NoPathError(f"no resource reachable from {node!r}")
-        if isinstance(action, TakeResource):
-            return ctx.toward(view.now, node, ctx.res_index[action.resource])
+        if rank == 0:
+            return ctx.toward(view.now, node, k)
         # Commit to the resource chosen most often across the sampled futures.
-        modal = modal_choice(futures.argmin(row), ctx.n_resources)
-        edge = ctx.graph.edges[action.edge]
-        return RouteDecision(action, ctx.res_ids[modal], ctx.arrival(view.now + edge.drive_time_s, edge.to_node, modal))
+        modal = modal_choice(futures.argmin(k), ctx.n_resources)
+        edge = edges[k]
+        return RouteDecision(TakeRoad(edge.id), ctx.res_ids[modal],
+                             ctx.arrival(view.now + edge.drive_time_s, edge.to_node, modal))
 
 
 class RandomPolicy:

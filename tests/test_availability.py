@@ -5,8 +5,9 @@ import pytest
 
 from parksearch.availability import (
     AdaptionOverlay,
+    AvailabilityRates,
     CtmcParams,
-    availability_after_rates,
+    expected_wait_times_rates,
     stationary_availability,
 )
 
@@ -22,6 +23,18 @@ from ctmc_oracle import (
 
 A = ResourceState.AVAILABLE
 O = ResourceState.OCCUPIED
+
+
+def availability_after_rates(lam, mu, dt, available_now):
+    """Oracle: the availability rule with its rate terms rebuilt on every call, as it was computed
+    before ``AvailabilityRates`` kept them per run."""
+    lam = np.asarray(lam, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    dt = np.asarray(dt, dtype=float)
+    total = lam + mu
+    pi_a = mu / total
+    decay = np.exp(-total * dt)
+    return pi_a + np.where(np.asarray(available_now, dtype=bool), 1.0 - pi_a, -pi_a) * decay
 
 
 def transition_matrix(params, t):
@@ -254,7 +267,7 @@ def test_rates_vectorization_matches_scalar(default_params):
     mu = rng.uniform(1e-4, 0.05, size=20)
     dt = rng.uniform(0, 2000, size=20)
     avail = rng.random(20) < 0.5
-    vec = availability_after_rates(lam, mu, dt, avail)
+    vec = AvailabilityRates(lam, mu).after(dt, avail)
     for i in range(20):
         p = CtmcParams(float(lam[i]), float(mu[i]))
         frm = A if avail[i] else O
@@ -284,7 +297,7 @@ def test_view_availability_matches_oracle():
             overlay.add(str(rng.choice(ctx.res_ids)), now + float(rng.uniform(0, 300)),
                         float(rng.uniform(0, 0.6)), str(rng.choice(["me", "a1", "a2"])))
         view = PlanningView(ctx, now, avail, CtmcParams(1.0, 1.0), overlay=overlay, agent_id="me",
-                            lam_vec=lam, mu_vec=mu)
+                            rates=AvailabilityRates(lam, mu))
         beliefs = [ResourceBelief(rid, A if avail[i] else O, now, CtmcParams(float(lam[i]), float(mu[i])))
                    for i, rid in enumerate(ctx.res_ids)]
 
@@ -301,3 +314,58 @@ def test_view_availability_matches_oracle():
             assert sub[k] == pytest.approx(ref, rel=1e-12, abs=1e-15)
         checked += n
     assert checked > 100
+
+
+def _oracle_view_availability(view, lam, mu, at, idx=None):
+    """The view's prediction rebuilt from the oracle formula, with the overlay subtracted in the view's order."""
+    sel = slice(None) if idx is None else idx
+    p = availability_after_rates(lam[sel], mu[sel], at - view.now, view.avail[sel])
+    if view.overlay:
+        at = np.broadcast_to(at, p.shape)
+        ids = np.asarray(view.ctx.res_ids)[sel]
+        for k, rid in enumerate(ids.tolist()):
+            p[k] -= view.overlay.pending_subtraction(rid, float(at[k]), view.agent_id)
+        np.clip(p, 0.0, 1.0, out=p)
+    return p
+
+
+def test_rates_encoding_is_bit_identical_to_the_formula():
+    """One per-run encoding, read by every prediction: it must equal the formula bit for bit for every
+    resource and index subsets, one time or one time per resource, with and without overlay entries."""
+    from parksearch.planners import PlanningView
+
+    from conftest import make_context, random_graph_doc
+
+    rng = np.random.default_rng(1414)
+    seen = {"overlay": 0, "no overlay": 0, "subset": 0, "scalar time": 0, "per-resource time": 0}
+    for _ in range(60):
+        graph, ctx = make_context(random_graph_doc(rng, n_nodes=8, edge_prob=0.4, n_resources=12))
+        n = ctx.n_resources
+        if n == 0:
+            continue
+        lam, mu = rng.uniform(1e-5, 0.05, size=n), rng.uniform(1e-5, 0.05, size=n)
+        rates = AvailabilityRates(lam, mu)
+        now = float(rng.uniform(0, 500))
+        overlay = AdaptionOverlay()
+        for _ in range(int(rng.integers(0, 3)) * int(rng.integers(0, 8))):
+            overlay.add(str(rng.choice(ctx.res_ids)), now + float(rng.uniform(0, 300)),
+                        float(rng.uniform(0, 0.6)), str(rng.choice(["me", "a1", "a2"])))
+        seen["overlay" if overlay else "no overlay"] += 1
+        avail = rng.random(n) < 0.5
+        view = PlanningView(ctx, now, avail, CtmcParams(1.0, 1.0), overlay=overlay, agent_id="me", rates=rates)
+        subset = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+        for idx in (None, subset, subset.tolist()):
+            size = n if idx is None else len(idx)
+            seen["subset"] += idx is not None
+            for at in (now + float(rng.uniform(0, 900)), now + rng.uniform(0, 900, size=size)):
+                seen["scalar time" if np.ndim(at) == 0 else "per-resource time"] += 1
+                sel = slice(None) if idx is None else idx
+                assert np.array_equal(rates.after(at - now, avail[sel], idx),
+                                      availability_after_rates(lam[sel], mu[sel], at - now, avail[sel]))
+                assert np.array_equal(view.availability(at, idx), _oracle_view_availability(view, lam, mu, at, idx))
+        for frm in (True, False):  # one anchor state for every resource
+            assert np.array_equal(rates.after(120.0, frm), availability_after_rates(lam, mu, 120.0, frm))
+        t_tr = rng.uniform(30.0, 300.0, size=n)
+        assert np.array_equal(expected_wait_times_rates(rates, t_tr),
+                              t_tr / availability_after_rates(lam, mu, t_tr, False))
+    assert min(seen.values()) > 0, seen

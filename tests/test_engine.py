@@ -577,3 +577,25 @@ def test_hs_a_computation_includes_adaption(monkeypatch):
                              horizon_s=3000.0, settings=PlannerSettings(determinizations=10))
     assert calls
     assert sum(r.computation_s for r in records) >= 0.005 * len(calls)
+
+
+def test_only_sharing_kinds_publish_and_every_agent_is_timed(monkeypatch):
+    # the mixed-1 golden world: 28 agents of all seven kinds share one run's fleet
+    from test_acceptance import competition_world
+
+    original = fleet.Fleet.publish
+    published = []
+
+    def counted(self, view, *args):
+        published.append(view.agent_id)
+        return original(self, view, *args)
+
+    monkeypatch.setattr(fleet.Fleet, "publish", counted)
+    graph, ctx, dest, ring, overrides = competition_world()
+    agents = [AgentSpec(f"a{i:03d}", "n0009", dest, 7.0 + 3.0 * (i % 4), PLANNER_KINDS[i % 7])
+              for i in range(28)]
+    records = run_simulation(graph, agents, ring, params_by_resource=overrides, seed=1, ctx=ctx,
+                             measure_computation=True)
+    # every agent of the three sharing kinds publishes, and no other agent does
+    assert set(published) == {a.id for a in agents if a.planner in ("rpl_r", "hs_r", "hs_a")}
+    assert all(r.computation_s > 0.0 for r in records), [r.agent_id for r in records if r.computation_s <= 0.0]

@@ -39,10 +39,17 @@ def test_blocked_matches_scalar_oracle():
     rng = np.random.default_rng(515)
     agents = [f"a{i}" for i in range(8)]
     resources = [f"r{i}" for i in range(6)]
-    seen = {"tie": 0, "own": 0, "anonymous": 0, "cancelled": 0, "outside": 0}
+    seen = {"tie": 0, "own": 0, "anonymous": 0, "cancelled": 0, "outside": 0,
+            "query smaller than reserved": 0, "query larger than reserved": 0, "replaced": 0}
+
+    def check_holders(table, held):
+        # the per-resource index lists each spot's holders in the order they placed
+        for rid in resources:
+            assert table.for_resource(rid) == tuple(res for res in held.values() if res.resource == rid)
+
     for _ in range(300):
         table = ReservationTable()
-        held: dict[str, Reservation] = {}  # the test's own model of the active reservations
+        held: dict[str, Reservation] = {}  # the test's own model of the active reservations, in placing order
         for _ in range(int(rng.integers(1, 12))):
             agent = str(rng.choice(agents))
             if rng.random() < 0.25:
@@ -51,14 +58,20 @@ def test_blocked_matches_scalar_oracle():
             else:
                 res = Reservation(str(rng.choice(resources)), agent, float(rng.integers(0, 4)))
                 table.place(res.agent, res.resource, res.t_arrival)
+                old = held.pop(agent, None)
+                seen["replaced"] += old is not None and old.resource != res.resource
                 held[agent] = res
+            check_holders(table, held)
         in_index = [str(r) for r in rng.permutation(resources)[: int(rng.integers(1, len(resources) + 1))]]
         index = {rid: k for k, rid in enumerate(in_index)}
         seen["outside"] += any(res.resource not in index for res in held.values())
+        n_reserved = len({res.resource for res in held.values()})
         arrivals = rng.integers(0, 4, size=len(in_index)).astype(float)
         for agent in [None, *agents]:
             seen["anonymous"] += agent is None
             seen["own"] += agent in held and held[agent].resource in index
+            seen["query smaller than reserved"] += len(index) < n_reserved
+            seen["query larger than reserved"] += len(index) > n_reserved
             expected = np.array([any(reservation_blocks(res, agent, arrivals[k])
                                      for res in held.values() if res.resource == rid)
                                  for rid, k in index.items()], dtype=bool)

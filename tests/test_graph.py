@@ -91,6 +91,23 @@ def test_validation_errors():
         load_graph(doc)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0])
+@pytest.mark.parametrize("section,field,name", [
+    ("edges", "length_m", "edge 'e-vw'"),
+    ("edges", "drive_time_s", "edge 'e-vw'"),
+    ("edges", "speed_limit_kmh", "edge 'e-vw'"),
+    ("resources", "round_trip_s", "resource 'r1'"),
+])
+def test_graph_numbers_must_be_finite_and_positive(section, field, name, value):
+    doc = triangle_doc()
+    entry = doc[section][1 if section == "edges" else 0]
+    if field == "speed_limit_kmh":
+        del entry["drive_time_s"]  # the drive time is derived from the limit
+    entry[field] = value
+    with pytest.raises(GraphValidationError, match=f"{name}: {field} must be finite and positive"):
+        load_graph(doc)
+
+
 def test_default_round_trip_applied():
     g = load_graph(triangle_doc(), default_round_trip_s=77.0)
     assert g.resources["r1"].round_trip_s == 77.0

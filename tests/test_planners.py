@@ -600,3 +600,23 @@ def test_decisions_follow_the_arrival_rule_on_random_worlds():
                 node, now = edge.to_node, now + edge.drive_time_s
     assert all(checked[kind, True] for kind in PLANNER_KINDS), checked
     assert checked["rpl_r", False], checked  # the cached plan's fast path
+
+
+def test_drive_rows_for_a_node_list_are_c_ordered_single_node_rows():
+    """Hindsight reduces each row along resources, so the rows of a node list must be C-ordered,
+    and each must equal that node's own row bit for bit, repeats and unreachable pairs included."""
+    rng = np.random.default_rng(21)
+    checked = unreachable = repeated = 0
+    for _ in range(20):
+        graph, ctx = make_context(random_graph_doc(rng, n_nodes=9, edge_prob=0.3, n_resources=7,
+                                                   integer_weights=False))
+        nodes = [str(n) for n in rng.choice(list(graph.nodes), size=int(rng.integers(1, 6)))]
+        rows = ctx.drive_to_resources(nodes)
+        assert rows.shape == (len(nodes), ctx.n_resources)
+        assert rows.flags.c_contiguous
+        unreachable += int(np.isinf(rows).any())
+        repeated += len(set(nodes)) < len(nodes)
+        for k, node in enumerate(nodes):
+            assert np.array_equal(rows[k], ctx.drive_to_resources(node))
+            checked += 1
+    assert checked > 40 and unreachable and repeated
