@@ -36,6 +36,7 @@ from .planners import (
     PlannerSettings,
     PlanningView,
     TakeRoad,
+    check_number,
     make_policy,
     PLANNERS,
 )
@@ -128,8 +129,7 @@ def synthesize_occupations(
     resource alternates exponentially distributed available and occupied
     stretches. ``params_by_resource`` overrides the global rates per resource.
     """
-    if horizon_s <= 0:
-        raise ValueError("horizon must be positive")
+    horizon_s = check_number(horizon_s, "horizon_s")
     overrides = params_by_resource or {}
     resources = sorted(graph.resources)
     slot = {rid: i for i, rid in enumerate(resources)}
@@ -267,6 +267,11 @@ def _validate_agents(graph: RoadGraph, agents: Iterable[AgentSpec]) -> list[Agen
     return specs
 
 
+# The last synthesized trace and its key: (graph, rates, overrides, horizon_s, seed). The graph is
+# compared by identity, and the trace depends on nothing else, so a run with an equal key reuses it.
+_last_synthesized: tuple[tuple, OccupationTrace] | None = None
+
+
 def run_simulation(
     graph: RoadGraph,
     agents: Iterable[AgentSpec],
@@ -289,15 +294,33 @@ def run_simulation(
     same rates. Identical inputs produce identical outputs; planner
     wall-clock is the one measured quantity and can be disabled with
     ``measure_computation=False``.
+
+    Runs that share a graph object, rates, overrides, horizon and seed reuse
+    one synthesized trace: the engine keeps the last one it drew (read-only).
+    A study that compares planner kinds should therefore run every kind on a
+    seed before moving to the next seed.
     """
+    global _last_synthesized
+    horizon_s = check_number(horizon_s, "horizon_s")
     settings = settings or PlannerSettings()
     specs = _validate_agents(graph, agents)
-    ss = np.random.SeedSequence(seed)
-    children = ss.spawn(len(specs) + 1)
-    trace_rng = np.random.default_rng(children[0])
+    overrides = params_by_resource or {}
+    unknown = sorted(set(overrides) - graph.resources.keys())
+    if unknown:
+        raise ConfigError(f"params_by_resource: unknown resource {unknown[0]!r}")
+    # the trace draws from child 0, whose spawn key (0,) does not depend on the number of agents
+    children = np.random.SeedSequence(seed).spawn(len(specs) + 1)
 
     if isinstance(occupation, CtmcParams):
-        trace = synthesize_occupations(graph, occupation, horizon_s, trace_rng, params_by_resource)
+        key = (graph, occupation, frozenset(overrides.items()), horizon_s, seed)
+        last = _last_synthesized
+        if last is not None and last[0] == key:
+            trace = last[1]
+        else:
+            trace = synthesize_occupations(graph, occupation, horizon_s, np.random.default_rng(children[0]), overrides)
+            for column in (trace.resources, trace.start_up, trace.time, trace.spot, trace.up):
+                column.flags.writeable = False  # shared by later runs with the same key
+            _last_synthesized = (key, trace)
         params = params or occupation
     else:
         trace = occupation
@@ -309,11 +332,9 @@ def run_simulation(
 
     lam_vec = np.full(ctx.n_resources, params.lam)
     mu_vec = np.full(ctx.n_resources, params.mu)
-    if params_by_resource:
-        for rid, p in params_by_resource.items():
-            if rid in ctx.res_index:
-                lam_vec[ctx.res_index[rid]] = p.lam
-                mu_vec[ctx.res_index[rid]] = p.mu
+    for rid, p in overrides.items():
+        lam_vec[ctx.res_index[rid]] = p.lam
+        mu_vec[ctx.res_index[rid]] = p.mu
     rates = AvailabilityRates(lam_vec, mu_vec)
     t_claim = expected_wait_times_rates(rates, ctx.res_t_tr)
 

@@ -283,6 +283,137 @@ def test_synthesize_respects_per_resource_rates():
     assert sum(flips.values()) > 100
 
 
+class _BoundedDraws:
+    """A generator stand-in that fails after 1,000 sojourn draws, so a synthesis that never ends fails."""
+
+    def __init__(self):
+        self.rng = np.random.default_rng(0)
+        self.draws = 0
+
+    def random(self):
+        return self.rng.random()
+
+    def exponential(self, scale):
+        self.draws += 1
+        if self.draws > 1000:
+            raise AssertionError("synthesis did not stop")
+        return self.rng.exponential(scale)
+
+
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -1.0])
+def test_bad_horizon_is_rejected(horizon, monkeypatch):
+    graph = line_world()
+    with pytest.raises(ConfigError, match="horizon_s"):
+        synthesize_occupations(graph, DEFAULT_CTMC, horizon, _BoundedDraws())
+
+    def never(*args, **kwargs):
+        raise AssertionError("synthesized before the horizon was checked")
+
+    monkeypatch.setattr(engine, "synthesize_occupations", never)
+    # with no agents a run that skipped the check would return at once instead of raising
+    for occupation in (DEFAULT_CTMC, OccupationTrace()):
+        with pytest.raises(ConfigError, match="horizon_s"):
+            run_simulation(graph, [], occupation, horizon_s=horizon)
+
+
+def test_unknown_override_resource_rejected():
+    graph = line_world()
+    agents = [AgentSpec("a0", "n0", GeoPoint(0.0, 0.001), 0.0, "rpl")]
+    overrides = {"zz": DEFAULT_CTMC, "r1": DEFAULT_CTMC, "ab": DEFAULT_CTMC}
+    for occupation in (DEFAULT_CTMC, OccupationTrace()):
+        with pytest.raises(ConfigError, match="params_by_resource: unknown resource 'ab'"):
+            run_simulation(graph, agents, occupation, params_by_resource=overrides)
+
+
+def _memo_world():
+    """A fresh graph object (so no earlier run's trace can be reused), its context and destination."""
+    graph = load_graph(build_grid_graph_doc(4, 4, n_resources=12, seed=5))
+    return graph, PlannerContext(graph, all_pairs_travel_times(graph)), GeoPoint(0.002, 0.002)
+
+
+def _count_syntheses(monkeypatch):
+    """Record every trace ``run_simulation`` synthesizes; the list's length counts the syntheses."""
+    original = engine.synthesize_occupations
+    traces = []
+
+    def counted(*args, **kwargs):
+        traces.append(original(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(engine, "synthesize_occupations", counted)
+    return traces
+
+
+def _seed_major(graph, ctx, dest, seeds, tmp_path, tag):
+    """Every kind on each seed before the next seed; the bytes of each run's results file."""
+    out = {}
+    for seed in seeds:
+        for kind in PLANNER_KINDS:
+            agents = [AgentSpec(f"a{i}", "n0000", dest, 10.0 * i, kind) for i in range(3)]
+            records = run_simulation(graph, agents, CtmcParams.from_mean_times(200.0, 600.0), seed=seed,
+                                     horizon_s=1500.0, ctx=ctx, settings=PlannerSettings(determinizations=10),
+                                     measure_computation=False)
+            path = tmp_path / f"{tag}-{seed}-{kind}.csv"
+            write_results(path, records)
+            out[seed, kind] = path.read_bytes()
+    return out
+
+
+def test_kinds_on_one_seed_share_one_synthesis(monkeypatch, tmp_path):
+    traces = _count_syntheses(monkeypatch)
+    _seed_major(*_memo_world(), [1], tmp_path, "first")
+    assert len(traces) == 1
+    _seed_major(*_memo_world(), [1, 2], tmp_path, "again")
+    assert len(traces) == 3  # a new graph object misses; every later seed synthesizes once
+
+
+def test_reused_trace_gives_the_results_of_a_fresh_one(monkeypatch, tmp_path):
+    traces = _count_syntheses(monkeypatch)
+    shared = _seed_major(*_memo_world(), [4], tmp_path, "shared")
+    assert len(traces) == 1
+    for kind in PLANNER_KINDS:  # a fresh graph object per run: the memo must miss
+        fresh = _seed_major(*_memo_world(), [4], tmp_path, f"fresh-{kind}")
+        assert fresh[4, kind] == shared[4, kind], kind
+    assert len(traces) == 1 + len(PLANNER_KINDS)
+
+
+def test_any_changed_key_part_synthesizes_again(monkeypatch):
+    traces = _count_syntheses(monkeypatch)
+    graph, _, dest = _memo_world()
+    rates = CtmcParams.from_mean_times(200.0, 600.0)
+    rid = sorted(graph.resources)[0]
+    base = {"params_by_resource": {rid: rates}, "horizon_s": 900.0, "seed": 3}
+
+    def run(graph=graph, occupation=rates, n_agents=2, **changed):
+        agents = [AgentSpec(f"a{i}", "n0000", dest, 0.0, "rpl") for i in range(n_agents)]
+        run_simulation(graph, agents, occupation, measure_computation=False, **{**base, **changed})
+        return len(traces)
+
+    assert run() == 1
+    assert run(n_agents=5) == 1  # the trace's random stream does not depend on the number of agents
+    for changed in ({"graph": load_graph(build_grid_graph_doc(4, 4, n_resources=12, seed=5))},
+                    {"occupation": CtmcParams.from_mean_times(200.0, 601.0)},
+                    {"params_by_resource": {rid: CtmcParams.from_mean_times(50.0, 600.0)}},
+                    {"params_by_resource": None},
+                    {"horizon_s": 901.0},
+                    {"seed": 4}):
+        count = len(traces)
+        assert run(**changed) == count + 1, changed
+        assert run() == count + 2, changed  # one entry only: going back synthesizes again
+        assert run() == count + 2
+
+
+def test_reused_trace_is_read_only(monkeypatch):
+    traces = _count_syntheses(monkeypatch)
+    graph, ctx, dest = _memo_world()
+    run_simulation(graph, [AgentSpec("a0", "n0000", dest, 0.0, "rpl")], DEFAULT_CTMC, seed=1, ctx=ctx)
+    (trace,) = traces
+    for column in (trace.resources, trace.start_up, trace.time, trace.spot, trace.up):
+        assert not column.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        trace.time[0] = 0.0
+
+
 def test_taxi_time_examples():
     graph = line_world()
     ctx = PlannerContext(graph, all_pairs_travel_times(graph))
