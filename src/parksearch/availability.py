@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_number
+
 
 @dataclass(frozen=True)
 class CtmcParams:
@@ -22,12 +24,12 @@ class CtmcParams:
     mu: float
 
     def __post_init__(self) -> None:
-        if self.lam <= 0 or self.mu <= 0:
-            raise ValueError(f"rates must be positive, got lam={self.lam}, mu={self.mu}")
+        check_number(self.lam, "lam")
+        check_number(self.mu, "mu")
 
     @classmethod
     def from_mean_times(cls, available_s: float, occupied_s: float) -> "CtmcParams":
-        return cls(lam=1.0 / available_s, mu=1.0 / occupied_s)
+        return cls(lam=1.0 / check_number(available_s, "available_s"), mu=1.0 / check_number(occupied_s, "occupied_s"))
 
 
 def stationary_availability(params: CtmcParams) -> float:
@@ -62,39 +64,40 @@ class AvailabilityRates:
 
 @dataclass(frozen=True)
 class OverlayDelta:
-    """One additive subtraction of predicted availability, active from ``activation_time``."""
+    """One additive subtraction of a spot's predicted availability, active from ``activation_time``."""
 
-    resource_id: str
+    spot: int
     activation_time: float
     delta: float
-    owner: str
+    owner: int
 
 
 class AdaptionOverlay:
-    """Per-resource probability subtractions, withdrawn exactly by owner."""
+    """Per-spot probability subtractions, withdrawn exactly by owner; spots and owners are indices
+    (``PlannerContext`` resource indices and a run's agent indices)."""
 
     def __init__(self) -> None:
-        self._entries: dict[str, list[OverlayDelta]] = {}
-        self._by_owner: dict[str, dict[str, None]] = {}  # owner -> resources it holds entries on, in order
+        self._entries: dict[int, list[OverlayDelta]] = {}
+        self._by_owner: dict[int, dict[int, None]] = {}  # owner -> spots it holds entries on, in order
 
-    def add(self, resource_id: str, activation_time: float, delta: float, owner: str) -> OverlayDelta:
-        entry = OverlayDelta(resource_id, activation_time, delta, owner)
-        self._entries.setdefault(resource_id, []).append(entry)
-        self._by_owner.setdefault(owner, {})[resource_id] = None
+    def add(self, spot: int, activation_time: float, delta: float, owner: int) -> OverlayDelta:
+        entry = OverlayDelta(spot, activation_time, delta, owner)
+        self._entries.setdefault(spot, []).append(entry)
+        self._by_owner.setdefault(owner, {})[spot] = None
         return entry
 
-    def withdraw(self, owner: str) -> None:
+    def withdraw(self, owner: int) -> None:
         """Remove every entry of ``owner``; the rest keep their order, so each sum reads as if it never
         added any. Withdrawing an owner without entries changes nothing."""
-        for rid in self._by_owner.pop(owner, ()):
-            kept = [e for e in self._entries[rid] if e.owner != owner]
+        for spot in self._by_owner.pop(owner, ()):
+            kept = [e for e in self._entries[spot] if e.owner != owner]
             if kept:
-                self._entries[rid] = kept
+                self._entries[spot] = kept
             else:
-                del self._entries[rid]
+                del self._entries[spot]
 
-    def pending_subtraction(self, resource_id: str, at: float, exclude_owner: str | None = None) -> float:
-        """Sum of deltas for the resource whose activation time has passed.
+    def pending_subtraction(self, spot: int, at: float, exclude_owner: int | None = None) -> float:
+        """Sum, in insertion order, of the spot's deltas whose activation time has passed.
 
         An agent's own deltas describe its fallback behavior to the rest of
         the fleet; they never feed back into that agent's own predictions, so
@@ -102,21 +105,21 @@ class AdaptionOverlay:
         """
         return sum(
             e.delta
-            for e in self._entries.get(resource_id, ())
+            for e in self._entries.get(spot, ())
             if e.activation_time <= at and e.owner != exclude_owner
         )
 
-    def entries_for(self, resource_id: str) -> tuple[OverlayDelta, ...]:
-        return tuple(self._entries.get(resource_id, ()))
+    def entries_for(self, spot: int) -> tuple[OverlayDelta, ...]:
+        return tuple(self._entries.get(spot, ()))
 
-    def resources(self) -> tuple[str, ...]:
+    def spots(self) -> tuple[int, ...]:
         return tuple(self._entries)
 
     def __len__(self) -> int:
         return sum(len(v) for v in self._entries.values())
 
     def __bool__(self) -> bool:
-        # O(1): ``withdraw`` drops a resource's key together with its last entry.
+        # O(1): ``withdraw`` drops a spot's key together with its last entry.
         return bool(self._entries)
 
 

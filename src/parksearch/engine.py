@@ -27,7 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from .availability import AvailabilityRates, CtmcParams, expected_wait_times_rates, stationary_availability
-from .errors import ConfigError, ParkSearchError, TraceError
+from .errors import ConfigError, ParkSearchError, TraceError, check_number
 from .fleet import Fleet
 from .geo import GeoPoint, walking_time
 from .graph import RoadGraph, all_pairs_travel_times
@@ -36,7 +36,6 @@ from .planners import (
     PlannerSettings,
     PlanningView,
     TakeRoad,
-    check_number,
     make_policy,
     PLANNERS,
 )
@@ -223,7 +222,7 @@ class AgentRuntime:
     node: str | None = None
     unsuccessful_claims: int = 0
     computation_s: float = 0.0
-    parked_resource: str | None = None
+    parked_resource: int | None = None  # spot index
     park_time: float | None = None
     walk_s: float = 0.0
 
@@ -267,11 +266,6 @@ def _validate_agents(graph: RoadGraph, agents: Iterable[AgentSpec]) -> list[Agen
     return specs
 
 
-# The last synthesized trace and its key: (graph, rates, overrides, horizon_s, seed). The graph is
-# compared by identity, and the trace depends on nothing else, so a run with an equal key reuses it.
-_last_synthesized: tuple[tuple, OccupationTrace] | None = None
-
-
 def run_simulation(
     graph: RoadGraph,
     agents: Iterable[AgentSpec],
@@ -295,12 +289,14 @@ def run_simulation(
     wall-clock is the one measured quantity and can be disabled with
     ``measure_computation=False``.
 
-    Runs that share a graph object, rates, overrides, horizon and seed reuse
-    one synthesized trace: the engine keeps the last one it drew (read-only).
-    A study that compares planner kinds should therefore run every kind on a
-    seed before moving to the next seed.
+    Runs that share a ``ctx``, rates, overrides, horizon and seed reuse one
+    synthesized trace: the context keeps the last one drawn on its graph
+    (read-only). A study that compares planner kinds should therefore pass one
+    context and run every kind on a seed before moving to the next seed.
+
+    Inside the run, spots are ``ctx`` resource indices and agents their
+    positions in id order; ids appear only in inputs, records and events.
     """
-    global _last_synthesized
     horizon_s = check_number(horizon_s, "horizon_s")
     settings = settings or PlannerSettings()
     specs = _validate_agents(graph, agents)
@@ -310,25 +306,26 @@ def run_simulation(
         raise ConfigError(f"params_by_resource: unknown resource {unknown[0]!r}")
     # the trace draws from child 0, whose spawn key (0,) does not depend on the number of agents
     children = np.random.SeedSequence(seed).spawn(len(specs) + 1)
+    if ctx is None:
+        ctx = PlannerContext(graph, all_pairs_travel_times(graph))
+    elif ctx.graph is not graph:
+        raise ValueError("ctx was built for another graph")
 
     if isinstance(occupation, CtmcParams):
-        key = (graph, occupation, frozenset(overrides.items()), horizon_s, seed)
-        last = _last_synthesized
-        if last is not None and last[0] == key:
-            trace = last[1]
+        # the trace depends on nothing else, so a run with an equal key reuses it
+        key = (occupation, frozenset(overrides.items()), horizon_s, seed)
+        if ctx.synthesized is not None and ctx.synthesized[0] == key:
+            trace = ctx.synthesized[1]
         else:
             trace = synthesize_occupations(graph, occupation, horizon_s, np.random.default_rng(children[0]), overrides)
             for column in (trace.resources, trace.start_up, trace.time, trace.spot, trace.up):
                 column.flags.writeable = False  # shared by later runs with the same key
-            _last_synthesized = (key, trace)
+            ctx.synthesized = (key, trace)
         params = params or occupation
     else:
         trace = occupation
         params = params or DEFAULT_CTMC
     trace = replay_trace(trace)
-
-    if ctx is None:
-        ctx = PlannerContext(graph, all_pairs_travel_times(graph))
 
     lam_vec = np.full(ctx.n_resources, params.lam)
     mu_vec = np.full(ctx.n_resources, params.mu)
@@ -347,25 +344,25 @@ def run_simulation(
     avail[trace_idx] = trace.start_up
     fleet_parked: set[int] = set()
 
-    fleet = Fleet(settings)
-    runtimes = {spec.id: AgentRuntime(spec, np.random.default_rng(children[i + 1])) for i, spec in enumerate(specs)}
+    fleet = Fleet(settings, len(specs))
+    runtimes = [AgentRuntime(spec, np.random.default_rng(children[i + 1])) for i, spec in enumerate(specs)]
     # Each agent's policy, its one view for the whole run (sharing the run's arrays) and whether it
     # shares fleet data; a parked agent never decides again, so its entry is dropped when it parks.
-    planning: dict[str, tuple[object, PlanningView, bool]] = {}
-    for spec in specs:
+    planning: dict[int, tuple[object, PlanningView, bool]] = {}
+    for i, spec in enumerate(specs):
         shares = PLANNERS[spec.planner].shares
         view = PlanningView(
             ctx, spec.start_time, avail, params,
             reservations=fleet.reservations if shares == "reservations" else None,
             overlay=fleet.overlay if shares == "overlay" else None,
-            agent_id=spec.id, rates=rates, t_claim=t_claim,
+            agent_id=i, rates=rates, t_claim=t_claim,
         )
-        planning[spec.id] = (make_policy(spec.planner, ctx, spec.destination, settings), view, shares is not None)
+        planning[i] = (make_policy(spec.planner, ctx, spec.destination, settings), view, shares is not None)
 
     heap: list[tuple] = []
     seq = 0
 
-    def push(time_s: float, rank: int, key: str, kind: str, payload) -> None:
+    def push(time_s: float, rank: int, key: int, kind: str, payload) -> None:
         nonlocal seq
         heapq.heappush(heap, (time_s, rank, key, seq, kind, payload))
         seq += 1
@@ -376,8 +373,8 @@ def run_simulation(
     flip_up = trace.up[:due].tolist()
     next_flip = 0
 
-    for spec in specs:
-        push(spec.start_time, _RANK_AGENT, spec.id, "spawn", spec.start_node)
+    for i, spec in enumerate(specs):
+        push(spec.start_time, _RANK_AGENT, i, "spawn", spec.start_node)
 
     log: list[SimEvent] = []
 
@@ -392,8 +389,9 @@ def run_simulation(
                                     detail="available" if flip_up[next_flip] else "occupied"))
             next_flip += 1
 
-    def decide(rt: AgentRuntime, now: float) -> None:
-        policy, view, shares = planning[rt.spec.id]
+    def decide(key: int, now: float) -> None:
+        rt = runtimes[key]
+        policy, view, shares = planning[key]
         view.now = now
         if measure_computation:
             t0 = _time.perf_counter()
@@ -408,70 +406,65 @@ def run_simulation(
             edge = graph.edges[action.edge]
             if edge.from_node != rt.node:
                 raise ParkSearchError(f"policy chose non-adjacent edge {edge.id!r} at {rt.node!r}")
-            push(now + edge.drive_time_s, _RANK_AGENT, rt.spec.id, "at_node", edge.to_node)
+            push(now + edge.drive_time_s, _RANK_AGENT, key, "at_node", edge.to_node)
         else:
-            resource = graph.resources[action.resource]
+            resource = ctx.resources[action.resource]
             edge = graph.edges[resource.edge_id]
             if edge.from_node != rt.node:
                 raise ParkSearchError(f"policy chose non-adjacent resource {resource.id!r} at {rt.node!r}")
-            push(now + resource.offset_s, _RANK_CLAIM, rt.spec.id, "claim", (resource.id, now))
+            push(now + resource.offset_s, _RANK_CLAIM, key, "claim", (action.resource, now))
 
     while heap:
         apply_flips(heap[0][0])
         now, rank, key, _, kind, payload = heapq.heappop(heap)
         if now > horizon_s:
             break
+        rt = runtimes[key]
         if kind == "spawn":
-            rt = runtimes[key]
             rt.node = payload
             if collect_events:
-                log.append(SimEvent(now, "agent_spawn", agent=key, node=payload))
-            decide(rt, now)
+                log.append(SimEvent(now, "agent_spawn", agent=rt.spec.id, node=payload))
+            decide(key, now)
         elif kind == "at_node":
-            rt = runtimes[key]
             if rt.status != "driving":
                 continue
             rt.node = payload
             if collect_events:
-                log.append(SimEvent(now, "agent_at_node", agent=key, node=payload))
-            decide(rt, now)
+                log.append(SimEvent(now, "agent_at_node", agent=rt.spec.id, node=payload))
+            decide(key, now)
         elif kind == "claim":
-            rt = runtimes[key]
             if rt.status != "driving":
                 continue
-            rid, decision_time = payload
-            ridx = ctx.res_index[rid]
+            ridx, decision_time = payload
+            resource = ctx.resources[ridx]
             if avail[ridx]:
                 avail[ridx] = False  # taking the spot occupies it for the rest of the run
                 fleet_parked.add(ridx)
                 rt.status = "parked"
                 rt.park_time = now
-                rt.parked_resource = rid
-                rt.walk_s = walking_time(graph.resources[rid].position, rt.spec.destination)
+                rt.parked_resource = ridx
+                rt.walk_s = walking_time(resource.position, rt.spec.destination)
                 fleet.withdraw(key)
                 del planning[key]
                 if collect_events:
-                    log.append(SimEvent(now, "agent_claim", agent=key, resource=rid, detail="success"))
+                    log.append(SimEvent(now, "agent_claim", agent=rt.spec.id, resource=resource.id, detail="success"))
             else:
                 rt.unsuccessful_claims += 1
-                edge = graph.edges[graph.resources[rid].edge_id]
+                edge = graph.edges[resource.edge_id]
                 push(decision_time + edge.drive_time_s, _RANK_AGENT, key, "at_node", edge.to_node)
                 if collect_events:
-                    log.append(SimEvent(now, "agent_claim", agent=key, resource=rid, detail="failed"))
+                    log.append(SimEvent(now, "agent_claim", agent=rt.spec.id, resource=resource.id, detail="failed"))
     apply_flips(horizon_s)
 
     records: list[MetricsRecord] = []
-    for spec in specs:
-        rt = runtimes[spec.id]
+    for i, (spec, rt) in enumerate(zip(specs, runtimes)):
         taxi = ctx.taxi_time(spec.start_node, spec.destination)
         if rt.status == "parked":
             total = (rt.park_time - spec.start_time) + rt.walk_s
-            status = "parked"
         else:
             rt.status = "timed_out"
-            fleet.withdraw(spec.id)
+            fleet.withdraw(i)
             total = horizon_s
-            status = "timed_out"
         records.append(
             MetricsRecord(
                 agent_id=spec.id,
@@ -481,8 +474,8 @@ def run_simulation(
                 parking_s=float(total - taxi),
                 unsuccessful_claims=rt.unsuccessful_claims,
                 computation_s=rt.computation_s,
-                parked_resource=rt.parked_resource,
-                status=status,
+                parked_resource=None if rt.parked_resource is None else ctx.res_ids[rt.parked_resource],
+                status=rt.status,
             )
         )
     if collect_events:

@@ -1,4 +1,6 @@
-"""Exception types raised by the parksearch package."""
+"""Exception types raised by the parksearch package, and the number check that raises ``ConfigError``."""
+
+import math
 
 
 class ParkSearchError(Exception):
@@ -31,3 +33,12 @@ class AdaptionError(ParkSearchError):
 
 class DegenerateTargetError(AdaptionError):
     """Random walks cannot leave the target's street and no path was recorded."""
+
+
+def check_number(value, name: str, *, integer: bool = False, positive: bool = True) -> float | int:
+    """``value`` as a finite number within its bounds; a ConfigError naming ``name`` otherwise."""
+    if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
+            or not math.isfinite(value) or value < 0 or (positive and value == 0)):
+        need = ("a positive " if positive else "a non-negative ") + ("integer" if integer else "number")
+        raise ConfigError(f"{name} must be {need}, got {value!r}")
+    return int(value) if integer else float(value)

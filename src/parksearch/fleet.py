@@ -21,72 +21,52 @@ from .errors import DegenerateTargetError
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from .geo import GeoPoint
-    from .planners import PlannerSettings, PlanningView, RouteDecision
-
-
-@dataclass(frozen=True)
-class Reservation:
-    resource: str
-    agent: str
-    t_arrival: float
+    from .planners import PlannerContext, PlannerSettings, PlanningView, RouteDecision
 
 
 class ReservationTable:
-    """Active reservations, at most one per agent, indexed by agent and by resource."""
+    """Active reservations, at most one per agent: per agent index, the reserved spot index (-1 for
+    none) and the expected arrival there."""
 
-    def __init__(self) -> None:
-        self._by_agent: dict[str, Reservation] = {}
-        # resource -> its holders' reservations by agent, in the order they were placed; no empty entries
-        self._by_resource: dict[str, dict[str, Reservation]] = {}
+    def __init__(self, n_agents: int) -> None:
+        self.spot = np.full(n_agents, -1, dtype=np.intp)
+        self.arrival = np.zeros(n_agents)
 
-    def place(self, agent: str, resource: str, t_arrival: float) -> Reservation:
+    def place(self, agent: int, spot: int, t_arrival: float) -> None:
         """Replace the agent's previous reservation with a new one."""
-        self.cancel(agent)
-        res = self._by_agent[agent] = Reservation(resource, agent, t_arrival)
-        self._by_resource.setdefault(resource, {})[agent] = res
-        return res
+        self.spot[agent] = spot
+        self.arrival[agent] = t_arrival
 
-    def cancel(self, agent: str) -> None:
-        res = self._by_agent.pop(agent, None)
-        if res is not None:
-            holders = self._by_resource[res.resource]
-            del holders[agent]
-            if not holders:
-                del self._by_resource[res.resource]
+    def cancel(self, agent: int) -> None:
+        self.spot[agent] = -1
 
-    def for_agent(self, agent: str) -> Reservation | None:
-        return self._by_agent.get(agent)
+    def _first(self, holders, t, agent: int | None):
+        """Which of the agents ``holders`` (an array or one index) reach their spot before ``agent`` at ``t``.
 
-    def for_resource(self, resource: str) -> tuple[Reservation, ...]:
-        return tuple(self._by_resource.get(resource, {}).values())
-
-    def blocked(self, agent: str | None, arrivals: np.ndarray | list[float], index: dict[str, int]) -> np.ndarray:
-        """Mask over ``arrivals`` (``index`` maps resource ids into it) of the spots another agent reaches first.
-
-        A strictly earlier reservation blocks. At an equal arrival the smaller
-        agent id keeps the claim, as the simulator resolves simultaneous claims;
-        an anonymous query (``agent`` None) loses every tie. An agent's own
-        reservation never blocks it, and resources outside ``index`` are ignored.
-        A query naming fewer spots than are reserved walks only those spots'
-        holders; any other walks every reservation. Both give the same mask.
+        A strictly earlier reservation does. At an equal arrival the smaller
+        agent index keeps the claim, as the simulator resolves simultaneous
+        claims; an anonymous query (``agent`` None) loses every tie, and no
+        agent blocks itself.
         """
+        query = len(self.spot) if agent is None else agent  # after every holder
+        t_res = self.arrival[holders]
+        return (holders != query) & ((t_res < t) | ((t_res == t) & (holders < query)))
+
+    def blocked(self, agent: int | None, arrivals: np.ndarray) -> np.ndarray:
+        """Mask over ``arrivals``, one per spot, of the spots another agent reaches first."""
+        holders = (self.spot >= 0).nonzero()[0]
+        spots = self.spot[holders]
         mask = np.zeros(len(arrivals), dtype=bool)
-        if len(index) < len(self._by_resource):
-            reservations = [res for rid in index if rid in self._by_resource
-                            for res in self._by_resource[rid].values()]
-        else:
-            reservations = self._by_agent.values()
-        for res in reservations:
-            i = index.get(res.resource)
-            if i is None or res.agent == agent:
-                continue
-            t = arrivals[i]
-            if res.t_arrival < t or (res.t_arrival == t and (agent is None or res.agent < agent)):
-                mask[i] = True
+        mask[spots[self._first(holders, arrivals[spots], agent)]] = True
         return mask
 
+    def spot_blocked(self, agent: int | None, spot: int, t_arrival: float) -> bool:
+        """Whether another agent reaches ``spot`` before ``agent`` at ``t_arrival``; holder by holder, as a
+        spot has few (usually just the asking agent)."""
+        return any(self._first(h, t_arrival, agent) for h in (self.spot == spot).nonzero()[0].tolist())
+
     def __len__(self) -> int:
-        return len(self._by_agent)
+        return int(np.count_nonzero(self.spot >= 0))
 
 
 @dataclass(frozen=True)
@@ -124,9 +104,9 @@ def _edge_jump_weight(
 
 def adapt_probabilities(
     view: "PlanningView",
-    target_resource: str,
+    target: int,
     t_arrival: float,
-    agent: str,
+    agent: int,
     settings: "PlannerSettings",
     rng: np.random.Generator,
     dest_node: str | None = None,
@@ -134,18 +114,17 @@ def adapt_probabilities(
     """Simulate fallback search behavior and subtract its visit mass from predictions.
 
     Runs ``settings.adaption_samples`` self-interacting biased random walks
-    starting at the end of the target's street. Each walk carries the
-    probability of still searching; per step, candidate edges inside the
-    isochrone around the target get a jump weight, a single uniform draw
-    either picks an edge (proportionally to the weights) or, when it exceeds
-    the total weight, ends the walk. Finished walks are turned into overlay
+    starting at the end of the street of spot index ``target``. Each walk
+    carries the probability of still searching; per step, candidate edges
+    inside the isochrone around the target get a jump weight, a single uniform
+    draw either picks an edge (proportionally to the weights) or, when it
+    exceeds the total weight, ends the walk. Finished walks are turned into overlay
     deltas grouped by their final street; the added entries are returned.
     """
     isochrone_s, visit_decay = settings.adaption_isochrone_s, settings.adaption_visit_decay
     ctx = view.ctx
-    target = ctx.graph.resources[target_resource]
-    target_edge = ctx.graph.edges[target.edge_id]
-    t_idx = ctx.res_index[target_resource]
+    target_res = ctx.resources[target]
+    target_edge = ctx.graph.edges[target_res.edge_id]
     start_node = target_edge.to_node
     if not ctx.out_edges[start_node]:
         raise DegenerateTargetError(
@@ -154,8 +133,8 @@ def adapt_probabilities(
     iso_nodes = ctx.isochrone(target_edge.from_node, isochrone_s)
     dest_node = dest_node if dest_node is not None else target_edge.from_node
 
-    p_initial = 1.0 - float(view.availability(t_arrival, [t_idx])[0])
-    t_partial = target_edge.drive_time_s - target.offset_s
+    p_initial = 1.0 - float(view.availability(t_arrival, [target])[0])
+    t_partial = target_edge.drive_time_s - target_res.offset_s
     # Nothing a weight reads changes during the walks (the overlay is written
     # after them), so candidates and weights repeat exactly within this call:
     # weights are keyed by node, time and which candidates were visited.
@@ -208,41 +187,42 @@ def adapt_probabilities(
         # A walk that never left the target's street describes staying at the
         # target itself, so it anchors at the arrival time there.
         paths.append(WalkPath(tuple(taken), p_path, t_acc if taken else t_arrival, final_edge))
-    return create_adaptions(paths, agent, ctx.graph, view.overlay)
+    return create_adaptions(paths, agent, ctx, view.overlay)
 
 
-def create_adaptions(paths, agent: str, graph, overlay: AdaptionOverlay) -> list[OverlayDelta]:
-    """Distribute grouped path probabilities over the resources of each final street."""
+def create_adaptions(paths, agent: int, ctx: "PlannerContext", overlay: AdaptionOverlay) -> list[OverlayDelta]:
+    """Distribute grouped path probabilities over the spots of each final street."""
     entries = []
     groups: dict[str, list[WalkPath]] = {}
     for p in paths:
         groups.setdefault(p.final_edge, []).append(p)
     for edge_id in sorted(groups):
         members = groups[edge_id]
-        resource_ids = graph.resources_by_edge.get(edge_id, ())
-        if not resource_ids:
+        spots = ctx.street_spots(edge_id).tolist()
+        if not spots:
             continue
         mean_arrival = sum(p.accumulated_time for p in members) / len(members)
         mean_prob = sum(p.path_probability for p in members) / len(members)
-        delta = mean_prob / len(resource_ids)
-        for rid in resource_ids:
-            entries.append(overlay.add(rid, mean_arrival, delta, agent))
+        delta = mean_prob / len(spots)
+        for spot in spots:
+            entries.append(overlay.add(spot, mean_arrival, delta, agent))
     return entries
 
 
 class Fleet:
     """One run's shared fleet data: published after each decision, withdrawn when the agent leaves.
 
-    A view's ``reservations`` and ``overlay`` say what its agent shares. A
-    reservation names the decision's target; adaption walks are re-run, and
-    the agent's old ones withdrawn, only when the target changes.
+    Agents are the run's agent indices and spots ``PlannerContext`` resource
+    indices. A view's ``reservations`` and ``overlay`` say what its agent
+    shares. A reservation names the decision's target; adaption walks are
+    re-run, and the agent's old ones withdrawn, only when the target changes.
     """
 
-    def __init__(self, settings: "PlannerSettings") -> None:
+    def __init__(self, settings: "PlannerSettings", n_agents: int) -> None:
         self.settings = settings
-        self.reservations = ReservationTable()
+        self.reservations = ReservationTable(n_agents)
         self.overlay = AdaptionOverlay()
-        self._adapted: dict[str, str | None] = {}  # the target each overlay agent's entries describe
+        self._adapted: dict[int, int | None] = {}  # the target each overlay agent's entries describe
 
     def publish(self, view: "PlanningView", decision: "RouteDecision", rng: np.random.Generator,
                 destination: "GeoPoint") -> None:
@@ -256,7 +236,7 @@ class Fleet:
                 adapt_probabilities(view, target, decision.expected_arrival, agent, self.settings, rng,
                                     view.ctx.dest_node(destination))
 
-    def withdraw(self, agent: str) -> None:
+    def withdraw(self, agent: int) -> None:
         """Drop all the agent shared, once it has parked or timed out; idempotent."""
         self.reservations.cancel(agent)
         self.overlay.withdraw(agent)

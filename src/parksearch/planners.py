@@ -12,18 +12,18 @@ Four families are implemented:
 
 All policies are deterministic functions of (view, agent state, rng stream).
 Cost bookkeeping is vectorized over resources sorted by id, so ``argmin``
-tie-breaks resolve to the smallest id everywhere.
+tie-breaks resolve to the smallest id everywhere. Decisions name spots by
+their ``PlannerContext`` resource index (``ctx.res_ids[i]`` is the id).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .availability import AdaptionOverlay, AvailabilityRates, CtmcParams, expected_wait_times_rates
-from .errors import ConfigError, NoPathError
+from .errors import NoPathError, check_number
 from .fleet import ReservationTable
 from .geo import GeoPoint, great_circle_m, great_circle_m_many, walking_time_many
 from .graph import Edge, RoadGraph
@@ -36,7 +36,7 @@ class TakeRoad:
 
 @dataclass(frozen=True)
 class TakeResource:
-    resource: str
+    resource: int  # spot index
 
 
 Action = TakeRoad | TakeResource
@@ -45,7 +45,7 @@ Action = TakeRoad | TakeResource
 @dataclass(frozen=True)
 class RouteDecision:
     action: Action
-    target_resource: str | None = None
+    target_resource: int | None = None  # spot index
     expected_arrival: float | None = None
     recomputed: bool = True
 
@@ -55,15 +55,6 @@ class Determinization:
     """One sampled future: availability of every in-scope resource at the agent's arrival time."""
 
     available: np.ndarray  # bool, aligned with PlannerContext.res_ids
-
-
-def check_number(value, name: str, *, integer: bool = False, positive: bool = True) -> float | int:
-    """``value`` as a finite number within its bounds; a ConfigError naming ``name`` otherwise."""
-    if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
-            or not math.isfinite(value) or value < 0 or (positive and value == 0)):
-        need = ("a positive " if positive else "a non-negative ") + ("integer" if integer else "number")
-        raise ConfigError(f"{name} must be {need}, got {value!r}")
-    return int(value) if integer else float(value)
 
 
 @dataclass(frozen=True)
@@ -116,7 +107,7 @@ class PlannerContext:
 
         self.res_ids: tuple[str, ...] = tuple(graph.resources)
         self.res_index = {rid: i for i, rid in enumerate(self.res_ids)}
-        res = [graph.resources[rid] for rid in self.res_ids]
+        res = self.resources = tuple(graph.resources.values())  # the Resource at each index
         self.res_from_idx = np.array(
             [self.node_index[graph.edges[r.edge_id].from_node] for r in res], dtype=int
         )
@@ -135,6 +126,8 @@ class PlannerContext:
         self._walk_cache: dict[tuple[float, float], np.ndarray] = {}
         self._node_walk_cache: dict[tuple[float, float], np.ndarray] = {}
         self._street_mid: tuple[tuple[str, ...], np.ndarray, np.ndarray] | None = None
+        # the engine's last synthesized trace on this graph and its key (see run_simulation)
+        self.synthesized: tuple[tuple, object] | None = None
 
     @property
     def n_resources(self) -> int:
@@ -224,9 +217,9 @@ class PlannerContext:
 
     def toward(self, now: float, node: str, ridx: int, recomputed: bool = True) -> RouteDecision:
         """Claim resource ``ridx`` if its street starts at ``node``, else take the first hop toward it."""
-        rid, start = self.res_ids[ridx], self.node_ids[self.res_from_idx[ridx]]
-        action = TakeResource(rid) if start == node else TakeRoad(self.first_hop(node, start).id)
-        return RouteDecision(action, rid, self.arrival(now, node, ridx), recomputed)
+        start = self.node_ids[self.res_from_idx[ridx]]
+        action = TakeResource(ridx) if start == node else TakeRoad(self.first_hop(node, start).id)
+        return RouteDecision(action, ridx, self.arrival(now, node, ridx), recomputed)
 
 
 @dataclass
@@ -238,7 +231,8 @@ class PlanningView:
     later trace flips and claims overwrite it, so a view describes the world only at ``now``.
     ``rates`` is the availability rule for per-resource flip rates; it defaults to the global
     pair in ``params`` when the scenario does not override them. ``t_claim`` is the expected
-    circling wait at each resource. Every view of a run shares that run's arrays.
+    circling wait at each resource. Every view of a run shares that run's arrays. ``agent_id``
+    is the agent's index in the run, which orders agents as their ids do.
     """
 
     ctx: PlannerContext
@@ -247,7 +241,7 @@ class PlanningView:
     params: CtmcParams
     reservations: ReservationTable | None = None
     overlay: AdaptionOverlay | None = None
-    agent_id: str | None = None
+    agent_id: int | None = None
     rates: AvailabilityRates | None = None
     t_claim: np.ndarray | None = None
 
@@ -269,11 +263,9 @@ class PlanningView:
         p = self.rates.after(at - self.now, self.avail if idx is None else self.avail[idx], idx)
         if self.overlay:
             at = np.broadcast_to(at, p.shape)
-            index, ids = self.ctx.res_index, self.ctx.res_ids
-            slots = ([(index[rid], rid) for rid in self.overlay.resources() if rid in index] if idx is None
-                     else [(k, ids[i]) for k, i in enumerate(idx)])
-            for k, rid in slots:
-                p[k] -= self.overlay.pending_subtraction(rid, float(at[k]), self.agent_id)
+            slots = [(i, i) for i in self.overlay.spots()] if idx is None else enumerate(np.asarray(idx).tolist())
+            for k, spot in slots:
+                p[k] -= self.overlay.pending_subtraction(spot, float(at[k]), self.agent_id)
             np.clip(p, 0.0, 1.0, out=p)
         return p
 
@@ -281,13 +273,12 @@ class PlanningView:
         """Extra cost per resource: nothing where available, the expected circling wait where occupied."""
         return np.where(available, 0.0, self.t_claim)
 
-    def reserved(self, arrivals: np.ndarray, idx=None) -> np.ndarray:
-        """Mask over ``arrivals``, one per resource or per resource index in ``idx``, of the spots
-        another fleet agent reaches first (``ReservationTable.blocked``)."""
+    def reserved(self, arrivals: np.ndarray) -> np.ndarray:
+        """Mask over ``arrivals``, one per resource, of the spots another fleet agent reaches first
+        (``ReservationTable.blocked``)."""
         if self.reservations is None:
             return np.zeros(len(arrivals), dtype=bool)
-        index = self.ctx.res_index if idx is None else {self.ctx.res_ids[i]: k for k, i in enumerate(idx)}
-        return self.reservations.blocked(self.agent_id, arrivals, index)
+        return self.reservations.blocked(self.agent_id, arrivals)
 
 
 def replan_route(view: PlanningView, from_node: str, destination: GeoPoint) -> RouteDecision:
@@ -411,16 +402,14 @@ class ReplanningPolicy:
     def __init__(self, ctx: PlannerContext, destination: GeoPoint, settings: PlannerSettings | None = None):
         self.ctx = ctx
         self.destination = destination
-        self._target: str | None = None
+        self._target: int | None = None
 
     def decide(self, view: PlanningView, node: str, rng: np.random.Generator) -> RouteDecision:
-        ctx = view.ctx
-        if self._target is not None:
-            i = ctx.res_index[self._target]
-            if view.avail[i]:
-                kept = ctx.toward(view.now, node, i, recomputed=False)
-                if not view.reserved([kept.expected_arrival], [i])[0]:
-                    return kept
+        i = self._target
+        if i is not None and view.avail[i]:
+            kept = view.ctx.toward(view.now, node, i, recomputed=False)
+            if view.reservations is None or not view.reservations.spot_blocked(view.agent_id, i, kept.expected_arrival):
+                return kept
         decision = replan_route(view, node, self.destination)
         self._target = decision.target_resource
         return decision
@@ -453,11 +442,12 @@ class HindsightPolicy:
             # (resources, futures), so the kernel gathers a column's futures as one contiguous row
             self._uniforms = np.ascontiguousarray(rng.random((self.n, ctx.n_resources)).T)
 
-        # (value, preference rank, id, resource index or out-edge row) per candidate; a spot wins ties.
-        candidates: list[tuple[float, int, str, int]] = []
+        # (value, preference rank, resource index or out-edge row) per candidate; a spot wins ties, and
+        # index and row order are id order.
+        candidates: list[tuple[float, int, int]] = []
         for ridx in ctx.adjacent_res[node]:
             if view.avail[ridx] and not forced[ridx]:
-                candidates.append((float(ctx.res_offset[ridx] + walk[ridx]), 0, ctx.res_ids[ridx], ridx))
+                candidates.append((float(ctx.res_offset[ridx] + walk[ridx]), 0, ridx))
         if edges:
             base = drive[1:] + walk
             if self.scope_horizon_s is not None:
@@ -467,10 +457,10 @@ class HindsightPolicy:
             # and divided by its count as mean divides.
             means = futures.mins.sum(axis=1) / self.n
             for row, edge in enumerate(edges):
-                candidates.append((float(edge.drive_time_s + means[row]), 1, edge.id, row))
+                candidates.append((float(edge.drive_time_s + means[row]), 1, row))
         if not candidates:
             raise NoPathError(f"no actions available at {node!r}")
-        value, rank, _, k = min(candidates)  # (value, rank, id) never ties: ids are unique per rank
+        value, rank, k = min(candidates)
         if not np.isfinite(value):
             raise NoPathError(f"no resource reachable from {node!r}")
         if rank == 0:
@@ -478,8 +468,7 @@ class HindsightPolicy:
         # Commit to the resource chosen most often across the sampled futures.
         modal = modal_choice(futures.argmin(k), ctx.n_resources)
         edge = edges[k]
-        return RouteDecision(TakeRoad(edge.id), ctx.res_ids[modal],
-                             ctx.arrival(view.now + edge.drive_time_s, edge.to_node, modal))
+        return RouteDecision(TakeRoad(edge.id), modal, ctx.arrival(view.now + edge.drive_time_s, edge.to_node, modal))
 
 
 class RandomPolicy:

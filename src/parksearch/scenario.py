@@ -34,10 +34,10 @@ from .engine import (
     run_simulation,
     write_results,
 )
-from .errors import ConfigError
+from .errors import ConfigError, check_number
 from .geo import EARTH_RADIUS_M, GeoPoint, great_circle_m
 from .graph import DEFAULT_ROUND_TRIP_S, DEFAULT_SPEED_FACTOR, RoadGraph, load_graph
-from .planners import PLANNER_KINDS, PLANNERS, SETTING_BOUNDS, PlannerSettings, check_number
+from .planners import PLANNER_KINDS, PLANNERS, SETTING_BOUNDS, PlannerSettings
 
 _TOP_KEYS = {
     "name", "graph", "occupation", "destinations", "planner", "adaption",

@@ -23,7 +23,7 @@ class ResourceState(enum.Enum):
 class ResourceBelief:
     """Latest observation anchor for one resource."""
 
-    resource_id: str
+    resource_id: int | str  # the spot index an AdaptionOverlay files the resource's entries under
     state: ResourceState
     anchor_time: float
     params: CtmcParams
@@ -46,7 +46,7 @@ def availability_probability(
     belief: ResourceBelief,
     at: float,
     overlay: AdaptionOverlay | None = None,
-    exclude_owner: str | None = None,
+    exclude_owner: int | None = None,
 ) -> float:
     """Predicted availability at time ``at``, minus any active overlay deltas, clamped to [0, 1]."""
     if at < belief.anchor_time:

@@ -462,41 +462,41 @@ def test_criterion_10_reversal_and_uniqueness():
     rng = np.random.default_rng(1010)
 
     # ten thousand randomized reservation operations with invariants checked throughout
-    table = ReservationTable()
-    agents = [f"a{i}" for i in range(8)]
-    resources = [f"r{i}" for i in range(5)]
+    n_agents, n_spots = 8, 5
+    table = ReservationTable(n_agents)
+    held: dict[int, tuple[int, float]] = {}  # the test's own model: agent -> (spot, arrival)
     uniqueness_ok = True
     for _ in range(10_000):
-        agent = str(rng.choice(agents))
+        agent = int(rng.integers(n_agents))
         if rng.random() < 0.25:
             table.cancel(agent)
+            held.pop(agent, None)
         else:
-            table.place(agent, str(rng.choice(resources)), float(rng.uniform(0, 5000)))
-        held = [table.for_agent(a) for a in agents if table.for_agent(a) is not None]
-        if len(held) != len(table):
-            uniqueness_ok = False
-            break
-        indexed = [res for r in resources for res in table.for_resource(r)]
-        if sorted(id(x) for x in indexed) != sorted(id(x) for x in held):
+            held[agent] = (int(rng.integers(n_spots)), float(rng.uniform(0, 5000)))
+            table.place(agent, *held[agent])
+        # at most one reservation per agent: each agent's array slot holds exactly its model entry
+        if (table.spot.tolist() != [held[a][0] if a in held else -1 for a in range(n_agents)]
+                or any(table.arrival[a] != t for a, (_, t) in held.items()) or len(table) != len(held)):
             uniqueness_ok = False
             break
 
     # ten thousand randomized overlay batches, each reversed to bit-exact state
     params = CtmcParams.from_mean_times(300.0, 900.0)
     overlay = AdaptionOverlay()
-    beliefs = {rid: ResourceBelief(rid, A if i % 2 else O, 0.0, params)
-               for i, rid in enumerate(resources)}
-    for rid in resources:
-        overlay.add(rid, float(rng.uniform(0, 100)), float(rng.uniform(0, 0.1)), "baseline")
-    probes = [(str(rng.choice(resources)), float(rng.uniform(0, 3000))) for _ in range(10)]
+    spots = range(n_spots)
+    baseline, batch = 0, 1  # owners are agent indices
+    beliefs = {i: ResourceBelief(i, A if i % 2 else O, 0.0, params) for i in spots}
+    for i in spots:
+        overlay.add(i, float(rng.uniform(0, 100)), float(rng.uniform(0, 0.1)), baseline)
+    probes = [(int(rng.integers(n_spots)), float(rng.uniform(0, 3000))) for _ in range(10)]
     reversal_ok = True
-    reference = [availability_probability(beliefs[r], t, overlay) for r, t in probes]
+    reference = [availability_probability(beliefs[i], t, overlay) for i, t in probes]
     for _ in range(10_000):
         n_entries = int(rng.integers(1, 5))
         for _ in range(n_entries):
-            overlay.add(str(rng.choice(resources)), float(rng.uniform(0, 1000)), float(rng.uniform(0, 0.4)), "batch")
-        overlay.withdraw("batch")
-        now = [availability_probability(beliefs[r], t, overlay) for r, t in probes]
+            overlay.add(int(rng.integers(n_spots)), float(rng.uniform(0, 1000)), float(rng.uniform(0, 0.4)), batch)
+        overlay.withdraw(batch)
+        now = [availability_probability(beliefs[i], t, overlay) for i, t in probes]
         if now != reference:
             reversal_ok = False
             break

@@ -10,6 +10,7 @@ from parksearch.availability import (
     expected_wait_times_rates,
     stationary_availability,
 )
+from parksearch.errors import ConfigError
 
 from ctmc_oracle import (
     ResourceBelief,
@@ -120,6 +121,20 @@ def test_rate_validation():
         CtmcParams(1.0, -2.0)
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda: CtmcParams(math.nan, 1.0), "lam"),
+    (lambda: CtmcParams(1.0, math.inf), "mu"),
+    (lambda: CtmcParams(1.0, 0.0), "mu"),
+    (lambda: CtmcParams.from_mean_times(0.0, 60.0), "available_s"),
+    (lambda: CtmcParams.from_mean_times(60.0, math.nan), "occupied_s"),
+    (lambda: CtmcParams.from_mean_times(math.inf, 60.0), "available_s"),
+], ids=["nan lam", "inf mu", "zero mu", "zero mean", "nan mean", "inf mean"])
+def test_bad_rates_fail_fast(make, name):
+    # a NaN rate used to pass the check and make trace synthesis loop forever
+    with pytest.raises(ConfigError, match=f"^{name} must be a positive number"):
+        make()
+
+
 def test_availability_probability_at_anchor(default_params):
     belief = ResourceBelief("r", A, anchor_time=100.0, params=default_params)
     assert availability_probability(belief, 100.0) == 1.0
@@ -131,30 +146,30 @@ def test_overlay_subtraction_and_clamp():
     # lam = mu makes T available->available = 0.5 + 0.5 exp(-2 lam t); solve for base 0.6
     params = CtmcParams(0.01, 0.01)
     dt = -math.log(0.2) / 0.02
-    belief = ResourceBelief("r", A, 0.0, params)
+    belief = ResourceBelief(0, A, 0.0, params)
     assert availability_probability(belief, dt) == pytest.approx(0.6, abs=1e-12)
 
     overlay = AdaptionOverlay()
-    overlay.add("r", activation_time=dt - 1.0, delta=0.25, owner="a1")
+    overlay.add(0, activation_time=dt - 1.0, delta=0.25, owner=1)
     assert availability_probability(belief, dt, overlay) == pytest.approx(0.35, abs=1e-12)
 
-    overlay.add("r", activation_time=0.0, delta=0.40, owner="a2")
+    overlay.add(0, activation_time=0.0, delta=0.40, owner=2)
     assert availability_probability(belief, dt, overlay) == 0.0  # clamped
 
     # deltas that activate later do not count yet
     overlay2 = AdaptionOverlay()
-    overlay2.add("r", activation_time=dt + 1.0, delta=0.5, owner="a1")
+    overlay2.add(0, activation_time=dt + 1.0, delta=0.5, owner=1)
     assert availability_probability(belief, dt, overlay2) == pytest.approx(0.6, abs=1e-12)
 
 
 def test_overlay_owner_exclusion():
     params = CtmcParams(0.01, 0.01)
-    belief = ResourceBelief("r", A, 0.0, params)
+    belief = ResourceBelief(0, A, 0.0, params)
     overlay = AdaptionOverlay()
-    overlay.add("r", 0.0, 0.3, owner="me")
-    overlay.add("r", 0.0, 0.2, owner="other")
+    overlay.add(0, 0.0, 0.3, owner=0)
+    overlay.add(0, 0.0, 0.2, owner=1)
     base = availability_probability(belief, 0.0)
-    assert availability_probability(belief, 0.0, overlay, exclude_owner="me") == pytest.approx(base - 0.2)
+    assert availability_probability(belief, 0.0, overlay, exclude_owner=0) == pytest.approx(base - 0.2)
     assert availability_probability(belief, 0.0, overlay) == pytest.approx(base - 0.5)
 
 
@@ -235,23 +250,24 @@ def test_sampling_deterministic_with_seed(default_params):
 def test_overlay_reversal_restores_exactly(default_params):
     rng = np.random.default_rng(21)
     overlay = AdaptionOverlay()
-    belief = {rid: ResourceBelief(rid, A, 0.0, default_params) for rid in ("r1", "r2", "r3")}
-    keepers = ("keeper0", "keeper1", "keeper2")
-    for rid, owner in zip(("r1", "r2", "r2"), keepers):
-        overlay.add(rid, float(rng.uniform(0, 100)), float(rng.uniform(0, 0.2)), owner)
-    probes = [(rid, float(rng.uniform(0, 500))) for rid in ("r1", "r2", "r3") for _ in range(4)]
-    before = [availability_probability(belief[rid], t, overlay) for rid, t in probes]
+    spots = (0, 1, 2)
+    belief = {i: ResourceBelief(i, A, 0.0, default_params) for i in spots}
+    keepers = (0, 1, 2)
+    tmp = 3
+    for i, owner in zip((0, 1, 1), keepers):
+        overlay.add(i, float(rng.uniform(0, 100)), float(rng.uniform(0, 0.2)), owner)
+    probes = [(i, float(rng.uniform(0, 500))) for i in spots for _ in range(4)]
+    before = [availability_probability(belief[i], t, overlay) for i, t in probes]
 
     for _ in range(10):
-        overlay.add(str(rng.choice(["r1", "r2", "r3"])), float(rng.uniform(0, 100)),
-                    float(rng.uniform(0, 0.3)), "tmp")
-    overlay.withdraw("tmp")
-    after = [availability_probability(belief[rid], t, overlay) for rid, t in probes]
+        overlay.add(int(rng.choice(spots)), float(rng.uniform(0, 100)), float(rng.uniform(0, 0.3)), tmp)
+    overlay.withdraw(tmp)
+    after = [availability_probability(belief[i], t, overlay) for i, t in probes]
     assert after == before  # bit-exact
     assert len(overlay) == len(keepers)
 
-    overlay.withdraw("tmp")  # a second withdrawal changes nothing
-    assert [availability_probability(belief[rid], t, overlay) for rid, t in probes] == before
+    overlay.withdraw(tmp)  # a second withdrawal changes nothing
+    assert [availability_probability(belief[i], t, overlay) for i, t in probes] == before
     assert len(overlay) == len(keepers)
 
     # emptiness is read without counting entries; it must agree with len()
@@ -294,12 +310,12 @@ def test_view_availability_matches_oracle():
         avail = rng.random(n) < 0.5
         overlay = AdaptionOverlay()
         for _ in range(int(rng.integers(0, 12))):
-            overlay.add(str(rng.choice(ctx.res_ids)), now + float(rng.uniform(0, 300)),
-                        float(rng.uniform(0, 0.6)), str(rng.choice(["me", "a1", "a2"])))
-        view = PlanningView(ctx, now, avail, CtmcParams(1.0, 1.0), overlay=overlay, agent_id="me",
+            overlay.add(int(rng.integers(n)), now + float(rng.uniform(0, 300)),
+                        float(rng.uniform(0, 0.6)), int(rng.integers(3)))  # the viewing agent is 0
+        view = PlanningView(ctx, now, avail, CtmcParams(1.0, 1.0), overlay=overlay, agent_id=0,
                             rates=AvailabilityRates(lam, mu))
-        beliefs = [ResourceBelief(rid, A if avail[i] else O, now, CtmcParams(float(lam[i]), float(mu[i])))
-                   for i, rid in enumerate(ctx.res_ids)]
+        beliefs = [ResourceBelief(i, A if avail[i] else O, now, CtmcParams(float(lam[i]), float(mu[i])))
+                   for i in range(n)]
 
         arrivals = now + rng.uniform(0, 400, size=n)
         vec = view.availability(arrivals)
@@ -307,10 +323,10 @@ def test_view_availability_matches_oracle():
         at = now + float(rng.uniform(0, 400))
         sub = view.availability(at, subset)
         for i in range(n):
-            ref = availability_probability(beliefs[i], float(arrivals[i]), overlay, exclude_owner="me")
+            ref = availability_probability(beliefs[i], float(arrivals[i]), overlay, exclude_owner=0)
             assert vec[i] == pytest.approx(ref, rel=1e-12, abs=1e-15)
         for k, i in enumerate(subset):
-            ref = availability_probability(beliefs[i], at, overlay, exclude_owner="me")
+            ref = availability_probability(beliefs[i], at, overlay, exclude_owner=0)
             assert sub[k] == pytest.approx(ref, rel=1e-12, abs=1e-15)
         checked += n
     assert checked > 100
@@ -322,9 +338,9 @@ def _oracle_view_availability(view, lam, mu, at, idx=None):
     p = availability_after_rates(lam[sel], mu[sel], at - view.now, view.avail[sel])
     if view.overlay:
         at = np.broadcast_to(at, p.shape)
-        ids = np.asarray(view.ctx.res_ids)[sel]
-        for k, rid in enumerate(ids.tolist()):
-            p[k] -= view.overlay.pending_subtraction(rid, float(at[k]), view.agent_id)
+        spots = np.arange(view.ctx.n_resources)[sel]
+        for k, spot in enumerate(spots.tolist()):
+            p[k] -= view.overlay.pending_subtraction(spot, float(at[k]), view.agent_id)
         np.clip(p, 0.0, 1.0, out=p)
     return p
 
@@ -348,11 +364,11 @@ def test_rates_encoding_is_bit_identical_to_the_formula():
         now = float(rng.uniform(0, 500))
         overlay = AdaptionOverlay()
         for _ in range(int(rng.integers(0, 3)) * int(rng.integers(0, 8))):
-            overlay.add(str(rng.choice(ctx.res_ids)), now + float(rng.uniform(0, 300)),
-                        float(rng.uniform(0, 0.6)), str(rng.choice(["me", "a1", "a2"])))
+            overlay.add(int(rng.integers(n)), now + float(rng.uniform(0, 300)),
+                        float(rng.uniform(0, 0.6)), int(rng.integers(3)))  # the viewing agent is 0
         seen["overlay" if overlay else "no overlay"] += 1
         avail = rng.random(n) < 0.5
-        view = PlanningView(ctx, now, avail, CtmcParams(1.0, 1.0), overlay=overlay, agent_id="me", rates=rates)
+        view = PlanningView(ctx, now, avail, CtmcParams(1.0, 1.0), overlay=overlay, agent_id=0, rates=rates)
         subset = rng.permutation(n)[: int(rng.integers(1, n + 1))]
         for idx in (None, subset, subset.tolist()):
             size = n if idx is None else len(idx)

@@ -26,7 +26,7 @@ from parksearch.engine import (
 from parksearch.errors import ConfigError, NoPathError, TraceError
 from parksearch.geo import EARTH_RADIUS_M, GeoPoint, walking_time
 from parksearch.graph import all_pairs_travel_times, load_graph
-from parksearch.planners import PLANNER_KINDS, PlannerContext, PlannerSettings
+from parksearch.planners import PLANNER_KINDS, PLANNERS, PlannerContext, PlannerSettings
 from parksearch.scenario import build_grid_graph_doc
 
 from conftest import trace_from_rows, trace_rows
@@ -379,20 +379,24 @@ def test_reused_trace_gives_the_results_of_a_fresh_one(monkeypatch, tmp_path):
 
 def test_any_changed_key_part_synthesizes_again(monkeypatch):
     traces = _count_syntheses(monkeypatch)
-    graph, _, dest = _memo_world()
+    graph, ctx, dest = _memo_world()
     rates = CtmcParams.from_mean_times(200.0, 600.0)
     rid = sorted(graph.resources)[0]
     base = {"params_by_resource": {rid: rates}, "horizon_s": 900.0, "seed": 3}
 
-    def run(graph=graph, occupation=rates, n_agents=2, **changed):
+    def run(ctx=ctx, occupation=rates, n_agents=2, **changed):
         agents = [AgentSpec(f"a{i}", "n0000", dest, 0.0, "rpl") for i in range(n_agents)]
-        run_simulation(graph, agents, occupation, measure_computation=False, **{**base, **changed})
+        run_simulation(ctx.graph, agents, occupation, ctx=ctx, measure_computation=False, **{**base, **changed})
         return len(traces)
 
     assert run() == 1
     assert run(n_agents=5) == 1  # the trace's random stream does not depend on the number of agents
-    for changed in ({"graph": load_graph(build_grid_graph_doc(4, 4, n_resources=12, seed=5))},
-                    {"occupation": CtmcParams.from_mean_times(200.0, 601.0)},
+    other = _memo_world()[1]  # a changed graph means a new context, which keeps its own last trace
+    assert run(ctx=other) == 2
+    assert run() == 2 and run(ctx=other) == 2
+    with pytest.raises(ValueError, match="another graph"):  # the key holds no graph, so a context keeps to its own
+        run_simulation(graph, [AgentSpec("a0", "n0000", dest, 0.0, "rpl")], rates, ctx=other)
+    for changed in ({"occupation": CtmcParams.from_mean_times(200.0, 601.0)},
                     {"params_by_resource": {rid: CtmcParams.from_mean_times(50.0, 600.0)}},
                     {"params_by_resource": None},
                     {"horizon_s": 901.0},
@@ -560,9 +564,12 @@ def test_agent_validation():
         run_simulation(graph, [AgentSpec("a", "n0", dest, 0.0, "rpl")] * 2, OccupationTrace())
 
 
-def test_fleet_reservation_spreads_identical_cohort():
+@pytest.mark.parametrize("kind", ["rpl_r", "hs_r"])
+@pytest.mark.parametrize("ids", [("a0", "a1"), ("a9", "a10")], ids=["a0,a1", "a9,a10"])
+def test_fleet_reservation_spreads_identical_cohort(ids, kind):
     # Two agents, two equally good resources: with reservations the second
-    # agent diverts instead of racing and losing.
+    # agent diverts instead of racing and losing. Agents are ranked by id
+    # string: a10 goes before a9, though it is listed second and numbered higher.
     doc = {
         "nodes": [
             {"id": "n0", "lat": 0.0, "lon": 0.0},
@@ -582,19 +589,20 @@ def test_fleet_reservation_spreads_identical_cohort():
     }
     graph = load_graph(doc)
     dest = GeoPoint(0.0, 0.0005)  # at ra's position: ra is the better spot
-    agents = [AgentSpec(f"a{i}", "n0", dest, 0.0, "rpl_r") for i in range(2)]
+    first, second = sorted(ids)
+    agents = [AgentSpec(a, "n0", dest, 0.0, kind) for a in ids]
     records = run_simulation(graph, agents, OccupationTrace(), params=FROZEN,
                              measure_computation=False)
     by_id = {r.agent_id: r for r in records}
-    assert by_id["a0"].parked_resource == "ra"
-    assert by_id["a1"].parked_resource == "rb"  # blocked by a0's equal-arrival reservation
-    assert by_id["a1"].unsuccessful_claims == 0
+    assert by_id[first].parked_resource == "ra"
+    assert by_id[second].parked_resource == "rb"  # blocked by the first's equal-arrival reservation
+    assert by_id[second].unsuccessful_claims == 0
 
-    # without reservations both race ra and a1 wastes a claim
-    agents_plain = [AgentSpec(f"a{i}", "n0", dest, 0.0, "rpl") for i in range(2)]
+    # without reservations both race ra and the second wastes a claim
+    agents_plain = [AgentSpec(a, "n0", dest, 0.0, PLANNERS[kind].base) for a in ids]
     plain = {r.agent_id: r for r in run_simulation(graph, agents_plain, OccupationTrace(),
                                                    params=FROZEN, measure_computation=False)}
-    assert plain["a1"].unsuccessful_claims >= 1
+    assert plain[second].unsuccessful_claims >= 1
 
 
 def test_static_world_replanning_reduces_to_best_candidate():
@@ -668,8 +676,8 @@ def test_fleet_holds_nothing_after_a_mixed_run(monkeypatch):
     fleets, peak = [], {"reservations": 0, "overlay": 0}
 
     class Captured(fleet.Fleet):
-        def __init__(self, settings):
-            super().__init__(settings)
+        def __init__(self, *args):
+            super().__init__(*args)
             fleets.append(self)
 
         def publish(self, *args):
@@ -727,6 +735,8 @@ def test_only_sharing_kinds_publish_and_every_agent_is_timed(monkeypatch):
               for i in range(28)]
     records = run_simulation(graph, agents, ring, params_by_resource=overrides, seed=1, ctx=ctx,
                              measure_computation=True)
-    # every agent of the three sharing kinds publishes, and no other agent does
-    assert set(published) == {a.id for a in agents if a.planner in ("rpl_r", "hs_r", "hs_a")}
+    # every agent of the three sharing kinds publishes, and no other agent does; views name agents by
+    # their index in id order
+    in_id_order = sorted(agents, key=lambda a: a.id)
+    assert set(published) == {i for i, a in enumerate(in_id_order) if a.planner in ("rpl_r", "hs_r", "hs_a")}
     assert all(r.computation_s > 0.0 for r in records), [r.agent_id for r in records if r.computation_s <= 0.0]

@@ -1,4 +1,5 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from parksearch.availability import AdaptionOverlay, CtmcParams
 from parksearch.errors import DegenerateTargetError
 from parksearch.fleet import (
-    Reservation,
     ReservationTable,
     WalkPath,
     _edge_jump_weight,
@@ -21,9 +21,20 @@ from ctmc_oracle import ResourceBelief, ResourceState, availability_probability
 FROZEN = CtmcParams(1e-9, 1e-9)
 
 
-def effective_availability(table, resource, querying_agent, query_arrival, currently_available):
-    """Availability as seen by a fleet agent expecting to arrive at ``query_arrival``."""
-    return currently_available and not table.blocked(querying_agent, [query_arrival], {resource: 0})[0]
+class Held(NamedTuple):
+    """One reservation in a test's own model of the table: agent and spot indices and the arrival."""
+
+    spot: int
+    agent: int
+    t_arrival: float
+
+
+def effective_availability(table, spot, querying_agent, query_arrival, currently_available, n_spots=4):
+    """Availability as seen by a fleet agent expecting to arrive at ``query_arrival``; the full query
+    over ``n_spots`` spots and the one-spot query must agree."""
+    blocked = table.spot_blocked(querying_agent, spot, query_arrival)
+    assert table.blocked(querying_agent, np.full(n_spots, query_arrival))[spot] == blocked
+    return currently_available and not blocked
 
 
 def reservation_blocks(res, querying_agent, query_arrival):
@@ -35,105 +46,102 @@ def reservation_blocks(res, querying_agent, query_arrival):
     return res.t_arrival == query_arrival and (querying_agent is None or res.agent < querying_agent)
 
 
+def assert_table_holds(table, held, n_agents):
+    """The table's per-agent arrays hold exactly the model's reservations."""
+    assert table.spot.tolist() == [held[a].spot if a in held else -1 for a in range(n_agents)]
+    assert [float(table.arrival[a]) for a in sorted(held)] == [held[a].t_arrival for a in sorted(held)]
+    assert len(table) == len(held)
+
+
 def test_blocked_matches_scalar_oracle():
     rng = np.random.default_rng(515)
-    agents = [f"a{i}" for i in range(8)]
-    resources = [f"r{i}" for i in range(6)]
-    seen = {"tie": 0, "own": 0, "anonymous": 0, "cancelled": 0, "outside": 0,
-            "query smaller than reserved": 0, "query larger than reserved": 0, "replaced": 0}
-
-    def check_holders(table, held):
-        # the per-resource index lists each spot's holders in the order they placed
-        for rid in resources:
-            assert table.for_resource(rid) == tuple(res for res in held.values() if res.resource == rid)
+    n_agents, n_spots = 8, 6
+    seen = {"tie": 0, "own": 0, "anonymous": 0, "cancelled": 0, "outside": 0, "replaced": 0}
 
     for _ in range(300):
-        table = ReservationTable()
-        held: dict[str, Reservation] = {}  # the test's own model of the active reservations, in placing order
+        table = ReservationTable(n_agents)
+        held: dict[int, Held] = {}  # the test's own model of the active reservations
         for _ in range(int(rng.integers(1, 12))):
-            agent = str(rng.choice(agents))
+            agent = int(rng.integers(n_agents))
             if rng.random() < 0.25:
                 table.cancel(agent)
                 seen["cancelled"] += held.pop(agent, None) is not None
             else:
-                res = Reservation(str(rng.choice(resources)), agent, float(rng.integers(0, 4)))
-                table.place(res.agent, res.resource, res.t_arrival)
+                res = Held(int(rng.integers(n_spots)), agent, float(rng.integers(0, 4)))
+                table.place(res.agent, res.spot, res.t_arrival)
                 old = held.pop(agent, None)
-                seen["replaced"] += old is not None and old.resource != res.resource
+                seen["replaced"] += old is not None and old.spot != res.spot
                 held[agent] = res
-            check_holders(table, held)
-        in_index = [str(r) for r in rng.permutation(resources)[: int(rng.integers(1, len(resources) + 1))]]
-        index = {rid: k for k, rid in enumerate(in_index)}
-        seen["outside"] += any(res.resource not in index for res in held.values())
-        n_reserved = len({res.resource for res in held.values()})
-        arrivals = rng.integers(0, 4, size=len(in_index)).astype(float)
-        for agent in [None, *agents]:
+            assert_table_holds(table, held, n_agents)
+        seen["outside"] += len({res.spot for res in held.values()}) < n_spots  # spots nobody reserved
+        arrivals = rng.integers(0, 4, size=n_spots).astype(float)
+        for agent in [None, *range(n_agents)]:
             seen["anonymous"] += agent is None
-            seen["own"] += agent in held and held[agent].resource in index
-            seen["query smaller than reserved"] += len(index) < n_reserved
-            seen["query larger than reserved"] += len(index) > n_reserved
-            expected = np.array([any(reservation_blocks(res, agent, arrivals[k])
-                                     for res in held.values() if res.resource == rid)
-                                 for rid, k in index.items()], dtype=bool)
-            seen["tie"] += sum(res.resource in index and res.t_arrival == arrivals[index[res.resource]]
-                               for res in held.values())
-            assert np.array_equal(table.blocked(agent, arrivals, index), expected)
-            for rid, k in index.items():
-                assert table.blocked(agent, [arrivals[k]], {rid: 0})[0] == expected[k]
+            seen["own"] += agent in held
+            expected = np.array([any(reservation_blocks(res, agent, arrivals[i])
+                                     for res in held.values() if res.spot == i)
+                                 for i in range(n_spots)], dtype=bool)
+            seen["tie"] += sum(res.t_arrival == arrivals[res.spot] for res in held.values())
+            assert np.array_equal(table.blocked(agent, arrivals), expected)
+            for i in range(n_spots):
+                assert table.spot_blocked(agent, i, arrivals[i]) == expected[i]
     assert min(seen.values()) > 0, seen
 
 
 def test_reservation_table_basics():
-    table = ReservationTable()
-    table.place("a1", "r1", 100.0)
-    assert table.for_agent("a1") == Reservation("r1", "a1", 100.0)
+    table = ReservationTable(3)
+    table.place(1, 1, 100.0)
+    assert (table.spot[1], table.arrival[1]) == (1, 100.0)
     assert len(table) == 1
 
-    table.place("a1", "r2", 150.0)  # re-targeting replaces the old entry
-    assert table.for_agent("a1").resource == "r2"
-    assert table.for_resource("r1") == ()
+    table.place(1, 2, 150.0)  # re-targeting replaces the old entry
+    assert (table.spot[1], table.arrival[1]) == (2, 150.0)
+    assert not (table.spot == 1).any()
     assert len(table) == 1
 
-    table.place("a2", "r2", 200.0)  # several agents may reserve one resource
-    assert {res.agent for res in table.for_resource("r2")} == {"a1", "a2"}
+    table.place(2, 2, 200.0)  # several agents may reserve one resource
+    assert np.flatnonzero(table.spot == 2).tolist() == [1, 2]
 
-    table.cancel("a1")
-    assert table.for_agent("a1") is None
-    table.cancel("a1")  # idempotent
+    table.cancel(1)
+    assert table.spot[1] == -1
+    table.cancel(1)  # idempotent
+    assert len(table) == 1
 
 
 def test_effective_availability_semantics():
-    table = ReservationTable()
-    assert effective_availability(table, "r1", "me", 150.0, currently_available=False) is False
-    assert effective_availability(table, "r1", "me", 150.0, currently_available=True) is True
+    me, other = 0, 1
+    table = ReservationTable(2)
+    assert effective_availability(table, 0, me, 150.0, currently_available=False) is False
+    assert effective_availability(table, 0, me, 150.0, currently_available=True) is True
 
-    table.place("other", "r1", 100.0)
-    assert effective_availability(table, "r1", "me", 150.0, True) is False  # they arrive first
-    table.place("other", "r1", 200.0)
-    assert effective_availability(table, "r1", "me", 150.0, True) is True  # I arrive first
+    table.place(other, 0, 100.0)
+    assert effective_availability(table, 0, me, 150.0, True) is False  # they arrive first
+    table.place(other, 0, 200.0)
+    assert effective_availability(table, 0, me, 150.0, True) is True  # I arrive first
 
     # own reservation never blocks
-    table.place("me", "r1", 100.0)
-    assert effective_availability(table, "r1", "me", 150.0, True) is True
+    table.place(me, 0, 100.0)
+    assert effective_availability(table, 0, me, 150.0, True) is True
 
 
 def test_equal_arrival_tie_breaks_by_agent_id():
-    table = ReservationTable()
-    table.place("a1", "r1", 100.0)
-    assert effective_availability(table, "r1", "a2", 100.0, True) is False  # a1 keeps the claim
-    table.place("a3", "r1", 100.0)
-    assert effective_availability(table, "r1", "a2", 100.0, True) is False  # a1 still blocks
-    table.cancel("a1")
-    assert effective_availability(table, "r1", "a2", 100.0, True) is True  # a3 > a2 loses ties
+    # agent indices follow id order, so the smaller index is the smaller id
+    table = ReservationTable(3)
+    table.place(0, 0, 100.0)
+    assert effective_availability(table, 0, 1, 100.0, True) is False  # agent 0 keeps the claim
+    table.place(2, 0, 100.0)
+    assert effective_availability(table, 0, 1, 100.0, True) is False  # agent 0 still blocks
+    table.cancel(0)
+    assert effective_availability(table, 0, 1, 100.0, True) is True  # agent 2 > 1 loses ties
 
 
 def test_effective_availability_monotone_in_reservations():
     rng = np.random.default_rng(6)
     for _ in range(200):
-        table = ReservationTable()
-        probes = [("rX", f"q{i}", float(rng.uniform(0, 100))) for i in range(5)]
+        table = ReservationTable(6)
+        probes = [(0, i, float(rng.uniform(0, 100))) for i in range(5)]
         before = [effective_availability(table, r, q, t, True) for r, q, t in probes]
-        table.place("zzz", "rX", float(rng.uniform(0, 100)))
+        table.place(5, 0, float(rng.uniform(0, 100)))
         after = [effective_availability(table, r, q, t, True) for r, q, t in probes]
         for b, a in zip(before, after):
             assert not (b is False and a is True)
@@ -141,19 +149,18 @@ def test_effective_availability_monotone_in_reservations():
 
 def test_per_agent_uniqueness_random_ops():
     rng = np.random.default_rng(9)
-    table = ReservationTable()
-    agents = [f"a{i}" for i in range(6)]
-    resources = [f"r{i}" for i in range(4)]
+    n_agents, n_spots = 6, 4
+    table = ReservationTable(n_agents)
+    held: dict[int, Held] = {}
     for _ in range(2000):
-        agent = str(rng.choice(agents))
+        agent = int(rng.integers(n_agents))
         if rng.random() < 0.3:
             table.cancel(agent)
+            held.pop(agent, None)
         else:
-            table.place(agent, str(rng.choice(resources)), float(rng.uniform(0, 1000)))
-        held = [res for a in agents for res in ([table.for_agent(a)] if table.for_agent(a) else [])]
-        assert len(held) == len(table)
-        by_res = [res for r in resources for res in table.for_resource(r)]
-        assert sorted(id(x) for x in by_res) == sorted(id(x) for x in held)
+            res = held[agent] = Held(int(rng.integers(n_spots)), agent, float(rng.uniform(0, 1000)))
+            table.place(agent, res.spot, res.t_arrival)
+        assert_table_holds(table, held, n_agents)
 
 
 def linear_walk_world():
@@ -203,11 +210,11 @@ def test_create_adaptions_hand_arithmetic():
         WalkPath(("e12",), 0.4, 700.0, "e12"),
         WalkPath(("e01", "e12"), 0.6, 900.0, "e12"),
     ]
-    entries = create_adaptions(paths, "agent", graph, overlay)
+    entries = create_adaptions(paths, 0, ctx, overlay)
     # e12 holds one resource (rx): delta = mean(0.2, 0.4, 0.6) / 1
     assert len(entries) == 1
     entry = entries[0]
-    assert entry.resource_id == "rx"
+    assert ctx.res_ids[entry.spot] == "rx"
     assert entry.delta == pytest.approx(0.4)
     assert entry.activation_time == pytest.approx(700.0)
 
@@ -225,20 +232,20 @@ def test_create_adaptions_two_street_groups_split_mass():
             {"id": "z", "edge": "e2", "lat": 0.0, "lon": 0.0005, "offset_s": 5.0},
         ],
     }
-    graph, _ = make_context(doc)
+    graph, ctx = make_context(doc)
     overlay = AdaptionOverlay()
     entries = create_adaptions(
         [WalkPath(("e1",), 0.3, 100.0, "e1"), WalkPath(("e2",), 0.5, 200.0, "e2")],
-        "agent", graph, overlay,
+        0, ctx, overlay,
     )
-    by_resource = {e.resource_id: e for e in entries}
+    by_resource = {ctx.res_ids[e.spot]: e for e in entries}
     assert by_resource["p"].delta == pytest.approx(0.15)  # 0.3 split across p and q
     assert by_resource["q"].delta == pytest.approx(0.15)
     assert by_resource["z"].delta == pytest.approx(0.5)
     assert by_resource["p"].activation_time == 100.0
     assert by_resource["z"].activation_time == 200.0
 
-    zero = create_adaptions([WalkPath((), 0.0, 50.0, "e1")], "agent", graph, AdaptionOverlay())
+    zero = create_adaptions([WalkPath((), 0.0, 50.0, "e1")], 0, ctx, AdaptionOverlay())
     # a group with zero expected mass creates zero-valued deltas
     assert zero and all(e.delta == 0.0 for e in zero)
 
@@ -246,9 +253,9 @@ def test_create_adaptions_two_street_groups_split_mass():
 def test_adapt_probabilities_zero_when_target_certainly_available():
     graph, ctx = linear_walk_world()
     view = PlanningView(ctx, 0.0, np.array([True, True, True]), FROZEN,
-                        overlay=AdaptionOverlay(), agent_id="me")
+                        overlay=AdaptionOverlay(), agent_id=0)
     settings = PlannerSettings(adaption_samples=20, adaption_isochrone_s=600.0)
-    entries = adapt_probabilities(view, "rt", 0.0, "me", settings, np.random.default_rng(0))
+    entries = adapt_probabilities(view, ctx.res_index["rt"], 0.0, 0, settings, np.random.default_rng(0))
     assert all(e.delta == pytest.approx(0.0, abs=1e-12) for e in entries)
 
 
@@ -258,20 +265,20 @@ def test_adapt_probabilities_walk_invariants():
     params = CtmcParams.from_mean_times(600.0, 1800.0)
     overlay = AdaptionOverlay()
     view = PlanningView(ctx, 0.0, np.array([False, False, True]), params,
-                        overlay=overlay, agent_id="me")
+                        overlay=overlay, agent_id=0)
     t_arrival = 250.0
     target = graph.resources["rt"]
     p_initial = 1.0 - availability_probability(
         ResourceBelief("rt", ResourceState.OCCUPIED, 0.0, params), t_arrival
     )
-    entries = adapt_probabilities(view, "rt", t_arrival, "me",
+    entries = adapt_probabilities(view, ctx.res_index["rt"], t_arrival, 0,
                                   PlannerSettings(adaption_samples=40, adaption_isochrone_s=600.0), rng)
     iso = ctx.isochrone(graph.edges[target.edge_id].from_node, 600.0)
     for entry in entries:
         # each walk multiplies its survival mass by weights <= 1
         assert entry.delta <= p_initial + 1e-12
         assert entry.activation_time >= t_arrival - 1e-9
-        street = graph.resources[entry.resource_id].edge_id
+        street = ctx.resources[entry.spot].edge_id
         assert graph.edges[street].to_node in iso or street == target.edge_id
 
 
@@ -282,9 +289,9 @@ def test_adapt_probabilities_degenerate_target():
         "resources": [{"id": "r", "edge": "e1", "lat": 0.0, "lon": 0.0005, "offset_s": 5.0}],
     }
     graph, ctx = make_context(doc)
-    view = PlanningView(ctx, 0.0, np.array([True]), FROZEN, overlay=AdaptionOverlay(), agent_id="me")
+    view = PlanningView(ctx, 0.0, np.array([True]), FROZEN, overlay=AdaptionOverlay(), agent_id=0)
     with pytest.raises(DegenerateTargetError):
-        adapt_probabilities(view, "r", 10.0, "me", PlannerSettings(adaption_samples=5, adaption_isochrone_s=300.0),
+        adapt_probabilities(view, 0, 10.0, 0, PlannerSettings(adaption_samples=5, adaption_isochrone_s=300.0),
                             np.random.default_rng(1))
 
 
@@ -293,26 +300,26 @@ def test_reverse_adaptions_round_trip_exact():
     graph, ctx = linear_walk_world()
     params = CtmcParams.from_mean_times(300.0, 900.0)
     overlay = AdaptionOverlay()
-    beliefs = {rid: ResourceBelief(rid, ResourceState.AVAILABLE, 0.0, params)
-               for rid in graph.resources}
-    probes = [(rid, float(rng.uniform(0, 2000))) for rid in graph.resources for _ in range(4)]
+    spots = range(ctx.n_resources)
+    keeper, walker = 0, 1
+    beliefs = {i: ResourceBelief(i, ResourceState.AVAILABLE, 0.0, params) for i in spots}
+    probes = [(i, float(rng.uniform(0, 2000))) for i in spots for _ in range(4)]
 
-    create_adaptions([WalkPath(("e12",), 0.25, 400.0, "e12")], "keeper", graph, overlay)
-    before = [availability_probability(beliefs[rid], t, overlay) for rid, t in probes]
+    create_adaptions([WalkPath(("e12",), 0.25, 400.0, "e12")], keeper, ctx, overlay)
+    before = [availability_probability(beliefs[i], t, overlay) for i, t in probes]
 
     view = PlanningView(ctx, 0.0, np.array([False, True, False]), params,
-                        overlay=overlay, agent_id="walker")
-    adapt_probabilities(view, "rt", 300.0, "walker",
+                        overlay=overlay, agent_id=walker)
+    adapt_probabilities(view, ctx.res_index["rt"], 300.0, walker,
                         PlannerSettings(adaption_samples=25, adaption_isochrone_s=600.0), rng)
-    overlay.withdraw("walker")
-    after = [availability_probability(beliefs[rid], t, overlay) for rid, t in probes]
+    overlay.withdraw(walker)
+    after = [availability_probability(beliefs[i], t, overlay) for i, t in probes]
     assert after == before  # exact restoration
 
-    overlay.withdraw("walker")  # a second withdrawal changes nothing
-    assert [availability_probability(beliefs[rid], t, overlay) for rid, t in probes] == before
+    overlay.withdraw(walker)  # a second withdrawal changes nothing
+    assert [availability_probability(beliefs[i], t, overlay) for i, t in probes] == before
 
     # keeper's entries survive interleaved reversal
-    assert all(e.owner == "keeper" for rid in graph.resources
-               for e in overlay.entries_for(rid))
-    overlay.withdraw("keeper")
+    assert all(e.owner == keeper for i in spots for e in overlay.entries_for(i))
+    overlay.withdraw(keeper)
     assert len(overlay) == 0

@@ -55,8 +55,8 @@ def oracle_decide(policy, view, node):
     candidates = []
     for ridx in ctx.adjacent_res[node]:
         if view.avail[ridx] and not forced[ridx]:
-            rid = ctx.res_ids[ridx]
-            candidates.append((float(ctx.res_offset[ridx] + walk[ridx]), 0, rid, TakeResource(rid), None))
+            value = float(ctx.res_offset[ridx] + walk[ridx])
+            candidates.append((value, 0, ctx.res_ids[ridx], TakeResource(ridx), None))
     for edge in ctx.out_edges[node]:
         base = ctx.drive_to_resources(edge.to_node) + walk
         if policy.scope_horizon_s is not None:
@@ -69,13 +69,13 @@ def oracle_decide(policy, view, node):
     if not np.isfinite(value):
         raise NoPathError(f"no resource reachable from {node!r}")
     if isinstance(action, TakeResource):
-        ridx = ctx.res_index[action.resource]
-        return RouteDecision(action, action.resource, float(view.now + ctx.res_offset[ridx])), None
+        ridx = action.resource
+        return RouteDecision(action, ridx, float(view.now + ctx.res_offset[ridx])), None
     modal = modal_choice(costs.argmin(axis=1), ctx.n_resources)
     edge = ctx.graph.edges[action.edge]
     arrival = (view.now + edge.drive_time_s) + (ctx.M[ctx.node_index[edge.to_node], ctx.res_from_idx[modal]]
                                                  + ctx.res_offset[modal])
-    return RouteDecision(action, ctx.res_ids[modal], float(arrival)), modal
+    return RouteDecision(action, modal, float(arrival)), modal
 
 
 _CONTEXTS = {}
@@ -244,11 +244,11 @@ def test_hindsight_decisions_match_full_matrix_oracle():
             for step in range(3):
                 frozen = trial % 4 == 1  # nothing frees up before arrival: every future is occupied
                 avail = np.zeros(ctx.n_resources, dtype=bool) if frozen else rng.random(ctx.n_resources) < 0.3
-                table = ReservationTable()
+                table = ReservationTable(6)  # agent 0 decides; agents 1 to 5 hold reservations
                 for i, ridx in enumerate(rng.choice(ctx.n_resources, size=5, replace=False)):
-                    table.place(f"other{i}", ctx.res_ids[ridx], t_arrival=-1.0)
+                    table.place(i + 1, int(ridx), t_arrival=-1.0)
                 view = PlanningView(ctx, 30.0 * step, avail, CtmcParams(1e-9, 1e-9) if frozen else DEFAULT,
-                                    reservations=table, agent_id="me")
+                                    reservations=table, agent_id=0)
                 node = str(rng.choice([n for n in graph.nodes if n != "nx"]))
                 try:
                     decision = policy.decide(view, node, agent_rng)
@@ -259,7 +259,7 @@ def test_hindsight_decisions_match_full_matrix_oracle():
                 expected, modal = oracle_decide(policy, view, node)
                 assert decision == expected
                 if modal is not None:
-                    assert ctx.res_index[decision.target_resource] == modal
+                    assert decision.target_resource == modal
                 forced, probs = planners._future_probabilities(view, ctx.drive_to_resources(node))
                 seen["pruned" if ctx.n_resources > 2 * K else "unpruned"] += 1
                 seen["reserved"] += int(forced.any())

@@ -81,8 +81,8 @@ def test_replan_single_adjacent_resource():
     graph, ctx = make_context(doc)
     view = make_view(ctx, [True])
     decision = replan_route(view, "s", GeoPoint(0.0, 0.001))
-    assert decision.action == TakeResource("r")
-    assert decision.target_resource == "r"
+    assert decision.action == TakeResource(ctx.res_index["r"])
+    assert decision.target_resource == ctx.res_index["r"]
     assert decision.expected_arrival == pytest.approx(5.0)
 
 
@@ -91,10 +91,10 @@ def test_replan_picks_cheaper_total():
     view = make_view(ctx, [True, True])
     decision = replan_route(view, "s", dest)
     # A totals 40 + 60 = 100, B totals 70 + 20 = 90
-    assert decision.target_resource == "rB"
+    assert ctx.res_ids[decision.target_resource] == "rB"
     assert decision.action == TakeRoad("e-sb")
     assert decision.expected_arrival == pytest.approx(70.0)
-    walk = ctx.walk_vector(dest)[ctx.res_index[decision.target_resource]]
+    walk = ctx.walk_vector(dest)[decision.target_resource]
     assert decision.expected_arrival + walk == pytest.approx(90.0, abs=1e-6)
 
 
@@ -104,7 +104,7 @@ def test_replan_avoids_expensive_wait():
     view = make_view(ctx, [True, False], params=params)
     decision = replan_route(view, "s", dest)
     # waiting at B costs 70 + t_claim + 20 >> 100, so A wins despite worse walk
-    assert decision.target_resource == "rA"
+    assert ctx.res_ids[decision.target_resource] == "rA"
     assert decision.action == TakeRoad("e-sa")
 
 
@@ -134,13 +134,13 @@ def test_replanning_policy_cache_contract():
     # target rB flips occupied: plan recomputed toward rA
     changed = policy.decide(make_view(ctx, [True, False]), "s", rng)
     assert changed.recomputed
-    assert changed.target_resource == "rA"
+    assert ctx.res_ids[changed.target_resource] == "rA"
 
 
 def test_replan_and_cached_plan_predict_the_same_arrival():
     """s->a takes 0.2 s and spot r sits 0.3 s along a->b. At t = 0.1 replanning and the cached plan
-    both predict 0.1 + (0.2 + 0.3), so a000's reservation of r wins the equal-arrival tie against
-    a001, the larger id, whichever path made each prediction."""
+    both predict 0.1 + (0.2 + 0.3), so agent 0's reservation of r wins the equal-arrival tie against
+    agent 1, the larger index, whichever path made each prediction."""
     doc = {
         "nodes": [{"id": "s", "lat": 0.0, "lon": 0.0}, {"id": "a", "lat": 0.0, "lon": 0.001},
                   {"id": "b", "lat": 0.0, "lon": 0.002}],
@@ -154,7 +154,7 @@ def test_replan_and_cached_plan_predict_the_same_arrival():
     }
     graph, ctx = make_context(doc)
     dest = GeoPoint(0.0, 0.0015)
-    table = ReservationTable()
+    table = ReservationTable(2)
     params = CtmcParams.from_mean_times(120.0, 2091.0)
 
     def view(agent):
@@ -162,15 +162,16 @@ def test_replan_and_cached_plan_predict_the_same_arrival():
 
     policy = ReplanningPolicy(ctx, dest)
     rng = np.random.default_rng(0)
-    first = policy.decide(view("a000"), "s", rng)
-    second = policy.decide(view("a000"), "s", rng)
+    first = policy.decide(view(0), "s", rng)
+    second = policy.decide(view(0), "s", rng)
+    r = ctx.res_index["r"]
     assert first.recomputed and not second.recomputed
-    assert first.target_resource == second.target_resource == "r"
+    assert first.target_resource == second.target_resource == r
     assert first.expected_arrival == second.expected_arrival == 0.1 + (0.2 + 0.3)
 
-    table.place("a000", "r", second.expected_arrival)
-    assert view("a001").reserved([second.expected_arrival], [ctx.res_index["r"]])[0]
-    assert replan_route(view("a001"), "s", dest).target_resource == "r2"
+    table.place(0, r, second.expected_arrival)
+    assert table.spot_blocked(1, r, second.expected_arrival)
+    assert ctx.res_ids[replan_route(view(1), "s", dest).target_resource] == "r2"
 
 
 def test_sample_determinizations_certain_and_reserved():
@@ -183,9 +184,9 @@ def test_sample_determinizations_certain_and_reserved():
     dets = sample_determinizations(view, "a", 50, np.random.default_rng(1))
     assert all(d.available[ctx.res_index["rA"]] for d in dets)
 
-    table = ReservationTable()
-    table.place("other", "rA", t_arrival=-1.0)  # strictly earlier than any arrival
-    view_r = make_view(ctx, [True, True], reservations=table, agent_id="me")
+    table = ReservationTable(2)
+    table.place(1, ctx.res_index["rA"], t_arrival=-1.0)  # strictly earlier than any arrival
+    view_r = make_view(ctx, [True, True], reservations=table, agent_id=0)
     dets = sample_determinizations(view_r, "a", 50, np.random.default_rng(2))
     assert not any(d.available[ctx.res_index["rA"]] for d in dets)
 
@@ -306,7 +307,7 @@ def test_hindsight_takes_adjacent_resource():
     policy = HindsightPolicy(ctx, GeoPoint(0.0, 0.0), PlannerSettings(determinizations=100))
     view = make_view(ctx, [True, True])
     decision = policy.decide(view, "s", np.random.default_rng(1))
-    assert decision.action == TakeResource("rN")
+    assert decision.action == TakeResource(ctx.res_index["rN"])
     assert decision.expected_arrival == pytest.approx(10.0)
     # one-step look-ahead of the only road action: 30 to drive, then the best
     # hindsight solution from `a` costs 60 via rN in every certain future
@@ -387,7 +388,7 @@ def test_random_policy_street_then_spot():
         d = policy2.decide(make_view(ctx, [True]), "x", rng)
         if isinstance(d.action, TakeResource):
             took += 1
-            assert d.action.resource == "r"
+            assert ctx.res_ids[d.action.resource] == "r"
     assert took == 200  # x has a single outgoing street and it holds the spot
 
 
@@ -486,7 +487,7 @@ def test_heuristic_policy_thresholds():
 
     policy = HeuristicPolicy(ctx, dest, settings)
     d = policy.decide(make_view(ctx, [True]), "x", np.random.default_rng(0))
-    assert d.action == TakeResource("r")  # walk 0 s <= threshold 60 s
+    assert d.action == TakeResource(ctx.res_index["r"])  # walk 0 s <= threshold 60 s
 
     assert policy.accept_threshold(600.0) >= policy.accept_threshold(0.0)
     assert policy.accept_threshold(600.0) == pytest.approx(160.0)  # 60 base + 10 min * 10 s
@@ -559,7 +560,7 @@ def test_actions_are_adjacent_on_random_worlds():
             if isinstance(decision.action, TakeRoad):
                 assert graph.edges[decision.action.edge].from_node == node
             else:
-                edge = graph.edges[graph.resources[decision.action.resource].edge_id]
+                edge = graph.edges[ctx.resources[decision.action.resource].edge_id]
                 assert edge.from_node == node
 
 
@@ -579,18 +580,18 @@ def test_decisions_follow_the_arrival_rule_on_random_worlds():
         avail = rng.random(ctx.n_resources) < 0.6
         for kind in PLANNER_KINDS:
             policy = make_policy(kind, ctx, dest, PlannerSettings(determinizations=10))
-            table = ReservationTable()
-            table.place("other", ctx.res_ids[int(rng.integers(ctx.n_resources))], float(rng.uniform(0, 500)))
+            table = ReservationTable(2)  # agent 0 plans, agent 1 holds a reservation
+            table.place(1, int(rng.integers(ctx.n_resources)), float(rng.uniform(0, 500)))
             node, now = str(rng.choice(list(graph.nodes))), float(rng.uniform(0, 1000))
             for _ in range(6):
-                view = make_view(ctx, avail, params=params, now=now, reservations=table, agent_id="me")
+                view = make_view(ctx, avail, params=params, now=now, reservations=table, agent_id=0)
                 try:
                     decision = policy.decide(view, node, rng)
                 except NoPathError:
                     break
                 edge = graph.edges[decision.action.edge] if isinstance(decision.action, TakeRoad) else None
-                if decision.target_resource is not None:
-                    ridx = ctx.res_index[decision.target_resource]
+                ridx = decision.target_resource
+                if ridx is not None:
                     start, at = ((edge.to_node, now + edge.drive_time_s)
                                  if edge is not None and isinstance(policy, HindsightPolicy) else (node, now))
                     assert decision.expected_arrival == at + ctx.drive_to_resources(start)[ridx], kind
