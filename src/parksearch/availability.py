@@ -24,8 +24,8 @@ class CtmcParams:
     mu: float
 
     def __post_init__(self) -> None:
-        check_number(self.lam, "lam")
-        check_number(self.mu, "mu")
+        object.__setattr__(self, "lam", check_number(self.lam, "lam"))  # a Python float, from numpy scalars too
+        object.__setattr__(self, "mu", check_number(self.mu, "mu"))
 
     @classmethod
     def from_mean_times(cls, available_s: float, occupied_s: float) -> "CtmcParams":

@@ -20,6 +20,7 @@ import csv
 import heapq
 import math
 import time as _time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -32,6 +33,7 @@ from .fleet import Fleet
 from .geo import GeoPoint, walking_time
 from .graph import RoadGraph, all_pairs_travel_times
 from .planners import (
+    HindsightPolicy,
     PlannerContext,
     PlannerSettings,
     PlanningView,
@@ -349,6 +351,10 @@ def run_simulation(
     # Each agent's policy, its one view for the whole run (sharing the run's arrays) and whether it
     # shares fleet data; a parked agent never decides again, so its entry is dropped when it parks.
     planning: dict[int, tuple[object, PlanningView, bool]] = {}
+    # Hindsight agents bound for one destination share its plans (HindsightPolicy.plans), which read this
+    # run's t_claim and scope; a lone agent's would seldom be reused and would only hold memory.
+    heading = Counter(spec.destination for spec in specs if PLANNERS[spec.planner].policy is HindsightPolicy)
+    plans = {destination: {} for destination, count in heading.items() if count > 1}
     for i, spec in enumerate(specs):
         shares = PLANNERS[spec.planner].shares
         view = PlanningView(
@@ -357,7 +363,10 @@ def run_simulation(
             overlay=fleet.overlay if shares == "overlay" else None,
             agent_id=i, rates=rates, t_claim=t_claim,
         )
-        planning[i] = (make_policy(spec.planner, ctx, spec.destination, settings), view, shares is not None)
+        policy = make_policy(spec.planner, ctx, spec.destination, settings)
+        if isinstance(policy, HindsightPolicy):
+            policy.plans = plans.get(spec.destination)
+        planning[i] = (policy, view, shares is not None)
 
     heap: list[tuple] = []
     seq = 0

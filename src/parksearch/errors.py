@@ -1,6 +1,7 @@
 """Exception types raised by the parksearch package, and the number check that raises ``ConfigError``."""
 
 import math
+import numbers
 
 
 class ParkSearchError(Exception):
@@ -36,8 +37,8 @@ class DegenerateTargetError(AdaptionError):
 
 
 def check_number(value, name: str, *, integer: bool = False, positive: bool = True) -> float | int:
-    """``value`` as a finite number within its bounds; a ConfigError naming ``name`` otherwise."""
-    if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
+    """``value`` (numpy scalars too, never bools) as a finite Python int or float in bounds, else a ConfigError."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real)
             or not math.isfinite(value) or value < 0 or (positive and value == 0)):
         need = ("a positive " if positive else "a non-negative ") + ("integer" if integer else "number")
         raise ConfigError(f"{name} must be {need}, got {value!r}")

@@ -51,13 +51,6 @@ class RouteDecision:
 
 
 @dataclass(frozen=True)
-class Determinization:
-    """One sampled future: availability of every in-scope resource at the agent's arrival time."""
-
-    available: np.ndarray  # bool, aligned with PlannerContext.res_ids
-
-
-@dataclass(frozen=True)
 class PlannerSettings:
     determinizations: int = 100
     scope_horizon_s: float | None = None
@@ -72,8 +65,8 @@ class PlannerSettings:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is not None or f.default is not None:
-                check_number(value, f.name, **SETTING_BOUNDS[f.name])
+            if value is not None or f.default is not None:  # kept as a Python number, numpy scalars too
+                object.__setattr__(self, f.name, check_number(value, f.name, **SETTING_BOUNDS[f.name]))
 
 
 # check_number bounds of each PlannerSettings field (default: a positive number); a None default allows None.
@@ -308,87 +301,68 @@ def _future_probabilities(view: PlanningView, drive: np.ndarray) -> tuple[np.nda
 PRUNE_COLUMNS = 96
 
 
-class FutureMinima:
-    """Least cost over resources of ``base[row] + wait`` in every sampled future, per row.
+class HindsightPlan:
+    """The static half of hindsight at one node, from ``(t_claim, base)`` alone, so one plan serves
+    every decision that shares them. ``solve(uniforms, probs)`` gives each out-edge row's least cost
+    of ``base[row] + wait`` in every future ``f``, where resource ``c`` is available when
+    ``uniforms[c, f] < probs[c]`` and otherwise pays ``t_claim[c]``, and its first argmin; both equal
+    the full ``(futures x resources)`` cost matrix's bit for bit (``inf`` and 0 with no resources).
 
-    Future ``f`` finds resource ``c`` available when ``uniforms[c, f] < probs[c]``; otherwise it
-    pays the circling wait ``view.t_claim[c]``. ``mins[row, f]`` equals the minimum over the full
-    ``(futures x resources)`` cost matrix bit for bit, and ``argmin(row)`` its first argmin; with
-    no resources every minimum is ``inf``.
-
-    Each row scans the columns of S in (base, index) order for each future's first available
-    one. That column is the exact minimum and first argmin when its base is strictly below
-    ``bound[row]``: every later column of S costs at least its base, which is no less (ties have
-    a larger index), and every occupied column costs at least ``min(base + t_claim)``. S is every
-    column; with more than ``2 * PRUNE_COLUMNS`` resources it is the union of every row's
-    ``PRUNE_COLUMNS`` cheapest ``base`` columns, and ``bound`` also takes the row's
-    ``(PRUNE_COLUMNS + 1)``-th cheapest base, below which no omitted column costs. Every other
-    (row, future) pair is solved over every column.
+    A future's first available column of S in (base, index) order is exact when its base is strictly
+    below ``bound[row]``: later columns of S cost at least their base, which is no less (ties have a
+    larger index), and occupied ones at least ``min(base + t_claim)``. S is every column; with more
+    than ``2 * PRUNE_COLUMNS`` resources it is the union of every row's ``PRUNE_COLUMNS`` cheapest,
+    and ``bound`` also takes the row's next cheapest base, below which no omitted column costs. Other
+    pairs are solved over every column. The order is kept as weights, ``|S|`` minus a column's place,
+    so the first available column is the available one of largest weight; 0 means none (base inf).
     """
 
-    def __init__(self, view: PlanningView, base: np.ndarray, uniforms: np.ndarray, probs: np.ndarray):
+    def __init__(self, t_claim: np.ndarray, base: np.ndarray):
+        self.t_claim, self.base = t_claim, base
         n_rows, n_res = base.shape
-        n = uniforms.shape[1]
+        self.cols = self.weight = None
         if n_res == 0:
-            self.mins = np.full((n_rows, n), np.inf)
-            self._picks = np.zeros((n_rows, n), dtype=int)
             return
         # t_claim = round_trip / p is positive or inf (round_trip_s > 0 is validated), so an
         # occupied column costs at least this, and no column costs less than its base.
-        bound = (base + view.t_claim).min(axis=1)
+        bound = (base + t_claim).min(axis=1)
         row = np.arange(n_rows)[:, None]
         if n_res > 2 * PRUNE_COLUMNS:
             part = np.argpartition(base, PRUNE_COLUMNS, axis=1)
             in_s = np.zeros(n_res, dtype=bool)
             in_s[part[:, :PRUNE_COLUMNS]] = True
-            cols = np.flatnonzero(in_s)
+            self.cols = np.flatnonzero(in_s)
             np.minimum(bound, base[row[:, 0], part[:, PRUNE_COLUMNS]], out=bound)
-            base_s, free = base[:, cols], uniforms[cols] < probs[cols, None]
-        else:
-            cols, base_s, free = None, base, uniforms < probs[:, None]
+        self.bound = bound[:, None]
         # S is ascending, so a stable sort keeps equal bases in index order.
-        order = np.argsort(base_s, axis=1, kind="stable")
-        scan = free[order]  # (rows, |S|, futures): availability in each row's (base, index) order
-        pos = scan.argmax(axis=1)  # the first available position, or 0 when none is
-        first = order[row, pos]
-        self.mins = base_s[row, first]
-        exact = scan[row, pos, np.arange(n)]
-        exact &= self.mins < bound[:, None]
-        self._picks = first if cols is None else cols[first]
-        rows, futures = np.nonzero(~exact)
+        order = np.argsort(base if self.cols is None else base.take(self.cols, axis=1), axis=1, kind="stable")
+        n_s = order.shape[1]
+        weight = np.empty((n_rows, n_s), dtype=np.min_scalar_type(n_s))
+        weight[row, order] = np.arange(n_s, 0, -1)
+        self.weight = weight[:, :, None]  # broadcasts over futures
+        # per row, the resource index and the base of each weight's column, from weight 0 (none) up
+        self.column = np.zeros((n_rows, n_s + 1), dtype=np.intp)
+        self.column[:, :0:-1] = order if self.cols is None else self.cols[order]
+        self.value = base[row, self.column]
+        self.value[:, 0] = np.inf
+        self.offset = row * (n_s + 1)  # where each row starts in value and column, flattened
+
+    def solve(self, uniforms: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(rows, futures)`` minima, C-ordered, and their first argmins, given ``(resources,
+        futures)`` uniforms and the availability at arrival per resource."""
+        n = uniforms.shape[1]
+        if self.weight is None:
+            return np.full((len(self.base), n), np.inf), np.zeros((len(self.base), n), dtype=int)
+        cols = self.cols
+        free = uniforms < probs[:, None] if cols is None else uniforms.take(cols, 0) < probs.take(cols)[:, None]
+        first = (free * self.weight).max(axis=1) + self.offset  # each future's first available column
+        mins, picks = self.value.take(first), self.column.take(first)
+        rows, futures = np.nonzero(~(mins < self.bound))
         if rows.size:
-            full = base[rows] + view.claim_wait(uniforms[:, futures].T < probs)
-            self.mins[rows, futures] = full.min(axis=1)
-            self._picks[rows, futures] = full.argmin(axis=1)
-
-    def argmin(self, row: int) -> np.ndarray:
-        """Cheapest resource index of ``row`` in every future; ties go to the smallest index."""
-        return self._picks[row]
-
-
-def sample_determinizations(
-    view: PlanningView, from_node: str, n: int, rng: np.random.Generator
-) -> list[Determinization]:
-    """Draw ``n`` futures of all resource states at the agent's arrival times."""
-    if n < 1:
-        raise ValueError("need at least one determinization")
-    _, probs = _future_probabilities(view, view.ctx.drive_to_resources(from_node))
-    available = rng.random((n, view.ctx.n_resources)) < probs
-    return [Determinization(available=row.copy()) for row in available]
-
-
-def solve_determinization(
-    view: PlanningView, from_node: str, det: Determinization, destination: GeoPoint
-) -> tuple[str, float]:
-    """Cheapest resource in one determinized future; ties go to the smallest id."""
-    ctx = view.ctx
-    base = ctx.drive_to_resources([from_node]) + ctx.walk_vector(destination)
-    # The future whose uniforms are all 0: 0 < p holds exactly where det.available is set.
-    future = FutureMinima(view, base, np.zeros((ctx.n_resources, 1)), det.available)
-    cost = float(future.mins[0, 0])
-    if not np.isfinite(cost):
-        raise NoPathError(f"no resource reachable from {from_node!r}")
-    return ctx.res_ids[int(future.argmin(0)[0])], cost
+            full = self.base[rows] + np.where(uniforms[:, futures].T < probs, 0.0, self.t_claim)
+            mins[rows, futures] = full.min(axis=1)
+            picks[rows, futures] = full.argmin(axis=1)
+        return mins, picks
 
 
 def modal_choice(choices: np.ndarray, n: int) -> int:
@@ -422,6 +396,10 @@ class HindsightPolicy:
     and held fixed across re-decisions (common random numbers): each decision
     thresholds the same variates against fresh availability predictions, so
     plans change when observations change, not because of resampling noise.
+
+    A node's plan (drive times from it and its out-edges' ``HindsightPlan``) depends only on the
+    node, the destination, the scope and the run's ``t_claim``. ``plans``, a dict by node that
+    ``run_simulation`` shares among a destination's hindsight agents, keeps them; ``None`` keeps none.
     """
 
     def __init__(self, ctx: PlannerContext, destination: GeoPoint, settings: PlannerSettings | None = None):
@@ -430,14 +408,28 @@ class HindsightPolicy:
         settings = settings or PlannerSettings()
         self.n = settings.determinizations
         self.scope_horizon_s = settings.scope_horizon_s
+        self.plans: dict[str, tuple[np.ndarray, HindsightPlan | None]] | None = None
         self._uniforms: np.ndarray | None = None
+
+    def _plan(self, view: PlanningView, node: str) -> tuple[np.ndarray, HindsightPlan | None]:
+        """Drive times from ``node`` to every resource, and the plan of its out-edges (None without any)."""
+        entry = None if self.plans is None else self.plans.get(node)
+        if entry is None:
+            ctx, edges = view.ctx, view.ctx.out_edges[node]
+            drive = ctx.drive_to_resources([node] + [e.to_node for e in edges])  # here, then each edge's end
+            base = drive[1:] + ctx.walk_vector(self.destination)
+            if self.scope_horizon_s is not None:
+                base[:, drive[0] > self.scope_horizon_s] = np.inf
+            entry = drive[0], HindsightPlan(view.t_claim, base) if edges else None
+            if self.plans is not None:
+                self.plans[node] = entry
+        return entry
 
     def decide(self, view: PlanningView, node: str, rng: np.random.Generator) -> RouteDecision:
         ctx = view.ctx
         walk = ctx.walk_vector(self.destination)
-        edges = ctx.out_edges[node]
-        drive = ctx.drive_to_resources([node] + [e.to_node for e in edges])  # here, then each edge's end
-        forced, probs = _future_probabilities(view, drive[0])
+        here, plan = self._plan(view, node)
+        forced, probs = _future_probabilities(view, here)
         if self._uniforms is None:
             # (resources, futures), so the kernel gathers a column's futures as one contiguous row
             self._uniforms = np.ascontiguousarray(rng.random((self.n, ctx.n_resources)).T)
@@ -448,14 +440,12 @@ class HindsightPolicy:
         for ridx in ctx.adjacent_res[node]:
             if view.avail[ridx] and not forced[ridx]:
                 candidates.append((float(ctx.res_offset[ridx] + walk[ridx]), 0, ridx))
-        if edges:
-            base = drive[1:] + walk
-            if self.scope_horizon_s is not None:
-                base[:, drive[0] > self.scope_horizon_s] = np.inf
-            futures = FutureMinima(view, base, self._uniforms, probs)
+        edges = ctx.out_edges[node]
+        if plan is not None:
+            mins, picks = plan.solve(self._uniforms, probs)
             # mins is C-ordered, so each row is summed exactly as the 1-D mean of that row would be,
             # and divided by its count as mean divides.
-            means = futures.mins.sum(axis=1) / self.n
+            means = mins.sum(axis=1) / self.n
             for row, edge in enumerate(edges):
                 candidates.append((float(edge.drive_time_s + means[row]), 1, row))
         if not candidates:
@@ -466,7 +456,7 @@ class HindsightPolicy:
         if rank == 0:
             return ctx.toward(view.now, node, k)
         # Commit to the resource chosen most often across the sampled futures.
-        modal = modal_choice(futures.argmin(k), ctx.n_resources)
+        modal = modal_choice(picks[k], ctx.n_resources)
         edge = edges[k]
         return RouteDecision(TakeRoad(edge.id), modal, ctx.arrival(view.now + edge.drive_time_s, edge.to_node, modal))
 

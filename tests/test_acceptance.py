@@ -21,17 +21,12 @@ from parksearch.errors import NoPathError
 from parksearch.fleet import ReservationTable
 from parksearch.geo import EARTH_RADIUS_M, GeoPoint, great_circle_m, walking_time
 from parksearch.graph import all_pairs_travel_times, load_graph
-from parksearch.planners import (
-    Determinization,
-    PlannerContext,
-    PlanningView,
-    sample_determinizations,
-    solve_determinization,
-)
+from parksearch.planners import PlannerContext, PlanningView
 from parksearch.scenario import build_grid_graph_doc, dbscan, run_batch
 
 from conftest import bellman_ford_times, random_graph_doc, trace_rows
 from ctmc_oracle import ResourceBelief, ResourceState, availability_probability, transition_probability
+from hindsight_oracle import Determinization, sample_determinizations, solve_determinization
 
 M_PER_DEG = math.pi * EARTH_RADIUS_M / 180.0
 A, O = ResourceState.AVAILABLE, ResourceState.OCCUPIED

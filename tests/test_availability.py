@@ -10,7 +10,7 @@ from parksearch.availability import (
     expected_wait_times_rates,
     stationary_availability,
 )
-from parksearch.errors import ConfigError
+from parksearch.errors import ConfigError, check_number
 
 from ctmc_oracle import (
     ResourceBelief,
@@ -128,11 +128,41 @@ def test_rate_validation():
     (lambda: CtmcParams.from_mean_times(0.0, 60.0), "available_s"),
     (lambda: CtmcParams.from_mean_times(60.0, math.nan), "occupied_s"),
     (lambda: CtmcParams.from_mean_times(math.inf, 60.0), "available_s"),
-], ids=["nan lam", "inf mu", "zero mu", "zero mean", "nan mean", "inf mean"])
+    (lambda: CtmcParams(np.float32("nan"), 1.0), "lam"),
+    (lambda: CtmcParams.from_mean_times(60.0, np.float64("-inf")), "occupied_s"),
+    (lambda: CtmcParams(1.0, np.bool_(True)), "mu"),
+], ids=["nan lam", "inf mu", "zero mu", "zero mean", "nan mean", "inf mean", "numpy nan lam", "numpy inf mean",
+        "numpy bool mu"])
 def test_bad_rates_fail_fast(make, name):
     # a NaN rate used to pass the check and make trace synthesis loop forever
     with pytest.raises(ConfigError, match=f"^{name} must be a positive number"):
         make()
+
+
+def test_rates_take_numpy_scalars():
+    # library callers pass numpy scalars; the rates are kept as Python floats of the same value
+    params = CtmcParams.from_mean_times(np.float32(120), 600.0)
+    assert params == CtmcParams.from_mean_times(120.0, 600.0)
+    direct = CtmcParams(np.float32(0.5), np.int64(2))
+    assert (direct.lam, direct.mu) == (0.5, 2.0) and type(direct.lam) is type(direct.mu) is float
+
+
+@pytest.mark.parametrize("value, integer, expected", [
+    (np.int64(10), True, 10), (np.uint8(3), True, 3), (np.int32(4), False, 4.0), (np.float32(120.0), False, 120.0),
+    (np.float64(2.5), False, 2.5), (7, True, 7), (0.25, False, 0.25),
+])
+def test_check_number_takes_numpy_scalars(value, integer, expected):
+    got = check_number(value, "x", integer=integer)
+    assert got == expected and type(got) is type(expected)
+
+
+@pytest.mark.parametrize("value, integer", [
+    (True, False), (np.bool_(True), False), (np.bool_(True), True), (np.float64("nan"), False),
+    (np.float32("inf"), False), (-math.inf, False), (np.float64(2.0), True), (np.int64(-1), True), ("3", False),
+])
+def test_check_number_refuses_bools_and_non_finite(value, integer):
+    with pytest.raises(ConfigError, match="^x must be a positive"):
+        check_number(value, "x", integer=integer)
 
 
 def test_availability_probability_at_anchor(default_params):

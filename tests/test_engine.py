@@ -325,6 +325,18 @@ def test_unknown_override_resource_rejected():
             run_simulation(graph, agents, occupation, params_by_resource=overrides)
 
 
+def test_integer_rates_keep_float_overrides():
+    # Rates are kept as Python floats, so integer global rates no longer make the run's rate arrays
+    # integer, which truncated a float override (here to 0, a NaN prediction).
+    graph = load_graph(build_grid_graph_doc(4, 4, n_resources=10, seed=1))
+    agents = [AgentSpec(f"a{i}", "n0000", GeoPoint(0.002, 0.002), 0.0, kind) for i, kind in enumerate(("rpl", "hs"))]
+    slow = {sorted(graph.resources)[0]: CtmcParams(0.001, 0.002)}
+    runs = [run_simulation(graph, agents, OccupationTrace(), params=params, params_by_resource=slow, horizon_s=900.0,
+                           settings=PlannerSettings(determinizations=10), measure_computation=False)
+            for params in (CtmcParams(1, 2), CtmcParams(1.0, 2.0))]
+    assert runs[0] == runs[1]
+
+
 def _memo_world():
     """A fresh graph object (so no earlier run's trace can be reused), its context and destination."""
     graph = load_graph(build_grid_graph_doc(4, 4, n_resources=12, seed=5))
@@ -740,3 +752,64 @@ def test_only_sharing_kinds_publish_and_every_agent_is_timed(monkeypatch):
     in_id_order = sorted(agents, key=lambda a: a.id)
     assert set(published) == {i for i, a in enumerate(in_id_order) if a.planner in ("rpl_r", "hs_r", "hs_a")}
     assert all(r.computation_s > 0.0 for r in records), [r.agent_id for r in records if r.computation_s <= 0.0]
+
+
+def _plan_table_agents():
+    """Three hindsight kinds bound for one destination, and lone hindsight agents elsewhere."""
+    shared, lone, other = GeoPoint(0.002, 0.002), GeoPoint(0.0005, 0.003), GeoPoint(0.003, 0.0005)
+    return [AgentSpec("a0", "n0000", shared, 0.0, "hs"), AgentSpec("a1", "n0000", shared, 4.0, "hs_a"),
+            AgentSpec("a2", "n0000", shared, 8.0, "hs_r"), AgentSpec("a3", "n0000", shared, 2.0, "rpl"),
+            AgentSpec("a4", "n0000", lone, 0.0, "hs"), AgentSpec("a5", "n0000", other, 6.0, "hs_r"),
+            AgentSpec("a6", "n0000", other, 3.0, "rpl_r")]
+
+
+def test_plan_tables_belong_to_one_run():
+    # A plan reads its run's t_claim (from the rates) and scope, so runs on one context that differ in
+    # either must give the records of the same runs on fresh contexts.
+    graph = load_graph(build_grid_graph_doc(5, 5, n_resources=30, seed=8))
+    ctx = PlannerContext(graph, all_pairs_travel_times(graph))
+    trace = synthesize_occupations(graph, CtmcParams.from_mean_times(200.0, 600.0), 1500.0,
+                                   np.random.default_rng(8))
+    slow = {rid: CtmcParams.from_mean_times(30.0, 3000.0) for rid in sorted(graph.resources)[::2]}
+    variants = [{}, {"params_by_resource": slow}, {"scope_horizon_s": 60.0},
+                {"params_by_resource": slow, "scope_horizon_s": 90.0}, {}]
+
+    def run(ctx, params_by_resource=None, scope_horizon_s=None):
+        return run_simulation(graph, _plan_table_agents(), trace, params=CtmcParams.from_mean_times(200.0, 600.0),
+                              params_by_resource=params_by_resource, horizon_s=1500.0, seed=2, ctx=ctx,
+                              settings=PlannerSettings(determinizations=10, scope_horizon_s=scope_horizon_s),
+                              measure_computation=False)
+
+    on_shared = [run(ctx, **v) for v in variants]
+    for variant, records in zip(variants, on_shared):
+        assert records == run(PlannerContext(graph, all_pairs_travel_times(graph)), **variant), variant
+    # every change moves some record, so a plan kept from an earlier run would show
+    assert all(records != on_shared[0] for records in on_shared[1:4])
+
+
+def test_only_destinations_shared_by_hindsight_agents_get_a_plan_table(monkeypatch):
+    made = []
+    original = engine.make_policy
+
+    def captured(kind, *args):
+        made.append(original(kind, *args))
+        return made[-1]
+
+    monkeypatch.setattr(engine, "make_policy", captured)
+    graph = load_graph(build_grid_graph_doc(5, 5, n_resources=30, seed=8))
+    ctx = PlannerContext(graph, all_pairs_travel_times(graph))
+    tables = []
+    for _ in range(2):
+        made.clear()
+        run_simulation(graph, _plan_table_agents(), CtmcParams.from_mean_times(200.0, 600.0), seed=2,
+                       horizon_s=1500.0, ctx=ctx, settings=PlannerSettings(determinizations=10),
+                       measure_computation=False)
+        hs, hs_a, hs_r, rpl, lone, other, rpl_r = made
+        # mixed hindsight kinds bound for one destination share one table, filled by node
+        assert hs.plans is hs_a.plans is hs_r.plans and hs.plans
+        assert set(hs.plans) <= set(graph.nodes)
+        # a destination with one hindsight agent gets none, whatever other kinds head there
+        assert lone.plans is None and other.plans is None
+        assert not hasattr(rpl, "plans") and not hasattr(rpl_r, "plans")
+        tables.append(hs.plans)
+    assert tables[0] is not tables[1]  # each run builds its own

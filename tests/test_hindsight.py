@@ -2,12 +2,13 @@
 
 ``full_costs`` and ``oracle_decide`` are the reference: they build every
 future's cost of every resource, ``base + claim_wait(uniforms < probs)``, and
-take its minimum and first argmin. ``FutureMinima`` takes most futures' minimum
-from the first available resource in (base, index) order among a few of each
-row's cheapest resources, so these tests require bit-equal minima, equal
+take its minimum and first argmin. ``HindsightPlan.solve`` takes most futures'
+minimum from the first available resource in (base, index) order among a few of
+each row's cheapest resources, so these tests require bit-equal minima, equal
 argmins and equal decisions, on worlds with fewer and with more resources than
-the pruning cut-off. The kernel and ``HindsightPolicy._uniforms`` hold uniforms
-as (resources, futures); the oracles read them transposed.
+the pruning cut-off, also when one plan is solved again for later decisions.
+The kernel and ``HindsightPolicy._uniforms`` hold uniforms as (resources,
+futures); the oracles read them transposed.
 """
 
 from collections import Counter
@@ -21,7 +22,7 @@ from parksearch.errors import NoPathError
 from parksearch.fleet import ReservationTable
 from parksearch.geo import GeoPoint
 from parksearch.planners import (
-    FutureMinima,
+    HindsightPlan,
     HindsightPolicy,
     PlannerSettings,
     PlanningView,
@@ -172,6 +173,7 @@ def _record_cases(seen, base, uniforms, probs, t_claim, costs, mins):
         seen["minimum not below the cheapest omitted base"] += int((~(mins < kth)).any())
         seen["minimum equals the cheapest omitted base"] += int((ties & (mins == kth)).any())
         s_cols = np.unique(np.argpartition(base, K, axis=1)[:, :K])
+        seen["more than 255 columns in S"] += int(len(s_cols) > 255)  # weights wider than a byte
     else:
         s_cols = np.arange(n_res)
     # Each (row, future)'s first free column of S in (base, index) order, found independently.
@@ -189,28 +191,48 @@ def _record_cases(seen, base, uniforms, probs, t_claim, costs, mins):
         seen["no column of S free"] += int((~free.any(axis=1)).any())
 
 
+def _fresh_draw(rng, n, n_res):
+    """Another decision's (futures, resources) uniforms and probabilities for the same plan."""
+    uniforms = rng.random((n, n_res))
+    probs = rng.uniform(0.0, 0.9, n_res)
+    probs[rng.random(n_res) < 0.2] = 0.0
+    if rng.random() < 0.1:
+        probs[:] = 0.0
+    return uniforms, probs
+
+
 def test_future_minima_matches_full_matrix():
     rng = np.random.default_rng(606)
     seen = Counter()
     for n_res in (1, 7, 150, 2 * K, 2 * K + 1, 250, 600, 2000):
         for _ in range(40):
             view, base, uniforms, probs = _kernel_case(rng, n_res)
-            costs = full_costs(view, base, uniforms, probs)
-            mins = costs.min(axis=2)
-            future = FutureMinima(view, base, uniforms.T, probs)
-            assert np.array_equal(future.mins, mins)
-            # C-ordered, so each row mean is summed exactly as the oracle's
-            assert future.mins.flags.c_contiguous
-            assert np.array_equal(future.mins.mean(axis=1), mins.mean(axis=1), equal_nan=True)
-            for row in range(len(base)):
-                assert np.array_equal(future.argmin(row), costs[row].argmin(axis=1))
-            _record_cases(seen, base, uniforms, probs, view.t_claim, costs, mins)
+            # One plan serves several decisions, as a run's shared table does; the planted draw
+            # comes at a random place among fresh ones, so it is often solved on a reused plan.
+            plan = HindsightPlan(view.t_claim, base)
+            planted = (uniforms, probs)
+            draws = [_fresh_draw(rng, len(uniforms), n_res) for _ in range(int(rng.integers(1, 3)))]
+            draws.insert(int(rng.integers(len(draws) + 1)), planted)
+            seen["planted draw on a reused plan"] += int(draws[0] is not planted)
+            for draw in draws:
+                uniforms, probs = draw
+                costs = full_costs(view, base, uniforms, probs)
+                mins = costs.min(axis=2)
+                got, picks = plan.solve(uniforms.T, probs)
+                assert np.array_equal(got, mins)
+                # C-ordered, so each row mean is summed exactly as the oracle's
+                assert got.flags.c_contiguous
+                assert np.array_equal(got.mean(axis=1), mins.mean(axis=1), equal_nan=True)
+                for row in range(len(base)):
+                    assert np.array_equal(picks[row], costs[row].argmin(axis=1))
+                if draw is planted:  # the edge cases are planted in this draw
+                    _record_cases(seen, base, uniforms, probs, view.t_claim, costs, mins)
     missing = [case for case in (
         "pruned", "unpruned", "equal minima", "base equals another base + t_claim", "inf base",
         "every resource unreachable", "reserved", "every spot occupied", "one future",
         "minimum not below the cheapest omitted base", "minimum equals the cheapest omitted base",
         "first free base is inf", "first free base equals min(base + t_claim)", "no column of S free",
-        "equal-base free columns", "2,000 spots",
+        "equal-base free columns", "2,000 spots", "planted draw on a reused plan", "more than 255 columns in S",
     ) if not seen[case]]
     assert not missing, missing
 

@@ -13,8 +13,8 @@ from parksearch.fleet import ReservationTable
 from parksearch.geo import EARTH_RADIUS_M, GeoPoint, great_circle_m
 from parksearch.planners import (
     PLANNER_KINDS,
-    FutureMinima,
     HeuristicPolicy,
+    HindsightPlan,
     HindsightPolicy,
     PlannerContext,
     PlannerSettings,
@@ -26,12 +26,11 @@ from parksearch.planners import (
     make_policy,
     modal_choice,
     replan_route,
-    sample_determinizations,
-    solve_determinization,
 )
 from parksearch.scenario import build_grid_graph_doc
 
 from conftest import make_context, random_graph_doc, triangle_doc
+from hindsight_oracle import Determinization, sample_determinizations, solve_determinization
 
 M_PER_DEG = math.pi * EARTH_RADIUS_M / 180.0
 FROZEN = CtmcParams(1e-9, 1e-9)  # state changes are effectively impossible
@@ -214,8 +213,6 @@ def test_solve_determinization_formula_and_tie():
     view = make_view(ctx, [True, True], params=params)
 
     # both occupied in the future: uniform penalty keeps B cheapest
-    from parksearch.planners import Determinization
-
     d_occ = Determinization(available=np.array([False, False]))
     rid, cost = solve_determinization(view, "s", d_occ, dest)
     t_claim = float(view.t_claim[0])
@@ -229,7 +226,6 @@ def test_solve_determinization_formula_and_tie():
 
 def test_solve_determinization_matches_enumeration():
     from parksearch.geo import walking_time
-    from parksearch.planners import Determinization
 
     rng = np.random.default_rng(14)
     for _ in range(30):
@@ -275,8 +271,6 @@ def test_solve_determinization_tie_breaks_to_smaller_id():
         ],
     }
     graph, ctx = make_context(doc)
-    from parksearch.planners import Determinization
-
     view = make_view(ctx, [True, True])
     rid, _ = solve_determinization(view, "s", Determinization(available=np.array([True, True])),
                                    GeoPoint(0.0, 0.0))
@@ -313,8 +307,8 @@ def test_hindsight_takes_adjacent_resource():
     # hindsight solution from `a` costs 60 via rN in every certain future
     walk = ctx.walk_vector(GeoPoint(0.0, 0.0))
     _, probs = planners._future_probabilities(view, ctx.drive_to_resources("s"))
-    futures = FutureMinima(view, ctx.drive_to_resources(["a"]) + walk, policy._uniforms, probs)
-    assert 30.0 + futures.mins.mean(axis=1)[0] == pytest.approx(90.0, rel=1e-6)
+    mins, _ = HindsightPlan(view.t_claim, ctx.drive_to_resources(["a"]) + walk).solve(policy._uniforms, probs)
+    assert 30.0 + mins.mean(axis=1)[0] == pytest.approx(90.0, rel=1e-6)
     rn = ctx.res_index["rN"]
     assert ctx.res_offset[rn] + walk[rn] == pytest.approx(30.0, rel=1e-9)  # the spot action's value
 
@@ -472,6 +466,16 @@ BAD_SETTINGS = {
 def test_planner_settings_reject_out_of_bounds_values(name):
     with pytest.raises(ValueError, match=re.escape(name)):
         PlannerSettings(**{name: BAD_SETTINGS[name]})
+
+
+def test_planner_settings_take_numpy_scalars():
+    settings = PlannerSettings(determinizations=np.int64(10), scope_horizon_s=np.float32(60.0),
+                               adaption_visit_decay=np.float64(0.5))
+    assert settings == PlannerSettings(determinizations=10, scope_horizon_s=60.0, adaption_visit_decay=0.5)
+    assert type(settings.determinizations) is int and type(settings.scope_horizon_s) is float
+    for bad in (np.bool_(True), np.float64(10.0), np.int64(0)):
+        with pytest.raises(ValueError, match="determinizations"):
+            PlannerSettings(determinizations=bad)
 
 
 def test_heuristic_policy_thresholds():
