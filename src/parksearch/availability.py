@@ -62,65 +62,49 @@ class AvailabilityRates:
         return pi_a + np.where(available_now, up, down) * np.exp(neg_total * dt)
 
 
-@dataclass(frozen=True)
-class OverlayDelta:
-    """One additive subtraction of a spot's predicted availability, active from ``activation_time``."""
-
-    spot: int
-    activation_time: float
-    delta: float
-    owner: int
-
-
 class AdaptionOverlay:
-    """Per-spot probability subtractions, withdrawn exactly by owner; spots and owners are indices
-    (``PlannerContext`` resource indices and a run's agent indices)."""
+    """Probability subtractions as four parallel columns in insertion order: ``spot`` (a
+    ``PlannerContext`` resource index), ``activation`` (the time from which it counts), ``delta`` and
+    ``owner`` (a run's agent index). Each owner's entries are withdrawn exactly."""
 
     def __init__(self) -> None:
-        self._entries: dict[int, list[OverlayDelta]] = {}
-        self._by_owner: dict[int, dict[int, None]] = {}  # owner -> spots it holds entries on, in order
+        self.spot = np.zeros(0, dtype=np.intp)
+        self.activation = np.zeros(0)
+        self.delta = np.zeros(0)
+        self.owner = np.zeros(0, dtype=np.intp)
 
-    def add(self, spot: int, activation_time: float, delta: float, owner: int) -> OverlayDelta:
-        entry = OverlayDelta(spot, activation_time, delta, owner)
-        self._entries.setdefault(spot, []).append(entry)
-        self._by_owner.setdefault(owner, {})[spot] = None
-        return entry
+    def add(self, spot, activation, delta, owner: int) -> None:
+        """Append entries of ``owner`` on one spot or an array of spots; ``activation`` and ``delta``
+        are one value or one per spot."""
+        spot = np.array(spot, dtype=np.intp, ndmin=1)
+        self.spot = np.concatenate((self.spot, spot))
+        self.activation = np.concatenate((self.activation, np.full(spot.shape, activation, dtype=float)))
+        self.delta = np.concatenate((self.delta, np.full(spot.shape, delta, dtype=float)))
+        self.owner = np.concatenate((self.owner, np.full(spot.shape, owner, dtype=np.intp)))
 
     def withdraw(self, owner: int) -> None:
         """Remove every entry of ``owner``; the rest keep their order, so each sum reads as if it never
         added any. Withdrawing an owner without entries changes nothing."""
-        for spot in self._by_owner.pop(owner, ()):
-            kept = [e for e in self._entries[spot] if e.owner != owner]
-            if kept:
-                self._entries[spot] = kept
-            else:
-                del self._entries[spot]
+        keep = self.owner != owner
+        if not keep.all():
+            self.spot, self.activation = self.spot[keep], self.activation[keep]
+            self.delta, self.owner = self.delta[keep], self.owner[keep]
 
-    def pending_subtraction(self, spot: int, at: float, exclude_owner: int | None = None) -> float:
-        """Sum, in insertion order, of the spot's deltas whose activation time has passed.
+    def subtraction(self, n_spots: int, at: np.ndarray | float, exclude_owner: int | None = None) -> np.ndarray:
+        """Per spot, the sum in insertion order of its deltas whose activation is at most ``at``, one
+        time or one time per spot; ``np.bincount`` adds in input order from 0.0.
 
         An agent's own deltas describe its fallback behavior to the rest of
         the fleet; they never feed back into that agent's own predictions, so
         callers pass their identity as ``exclude_owner``.
         """
-        return sum(
-            e.delta
-            for e in self._entries.get(spot, ())
-            if e.activation_time <= at and e.owner != exclude_owner
-        )
-
-    def entries_for(self, spot: int) -> tuple[OverlayDelta, ...]:
-        return tuple(self._entries.get(spot, ()))
-
-    def spots(self) -> tuple[int, ...]:
-        return tuple(self._entries)
+        active = self.activation <= (at if np.ndim(at) == 0 else np.asarray(at)[self.spot])
+        if exclude_owner is not None:
+            active &= self.owner != exclude_owner
+        return np.bincount(self.spot[active], weights=self.delta[active], minlength=n_spots)
 
     def __len__(self) -> int:
-        return sum(len(v) for v in self._entries.values())
-
-    def __bool__(self) -> bool:
-        # O(1): ``withdraw`` drops a spot's key together with its last entry.
-        return bool(self._entries)
+        return len(self.spot)
 
 
 def expected_wait_times_rates(rates: AvailabilityRates, t_tr: np.ndarray) -> np.ndarray:

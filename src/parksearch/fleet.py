@@ -11,12 +11,14 @@ shared data is published and when it is withdrawn.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .availability import AdaptionOverlay, OverlayDelta
+from .availability import AdaptionOverlay
 from .errors import DegenerateTargetError
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
@@ -110,7 +112,7 @@ def adapt_probabilities(
     settings: "PlannerSettings",
     rng: np.random.Generator,
     dest_node: str | None = None,
-) -> list[OverlayDelta]:
+) -> None:
     """Simulate fallback search behavior and subtract its visit mass from predictions.
 
     Runs ``settings.adaption_samples`` self-interacting biased random walks
@@ -119,7 +121,7 @@ def adapt_probabilities(
     inside the isochrone around the target get a jump weight, a single uniform
     draw either picks an edge (proportionally to the weights) or, when it
     exceeds the total weight, ends the walk. Finished walks are turned into overlay
-    deltas grouped by their final street; the added entries are returned.
+    deltas grouped by their final street.
     """
     isochrone_s, visit_decay = settings.adaption_isochrone_s, settings.adaption_visit_decay
     ctx = view.ctx
@@ -137,9 +139,10 @@ def adapt_probabilities(
     t_partial = target_edge.drive_time_s - target_res.offset_s
     # Nothing a weight reads changes during the walks (the overlay is written
     # after them), so candidates and weights repeat exactly within this call:
-    # weights are keyed by node, time and which candidates were visited.
+    # weights are keyed by node, time and which candidates were visited, and kept
+    # with their running total, whose last element is the total weight.
     cands_of: dict[str, list] = {}
-    weights_of: dict[tuple, tuple[list[float], float]] = {}
+    weights_of: dict[tuple, tuple[list[float], list[float]]] = {}
     paths: list[WalkPath] = []
     for _ in range(settings.adaption_samples):
         p_path = p_initial
@@ -161,24 +164,17 @@ def adapt_probabilities(
                     _edge_jump_weight(view, e.id, t_acc, visited, dest_node, isochrone_s, visit_decay)
                     for e in cands
                 ]
-                memo = weights_of[key] = (weights, float(sum(weights)))
-            weights, total = memo
+                memo = weights_of[key] = (weights, list(itertools.accumulate(weights)))
+            weights, cum = memo
+            total = cum[-1]
             if total <= 0.0:
                 break
             draw = float(rng.random()) * max(total, 1.0)
             if draw > total:
                 break
-            cum = 0.0
-            chosen = None
-            for e, w in zip(cands, weights):
-                cum += w
-                if draw <= cum:
-                    chosen = (e, w)
-                    break
-            if chosen is None:  # guard against float roundoff at the boundary
-                chosen = (cands[-1], weights[-1])
-            edge, weight = chosen
-            p_path *= weight
+            k = bisect.bisect_left(cum, draw)  # the first edge whose running total reaches the draw
+            edge = cands[k]
+            p_path *= weights[k]
             t_acc += edge.drive_time_s
             visited.add(edge.id)
             taken.append(edge.id)
@@ -187,26 +183,24 @@ def adapt_probabilities(
         # A walk that never left the target's street describes staying at the
         # target itself, so it anchors at the arrival time there.
         paths.append(WalkPath(tuple(taken), p_path, t_acc if taken else t_arrival, final_edge))
-    return create_adaptions(paths, agent, ctx, view.overlay)
+    create_adaptions(paths, agent, ctx, view.overlay)
 
 
-def create_adaptions(paths, agent: int, ctx: "PlannerContext", overlay: AdaptionOverlay) -> list[OverlayDelta]:
-    """Distribute grouped path probabilities over the spots of each final street."""
-    entries = []
-    groups: dict[str, list[WalkPath]] = {}
-    for p in paths:
-        groups.setdefault(p.final_edge, []).append(p)
-    for edge_id in sorted(groups):
-        members = groups[edge_id]
-        spots = ctx.street_spots(edge_id).tolist()
-        if not spots:
-            continue
-        mean_arrival = sum(p.accumulated_time for p in members) / len(members)
-        mean_prob = sum(p.path_probability for p in members) / len(members)
-        delta = mean_prob / len(spots)
-        for spot in spots:
-            entries.append(overlay.add(spot, mean_arrival, delta, agent))
-    return entries
+def create_adaptions(paths, agent: int, ctx: "PlannerContext", overlay: AdaptionOverlay) -> None:
+    """Distribute grouped path probabilities over the spots of each final street, streets in id order.
+
+    Each street's means sum its paths in their order from 0.0 (``np.bincount``), so they do not
+    depend on how the interpreter's ``sum`` rounds."""
+    streets = sorted({p.final_edge for p in paths})
+    index = {e: i for i, e in enumerate(streets)}
+    group = [index[p.final_edge] for p in paths]
+    size = np.bincount(group)
+    mean_arrival = np.bincount(group, weights=[p.accumulated_time for p in paths]) / size
+    mean_prob = np.bincount(group, weights=[p.path_probability for p in paths]) / size
+    spots = [ctx.street_spots(e) for e in streets]
+    count = np.array([len(s) for s in spots])
+    delta = mean_prob / np.maximum(count, 1)  # a street without spots gets no entries
+    overlay.add(np.concatenate(spots), np.repeat(mean_arrival, count), np.repeat(delta, count), agent)
 
 
 class Fleet:

@@ -246,19 +246,21 @@ class PlanningView:
             self.t_claim = expected_wait_times_rates(self.rates, self.ctx.res_t_tr)
 
     def availability(self, at: np.ndarray | float, idx=None) -> np.ndarray:
-        """Predicted availability at ``at`` of every resource, or of the resource indices ``idx``.
+        """Predicted availability at ``at`` of every resource, or of the distinct resource indices ``idx``.
 
-        ``at`` is one time or one time per resource. Overlay deltas active by
-        then are subtracted and the result clamped to [0, 1]. The viewing
-        agent's own deltas are not subtracted, mirroring how reservations never
-        block their holder.
+        ``at`` is one time, or one time per resource (per index with ``idx``).
+        Overlay deltas active by then are subtracted and the result clamped to
+        [0, 1]. The viewing agent's own deltas are not subtracted, mirroring how
+        reservations never block their holder.
         """
         p = self.rates.after(at - self.now, self.avail if idx is None else self.avail[idx], idx)
         if self.overlay:
-            at = np.broadcast_to(at, p.shape)
-            slots = [(i, i) for i in self.overlay.spots()] if idx is None else enumerate(np.asarray(idx).tolist())
-            for k, spot in slots:
-                p[k] -= self.overlay.pending_subtraction(spot, float(at[k]), self.agent_id)
+            n = len(self.avail)
+            if idx is not None and np.ndim(at):
+                at_idx, at = at, np.full(n, -np.inf)  # spots outside idx count no delta
+                at[idx] = at_idx
+            sub = self.overlay.subtraction(n, at, self.agent_id)
+            p -= sub if idx is None else sub[idx]
             np.clip(p, 0.0, 1.0, out=p)
         return p
 

@@ -42,6 +42,17 @@ def transition_probability(params: CtmcParams, frm: ResourceState, to: ResourceS
     return p_avail if to is ResourceState.AVAILABLE else 1.0 - p_avail
 
 
+def pending_subtraction(overlay: AdaptionOverlay, spot: int, at: float, exclude_owner: int | None = None) -> float:
+    """One spot's overlay subtraction at ``at``, entry by entry: the sum, in insertion order from 0.0,
+    of its deltas whose activation has passed, leaving out those of ``exclude_owner``."""
+    total = 0.0
+    for s, t, d, o in zip(overlay.spot.tolist(), overlay.activation.tolist(), overlay.delta.tolist(),
+                          overlay.owner.tolist()):
+        if s == spot and t <= at and o != exclude_owner:
+            total += d
+    return total
+
+
 def availability_probability(
     belief: ResourceBelief,
     at: float,
@@ -53,7 +64,7 @@ def availability_probability(
         raise ValueError(f"query time {at} precedes anchor {belief.anchor_time}")
     p = transition_probability(belief.params, belief.state, ResourceState.AVAILABLE, at - belief.anchor_time)
     if overlay is not None:
-        p -= overlay.pending_subtraction(belief.resource_id, at, exclude_owner)
+        p -= pending_subtraction(overlay, belief.resource_id, at, exclude_owner)
     return min(1.0, max(0.0, p))
 
 

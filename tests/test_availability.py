@@ -17,6 +17,7 @@ from ctmc_oracle import (
     ResourceState,
     availability_probability,
     expected_wait_time,
+    pending_subtraction,
     sample_future_state,
     sample_sojourn,
     transition_probability,
@@ -180,15 +181,15 @@ def test_overlay_subtraction_and_clamp():
     assert availability_probability(belief, dt) == pytest.approx(0.6, abs=1e-12)
 
     overlay = AdaptionOverlay()
-    overlay.add(0, activation_time=dt - 1.0, delta=0.25, owner=1)
+    overlay.add(0, activation=dt - 1.0, delta=0.25, owner=1)
     assert availability_probability(belief, dt, overlay) == pytest.approx(0.35, abs=1e-12)
 
-    overlay.add(0, activation_time=0.0, delta=0.40, owner=2)
+    overlay.add(0, activation=0.0, delta=0.40, owner=2)
     assert availability_probability(belief, dt, overlay) == 0.0  # clamped
 
     # deltas that activate later do not count yet
     overlay2 = AdaptionOverlay()
-    overlay2.add(0, activation_time=dt + 1.0, delta=0.5, owner=1)
+    overlay2.add(0, activation=dt + 1.0, delta=0.5, owner=1)
     assert availability_probability(belief, dt, overlay2) == pytest.approx(0.6, abs=1e-12)
 
 
@@ -370,7 +371,7 @@ def _oracle_view_availability(view, lam, mu, at, idx=None):
         at = np.broadcast_to(at, p.shape)
         spots = np.arange(view.ctx.n_resources)[sel]
         for k, spot in enumerate(spots.tolist()):
-            p[k] -= view.overlay.pending_subtraction(spot, float(at[k]), view.agent_id)
+            p[k] -= pending_subtraction(view.overlay, spot, float(at[k]), view.agent_id)
         np.clip(p, 0.0, 1.0, out=p)
     return p
 
@@ -414,4 +415,68 @@ def test_rates_encoding_is_bit_identical_to_the_formula():
         t_tr = rng.uniform(30.0, 300.0, size=n)
         assert np.array_equal(expected_wait_times_rates(rates, t_tr),
                               t_tr / availability_after_rates(lam, mu, t_tr, False))
+    assert min(seen.values()) > 0, seen
+
+
+def test_overlay_subtraction_matches_scalar_oracle():
+    """The overlay's vectorized subtraction equals the entry-by-entry oracle bit for bit through seeded
+    interleavings of one-spot and street adds with withdrawals (repeated and absent owners too), at one
+    time and at one time per spot, excluding no owner, a present one or an absent one; through the
+    view, on index subsets as well. The oracle reads the test's own list of entries in insertion order,
+    so a withdrawal that reorders the rest shows. Times sit on a 10 s grid, so activations tie with
+    queries."""
+    from parksearch.planners import PlanningView
+
+    from conftest import make_context, random_graph_doc
+
+    rng = np.random.default_rng(1818)
+    seen = {"street add": 0, "repeat withdrawal": 0, "absent withdrawal": 0, "present exclusion": 0, "tie": 0}
+    for _ in range(12):
+        graph, ctx = make_context(random_graph_doc(rng, n_nodes=6, edge_prob=0.5, n_resources=8))
+        n = ctx.n_resources
+        if n == 0:
+            continue
+        streets = sorted({r.edge_id for r in ctx.resources})
+        lam, mu = rng.uniform(1e-4, 0.02, size=n), rng.uniform(1e-4, 0.02, size=n)
+        rates, avail = AvailabilityRates(lam, mu), rng.random(n) < 0.5
+        overlay, entries, withdrawn = AdaptionOverlay(), [], set()  # entries: (spot, activation, delta, owner)
+        for _ in range(30):
+            owner = int(rng.integers(5))
+            activation, delta = 10.0 * float(rng.integers(10)), float(rng.uniform(0.0, 0.3))
+            if rng.random() < 0.25:
+                if all(e[3] != owner for e in entries):
+                    seen["repeat withdrawal" if owner in withdrawn else "absent withdrawal"] += 1
+                overlay.withdraw(owner)
+                entries = [e for e in entries if e[3] != owner]
+                withdrawn.add(owner)
+            elif rng.random() < 0.5:
+                spot = int(rng.integers(n))
+                overlay.add(spot, activation, delta, owner)
+                entries.append((spot, activation, delta, owner))
+            else:
+                spots = ctx.street_spots(streets[int(rng.integers(len(streets)))])
+                overlay.add(spots, activation, delta, owner)
+                entries += [(spot, activation, delta, owner) for spot in spots.tolist()]
+                seen["street add"] += 1
+            reference = AdaptionOverlay()
+            for e in entries:
+                reference.add(*e)
+            assert len(overlay) == len(entries)
+            owners = sorted({e[3] for e in entries})
+            excluded = [None, 99]  # no owner and an absent one
+            if owners:
+                excluded.append(owners[int(rng.integers(len(owners)))])
+                seen["present exclusion"] += 1
+            for exclude in excluded:
+                for at in (10.0 * float(rng.integers(11)), 10.0 * rng.integers(11, size=n)):
+                    times = np.broadcast_to(at, n)
+                    seen["tie"] += any(e[1] == times[e[0]] for e in entries)
+                    expected = [pending_subtraction(reference, s, float(times[s]), exclude) for s in range(n)]
+                    assert overlay.subtraction(n, at, exclude).tolist() == expected
+                view, oracle_view = (PlanningView(ctx, 0.0, avail, CtmcParams(1.0, 1.0), overlay=o,
+                                                  agent_id=exclude, rates=rates) for o in (overlay, reference))
+                subset = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+                for at in (10.0 * float(rng.integers(11)), 10.0 * rng.integers(11, size=len(subset))):
+                    assert np.array_equal(view.availability(at, subset),
+                                          _oracle_view_availability(oracle_view, lam, mu, at, subset))
     assert min(seen.values()) > 0, seen

@@ -210,13 +210,12 @@ def test_create_adaptions_hand_arithmetic():
         WalkPath(("e12",), 0.4, 700.0, "e12"),
         WalkPath(("e01", "e12"), 0.6, 900.0, "e12"),
     ]
-    entries = create_adaptions(paths, 0, ctx, overlay)
+    create_adaptions(paths, 0, ctx, overlay)
     # e12 holds one resource (rx): delta = mean(0.2, 0.4, 0.6) / 1
-    assert len(entries) == 1
-    entry = entries[0]
-    assert ctx.res_ids[entry.spot] == "rx"
-    assert entry.delta == pytest.approx(0.4)
-    assert entry.activation_time == pytest.approx(700.0)
+    assert len(overlay) == 1
+    assert ctx.res_ids[overlay.spot[0]] == "rx"
+    assert overlay.delta[0] == pytest.approx(0.4)
+    assert overlay.activation[0] == pytest.approx(700.0)
 
 
 def test_create_adaptions_two_street_groups_split_mass():
@@ -234,29 +233,31 @@ def test_create_adaptions_two_street_groups_split_mass():
     }
     graph, ctx = make_context(doc)
     overlay = AdaptionOverlay()
-    entries = create_adaptions(
+    create_adaptions(
         [WalkPath(("e1",), 0.3, 100.0, "e1"), WalkPath(("e2",), 0.5, 200.0, "e2")],
         0, ctx, overlay,
     )
-    by_resource = {ctx.res_ids[e.spot]: e for e in entries}
-    assert by_resource["p"].delta == pytest.approx(0.15)  # 0.3 split across p and q
-    assert by_resource["q"].delta == pytest.approx(0.15)
-    assert by_resource["z"].delta == pytest.approx(0.5)
-    assert by_resource["p"].activation_time == 100.0
-    assert by_resource["z"].activation_time == 200.0
+    by_resource = {ctx.res_ids[s]: k for k, s in enumerate(overlay.spot.tolist())}
+    assert overlay.delta[by_resource["p"]] == pytest.approx(0.15)  # 0.3 split across p and q
+    assert overlay.delta[by_resource["q"]] == pytest.approx(0.15)
+    assert overlay.delta[by_resource["z"]] == pytest.approx(0.5)
+    assert overlay.activation[by_resource["p"]] == 100.0
+    assert overlay.activation[by_resource["z"]] == 200.0
 
-    zero = create_adaptions([WalkPath((), 0.0, 50.0, "e1")], 0, ctx, AdaptionOverlay())
+    zero = AdaptionOverlay()
+    create_adaptions([WalkPath((), 0.0, 50.0, "e1")], 0, ctx, zero)
     # a group with zero expected mass creates zero-valued deltas
-    assert zero and all(e.delta == 0.0 for e in zero)
+    assert zero and all(d == 0.0 for d in zero.delta)
 
 
 def test_adapt_probabilities_zero_when_target_certainly_available():
     graph, ctx = linear_walk_world()
+    overlay = AdaptionOverlay()
     view = PlanningView(ctx, 0.0, np.array([True, True, True]), FROZEN,
-                        overlay=AdaptionOverlay(), agent_id=0)
+                        overlay=overlay, agent_id=0)
     settings = PlannerSettings(adaption_samples=20, adaption_isochrone_s=600.0)
-    entries = adapt_probabilities(view, ctx.res_index["rt"], 0.0, 0, settings, np.random.default_rng(0))
-    assert all(e.delta == pytest.approx(0.0, abs=1e-12) for e in entries)
+    adapt_probabilities(view, ctx.res_index["rt"], 0.0, 0, settings, np.random.default_rng(0))
+    assert all(d == pytest.approx(0.0, abs=1e-12) for d in overlay.delta)
 
 
 def test_adapt_probabilities_walk_invariants():
@@ -271,14 +272,14 @@ def test_adapt_probabilities_walk_invariants():
     p_initial = 1.0 - availability_probability(
         ResourceBelief("rt", ResourceState.OCCUPIED, 0.0, params), t_arrival
     )
-    entries = adapt_probabilities(view, ctx.res_index["rt"], t_arrival, 0,
-                                  PlannerSettings(adaption_samples=40, adaption_isochrone_s=600.0), rng)
+    adapt_probabilities(view, ctx.res_index["rt"], t_arrival, 0,
+                        PlannerSettings(adaption_samples=40, adaption_isochrone_s=600.0), rng)
     iso = ctx.isochrone(graph.edges[target.edge_id].from_node, 600.0)
-    for entry in entries:
+    for spot, activation, delta in zip(overlay.spot.tolist(), overlay.activation.tolist(), overlay.delta.tolist()):
         # each walk multiplies its survival mass by weights <= 1
-        assert entry.delta <= p_initial + 1e-12
-        assert entry.activation_time >= t_arrival - 1e-9
-        street = ctx.resources[entry.spot].edge_id
+        assert delta <= p_initial + 1e-12
+        assert activation >= t_arrival - 1e-9
+        street = ctx.resources[spot].edge_id
         assert graph.edges[street].to_node in iso or street == target.edge_id
 
 
@@ -320,6 +321,6 @@ def test_reverse_adaptions_round_trip_exact():
     assert [availability_probability(beliefs[i], t, overlay) for i, t in probes] == before
 
     # keeper's entries survive interleaved reversal
-    assert all(e.owner == keeper for i in spots for e in overlay.entries_for(i))
+    assert all(owner == keeper for owner in overlay.owner.tolist())
     overlay.withdraw(keeper)
     assert len(overlay) == 0
