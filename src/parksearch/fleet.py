@@ -136,53 +136,68 @@ def adapt_probabilities(
     dest_node = dest_node if dest_node is not None else target_edge.from_node
 
     p_initial = 1.0 - float(view.availability(t_arrival, [target])[0])
-    t_partial = target_edge.drive_time_s - target_res.offset_s
+    t_start = t_arrival + (target_edge.drive_time_s - target_res.offset_s)  # at the street's end
     # Nothing a weight reads changes during the walks (the overlay is written
     # after them), so candidates and weights repeat exactly within this call:
     # weights are keyed by node, time and which candidates were visited, and kept
     # with their running total, whose last element is the total weight.
     cands_of: dict[str, list] = {}
     weights_of: dict[tuple, tuple[list[float], list[float]]] = {}
+
+    def options(node: str, t_acc: float, visited: set[str]):
+        """The candidate streets out of ``node``, their weights and running total; None where a walk
+        stops without a draw (no candidates, or no weight)."""
+        cands = cands_of.get(node)
+        if cands is None:
+            cands = cands_of[node] = [e for e in ctx.out_edges[node] if e.to_node in iso_nodes]
+        if not cands:
+            return None
+        key = (node, t_acc, frozenset(e.id for e in cands if e.id in visited))
+        memo = weights_of.get(key)
+        if memo is None:
+            weights = [
+                _edge_jump_weight(view, e.id, t_acc, visited, dest_node, isochrone_s, visit_decay)
+                for e in cands
+            ]
+            memo = weights_of[key] = (weights, list(itertools.accumulate(weights)))
+        return None if memo[1][-1] <= 0.0 else (cands, *memo)
+
+    def pick(step):
+        """One draw: the street taken and its weight, or None when the draw exceeds the total weight."""
+        cands, weights, cum = step
+        total = cum[-1]
+        draw = float(rng.random()) * max(total, 1.0)
+        if draw > total:
+            return None
+        k = bisect.bisect_left(cum, draw)  # the first edge whose running total reaches the draw
+        return cands[k], weights[k]
+
+    # A walk that never leaves the target's street describes staying at the
+    # target itself, so it anchors at the arrival time there. Every walk starts
+    # in the same state, so they share the first step's options, and each walk
+    # that stops at its first draw records the one shared stay.
+    stay = WalkPath((), p_initial, t_arrival, target_edge.id)
+    first = options(start_node, t_start, set()) if settings.adaption_max_steps else None
     paths: list[WalkPath] = []
     for _ in range(settings.adaption_samples):
-        p_path = p_initial
-        t_acc = t_arrival + t_partial
-        node = start_node
-        visited: set[str] = set()
-        taken: list[str] = []
-        final_edge = target_edge.id
-        for _ in range(settings.adaption_max_steps):
-            cands = cands_of.get(node)
-            if cands is None:
-                cands = cands_of[node] = [e for e in ctx.out_edges[node] if e.to_node in iso_nodes]
-            if not cands:
+        moved = None if first is None else pick(first)
+        if moved is None:
+            paths.append(stay)
+            continue
+        edge, weight = moved
+        p_path, t_acc = p_initial * weight, t_start + edge.drive_time_s
+        visited, taken = {edge.id}, [edge.id]
+        for _ in range(settings.adaption_max_steps - 1):
+            step = options(edge.to_node, t_acc, visited)
+            moved = None if step is None else pick(step)
+            if moved is None:
                 break
-            key = (node, t_acc, frozenset(e.id for e in cands if e.id in visited))
-            memo = weights_of.get(key)
-            if memo is None:
-                weights = [
-                    _edge_jump_weight(view, e.id, t_acc, visited, dest_node, isochrone_s, visit_decay)
-                    for e in cands
-                ]
-                memo = weights_of[key] = (weights, list(itertools.accumulate(weights)))
-            weights, cum = memo
-            total = cum[-1]
-            if total <= 0.0:
-                break
-            draw = float(rng.random()) * max(total, 1.0)
-            if draw > total:
-                break
-            k = bisect.bisect_left(cum, draw)  # the first edge whose running total reaches the draw
-            edge = cands[k]
-            p_path *= weights[k]
+            edge, weight = moved
+            p_path *= weight
             t_acc += edge.drive_time_s
             visited.add(edge.id)
             taken.append(edge.id)
-            final_edge = edge.id
-            node = edge.to_node
-        # A walk that never left the target's street describes staying at the
-        # target itself, so it anchors at the arrival time there.
-        paths.append(WalkPath(tuple(taken), p_path, t_acc if taken else t_arrival, final_edge))
+        paths.append(WalkPath(tuple(taken), p_path, t_acc, edge.id))
     create_adaptions(paths, agent, ctx, view.overlay)
 
 

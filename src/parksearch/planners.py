@@ -118,6 +118,7 @@ class PlannerContext:
         self._street_spots: dict[str, np.ndarray] = {}
         self._walk_cache: dict[tuple[float, float], np.ndarray] = {}
         self._node_walk_cache: dict[tuple[float, float], np.ndarray] = {}
+        self._isochrone_cache: dict[tuple[str, float], frozenset[str]] = {}
         self._street_mid: tuple[tuple[str, ...], np.ndarray, np.ndarray] | None = None
         # the engine's last synthesized trace on this graph and its key (see run_simulation)
         self.synthesized: tuple[tuple, object] | None = None
@@ -169,9 +170,13 @@ class PlannerContext:
         """Least drive seconds between two nodes; ``inf`` when unreachable."""
         return float(self.M[self.node_index[from_node], self.node_index[to_node]])
 
-    def isochrone(self, around: str, limit_s: float) -> set[str]:
-        """Nodes from which ``around`` can be reached within ``limit_s`` of driving."""
-        return {self.node_ids[i] for i in np.flatnonzero(self.M[:, self.node_index[around]] <= limit_s)}
+    def isochrone(self, around: str, limit_s: float) -> frozenset[str]:
+        """Nodes from which ``around`` can be reached within ``limit_s`` of driving, built on first use."""
+        key = (around, limit_s)
+        if key not in self._isochrone_cache:
+            col = self.M[:, self.node_index[around]]
+            self._isochrone_cache[key] = frozenset(self.node_ids[i] for i in np.flatnonzero(col <= limit_s))
+        return self._isochrone_cache[key]
 
     def taxi_time(self, start: str, destination: GeoPoint) -> float:
         """Trip time with a drop-off as close to the destination as any node allows."""
@@ -298,6 +303,13 @@ def _future_probabilities(view: PlanningView, drive: np.ndarray) -> tuple[np.nda
     return forced, probs
 
 
+def free_in_some_future(probs: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """Mask of the resources available in at least one future, given each one's least uniform over
+    the futures: some uniform is below the probability exactly when the least one is, so a resource
+    at or below its floor, such as a reserved one at 0, is free in none."""
+    return probs > floor
+
+
 # Columns of each cost row that every future scans; with at most twice as many resources, the
 # bookkeeping costs more than it saves and every column is scanned.
 PRUNE_COLUMNS = 96
@@ -317,6 +329,11 @@ class HindsightPlan:
     and ``bound`` also takes the row's next cheapest base, below which no omitted column costs. Other
     pairs are solved over every column. The order is kept as weights, ``|S|`` minus a column's place,
     so the first available column is the available one of largest weight; 0 means none (base inf).
+
+    Given each resource's least uniform over the futures (its floor), a resource whose probability is
+    at or below its floor is free in no future, so it adds 0 to every future's largest weight, and an
+    unpruned plan scans only the resources above their floor. A pruned plan scans all of S: most of
+    its columns lie above their floor, and the filter would cost more than it saves.
     """
 
     def __init__(self, t_claim: np.ndarray, base: np.ndarray):
@@ -349,15 +366,20 @@ class HindsightPlan:
         self.value[:, 0] = np.inf
         self.offset = row * (n_s + 1)  # where each row starts in value and column, flattened
 
-    def solve(self, uniforms: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def solve(self, uniforms: np.ndarray, probs: np.ndarray,
+              floor: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """The ``(rows, futures)`` minima, C-ordered, and their first argmins, given ``(resources,
-        futures)`` uniforms and the availability at arrival per resource."""
+        futures)`` uniforms, the availability at arrival per resource and, optionally, each resource's
+        least uniform (``uniforms.min(axis=1)``)."""
         n = uniforms.shape[1]
         if self.weight is None:
             return np.full((len(self.base), n), np.inf), np.zeros((len(self.base), n), dtype=int)
-        cols = self.cols
+        cols, weight = self.cols, self.weight
+        if cols is None and floor is not None:
+            cols = np.flatnonzero(free_in_some_future(probs, floor))
+            weight = weight.take(cols, axis=1)
         free = uniforms < probs[:, None] if cols is None else uniforms.take(cols, 0) < probs.take(cols)[:, None]
-        first = (free * self.weight).max(axis=1) + self.offset  # each future's first available column
+        first = (free * weight).max(axis=1, initial=0) + self.offset  # each future's first available column
         mins, picks = self.value.take(first), self.column.take(first)
         rows, futures = np.nonzero(~(mins < self.bound))
         if rows.size:
@@ -412,6 +434,7 @@ class HindsightPolicy:
         self.scope_horizon_s = settings.scope_horizon_s
         self.plans: dict[str, tuple[np.ndarray, HindsightPlan | None]] | None = None
         self._uniforms: np.ndarray | None = None
+        self._floor: np.ndarray | None = None  # each resource's least uniform over the futures
 
     def _plan(self, view: PlanningView, node: str) -> tuple[np.ndarray, HindsightPlan | None]:
         """Drive times from ``node`` to every resource, and the plan of its out-edges (None without any)."""
@@ -435,6 +458,8 @@ class HindsightPolicy:
         if self._uniforms is None:
             # (resources, futures), so the kernel gathers a column's futures as one contiguous row
             self._uniforms = np.ascontiguousarray(rng.random((self.n, ctx.n_resources)).T)
+            if ctx.n_resources <= 2 * PRUNE_COLUMNS:  # only a plan over every resource reads the floor
+                self._floor = self._uniforms.min(axis=1)
 
         # (value, preference rank, resource index or out-edge row) per candidate; a spot wins ties, and
         # index and row order are id order.
@@ -444,7 +469,7 @@ class HindsightPolicy:
                 candidates.append((float(ctx.res_offset[ridx] + walk[ridx]), 0, ridx))
         edges = ctx.out_edges[node]
         if plan is not None:
-            mins, picks = plan.solve(self._uniforms, probs)
+            mins, picks = plan.solve(self._uniforms, probs, self._floor)
             # mins is C-ordered, so each row is summed exactly as the 1-D mean of that row would be,
             # and divided by its count as mean divides.
             means = mins.sum(axis=1) / self.n

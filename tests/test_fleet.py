@@ -14,8 +14,10 @@ from parksearch.fleet import (
     create_adaptions,
 )
 from parksearch.planners import PlannerSettings, PlanningView
+from parksearch.scenario import build_grid_graph_doc
 
-from conftest import make_context
+from adaption_oracle import oracle_adapt_probabilities
+from conftest import make_context, random_graph_doc
 from ctmc_oracle import ResourceBelief, ResourceState, availability_probability
 
 FROZEN = CtmcParams(1e-9, 1e-9)
@@ -324,3 +326,89 @@ def test_reverse_adaptions_round_trip_exact():
     assert all(owner == keeper for owner in overlay.owner.tolist())
     overlay.withdraw(keeper)
     assert len(overlay) == 0
+
+
+def _walk_worlds(rng):
+    """A chain of two-way streets, one street into a dead end, two-way and one-way grids with parking on
+    some streets, and random directed graphs."""
+    yield linear_walk_world()
+    yield make_context({  # every target street ends in a dead end
+        "nodes": [{"id": "a", "lat": 0.0, "lon": 0.0}, {"id": "b", "lat": 0.0, "lon": 0.001}],
+        "edges": [{"id": "e1", "from": "a", "to": "b", "length_m": 100.0, "drive_time_s": 10.0}],
+        "resources": [{"id": "r", "edge": "e1", "lat": 0.0, "lon": 0.0005, "offset_s": 5.0}],
+    })
+    yield make_context(build_grid_graph_doc(3, 3, spacing_m=200.0, drive_time_s=20.0, n_resources=30,
+                                            seed=int(rng.integers(1 << 30))))
+    yield make_context(build_grid_graph_doc(3, 3, spacing_m=200.0, drive_time_s=20.0, n_resources=12,
+                                            seed=int(rng.integers(1 << 30)), resource_streets=5))
+    yield make_context(build_grid_graph_doc(4, 4, spacing_m=200.0, drive_time_s=20.0, n_resources=40,
+                                            seed=int(rng.integers(1 << 30)), one_way=True))
+    for _ in range(3):
+        yield make_context(random_graph_doc(rng, n_nodes=7, edge_prob=0.3, n_resources=10))
+
+
+def test_adapt_probabilities_matches_walk_oracle():
+    """The shared first step leaves every overlay entry and the random stream as the walk-by-walk loop
+    does, bit for bit, through a run of calls that withdraw and re-add owners: with no steps allowed,
+    with one, on start nodes without candidates inside the isochrone, with zero total weight, and in
+    small isochrones where walks revisit streets."""
+    rng = np.random.default_rng(1919)
+    seen = {"no steps allowed": 0, "one step allowed": 0, "no candidates": 0, "zero total weight": 0,
+            "revisit": 0, "stay": 0, "move": 0, "step limit reached": 0, "dead end": 0}
+    for graph, ctx in _walk_worlds(rng):
+        n = ctx.n_resources
+        if n == 0:
+            continue
+        street_s = float(np.median([e.drive_time_s for e in graph.edges.values()]))
+        overlay, oracle_overlay = AdaptionOverlay(), AdaptionOverlay()
+        for call in range(40):
+            # mostly occupied streets stop most walks at once; mostly free ones let them wander
+            free = rng.random() < 0.6
+            params = CtmcParams.from_mean_times(3000.0, 60.0) if free else CtmcParams.from_mean_times(120.0, 2000.0)
+            avail = rng.random(n) < (0.95 if free else 0.4)
+            agent = int(rng.integers(3))
+            target = int(rng.integers(n))
+            max_steps = int(rng.choice([0, 1, 2, 1000, 1000]))
+            settings = PlannerSettings(adaption_samples=int(rng.choice([1, 5, 30])),
+                                       adaption_isochrone_s=street_s * float(rng.choice([0.05, 1.25, 3.0, 3.0, 15.0])),
+                                       adaption_visit_decay=float(rng.choice([0.95, 0.5])),
+                                       adaption_max_steps=max_steps)
+            now, t_arrival = 10.0 * call, 10.0 * call + float(rng.uniform(0, 200))
+            for o in (overlay, oracle_overlay):
+                o.withdraw(agent)
+                if call % 10 == 3:  # another owner's mass clamps every availability to 0 for one call
+                    o.add(np.arange(n), now, 1.0, 9)
+                if call % 10 == 4:
+                    o.withdraw(9)
+            views = [PlanningView(ctx, now, avail, params, overlay=o, agent_id=agent) for o in (overlay, oracle_overlay)]
+            seed = int(rng.integers(1 << 30))
+            walk_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            # a far destination keeps every street's distance factor at 1, so free walks wander
+            edge = graph.edges[ctx.resources[target].edge_id]
+            reach = ctx.M[ctx.node_index[edge.to_node]]
+            far = ctx.node_ids[int(np.argmax(np.where(np.isfinite(reach), reach, -1.0)))]
+            dest = (far if free else str(rng.choice(list(graph.nodes)))) if rng.random() < 0.75 else None
+            try:
+                paths = oracle_adapt_probabilities(views[1], target, t_arrival, agent, settings, oracle_rng, dest)
+            except DegenerateTargetError:
+                with pytest.raises(DegenerateTargetError):
+                    adapt_probabilities(views[0], target, t_arrival, agent, settings, walk_rng, dest)
+                seen["dead end"] += 1
+                continue
+            adapt_probabilities(views[0], target, t_arrival, agent, settings, walk_rng, dest)
+            for column in ("spot", "activation", "delta", "owner"):
+                assert getattr(overlay, column).tobytes() == getattr(oracle_overlay, column).tobytes(), column
+            assert walk_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+            iso = ctx.isochrone(edge.from_node, settings.adaption_isochrone_s)
+            cands = [e for e in ctx.out_edges[edge.to_node] if e.to_node in iso]
+            drew = oracle_rng.bit_generator.state != np.random.default_rng(seed).bit_generator.state
+            seen["no steps allowed"] += max_steps == 0
+            seen["one step allowed"] += max_steps == 1 and drew
+            seen["no candidates"] += max_steps > 0 and not cands
+            seen["zero total weight"] += max_steps > 0 and bool(cands) and not drew
+            seen["revisit"] += any(len(set(p.edges)) < len(p.edges) for p in paths)
+            seen["stay"] += any(not p.edges for p in paths) and drew
+            seen["move"] += any(p.edges for p in paths)
+            seen["step limit reached"] += any(0 < len(p.edges) == max_steps for p in paths)
+    assert min(seen.values()) > 0, seen

@@ -304,3 +304,52 @@ def test_common_random_numbers_are_the_seeded_stream():
         policy.decide(view, "n0303", np.random.default_rng(seed))
         assert policy._uniforms.flags.c_contiguous
         assert np.array_equal(policy._uniforms.T, np.random.default_rng(seed).random((n_det, ctx.n_resources)))
+
+
+def _floor_case(rng, n_res):
+    """A kernel case, as (resources, futures) uniforms, with probabilities planted at, just below and
+    just above each resource's floor, forced zeros, and sometimes every resource at or below it."""
+    view, base, uniforms, probs = _kernel_case(rng, n_res)
+    uniforms = np.ascontiguousarray(uniforms.T)
+    floor = uniforms.min(axis=1)
+    where = rng.integers(6, size=n_res)
+    probs = np.select([where == 0, where == 1, where == 2, where == 3],
+                      [floor, np.nextafter(floor, -np.inf), np.nextafter(floor, np.inf), 0.0], probs)
+    if rng.random() < 0.15:
+        probs = np.minimum(probs, floor)  # every pair falls back
+    return view, base, uniforms, np.maximum(probs, 0.0), floor
+
+
+def test_floor_kernel_matches_full_matrix():
+    """``solve`` with each resource's floor returns the same minima and argmins, bit for bit, as
+    without it and as the full cost matrix, on unpruned and pruned plans; the resources it scans on an
+    unpruned plan are exactly those free in some future, so none at its floor is scanned."""
+    rng = np.random.default_rng(609)
+    seen = Counter()
+    for n_res in (1, 7, 150, 2 * K, 2 * K + 1, 600):
+        for _ in range(30):
+            view, base, uniforms, probs, floor = _floor_case(rng, n_res)
+            plan = HindsightPlan(view.t_claim, base)
+            costs = full_costs(view, base, uniforms.T, probs)
+            mins, picks = plan.solve(uniforms, probs, floor)
+            plain_mins, plain_picks = plan.solve(uniforms, probs)
+            assert np.array_equal(mins, costs.min(axis=2)) and np.array_equal(mins, plain_mins)
+            assert np.array_equal(picks, costs.argmin(axis=2)) and np.array_equal(picks, plain_picks)
+            assert mins.flags.c_contiguous
+            free_somewhere = (uniforms < probs[:, None]).any(axis=1)
+            assert np.array_equal(planners.free_in_some_future(probs, floor), free_somewhere)
+            seen["pruned" if n_res > 2 * K else "unpruned"] += 1
+            seen["at the floor"] += int((probs == floor).any())
+            seen["just below the floor"] += int((probs == np.nextafter(floor, -np.inf)).any())
+            seen["just above the floor"] += int((probs == np.nextafter(floor, np.inf)).any())
+            seen["free only where the uniform is the floor"] += int(
+                ((uniforms < probs[:, None]).sum(axis=1) == 1)[probs == np.nextafter(floor, np.inf)].any())
+            seen["forced zero"] += int((probs == 0.0).any())
+            seen["every resource at or below its floor"] += int(n_res > 1 and not free_somewhere.any())
+            seen["one future"] += int(uniforms.shape[1] == 1)
+    missing = [case for case in (
+        "pruned", "unpruned", "at the floor", "just below the floor", "just above the floor",
+        "free only where the uniform is the floor", "forced zero", "every resource at or below its floor",
+        "one future",
+    ) if not seen[case]]
+    assert not missing, missing
