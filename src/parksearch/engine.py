@@ -368,22 +368,15 @@ def run_simulation(
             policy.plans = plans.get(spec.destination)
         planning[i] = (policy, view, shares is not None)
 
-    heap: list[tuple] = []
-    seq = 0
-
-    def push(time_s: float, rank: int, key: int, kind: str, payload) -> None:
-        nonlocal seq
-        heapq.heappush(heap, (time_s, rank, key, seq, kind, payload))
-        seq += 1
-
+    # An agent has at most one queued event, and only while driving, so (time, rank, agent) orders the
+    # queue on its own: an agent event's payload is the node reached, a claim's the spot and decision time.
+    heap = [(spec.start_time, _RANK_AGENT, i, spec.start_node) for i, spec in enumerate(specs)]
+    heapq.heapify(heap)
     due = int(np.searchsorted(trace.time, horizon_s, side="right"))
     flip_time = trace.time[:due].tolist()
     flip_res = trace_idx[trace.spot[:due]].tolist()
     flip_up = trace.up[:due].tolist()
     next_flip = 0
-
-    for i, spec in enumerate(specs):
-        push(spec.start_time, _RANK_AGENT, i, "spawn", spec.start_node)
 
     log: list[SimEvent] = []
 
@@ -415,35 +408,27 @@ def run_simulation(
             edge = graph.edges[action.edge]
             if edge.from_node != rt.node:
                 raise ParkSearchError(f"policy chose non-adjacent edge {edge.id!r} at {rt.node!r}")
-            push(now + edge.drive_time_s, _RANK_AGENT, key, "at_node", edge.to_node)
+            heapq.heappush(heap, (now + edge.drive_time_s, _RANK_AGENT, key, edge.to_node))
         else:
             resource = ctx.resources[action.resource]
             edge = graph.edges[resource.edge_id]
             if edge.from_node != rt.node:
                 raise ParkSearchError(f"policy chose non-adjacent resource {resource.id!r} at {rt.node!r}")
-            push(now + resource.offset_s, _RANK_CLAIM, key, "claim", (action.resource, now))
+            heapq.heappush(heap, (now + resource.offset_s, _RANK_CLAIM, key, (action.resource, now)))
 
     while heap:
         apply_flips(heap[0][0])
-        now, rank, key, _, kind, payload = heapq.heappop(heap)
+        now, rank, key, payload = heapq.heappop(heap)
         if now > horizon_s:
             break
         rt = runtimes[key]
-        if kind == "spawn":
-            rt.node = payload
+        if rank == _RANK_AGENT:
             if collect_events:
-                log.append(SimEvent(now, "agent_spawn", agent=rt.spec.id, node=payload))
-            decide(key, now)
-        elif kind == "at_node":
-            if rt.status != "driving":
-                continue
+                kind = "agent_spawn" if rt.node is None else "agent_at_node"
+                log.append(SimEvent(now, kind, agent=rt.spec.id, node=payload))
             rt.node = payload
-            if collect_events:
-                log.append(SimEvent(now, "agent_at_node", agent=rt.spec.id, node=payload))
             decide(key, now)
-        elif kind == "claim":
-            if rt.status != "driving":
-                continue
+        else:
             ridx, decision_time = payload
             resource = ctx.resources[ridx]
             if avail[ridx]:
@@ -460,7 +445,7 @@ def run_simulation(
             else:
                 rt.unsuccessful_claims += 1
                 edge = graph.edges[resource.edge_id]
-                push(decision_time + edge.drive_time_s, _RANK_AGENT, key, "at_node", edge.to_node)
+                heapq.heappush(heap, (decision_time + edge.drive_time_s, _RANK_AGENT, key, edge.to_node))
                 if collect_events:
                     log.append(SimEvent(now, "agent_claim", agent=rt.spec.id, resource=resource.id, detail="failed"))
     apply_flips(horizon_s)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -23,7 +22,7 @@ from .errors import DegenerateTargetError
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from .geo import GeoPoint
-    from .planners import PlannerContext, PlannerSettings, PlanningView, RouteDecision
+    from .planners import PlannerSettings, PlanningView, RouteDecision
 
 
 class ReservationTable:
@@ -71,16 +70,6 @@ class ReservationTable:
         return int(np.count_nonzero(self.spot >= 0))
 
 
-@dataclass(frozen=True)
-class WalkPath:
-    """One finished random walk: the streets taken and the surviving probability mass."""
-
-    edges: tuple[str, ...]
-    path_probability: float
-    accumulated_time: float
-    final_edge: str
-
-
 def _edge_jump_weight(
     view: "PlanningView",
     edge_id: str,
@@ -120,8 +109,8 @@ def adapt_probabilities(
     carries the probability of still searching; per step, candidate edges
     inside the isochrone around the target get a jump weight, a single uniform
     draw either picks an edge (proportionally to the weights) or, when it
-    exceeds the total weight, ends the walk. Finished walks are turned into overlay
-    deltas grouped by their final street.
+    exceeds the total weight, ends the walk. Each final street's spots then get
+    the mean mass of the walks ending there, split evenly, from their mean end time.
     """
     isochrone_s, visit_decay = settings.adaption_isochrone_s, settings.adaption_visit_decay
     ctx = view.ctx
@@ -174,48 +163,40 @@ def adapt_probabilities(
 
     # A walk that never leaves the target's street describes staying at the
     # target itself, so it anchors at the arrival time there. Every walk starts
-    # in the same state, so they share the first step's options, and each walk
-    # that stops at its first draw records the one shared stay.
-    stay = WalkPath((), p_initial, t_arrival, target_edge.id)
+    # in the same state, so they share the first step's options. A finished walk
+    # adds itself, its time and its mass to its final street's sums, in walk
+    # order from 0.0, so the means do not depend on how ``sum`` rounds.
+    sums: dict[str, tuple[int, float, float]] = {}
     first = options(start_node, t_start, set()) if settings.adaption_max_steps else None
-    paths: list[WalkPath] = []
     for _ in range(settings.adaption_samples):
         moved = None if first is None else pick(first)
         if moved is None:
-            paths.append(stay)
-            continue
-        edge, weight = moved
-        p_path, t_acc = p_initial * weight, t_start + edge.drive_time_s
-        visited, taken = {edge.id}, [edge.id]
-        for _ in range(settings.adaption_max_steps - 1):
-            step = options(edge.to_node, t_acc, visited)
-            moved = None if step is None else pick(step)
-            if moved is None:
-                break
+            street, p_path, t_acc = target_edge.id, p_initial, t_arrival
+        else:
             edge, weight = moved
-            p_path *= weight
-            t_acc += edge.drive_time_s
-            visited.add(edge.id)
-            taken.append(edge.id)
-        paths.append(WalkPath(tuple(taken), p_path, t_acc, edge.id))
-    create_adaptions(paths, agent, ctx, view.overlay)
+            p_path, t_acc = p_initial * weight, t_start + edge.drive_time_s
+            visited = {edge.id}
+            for _ in range(settings.adaption_max_steps - 1):
+                step = options(edge.to_node, t_acc, visited)
+                moved = None if step is None else pick(step)
+                if moved is None:
+                    break
+                edge, weight = moved
+                p_path *= weight
+                t_acc += edge.drive_time_s
+                visited.add(edge.id)
+            street = edge.id
+        n, t_sum, p_sum = sums.get(street, (0, 0.0, 0.0))
+        sums[street] = (n + 1, t_sum + t_acc, p_sum + p_path)
 
-
-def create_adaptions(paths, agent: int, ctx: "PlannerContext", overlay: AdaptionOverlay) -> None:
-    """Distribute grouped path probabilities over the spots of each final street, streets in id order.
-
-    Each street's means sum its paths in their order from 0.0 (``np.bincount``), so they do not
-    depend on how the interpreter's ``sum`` rounds."""
-    streets = sorted({p.final_edge for p in paths})
-    index = {e: i for i, e in enumerate(streets)}
-    group = [index[p.final_edge] for p in paths]
-    size = np.bincount(group)
-    mean_arrival = np.bincount(group, weights=[p.accumulated_time for p in paths]) / size
-    mean_prob = np.bincount(group, weights=[p.path_probability for p in paths]) / size
-    spots = [ctx.street_spots(e) for e in streets]
-    count = np.array([len(s) for s in spots])
-    delta = mean_prob / np.maximum(count, 1)  # a street without spots gets no entries
-    overlay.add(np.concatenate(spots), np.repeat(mean_arrival, count), np.repeat(delta, count), agent)
+    # each final street's mean mass, split evenly over its spots; a street without spots gets no entries
+    spot, activation, delta = [], [], []
+    for street, (n, t_sum, p_sum) in sorted(sums.items()):
+        on = ctx.street_spots(street).tolist()
+        spot += on
+        activation += [t_sum / n] * len(on)
+        delta += [p_sum / n / max(len(on), 1)] * len(on)
+    view.overlay.add(spot, activation, delta, agent)
 
 
 class Fleet:

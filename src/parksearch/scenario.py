@@ -208,9 +208,12 @@ def parse_config(doc: dict, *, base_dir: Path | None = None, default_name: str =
     _expect_keys(defaults, {"round_trip_s", "speed_factor"}, "graph_defaults.")
     measure_computation = doc.get("measure_computation", True)
     _require(isinstance(measure_computation, bool), "measure_computation", "true or false", measure_computation)
+    name = str(doc.get("name", default_name))  # names the results files inside the output directory
+    _require(name not in ("", ".", "..") and "/" not in name and "\\" not in name, "name",
+             "a file name other than '', '.' or '..', without '/' or '\\'", name)
 
     return ScenarioConfig(
-        name=str(doc.get("name", default_name)),
+        name=name,
         graph_path=graph_path,
         trace_path=trace_path,
         synthetic=synthetic,

@@ -1,16 +1,50 @@
 """The adaption walks one at a time, each step looked up anew: the reference for ``adapt_probabilities``.
 
 ``fleet.adapt_probabilities`` shares the first step among the walks of one
-call; this runs one walk after another, each with its own set, list, memo
-lookups and ``WalkPath``, so tests can require the same overlay entries and
-the same random stream from both.
+call and folds each walk into its final street's running sums as it ends;
+this runs one walk after another, each with its own set, list, memo lookups
+and ``WalkPath``, and regroups the finished walks with ``np.bincount``, so
+tests can require the same overlay entries and the same random stream from
+both.
 """
 
 import bisect
 import itertools
+from dataclasses import dataclass
 
+import numpy as np
+
+from parksearch.availability import AdaptionOverlay
 from parksearch.errors import DegenerateTargetError
-from parksearch.fleet import WalkPath, _edge_jump_weight, create_adaptions
+from parksearch.fleet import _edge_jump_weight
+from parksearch.planners import PlannerContext
+
+
+@dataclass(frozen=True)
+class WalkPath:
+    """One finished random walk: the streets taken and the surviving probability mass."""
+
+    edges: tuple[str, ...]
+    path_probability: float
+    accumulated_time: float
+    final_edge: str
+
+
+def create_adaptions(paths, agent: int, ctx: PlannerContext, overlay: AdaptionOverlay) -> None:
+    """Distribute grouped path probabilities over the spots of each final street, streets in id order.
+
+    Each street's means sum its paths in their order from 0.0 (``np.bincount``), so they do not
+    depend on how the interpreter's ``sum`` rounds."""
+    streets = sorted({p.final_edge for p in paths})
+    index = {e: i for i, e in enumerate(streets)}
+    group = [index[p.final_edge] for p in paths]
+    size = np.bincount(group)
+    mean_arrival = np.bincount(group, weights=[p.accumulated_time for p in paths]) / size
+    mean_prob = np.bincount(group, weights=[p.path_probability for p in paths]) / size
+    spots = [ctx.street_spots(e) for e in streets]
+    count = np.array([len(s) for s in spots])
+    delta = mean_prob / np.maximum(count, 1)  # a street without spots gets no entries
+    overlay.add(np.concatenate(spots), np.repeat(mean_arrival, count), np.repeat(delta, count), agent)
 
 
 def oracle_adapt_probabilities(view, target, t_arrival, agent, settings, rng, dest_node=None):

@@ -6,17 +6,11 @@ import pytest
 
 from parksearch.availability import AdaptionOverlay, CtmcParams
 from parksearch.errors import DegenerateTargetError
-from parksearch.fleet import (
-    ReservationTable,
-    WalkPath,
-    _edge_jump_weight,
-    adapt_probabilities,
-    create_adaptions,
-)
+from parksearch.fleet import ReservationTable, _edge_jump_weight, adapt_probabilities
 from parksearch.planners import PlannerSettings, PlanningView
 from parksearch.scenario import build_grid_graph_doc
 
-from adaption_oracle import oracle_adapt_probabilities
+from adaption_oracle import WalkPath, create_adaptions, oracle_adapt_probabilities
 from conftest import make_context, random_graph_doc
 from ctmc_oracle import ResourceBelief, ResourceState, availability_probability
 
@@ -250,6 +244,70 @@ def test_create_adaptions_two_street_groups_split_mass():
     create_adaptions([WalkPath((), 0.0, 50.0, "e1")], 0, ctx, zero)
     # a group with zero expected mass creates zero-valued deltas
     assert zero and all(d == 0.0 for d in zero.delta)
+
+
+def test_adapt_probabilities_without_steps_spreads_the_stay_over_the_target_street():
+    doc = {
+        "nodes": [{"id": "a", "lat": 0.0, "lon": 0.0}, {"id": "b", "lat": 0.0, "lon": 0.001}],
+        "edges": [
+            {"id": "e1", "from": "a", "to": "b", "length_m": 100.0, "drive_time_s": 10.0},
+            {"id": "e2", "from": "b", "to": "a", "length_m": 100.0, "drive_time_s": 10.0},
+        ],
+        "resources": [
+            {"id": "p", "edge": "e1", "lat": 0.0, "lon": 0.0005, "offset_s": 5.0},
+            {"id": "q", "edge": "e1", "lat": 0.0, "lon": 0.0005, "offset_s": 7.0},
+            {"id": "z", "edge": "e2", "lat": 0.0, "lon": 0.0005, "offset_s": 5.0},
+        ],
+    }
+    graph, ctx = make_context(doc)
+    overlay = AdaptionOverlay()
+    view = PlanningView(ctx, 0.0, np.array([False, True, False]), CtmcParams.from_mean_times(300.0, 900.0),
+                        overlay=overlay, agent_id=2)
+    target, t_arrival = ctx.res_index["p"], 40.0
+    p_initial = 1.0 - float(view.availability(t_arrival, [target])[0])
+    settings = PlannerSettings(adaption_samples=7, adaption_isochrone_s=300.0, adaption_max_steps=0)
+    adapt_probabilities(view, target, t_arrival, 2, settings, np.random.default_rng(5))
+    # every walk stays: the target street's two spots share the mass, from the arrival time
+    assert overlay.spot.tolist() == ctx.street_spots("e1").tolist()
+    assert overlay.delta.tolist() == [p_initial / 2] * 2
+    assert overlay.activation.tolist() == [t_arrival] * 2
+    assert overlay.owner.tolist() == [2, 2]
+
+
+class ZeroDraws:
+    """A generator stub whose every uniform draw is exactly 0.0."""
+
+    def random(self):
+        return 0.0
+
+
+def test_adapt_probabilities_walks_ending_on_a_street_without_spots_add_nothing():
+    """A draw of 0.0 takes the first candidate even at zero weight, here a street without spots, so every
+    walk ends there and the call adds no entries."""
+    nodes = [{"id": n, "lat": 0.0, "lon": 0.001 * i} for i, n in enumerate("abcd")]
+    edges = [
+        {"id": "t", "from": "a", "to": "b", "length_m": 100.0, "drive_time_s": 10.0},
+        {"id": "u-bare", "from": "b", "to": "c", "length_m": 100.0, "drive_time_s": 10.0},
+        {"id": "v-spots", "from": "b", "to": "d", "length_m": 100.0, "drive_time_s": 10.0},
+        {"id": "w-ca", "from": "c", "to": "a", "length_m": 100.0, "drive_time_s": 10.0},
+        {"id": "x-da", "from": "d", "to": "a", "length_m": 100.0, "drive_time_s": 10.0},
+    ]
+    resources = [
+        {"id": "r", "edge": "t", "lat": 0.0, "lon": 0.0005, "offset_s": 5.0},
+        {"id": "s", "edge": "v-spots", "lat": 0.0, "lon": 0.0015, "offset_s": 5.0},
+    ]
+    graph, ctx = make_context({"nodes": nodes, "edges": edges, "resources": resources})
+    assert [e.id for e in ctx.out_edges["b"]] == ["u-bare", "v-spots"]
+    settings = PlannerSettings(adaption_samples=5, adaption_isochrone_s=300.0, adaption_max_steps=1)
+    overlay, oracle_overlay = AdaptionOverlay(), AdaptionOverlay()
+    views = [PlanningView(ctx, 0.0, np.array([False, True]), FROZEN, overlay=o, agent_id=0)
+             for o in (overlay, oracle_overlay)]
+    paths = oracle_adapt_probabilities(views[1], ctx.res_index["r"], 20.0, 0, settings, ZeroDraws())
+    assert [p.final_edge for p in paths] == ["u-bare"] * 5
+    adapt_probabilities(views[0], ctx.res_index["r"], 20.0, 0, settings, ZeroDraws())
+    assert len(overlay) == 0
+    for column in ("spot", "activation", "delta", "owner"):
+        assert getattr(overlay, column).tobytes() == getattr(oracle_overlay, column).tobytes(), column
 
 
 def test_adapt_probabilities_zero_when_target_certainly_available():

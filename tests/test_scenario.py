@@ -103,6 +103,9 @@ def test_config_validation(tmp_path):
     ("planner.determinizations", 0),
     ("occupation.synthetic.zones", 5),
     ("graph", 5),
+    ("name", "../escaped"),
+    ("name", "a/b"),
+    ("name", ""),
 ])
 def test_malformed_config_value_names_its_key(tmp_path, path, value):
     graph_path, _ = write_demo_world(tmp_path)
