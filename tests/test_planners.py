@@ -29,7 +29,7 @@ from parksearch.planners import (
 )
 from parksearch.scenario import build_grid_graph_doc
 
-from conftest import make_context, random_graph_doc, triangle_doc
+from conftest import bellman_ford_times, make_context, random_graph_doc, triangle_doc
 from hindsight_oracle import Determinization, sample_determinizations, solve_determinization
 
 M_PER_DEG = math.pi * EARTH_RADIUS_M / 180.0
@@ -542,6 +542,53 @@ def test_adjacent_spots_follow_street_order():
         for nid, edges in graph.out_edges.items():
             assert [e.id for e in edges] == sorted(e.id for e in graph.edges.values() if e.from_node == nid)
         assert ctx.adjacent_res == sorted_adjacent_spots(graph, ctx)
+
+
+def oracle_first_hops(graph, to_node):
+    """Scalar oracle: per node, the id of the out-street of least drive time plus the Bellman-Ford time
+    from its end to ``to_node``, the smallest id among exact ties, or None where no street leads there."""
+    dist = {nid: bellman_ford_times(graph, nid)[to_node] for nid in graph.nodes}
+    best = {}
+    for e in graph.edges.values():
+        cost = e.drive_time_s + dist[e.to_node]
+        if cost < np.inf and (e.from_node not in best or (cost, e.id) < best[e.from_node]):
+            best[e.from_node] = (cost, e.id)
+    return {nid: best[nid][1] if nid in best else None for nid in graph.nodes}
+
+
+@pytest.mark.parametrize("world", ["random", "one_way_grid"])
+def test_first_hop_matches_a_bellman_ford_oracle(world):
+    """Integer weights and uniform grid streets make exactly tied paths common; each must go to the
+    smallest street id, and a node with no way to the target must raise NoPathError."""
+    rng = np.random.default_rng(404)
+    if world == "random":
+        docs = [random_graph_doc(rng, n_nodes=9, edge_prob=0.3, n_resources=0) for _ in range(12)]
+        for doc in docs:
+            for e in doc["edges"]:
+                e["drive_time_s"] = float(rng.integers(1, 5))  # few distinct weights: many tied paths
+    else:
+        docs = [build_grid_graph_doc(5, 6, n_resources=10, seed=s, one_way=True) for s in (1, 2)]
+    checked = ties = no_path = 0
+    for doc in docs:
+        graph, ctx = make_context(doc)
+        for v in graph.nodes:
+            want = oracle_first_hops(graph, v)
+            for u in graph.nodes:
+                if u == v:
+                    with pytest.raises(ValueError):
+                        ctx.first_hop(u, v)
+                elif want[u] is None:
+                    with pytest.raises(NoPathError):
+                        ctx.first_hop(u, v)
+                    no_path += 1
+                else:
+                    assert ctx.first_hop(u, v).id == want[u], (u, v)
+                    out = [e for e in graph.edges.values() if e.from_node == u]
+                    costs = sorted(e.drive_time_s + ctx.drive_time(e.to_node, v) for e in out)
+                    ties += len(costs) > 1 and costs[0] == costs[1]
+                    checked += 1
+    assert checked > 500 and ties > 50
+    assert no_path if world == "random" else not no_path  # the one-way grid is strongly connected
 
 
 def test_actions_are_adjacent_on_random_worlds():
