@@ -28,7 +28,7 @@ from typing import Iterable
 import numpy as np
 
 from .availability import AvailabilityRates, CtmcParams, expected_wait_times_rates, stationary_availability
-from .errors import ConfigError, ParkSearchError, TraceError, check_number
+from .errors import ConfigError, NoPathError, ParkSearchError, TraceError, check_number
 from .fleet import Fleet
 from .geo import GeoPoint, walking_time
 from .graph import RoadGraph, all_pairs_travel_times
@@ -221,7 +221,7 @@ class AgentRuntime:
     spec: AgentSpec
     rng: np.random.Generator
     status: str = "driving"
-    node: str | None = None
+    node: int | None = None  # node index
     unsuccessful_claims: int = 0
     computation_s: float = 0.0
     parked_resource: int | None = None  # spot index
@@ -296,8 +296,10 @@ def run_simulation(
     (read-only). A study that compares planner kinds should therefore pass one
     context and run every kind on a seed before moving to the next seed.
 
-    Inside the run, spots are ``ctx`` resource indices and agents their
-    positions in id order; ids appear only in inputs, records and events.
+    Inside the run, nodes, streets and spots are ``ctx`` indices and agents their
+    positions in id order; ids appear only in inputs, records, events and errors.
+    An agent whose policy finds no way on (``NoPathError``) is ``stranded``: it
+    leaves the run and its record reads like a timed-out one.
     """
     horizon_s = check_number(horizon_s, "horizon_s")
     settings = settings or PlannerSettings()
@@ -370,7 +372,8 @@ def run_simulation(
 
     # An agent has at most one queued event, and only while driving, so (time, rank, agent) orders the
     # queue on its own: an agent event's payload is the node reached, a claim's the spot and decision time.
-    heap = [(spec.start_time, _RANK_AGENT, i, spec.start_node) for i, spec in enumerate(specs)]
+    starts = [ctx.node_index[spec.start_node] for spec in specs]
+    heap = [(spec.start_time, _RANK_AGENT, i, start) for i, (spec, start) in enumerate(zip(specs, starts))]
     heapq.heapify(heap)
     due = int(np.searchsorted(trace.time, horizon_s, side="right"))
     flip_time = trace.time[:due].tolist()
@@ -397,23 +400,34 @@ def run_simulation(
         view.now = now
         if measure_computation:
             t0 = _time.perf_counter()
-        decision = policy.decide(view, rt.node, rt.rng)
-        if shares:
+        try:
+            decision = policy.decide(view, rt.node, rt.rng)
+        except NoPathError:
+            decision = None
+        if shares and decision is not None:
             fleet.publish(view, decision, rt.rng, rt.spec.destination)
         if measure_computation:  # publishing what the fleet shares is planner work too
             rt.computation_s += _time.perf_counter() - t0
 
+        if decision is None:  # no way on from here: the agent leaves the run
+            rt.status = "stranded"
+            fleet.withdraw(key)
+            del planning[key]
+            if collect_events:
+                log.append(SimEvent(now, "agent_stranded", agent=rt.spec.id, node=ctx.node_ids[rt.node]))
+            return
         action = decision.action
         if isinstance(action, TakeRoad):
-            edge = graph.edges[action.edge]
-            if edge.from_node != rt.node:
-                raise ParkSearchError(f"policy chose non-adjacent edge {edge.id!r} at {rt.node!r}")
-            heapq.heappush(heap, (now + edge.drive_time_s, _RANK_AGENT, key, edge.to_node))
+            street = action.edge
+            if ctx.edge_from[street] != rt.node:
+                raise ParkSearchError(f"policy chose non-adjacent edge {ctx.edge_ids[street]!r} "
+                                      f"at {ctx.node_ids[rt.node]!r}")
+            heapq.heappush(heap, (now + ctx.edge_time[street], _RANK_AGENT, key, ctx.edge_to[street]))
         else:
             resource = ctx.resources[action.resource]
-            edge = graph.edges[resource.edge_id]
-            if edge.from_node != rt.node:
-                raise ParkSearchError(f"policy chose non-adjacent resource {resource.id!r} at {rt.node!r}")
+            if ctx.res_from_idx[action.resource] != rt.node:
+                raise ParkSearchError(f"policy chose non-adjacent resource {resource.id!r} "
+                                      f"at {ctx.node_ids[rt.node]!r}")
             heapq.heappush(heap, (now + resource.offset_s, _RANK_CLAIM, key, (action.resource, now)))
 
     while heap:
@@ -425,7 +439,7 @@ def run_simulation(
         if rank == _RANK_AGENT:
             if collect_events:
                 kind = "agent_spawn" if rt.node is None else "agent_at_node"
-                log.append(SimEvent(now, kind, agent=rt.spec.id, node=payload))
+                log.append(SimEvent(now, kind, agent=rt.spec.id, node=ctx.node_ids[payload]))
             rt.node = payload
             decide(key, now)
         else:
@@ -444,19 +458,20 @@ def run_simulation(
                     log.append(SimEvent(now, "agent_claim", agent=rt.spec.id, resource=resource.id, detail="success"))
             else:
                 rt.unsuccessful_claims += 1
-                edge = graph.edges[resource.edge_id]
-                heapq.heappush(heap, (decision_time + edge.drive_time_s, _RANK_AGENT, key, edge.to_node))
+                street = ctx.res_edge[ridx]
+                heapq.heappush(heap, (decision_time + ctx.edge_time[street], _RANK_AGENT, key, ctx.edge_to[street]))
                 if collect_events:
                     log.append(SimEvent(now, "agent_claim", agent=rt.spec.id, resource=resource.id, detail="failed"))
     apply_flips(horizon_s)
 
     records: list[MetricsRecord] = []
     for i, (spec, rt) in enumerate(zip(specs, runtimes)):
-        taxi = ctx.taxi_time(spec.start_node, spec.destination)
+        taxi = ctx.taxi_time(starts[i], spec.destination)
         if rt.status == "parked":
             total = (rt.park_time - spec.start_time) + rt.walk_s
         else:
-            rt.status = "timed_out"
+            if rt.status == "driving":
+                rt.status = "timed_out"
             fleet.withdraw(i)
             total = horizon_s
         records.append(
@@ -493,6 +508,8 @@ def compute_metrics(records: Iterable[MetricsRecord]) -> dict:
             "total_parking_s": float(parking.sum()),
             "total_unsuccessful_claims": int(sum(r.unsuccessful_claims for r in recs)),
             "timed_out": int(sum(1 for r in recs if r.status == "timed_out")),
+            "stranded": int(sum(1 for r in recs if r.status == "stranded")),
+            "negative_parking": int(np.count_nonzero(parking < 0.0)),
             "median_computation_ms": float(np.median(comp_ms)),
             "p90_computation_ms": float(np.percentile(comp_ms, 90)),
         }

@@ -72,24 +72,23 @@ class ReservationTable:
 
 def _edge_jump_weight(
     view: "PlanningView",
-    edge_id: str,
+    street: int,
     t_acc: float,
-    visited: set[str],
-    dest_node: str,
+    visited: set[int],
+    dest_node: int,
     isochrone_s: float,
     visit_decay: float,
 ) -> float:
-    """Biased jump weight: visit decay times distance penalty times the chance of a free spot."""
+    """Biased jump weight of a street: visit decay times distance penalty times the chance of a free spot."""
     ctx = view.ctx
-    spots = ctx.street_spots(edge_id)
+    spots = ctx.street_spots[street]
     if not len(spots):
         return 0.0  # a street without spots offers no chance to park
     occupied_product = 1.0
-    for p in view.availability(t_acc, spots).tolist():  # sequentially, in resources_by_edge order
+    for p in view.availability(t_acc, spots).tolist():  # sequentially, in street_spots order
         occupied_product *= 1.0 - p
-    edge = ctx.graph.edges[edge_id]
-    theta = visit_decay if edge_id in visited else 1.0
-    delta = min(1.0, ctx.drive_time(edge.to_node, dest_node) / isochrone_s)
+    theta = visit_decay if street in visited else 1.0
+    delta = min(1.0, ctx.drive_time(ctx.edge_to[street], dest_node) / isochrone_s)
     return theta * delta * (1.0 - occupied_product)
 
 
@@ -100,7 +99,7 @@ def adapt_probabilities(
     agent: int,
     settings: "PlannerSettings",
     rng: np.random.Generator,
-    dest_node: str | None = None,
+    dest_node: int | None = None,
 ) -> None:
     """Simulate fallback search behavior and subtract its visit mass from predictions.
 
@@ -114,39 +113,37 @@ def adapt_probabilities(
     """
     isochrone_s, visit_decay = settings.adaption_isochrone_s, settings.adaption_visit_decay
     ctx = view.ctx
-    target_res = ctx.resources[target]
-    target_edge = ctx.graph.edges[target_res.edge_id]
-    start_node = target_edge.to_node
+    target_street = int(ctx.res_edge[target])
+    start_node, street_start = ctx.edge_to[target_street], ctx.edge_from[target_street]
     if not ctx.out_edges[start_node]:
-        raise DegenerateTargetError(
-            f"target street {target_edge.id!r} ends in a dead end at {start_node!r}"
-        )
-    iso_nodes = ctx.isochrone(target_edge.from_node, isochrone_s)
-    dest_node = dest_node if dest_node is not None else target_edge.from_node
+        raise DegenerateTargetError(f"target street {ctx.edge_ids[target_street]!r} ends in a dead end "
+                                    f"at {ctx.node_ids[start_node]!r}")
+    iso_nodes = ctx.isochrone(street_start, isochrone_s)
+    dest_node = dest_node if dest_node is not None else street_start
 
     p_initial = 1.0 - float(view.availability(t_arrival, [target])[0])
-    t_start = t_arrival + (target_edge.drive_time_s - target_res.offset_s)  # at the street's end
+    t_start = t_arrival + (ctx.edge_time[target_street] - ctx.resources[target].offset_s)  # at the street's end
     # Nothing a weight reads changes during the walks (the overlay is written
     # after them), so candidates and weights repeat exactly within this call:
     # weights are keyed by node, time and which candidates were visited, and kept
     # with their running total, whose last element is the total weight.
-    cands_of: dict[str, list] = {}
+    cands_of: dict[int, list[int]] = {}
     weights_of: dict[tuple, tuple[list[float], list[float]]] = {}
 
-    def options(node: str, t_acc: float, visited: set[str]):
+    def options(node: int, t_acc: float, visited: set[int]):
         """The candidate streets out of ``node``, their weights and running total; None where a walk
         stops without a draw (no candidates, or no weight)."""
         cands = cands_of.get(node)
         if cands is None:
-            cands = cands_of[node] = [e for e in ctx.out_edges[node] if e.to_node in iso_nodes]
+            cands = cands_of[node] = [s for s in ctx.out_edges[node] if ctx.edge_to[s] in iso_nodes]
         if not cands:
             return None
-        key = (node, t_acc, frozenset(e.id for e in cands if e.id in visited))
+        key = (node, t_acc, frozenset(s for s in cands if s in visited))
         memo = weights_of.get(key)
         if memo is None:
             weights = [
-                _edge_jump_weight(view, e.id, t_acc, visited, dest_node, isochrone_s, visit_decay)
-                for e in cands
+                _edge_jump_weight(view, s, t_acc, visited, dest_node, isochrone_s, visit_decay)
+                for s in cands
             ]
             memo = weights_of[key] = (weights, list(itertools.accumulate(weights)))
         return None if memo[1][-1] <= 0.0 else (cands, *memo)
@@ -166,33 +163,32 @@ def adapt_probabilities(
     # in the same state, so they share the first step's options. A finished walk
     # adds itself, its time and its mass to its final street's sums, in walk
     # order from 0.0, so the means do not depend on how ``sum`` rounds.
-    sums: dict[str, tuple[int, float, float]] = {}
+    sums: dict[int, tuple[int, float, float]] = {}
     first = options(start_node, t_start, set()) if settings.adaption_max_steps else None
     for _ in range(settings.adaption_samples):
         moved = None if first is None else pick(first)
         if moved is None:
-            street, p_path, t_acc = target_edge.id, p_initial, t_arrival
+            street, p_path, t_acc = target_street, p_initial, t_arrival
         else:
-            edge, weight = moved
-            p_path, t_acc = p_initial * weight, t_start + edge.drive_time_s
-            visited = {edge.id}
+            street, weight = moved
+            p_path, t_acc = p_initial * weight, t_start + ctx.edge_time[street]
+            visited = {street}
             for _ in range(settings.adaption_max_steps - 1):
-                step = options(edge.to_node, t_acc, visited)
+                step = options(ctx.edge_to[street], t_acc, visited)
                 moved = None if step is None else pick(step)
                 if moved is None:
                     break
-                edge, weight = moved
+                street, weight = moved
                 p_path *= weight
-                t_acc += edge.drive_time_s
-                visited.add(edge.id)
-            street = edge.id
+                t_acc += ctx.edge_time[street]
+                visited.add(street)
         n, t_sum, p_sum = sums.get(street, (0, 0.0, 0.0))
         sums[street] = (n + 1, t_sum + t_acc, p_sum + p_path)
 
     # each final street's mean mass, split evenly over its spots; a street without spots gets no entries
     spot, activation, delta = [], [], []
     for street, (n, t_sum, p_sum) in sorted(sums.items()):
-        on = ctx.street_spots(street).tolist()
+        on = ctx.street_spots[street].tolist()
         spot += on
         activation += [t_sum / n] * len(on)
         delta += [p_sum / n / max(len(on), 1)] * len(on)

@@ -61,24 +61,14 @@ class Resource:
 
 
 class RoadGraph:
-    """Immutable directed road network with resources attached to edges."""
+    """Immutable directed road network with resources attached to edges; every dict is in id order,
+    which is the order a ``PlannerContext`` numbers nodes, streets and spots by."""
 
     def __init__(self, nodes: Iterable[Node], edges: Iterable[Edge], resources: Iterable[Resource]):
         self.nodes: dict[str, Node] = {n.id: n for n in sorted(nodes, key=lambda n: n.id)}
         self.edges: dict[str, Edge] = {e.id: e for e in sorted(edges, key=lambda e: e.id)}
         self.resources: dict[str, Resource] = {r.id: r for r in sorted(resources, key=lambda r: r.id)}
         self._validate()
-        out: dict[str, list[Edge]] = {nid: [] for nid in self.nodes}
-        for e in self.edges.values():  # in id order
-            out[e.from_node].append(e)
-        self.out_edges: dict[str, tuple[Edge, ...]] = {nid: tuple(edges) for nid, edges in out.items()}
-        by_edge: dict[str, list[str]] = {eid: [] for eid in self.edges}
-        for r in self.resources.values():
-            by_edge[r.edge_id].append(r.id)
-        self.resources_by_edge: dict[str, tuple[str, ...]] = {
-            eid: tuple(sorted(rids, key=lambda rid: (self.resources[rid].offset_s, rid)))
-            for eid, rids in by_edge.items()
-        }
 
     def _validate(self) -> None:
         for e in self.edges.values():

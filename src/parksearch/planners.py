@@ -12,8 +12,9 @@ Four families are implemented:
 
 All policies are deterministic functions of (view, agent state, rng stream).
 Cost bookkeeping is vectorized over resources sorted by id, so ``argmin``
-tie-breaks resolve to the smallest id everywhere. Decisions name spots by
-their ``PlannerContext`` resource index (``ctx.res_ids[i]`` is the id).
+tie-breaks resolve to the smallest id everywhere. Policies see nodes, streets
+and spots as ``PlannerContext`` indices (``ctx.node_ids[i]``, ``ctx.edge_ids[i]``
+and ``ctx.res_ids[i]`` are the ids).
 """
 
 from __future__ import annotations
@@ -26,12 +27,12 @@ from .availability import AdaptionOverlay, AvailabilityRates, CtmcParams, expect
 from .errors import NoPathError, check_number
 from .fleet import ReservationTable
 from .geo import GeoPoint, great_circle_m, great_circle_m_many, walking_time_many
-from .graph import Edge, RoadGraph
+from .graph import RoadGraph
 
 
 @dataclass(frozen=True)
 class TakeRoad:
-    edge: str
+    edge: int  # street index
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,13 @@ SETTING_BOUNDS = {
 
 class PlannerContext:
     """Precomputed arrays shared by every policy evaluation on one graph; ``times`` are the least
-    drive seconds between node pairs in ``graph.nodes`` order, read only by the context's methods."""
+    drive seconds between node pairs in ``graph.nodes`` order, read only by the context's methods.
+
+    Inside a run a node is its index in ``graph.nodes``, a street its index in ``graph.edges`` and a
+    spot its index in ``graph.resources``; each dict is in id order, so index order is id order.
+    Per street the context keeps its ids, ends and drive time, and its spots by offset, then index;
+    per node its out-streets in id order and the spots along them in turn.
+    """
 
     def __init__(self, graph: RoadGraph, times: np.ndarray):
         n = len(graph.nodes)
@@ -95,31 +102,39 @@ class PlannerContext:
         self.M = times
         self.node_ids: tuple[str, ...] = tuple(graph.nodes)
         self.node_index = {nid: i for i, nid in enumerate(self.node_ids)}
-        self.node_lat = np.array([graph.nodes[n].position.lat for n in self.node_ids])
-        self.node_lon = np.array([graph.nodes[n].position.lon for n in self.node_ids])
+        self.node_lat = np.array([v.position.lat for v in graph.nodes.values()])
+        self.node_lon = np.array([v.position.lon for v in graph.nodes.values()])
+
+        self.edge_ids: tuple[str, ...] = tuple(graph.edges)
+        self.edge_from = [self.node_index[e.from_node] for e in graph.edges.values()]
+        self.edge_to = [self.node_index[e.to_node] for e in graph.edges.values()]
+        self.edge_time = [e.drive_time_s for e in graph.edges.values()]
+        self.out_edges: list[list[int]] = [[] for _ in range(n)]
+        for street, node in enumerate(self.edge_from):
+            self.out_edges[node].append(street)
+        ends = np.array([self.edge_from, self.edge_to], dtype=np.intp)
+        self.street_mid_lat = (self.node_lat[ends[0]] + self.node_lat[ends[1]]) / 2.0
+        self.street_mid_lon = (self.node_lon[ends[0]] + self.node_lon[ends[1]]) / 2.0
 
         self.res_ids: tuple[str, ...] = tuple(graph.resources)
         self.res_index = {rid: i for i, rid in enumerate(self.res_ids)}
         res = self.resources = tuple(graph.resources.values())  # the Resource at each index
-        self.res_from_idx = np.array(
-            [self.node_index[graph.edges[r.edge_id].from_node] for r in res], dtype=int
-        )
+        edge_index = {eid: i for i, eid in enumerate(self.edge_ids)}
+        self.res_edge = np.array([edge_index[r.edge_id] for r in res], dtype=np.intp)
+        self.res_from_idx = ends[0][self.res_edge]
         self.res_offset = np.array([r.offset_s for r in res])
         self.res_t_tr = np.array([r.round_trip_s for r in res])
         self.res_lat = np.array([r.position.lat for r in res])
         self.res_lon = np.array([r.position.lon for r in res])
+        # lexsort is stable, so spots at one offset on a street stay in index order
+        order = np.lexsort((self.res_offset, self.res_edge))
+        cut = np.searchsorted(self.res_edge[order], np.arange(len(self.edge_ids) + 1))
+        self.street_spots = [order[a:b] for a, b in zip(cut[:-1].tolist(), cut[1:].tolist())]
+        self.adjacent_res = [[r for s in out for r in self.street_spots[s].tolist()] for out in self.out_edges]
 
-        self.out_edges = graph.out_edges
-        # the spots of each out-street in turn, each street's in resources_by_edge order
-        self.adjacent_res: dict[str, tuple[int, ...]] = {
-            nid: tuple(self.res_index[rid] for e in edges for rid in graph.resources_by_edge[e.id])
-            for nid, edges in graph.out_edges.items()
-        }
-        self._street_spots: dict[str, np.ndarray] = {}
         self._walk_cache: dict[tuple[float, float], np.ndarray] = {}
         self._node_walk_cache: dict[tuple[float, float], np.ndarray] = {}
-        self._isochrone_cache: dict[tuple[str, float], frozenset[str]] = {}
-        self._street_mid: tuple[tuple[str, ...], np.ndarray, np.ndarray] | None = None
+        self._isochrone_cache: dict[tuple[int, float], frozenset[int]] = {}
         # the engine's last synthesized trace on this graph and its key (see run_simulation)
         self.synthesized: tuple[tuple, object] | None = None
 
@@ -139,84 +154,57 @@ class PlannerContext:
             self._node_walk_cache[key] = walking_time_many(self.node_lat, self.node_lon, destination)
         return self._node_walk_cache[key]
 
-    def street_midpoints(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-        """Edge ids in graph order with the latitude and longitude of each street's midpoint.
-
-        Built on first use, so contexts whose agents never need them pay nothing.
-        """
-        if self._street_mid is None:
-            nodes = self.graph.nodes
-            ends = [(nodes[e.from_node].position, nodes[e.to_node].position) for e in self.graph.edges.values()]
-            self._street_mid = (
-                tuple(self.graph.edges),
-                np.array([(a.lat + b.lat) / 2.0 for a, b in ends]),
-                np.array([(a.lon + b.lon) / 2.0 for a, b in ends]),
-            )
-        return self._street_mid
-
-    def street_spots(self, edge_id: str) -> np.ndarray:
-        """Resource indices on a street in ``resources_by_edge`` order, built on first use."""
-        spots = self._street_spots.get(edge_id)
-        if spots is None:
-            rids = self.graph.resources_by_edge[edge_id]
-            spots = self._street_spots[edge_id] = np.array([self.res_index[r] for r in rids], dtype=int)
-        return spots
-
-    def dest_node(self, destination: GeoPoint) -> str:
+    def dest_node(self, destination: GeoPoint) -> int:
         """Node whose position is walk-closest to the destination."""
-        return self.node_ids[int(np.argmin(self.node_walk_vector(destination)))]
+        return int(np.argmin(self.node_walk_vector(destination)))
 
-    def drive_time(self, from_node: str, to_node: str) -> float:
+    def drive_time(self, from_node: int, to_node: int) -> float:
         """Least drive seconds between two nodes; ``inf`` when unreachable."""
-        return float(self.M[self.node_index[from_node], self.node_index[to_node]])
+        return float(self.M[from_node, to_node])
 
-    def isochrone(self, around: str, limit_s: float) -> frozenset[str]:
+    def isochrone(self, around: int, limit_s: float) -> frozenset[int]:
         """Nodes from which ``around`` can be reached within ``limit_s`` of driving, built on first use."""
         key = (around, limit_s)
         if key not in self._isochrone_cache:
-            col = self.M[:, self.node_index[around]]
-            self._isochrone_cache[key] = frozenset(self.node_ids[i] for i in np.flatnonzero(col <= limit_s))
+            self._isochrone_cache[key] = frozenset(np.flatnonzero(self.M[:, around] <= limit_s).tolist())
         return self._isochrone_cache[key]
 
-    def taxi_time(self, start: str, destination: GeoPoint) -> float:
+    def taxi_time(self, start: int, destination: GeoPoint) -> float:
         """Trip time with a drop-off as close to the destination as any node allows."""
-        return float(np.min(self.M[self.node_index[start]] + self.node_walk_vector(destination)))
+        return float(np.min(self.M[start] + self.node_walk_vector(destination)))
 
-    def drive_to_resources(self, nodes: str | list[str]) -> np.ndarray:
+    def drive_to_resources(self, nodes: int | list[int]) -> np.ndarray:
         """Drive seconds to every resource (via its edge start, then the offset) from a node,
         or one row per node of a list."""
-        if isinstance(nodes, str):
-            return self.M[self.node_index[nodes], self.res_from_idx] + self.res_offset
-        # take keeps the gathered rows C-ordered; M[rows][:, cols] would lay them out column-major,
+        # take keeps a list's gathered rows C-ordered; M[rows][:, cols] would lay them out column-major,
         # and every reduction along resources would then stride across memory.
-        rows = self.M.take([self.node_index[n] for n in nodes], axis=0).take(self.res_from_idx, axis=1)
+        rows = self.M[nodes].take(self.res_from_idx, axis=-1)
         rows += self.res_offset
         return rows
 
-    def first_hop(self, from_node: str, to_node: str) -> Edge:
-        """Edge starting a least-time path; ties resolve to the smallest edge id."""
+    def first_hop(self, from_node: int, to_node: int) -> int:
+        """Street starting a least-time path; ties resolve to the smallest street index, which is id order."""
         if from_node == to_node:
             raise ValueError("already at the target node")
-        best: Edge | None = None
-        best_cost = np.inf
-        for e in self.out_edges[from_node]:
-            c = e.drive_time_s + self.drive_time(e.to_node, to_node)
+        best, best_cost = -1, np.inf
+        for street in self.out_edges[from_node]:
+            c = self.edge_time[street] + self.M[self.edge_to[street], to_node]
             if c < best_cost:
-                best, best_cost = e, c
-        if best is None or not np.isfinite(best_cost):
-            raise NoPathError(f"no path from {from_node!r} to {to_node!r}")
+                best, best_cost = street, c
+        if not best_cost < np.inf:
+            raise NoPathError(f"no path from {self.node_ids[from_node]!r} to {self.node_ids[to_node]!r}")
         return best
 
-    def arrival(self, now: float, node: str, ridx: int) -> float:
+    def arrival(self, now: float, node: int, ridx: int) -> float:
         """Arrival at resource ``ridx`` leaving ``node`` at ``now``: ``now + drive_to_resources(node)[ridx]``
         bit for bit. Every planner's arrival at a spot is this one sum, so reservations compare
         predictions made alike."""
-        return float(now + (self.M[self.node_index[node], self.res_from_idx[ridx]] + self.res_offset[ridx]))
+        return float(now + (self.M[node, self.res_from_idx[ridx]] + self.res_offset[ridx]))
 
-    def toward(self, now: float, node: str, ridx: int, recomputed: bool = True) -> RouteDecision:
+    def toward(self, now: float, node: int, ridx: int, recomputed: bool = True) -> RouteDecision:
         """Claim resource ``ridx`` if its street starts at ``node``, else take the first hop toward it."""
-        start = self.node_ids[self.res_from_idx[ridx]]
-        action = TakeResource(ridx) if start == node else TakeRoad(self.first_hop(node, start).id)
+        start = int(self.res_from_idx[ridx])
+        action = TakeResource(ridx) if start == node else TakeRoad(self.first_hop(node, start))
         return RouteDecision(action, ridx, self.arrival(now, node, ridx), recomputed)
 
 
@@ -281,7 +269,7 @@ class PlanningView:
         return self.reservations.blocked(self.agent_id, arrivals)
 
 
-def replan_route(view: PlanningView, from_node: str, destination: GeoPoint) -> RouteDecision:
+def replan_route(view: PlanningView, from_node: int, destination: GeoPoint) -> RouteDecision:
     """Least-cost plan in the most likely future; occupied targets pay the expected circling wait."""
     ctx = view.ctx
     drive = ctx.drive_to_resources(from_node)
@@ -289,7 +277,7 @@ def replan_route(view: PlanningView, from_node: str, destination: GeoPoint) -> R
     costs = drive + ctx.walk_vector(destination) + view.claim_wait(treated)
     best = int(np.argmin(costs)) if costs.size else 0
     if not costs.size or not np.isfinite(costs[best]):
-        raise NoPathError(f"no resource reachable from {from_node!r}")
+        raise NoPathError(f"no resource reachable from {ctx.node_ids[from_node]!r}")
     return ctx.toward(view.now, from_node, best)
 
 
@@ -402,7 +390,7 @@ class ReplanningPolicy:
         self.destination = destination
         self._target: int | None = None
 
-    def decide(self, view: PlanningView, node: str, rng: np.random.Generator) -> RouteDecision:
+    def decide(self, view: PlanningView, node: int, rng: np.random.Generator) -> RouteDecision:
         i = self._target
         if i is not None and view.avail[i]:
             kept = view.ctx.toward(view.now, node, i, recomputed=False)
@@ -432,16 +420,16 @@ class HindsightPolicy:
         settings = settings or PlannerSettings()
         self.n = settings.determinizations
         self.scope_horizon_s = settings.scope_horizon_s
-        self.plans: dict[str, tuple[np.ndarray, HindsightPlan | None]] | None = None
+        self.plans: dict[int, tuple[np.ndarray, HindsightPlan | None]] | None = None
         self._uniforms: np.ndarray | None = None
         self._floor: np.ndarray | None = None  # each resource's least uniform over the futures
 
-    def _plan(self, view: PlanningView, node: str) -> tuple[np.ndarray, HindsightPlan | None]:
+    def _plan(self, view: PlanningView, node: int) -> tuple[np.ndarray, HindsightPlan | None]:
         """Drive times from ``node`` to every resource, and the plan of its out-edges (None without any)."""
         entry = None if self.plans is None else self.plans.get(node)
         if entry is None:
             ctx, edges = view.ctx, view.ctx.out_edges[node]
-            drive = ctx.drive_to_resources([node] + [e.to_node for e in edges])  # here, then each edge's end
+            drive = ctx.drive_to_resources([node] + [ctx.edge_to[s] for s in edges])  # here, then each edge's end
             base = drive[1:] + ctx.walk_vector(self.destination)
             if self.scope_horizon_s is not None:
                 base[:, drive[0] > self.scope_horizon_s] = np.inf
@@ -450,7 +438,7 @@ class HindsightPolicy:
                 self.plans[node] = entry
         return entry
 
-    def decide(self, view: PlanningView, node: str, rng: np.random.Generator) -> RouteDecision:
+    def decide(self, view: PlanningView, node: int, rng: np.random.Generator) -> RouteDecision:
         ctx = view.ctx
         walk = ctx.walk_vector(self.destination)
         here, plan = self._plan(view, node)
@@ -473,19 +461,20 @@ class HindsightPolicy:
             # mins is C-ordered, so each row is summed exactly as the 1-D mean of that row would be,
             # and divided by its count as mean divides.
             means = mins.sum(axis=1) / self.n
-            for row, edge in enumerate(edges):
-                candidates.append((float(edge.drive_time_s + means[row]), 1, row))
+            for row, street in enumerate(edges):
+                candidates.append((float(ctx.edge_time[street] + means[row]), 1, row))
         if not candidates:
-            raise NoPathError(f"no actions available at {node!r}")
+            raise NoPathError(f"no actions available at {ctx.node_ids[node]!r}")
         value, rank, k = min(candidates)
         if not np.isfinite(value):
-            raise NoPathError(f"no resource reachable from {node!r}")
+            raise NoPathError(f"no resource reachable from {ctx.node_ids[node]!r}")
         if rank == 0:
             return ctx.toward(view.now, node, k)
         # Commit to the resource chosen most often across the sampled futures.
         modal = modal_choice(picks[k], ctx.n_resources)
-        edge = edges[k]
-        return RouteDecision(TakeRoad(edge.id), modal, ctx.arrival(view.now + edge.drive_time_s, edge.to_node, modal))
+        street = edges[k]
+        return RouteDecision(TakeRoad(street), modal,
+                             ctx.arrival(view.now + ctx.edge_time[street], ctx.edge_to[street], modal))
 
 
 class RandomPolicy:
@@ -495,34 +484,32 @@ class RandomPolicy:
         self.ctx = ctx
         self.destination = destination
         self._searching = False
-        edge_ids, mid_lat, mid_lon = ctx.street_midpoints()
+        mid_lat, mid_lon = ctx.street_mid_lat, ctx.street_mid_lon
         dist = great_circle_m_many(mid_lat, mid_lon, destination)
         # The vectorized and scalar formulas may differ in the last ulps, so the
         # streets near the minimum are ranked again with the scalar one: exact
         # ties (both directions of a two-way street) go to the first in graph order.
-        best_eid, best_walk = None, np.inf
-        for i in np.flatnonzero(dist <= dist.min() + 1e-6):
-            w = great_circle_m(GeoPoint(float(mid_lat[i]), float(mid_lon[i])), destination)
-            if w < best_walk:
-                best_eid, best_walk = edge_ids[i], w
-        self.dest_edge = ctx.graph.edges[best_eid]
+        near = np.flatnonzero(dist <= dist.min() + 1e-6).tolist()
+        walks = [great_circle_m(GeoPoint(float(mid_lat[i]), float(mid_lon[i])), destination) for i in near]
+        self.dest_edge = near[walks.index(min(walks))]  # a street index
 
-    def decide(self, view: PlanningView, node: str, rng: np.random.Generator) -> RouteDecision:
+    def decide(self, view: PlanningView, node: int, rng: np.random.Generator) -> RouteDecision:
         ctx = view.ctx
-        if not self._searching and node == self.dest_edge.from_node:
+        start = ctx.edge_from[self.dest_edge]
+        if not self._searching and node == start:
             self._searching = True
         if not self._searching:
-            return RouteDecision(TakeRoad(ctx.first_hop(node, self.dest_edge.from_node).id))
+            return RouteDecision(TakeRoad(ctx.first_hop(node, start)))
         edges = ctx.out_edges[node]
         if not edges:
-            raise NoPathError(f"dead end at {node!r}")
+            raise NoPathError(f"dead end at {ctx.node_ids[node]!r}")
         # The driver cruises one random street at a time and takes the first
         # free spot on the street it chose, not spots seen on cross streets.
-        edge = edges[int(rng.integers(len(edges)))]
-        for ridx in ctx.street_spots(edge.id).tolist():
+        street = edges[int(rng.integers(len(edges)))]
+        for ridx in ctx.street_spots[street].tolist():
             if view.avail[ridx]:
                 return ctx.toward(view.now, node, ridx)
-        return RouteDecision(TakeRoad(edge.id))
+        return RouteDecision(TakeRoad(street))
 
 
 class HeuristicPolicy:
@@ -543,19 +530,19 @@ class HeuristicPolicy:
         self.relax_s_per_min = settings.heuristic_relax_s_per_min
         self.dest_node = ctx.dest_node(destination)
         self._search_started: float | None = None
-        self._far: dict[str, bool] = {}  # per node: outside the search radius
-        self._circling_pool: list[Edge] | None = None  # streets to circle on from dest_node
+        self._far: dict[int, bool] = {}  # per node: outside the search radius
+        self._circling_pool: list[int] | None = None  # streets to circle on from dest_node
 
     def accept_threshold(self, search_time_s: float) -> float:
         return self.accept_walk_s + self.relax_s_per_min * (search_time_s / 60.0)
 
-    def decide(self, view: PlanningView, node: str, rng: np.random.Generator) -> RouteDecision:
+    def decide(self, view: PlanningView, node: int, rng: np.random.Generator) -> RouteDecision:
         ctx = view.ctx
         if node not in self._far:
-            here = ctx.graph.nodes[node].position
+            here = GeoPoint(float(ctx.node_lat[node]), float(ctx.node_lon[node]))
             self._far[node] = great_circle_m(here, self.destination) > self.far_radius_m
         if self._far[node] and node != self.dest_node:
-            return RouteDecision(TakeRoad(ctx.first_hop(node, self.dest_node).id))
+            return RouteDecision(TakeRoad(ctx.first_hop(node, self.dest_node)))
         if self._search_started is None:
             self._search_started = view.now
         threshold = self.accept_threshold(view.now - self._search_started)
@@ -567,22 +554,19 @@ class HeuristicPolicy:
         if best_ridx is not None:
             return ctx.toward(view.now, node, best_ridx)
         if node != self.dest_node:
-            return RouteDecision(TakeRoad(ctx.first_hop(node, self.dest_node).id))
+            return RouteDecision(TakeRoad(ctx.first_hop(node, self.dest_node)))
         if self._circling_pool is None:
             self._circling_pool = self._circling_streets(ctx)
         pool = self._circling_pool
-        return RouteDecision(TakeRoad(pool[int(rng.integers(len(pool)))].id))
+        return RouteDecision(TakeRoad(pool[int(rng.integers(len(pool)))]))
 
-    def _circling_streets(self, ctx: PlannerContext) -> list[Edge]:
+    def _circling_streets(self, ctx: PlannerContext) -> list[int]:
         """Streets out of dest_node ending inside the search radius, else the one ending closest."""
         edges = ctx.out_edges[self.dest_node]
         if not edges:
-            raise NoPathError(f"dead end at {self.dest_node!r}")
-        dist = great_circle_m_many(
-            np.array([ctx.graph.nodes[e.to_node].position.lat for e in edges]),
-            np.array([ctx.graph.nodes[e.to_node].position.lon for e in edges]),
-            self.destination,
-        )
+            raise NoPathError(f"dead end at {ctx.node_ids[self.dest_node]!r}")
+        ends = [ctx.edge_to[s] for s in edges]
+        dist = great_circle_m_many(ctx.node_lat[ends], ctx.node_lon[ends], self.destination)
         inside = [e for e, d in zip(edges, dist) if d <= self.far_radius_m]
         return inside if inside else [edges[int(np.argmin(dist))]]
 

@@ -23,7 +23,7 @@ class Determinization:
 
 
 def sample_determinizations(
-    view: PlanningView, from_node: str, n: int, rng: np.random.Generator
+    view: PlanningView, from_node: int, n: int, rng: np.random.Generator
 ) -> list[Determinization]:
     """Draw ``n`` futures of all resource states at the agent's arrival times."""
     if n < 1:
@@ -34,7 +34,7 @@ def sample_determinizations(
 
 
 def solve_determinization(
-    view: PlanningView, from_node: str, det: Determinization, destination: GeoPoint
+    view: PlanningView, from_node: int, det: Determinization, destination: GeoPoint
 ) -> tuple[str, float]:
     """Cheapest resource in one determinized future; ties go to the smallest id."""
     ctx = view.ctx
@@ -43,5 +43,5 @@ def solve_determinization(
     mins, picks = HindsightPlan(view.t_claim, base).solve(np.zeros((ctx.n_resources, 1)), det.available)
     cost = float(mins[0, 0])
     if not np.isfinite(cost):
-        raise NoPathError(f"no resource reachable from {from_node!r}")
+        raise NoPathError(f"no resource reachable from {ctx.node_ids[from_node]!r}")
     return ctx.res_ids[int(picks[0, 0])], cost

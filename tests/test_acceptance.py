@@ -128,7 +128,7 @@ def test_criterion_03_oracle_equivalences():
         for source in list(graph.nodes)[:: max(1, n_nodes // 8)]:
             oracle = bellman_ford_times(graph, source)
             for target in graph.nodes:
-                if matrix.drive_time(source, target) != oracle[target]:
+                if matrix.drive_time(matrix.node_index[source], matrix.node_index[target]) != oracle[target]:
                     apsp_exact = False
 
     solve_exact = True
@@ -146,14 +146,15 @@ def test_criterion_03_oracle_equivalences():
         best_id, best_cost = None, np.inf
         for i, rid in enumerate(ctx.res_ids):
             r = graph.resources[rid]
-            cost = (ctx.drive_time(start, graph.edges[r.edge_id].from_node) + r.offset_s
+            street_start = ctx.node_index[graph.edges[r.edge_id].from_node]
+            cost = (ctx.drive_time(ctx.node_index[start], street_start) + r.offset_s
                     + walking_time(r.position, dest))
             if not avail[i]:
                 cost += float(view.t_claim[i])
             if cost < best_cost:
                 best_id, best_cost = rid, cost
         try:
-            rid, cost = solve_determinization(view, start, Determinization(available=avail), dest)
+            rid, cost = solve_determinization(view, ctx.node_index[start], Determinization(available=avail), dest)
         except NoPathError:
             if np.isfinite(best_cost):
                 solve_exact = False
@@ -295,8 +296,9 @@ def test_criterion_04_hindsight_lower_bound():
     u_star = U[("u", (0, 0, 0))]
 
     view = PlanningView(ctx, 0.0, np.zeros(3, dtype=bool), params)
-    dets = sample_determinizations(view, "u", 4000, np.random.default_rng(404))
-    costs = np.array([solve_determinization(view, "u", d, dest)[1] for d in dets])
+    u = ctx.node_index["u"]
+    dets = sample_determinizations(view, u, 4000, np.random.default_rng(404))
+    costs = np.array([solve_determinization(view, u, d, dest)[1] for d in dets])
     u_hs = float(costs.mean())
     se = float(costs.std(ddof=1) / math.sqrt(len(costs)))
 

@@ -454,7 +454,7 @@ def test_overlay_subtraction_matches_scalar_oracle():
                 overlay.add(spot, activation, delta, owner)
                 entries.append((spot, activation, delta, owner))
             else:
-                spots = ctx.street_spots(streets[int(rng.integers(len(streets)))])
+                spots = ctx.street_spots[ctx.edge_ids.index(streets[int(rng.integers(len(streets)))])]
                 overlay.add(spots, activation, delta, owner)
                 entries += [(spot, activation, delta, owner) for spot in spots.tolist()]
                 seen["street add"] += 1

@@ -2,6 +2,7 @@ import hashlib
 import math
 import re
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from parksearch.engine import (
 from parksearch.errors import ConfigError, NoPathError, TraceError
 from parksearch.geo import EARTH_RADIUS_M, GeoPoint, walking_time
 from parksearch.graph import all_pairs_travel_times, load_graph
-from parksearch.planners import PLANNER_KINDS, PLANNERS, PlannerContext, PlannerSettings
+from parksearch.planners import PLANNER_KINDS, PLANNERS, PlannerContext, PlannerSettings, PlanningView, make_policy
 from parksearch.scenario import build_grid_graph_doc
 
 from conftest import trace_from_rows, trace_rows
@@ -182,7 +183,7 @@ def test_single_agent_parks_with_exact_times():
     walk = walking_time(graph.resources["r1"].position, dest)
     assert rec.total_trip_s == pytest.approx(12.0 + walk)  # offset drive plus walk
     ctx = PlannerContext(graph, all_pairs_travel_times(graph))
-    assert rec.taxi_s == pytest.approx(ctx.taxi_time(spec.start_node, spec.destination))
+    assert rec.taxi_s == pytest.approx(ctx.taxi_time(ctx.node_index[spec.start_node], spec.destination))
     assert rec.parking_s == pytest.approx(rec.total_trip_s - rec.taxi_s)
 
 
@@ -243,17 +244,57 @@ def test_timeout_inclusion_rule():
 
 @pytest.mark.parametrize("kind", PLANNER_KINDS)
 def test_graph_without_spots(kind):
-    """Planning kinds report that no spot is reachable; the baselines search until the horizon."""
+    """Planning kinds find no spot reachable and are stranded; the baselines search until the horizon."""
     graph = load_graph(build_grid_graph_doc(4, 4, n_resources=0))
-    agents = [AgentSpec("a0", "n0000", GeoPoint(0.001, 0.001), 0.0, kind)]
-    if kind in ("random", "heuristic"):
-        records = run_simulation(graph, agents, OccupationTrace(), params=FROZEN, horizon_s=600.0,
-                                 measure_computation=False)
-        assert records[0].status == "timed_out"
-    else:
+    dest = GeoPoint(0.001, 0.001)
+    agents = [AgentSpec("a0", "n0000", dest, 0.0, kind)]
+    (record,) = run_simulation(graph, agents, OccupationTrace(), params=FROZEN, horizon_s=600.0,
+                               measure_computation=False)
+    baseline = kind in ("random", "heuristic")
+    assert record.status == ("timed_out" if baseline else "stranded")
+    assert record.total_trip_s == 600.0 and record.parked_resource is None
+    if not baseline:
+        ctx = PlannerContext(graph, all_pairs_travel_times(graph))
+        view = PlanningView(ctx, 0.0, np.ones(0, dtype=bool), FROZEN)
         with pytest.raises(NoPathError, match="no resource reachable from 'n0000'"):
-            run_simulation(graph, agents, OccupationTrace(), params=FROZEN, horizon_s=600.0,
-                           measure_computation=False)
+            make_policy(kind, ctx, dest).decide(view, ctx.node_index["n0000"], np.random.default_rng(0))
+
+
+def sink_world():
+    """A 4x4 grid with spots and one extra node, 'sink', that a street from n0303 enters and none leaves."""
+    doc = build_grid_graph_doc(4, 4, n_resources=12, seed=5)
+    doc["nodes"].append({"id": "sink", "lat": 0.00405, "lon": 0.0054})  # 150 m east of n0303
+    doc["edges"].append({"id": "e-sink", "from": "n0303", "to": "sink", "length_m": 150.0, "drive_time_s": 30.0})
+    return load_graph(doc)
+
+
+@pytest.mark.parametrize("kind", PLANNER_KINDS)
+def test_agent_starting_at_a_sink_is_stranded_and_the_run_goes_on(kind):
+    graph = sink_world()
+    dest = GeoPoint(0.0015, 0.0015)
+    agents = [AgentSpec("a0", "sink", dest, 0.0, kind), AgentSpec("a1", "n0000", dest, 0.0, kind)]
+    records = run_simulation(graph, agents, CtmcParams.from_mean_times(200.0, 600.0), seed=4, horizon_s=900.0,
+                             settings=PlannerSettings(determinizations=10), measure_computation=False)
+    stuck, other = records
+    assert stuck.status == "stranded" and stuck.total_trip_s == 900.0 and stuck.unsuccessful_claims == 0
+    assert math.isfinite(stuck.taxi_s) and math.isfinite(stuck.parking_s)
+    assert stuck.parking_s == 900.0 - stuck.taxi_s
+    assert other.status == "parked"
+    assert compute_metrics(records)[kind]["stranded"] == 1
+
+
+def test_random_agents_that_reach_a_sink_strand_without_aborting_the_run():
+    graph = sink_world()
+    dest = GeoPoint(0.0015, 0.0030)
+    starts = ("n0000", "n0102", "n0201", "n0303")
+    statuses = Counter()
+    for seed in range(30):
+        agents = [AgentSpec(f"a{i}", start, dest, 0.0, "random") for i, start in enumerate(starts)]
+        records = run_simulation(graph, agents, CtmcParams.from_mean_times(120.0, 2091.0), seed=seed,
+                                 horizon_s=3600.0, measure_computation=False)
+        assert len(records) == 4 and all(math.isfinite(r.parking_s) for r in records)
+        statuses.update(r.status for r in records)
+    assert statuses["stranded"] and statuses["parked"], statuses
 
 
 def test_synthesize_occupations_properties(default_params):
@@ -435,17 +476,18 @@ def test_taxi_time_examples():
     ctx = PlannerContext(graph, all_pairs_travel_times(graph))
     # destination exactly at node n1: pure drive time
     spec = AgentSpec("a", "n0", GeoPoint(0.0, 0.001), 0.0, "rpl")
-    assert ctx.taxi_time(spec.start_node, spec.destination) == pytest.approx(30.0)
+    assert ctx.taxi_time(ctx.node_index[spec.start_node], spec.destination) == pytest.approx(30.0)
     # destination at the start node: zero
     spec0 = AgentSpec("a", "n0", GeoPoint(0.0, 0.0), 0.0, "rpl")
-    assert ctx.taxi_time(spec0.start_node, spec0.destination) == 0.0
+    assert ctx.taxi_time(ctx.node_index[spec0.start_node], spec0.destination) == 0.0
     # brute force over candidate drop-off nodes
     dest = GeoPoint(0.0005, 0.0013)
     spec2 = AgentSpec("a", "n0", dest, 0.0, "rpl")
     brute = min(
-        ctx.drive_time("n0", v) + walking_time(graph.nodes[v].position, dest) for v in graph.nodes
+        ctx.drive_time(ctx.node_index["n0"], ctx.node_index[v]) + walking_time(graph.nodes[v].position, dest)
+        for v in graph.nodes
     )
-    assert ctx.taxi_time(spec2.start_node, spec2.destination) == brute
+    assert ctx.taxi_time(ctx.node_index[spec2.start_node], spec2.destination) == brute
 
 
 def test_compute_metrics_arithmetic():
@@ -454,13 +496,19 @@ def test_compute_metrics_arithmetic():
         MetricsRecord("a1", "rpl", 7200.0, 300.0, 6900.0, 4, 0.020, None, "timed_out"),
         MetricsRecord("a2", "hs", 500.0, 200.0, 300.0, 0, 0.500, "r2", "parked"),
         MetricsRecord("a3", "hs", 300.0, 200.0, 100.0, 0, 0.700, "r3", "parked"),
+        MetricsRecord("a4", "rpl", 7200.0, 250.0, 6950.0, 0, 0.001, None, "stranded"),
+        MetricsRecord("a5", "hs", 190.0, 200.0, -10.0, 0, 0.600, "r4", "parked"),  # a spot nearer than any node
     ]
     stats = compute_metrics(records)
-    assert stats["rpl"]["mean_parking_s"] == pytest.approx((120.0 + 6900.0) / 2)
+    assert stats["rpl"]["mean_parking_s"] == pytest.approx((120.0 + 6900.0 + 6950.0) / 3)
     assert stats["rpl"]["total_unsuccessful_claims"] == 5
     assert stats["rpl"]["timed_out"] == 1
-    assert stats["hs"]["mean_parking_s"] == pytest.approx(200.0)
+    assert stats["rpl"]["stranded"] == 1
+    assert stats["rpl"]["negative_parking"] == 0
+    assert stats["hs"]["mean_parking_s"] == pytest.approx((300.0 + 100.0 - 10.0) / 3)
     assert stats["hs"]["median_computation_ms"] == pytest.approx(600.0)
+    assert stats["hs"]["timed_out"] == stats["hs"]["stranded"] == 0
+    assert stats["hs"]["negative_parking"] == 1
 
 
 def test_results_roundtrip(tmp_path):
@@ -631,7 +679,8 @@ def test_static_world_replanning_reduces_to_best_candidate():
 
     best_rid, best_cost = None, np.inf
     for rid, r in graph.resources.items():
-        cost = (ctx.drive_time("n0000", graph.edges[r.edge_id].from_node) + r.offset_s
+        street_start = ctx.node_index[graph.edges[r.edge_id].from_node]
+        cost = (ctx.drive_time(ctx.node_index["n0000"], street_start) + r.offset_s
                 + walking_time(r.position, dest))
         if cost < best_cost:
             best_rid, best_cost = rid, cost
@@ -807,7 +856,7 @@ def test_only_destinations_shared_by_hindsight_agents_get_a_plan_table(monkeypat
         hs, hs_a, hs_r, rpl, lone, other, rpl_r = made
         # mixed hindsight kinds bound for one destination share one table, filled by node
         assert hs.plans is hs_a.plans is hs_r.plans and hs.plans
-        assert set(hs.plans) <= set(graph.nodes)
+        assert set(hs.plans) <= set(range(len(graph.nodes)))
         # a destination with one hindsight agent gets none, whatever other kinds head there
         assert lone.plans is None and other.plans is None
         assert not hasattr(rpl, "plans") and not hasattr(rpl_r, "plans")

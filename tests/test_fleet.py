@@ -183,28 +183,30 @@ def test_edge_jump_weight_formula():
     dt = math.log(1.0 / 0.6) / 0.02
     view = PlanningView(ctx, 0.0, np.array([True, False, True]), params)
 
+    e12, n0, n2 = ctx.edge_ids.index("e12"), ctx.node_index["n0"], ctx.node_index["n2"]
     # edge e12 ends at n2; drive n2 -> n0 is 300 s; with a 600 s isochrone delta = 0.5
-    w = _edge_jump_weight(view, "e12", t_acc=dt, visited=set(),
-                          dest_node="n0", isochrone_s=600.0, visit_decay=0.95)
+    w = _edge_jump_weight(view, e12, t_acc=dt, visited=set(),
+                          dest_node=n0, isochrone_s=600.0, visit_decay=0.95)
     assert w == pytest.approx(0.5 * 0.2, abs=1e-9)
 
     # visited edges decay by 0.95; a certainly-available resource gives the full gamma
-    w_visited = _edge_jump_weight(view, "e12", dt, {"e12"}, "n0", 600.0, 0.95)
+    w_visited = _edge_jump_weight(view, e12, dt, {e12}, n0, 600.0, 0.95)
     assert w_visited == pytest.approx(0.95 * 0.5 * 0.2, abs=1e-9)
 
     view_sure = PlanningView(ctx, 0.0, np.array([True, True, True]), FROZEN)
-    w_sure = _edge_jump_weight(view_sure, "e12", 100.0, set(), "n0", 600.0, 0.95)
-    delta = min(1.0, ctx.drive_time("n2", "n0") / 600.0)
+    w_sure = _edge_jump_weight(view_sure, e12, 100.0, set(), n0, 600.0, 0.95)
+    delta = min(1.0, ctx.drive_time(n2, n0) / 600.0)
     assert w_sure == pytest.approx(delta * 1.0, rel=1e-6)
 
 
 def test_create_adaptions_hand_arithmetic():
     graph, ctx = linear_walk_world()
     overlay = AdaptionOverlay()
+    e01, e12 = ctx.edge_ids.index("e01"), ctx.edge_ids.index("e12")
     paths = [
-        WalkPath(("e12",), 0.2, 500.0, "e12"),
-        WalkPath(("e12",), 0.4, 700.0, "e12"),
-        WalkPath(("e01", "e12"), 0.6, 900.0, "e12"),
+        WalkPath((e12,), 0.2, 500.0, e12),
+        WalkPath((e12,), 0.4, 700.0, e12),
+        WalkPath((e01, e12), 0.6, 900.0, e12),
     ]
     create_adaptions(paths, 0, ctx, overlay)
     # e12 holds one resource (rx): delta = mean(0.2, 0.4, 0.6) / 1
@@ -229,8 +231,9 @@ def test_create_adaptions_two_street_groups_split_mass():
     }
     graph, ctx = make_context(doc)
     overlay = AdaptionOverlay()
+    e1, e2 = ctx.edge_ids.index("e1"), ctx.edge_ids.index("e2")
     create_adaptions(
-        [WalkPath(("e1",), 0.3, 100.0, "e1"), WalkPath(("e2",), 0.5, 200.0, "e2")],
+        [WalkPath((e1,), 0.3, 100.0, e1), WalkPath((e2,), 0.5, 200.0, e2)],
         0, ctx, overlay,
     )
     by_resource = {ctx.res_ids[s]: k for k, s in enumerate(overlay.spot.tolist())}
@@ -241,7 +244,7 @@ def test_create_adaptions_two_street_groups_split_mass():
     assert overlay.activation[by_resource["z"]] == 200.0
 
     zero = AdaptionOverlay()
-    create_adaptions([WalkPath((), 0.0, 50.0, "e1")], 0, ctx, zero)
+    create_adaptions([WalkPath((), 0.0, 50.0, e1)], 0, ctx, zero)
     # a group with zero expected mass creates zero-valued deltas
     assert zero and all(d == 0.0 for d in zero.delta)
 
@@ -268,7 +271,7 @@ def test_adapt_probabilities_without_steps_spreads_the_stay_over_the_target_stre
     settings = PlannerSettings(adaption_samples=7, adaption_isochrone_s=300.0, adaption_max_steps=0)
     adapt_probabilities(view, target, t_arrival, 2, settings, np.random.default_rng(5))
     # every walk stays: the target street's two spots share the mass, from the arrival time
-    assert overlay.spot.tolist() == ctx.street_spots("e1").tolist()
+    assert overlay.spot.tolist() == ctx.street_spots[ctx.edge_ids.index("e1")].tolist()
     assert overlay.delta.tolist() == [p_initial / 2] * 2
     assert overlay.activation.tolist() == [t_arrival] * 2
     assert overlay.owner.tolist() == [2, 2]
@@ -297,13 +300,13 @@ def test_adapt_probabilities_walks_ending_on_a_street_without_spots_add_nothing(
         {"id": "s", "edge": "v-spots", "lat": 0.0, "lon": 0.0015, "offset_s": 5.0},
     ]
     graph, ctx = make_context({"nodes": nodes, "edges": edges, "resources": resources})
-    assert [e.id for e in ctx.out_edges["b"]] == ["u-bare", "v-spots"]
+    assert [ctx.edge_ids[e] for e in ctx.out_edges[ctx.node_index["b"]]] == ["u-bare", "v-spots"]
     settings = PlannerSettings(adaption_samples=5, adaption_isochrone_s=300.0, adaption_max_steps=1)
     overlay, oracle_overlay = AdaptionOverlay(), AdaptionOverlay()
     views = [PlanningView(ctx, 0.0, np.array([False, True]), FROZEN, overlay=o, agent_id=0)
              for o in (overlay, oracle_overlay)]
     paths = oracle_adapt_probabilities(views[1], ctx.res_index["r"], 20.0, 0, settings, ZeroDraws())
-    assert [p.final_edge for p in paths] == ["u-bare"] * 5
+    assert [ctx.edge_ids[p.final_edge] for p in paths] == ["u-bare"] * 5
     adapt_probabilities(views[0], ctx.res_index["r"], 20.0, 0, settings, ZeroDraws())
     assert len(overlay) == 0
     for column in ("spot", "activation", "delta", "owner"):
@@ -334,13 +337,13 @@ def test_adapt_probabilities_walk_invariants():
     )
     adapt_probabilities(view, ctx.res_index["rt"], t_arrival, 0,
                         PlannerSettings(adaption_samples=40, adaption_isochrone_s=600.0), rng)
-    iso = ctx.isochrone(graph.edges[target.edge_id].from_node, 600.0)
+    iso = ctx.isochrone(ctx.node_index[graph.edges[target.edge_id].from_node], 600.0)
     for spot, activation, delta in zip(overlay.spot.tolist(), overlay.activation.tolist(), overlay.delta.tolist()):
         # each walk multiplies its survival mass by weights <= 1
         assert delta <= p_initial + 1e-12
         assert activation >= t_arrival - 1e-9
         street = ctx.resources[spot].edge_id
-        assert graph.edges[street].to_node in iso or street == target.edge_id
+        assert ctx.node_index[graph.edges[street].to_node] in iso or street == target.edge_id
 
 
 def test_adapt_probabilities_degenerate_target():
@@ -366,7 +369,8 @@ def test_reverse_adaptions_round_trip_exact():
     beliefs = {i: ResourceBelief(i, ResourceState.AVAILABLE, 0.0, params) for i in spots}
     probes = [(i, float(rng.uniform(0, 2000))) for i in spots for _ in range(4)]
 
-    create_adaptions([WalkPath(("e12",), 0.25, 400.0, "e12")], keeper, ctx, overlay)
+    e12 = ctx.edge_ids.index("e12")
+    create_adaptions([WalkPath((e12,), 0.25, 400.0, e12)], keeper, ctx, overlay)
     before = [availability_probability(beliefs[i], t, overlay) for i, t in probes]
 
     view = PlanningView(ctx, 0.0, np.array([False, True, False]), params,
@@ -444,8 +448,9 @@ def test_adapt_probabilities_matches_walk_oracle():
             # a far destination keeps every street's distance factor at 1, so free walks wander
             edge = graph.edges[ctx.resources[target].edge_id]
             reach = ctx.M[ctx.node_index[edge.to_node]]
-            far = ctx.node_ids[int(np.argmax(np.where(np.isfinite(reach), reach, -1.0)))]
-            dest = (far if free else str(rng.choice(list(graph.nodes)))) if rng.random() < 0.75 else None
+            far = int(np.argmax(np.where(np.isfinite(reach), reach, -1.0)))
+            dest = ((far if free else ctx.node_index[str(rng.choice(list(graph.nodes)))]) if rng.random() < 0.75
+                    else None)
             try:
                 paths = oracle_adapt_probabilities(views[1], target, t_arrival, agent, settings, oracle_rng, dest)
             except DegenerateTargetError:
@@ -458,8 +463,8 @@ def test_adapt_probabilities_matches_walk_oracle():
                 assert getattr(overlay, column).tobytes() == getattr(oracle_overlay, column).tobytes(), column
             assert walk_rng.bit_generator.state == oracle_rng.bit_generator.state
 
-            iso = ctx.isochrone(edge.from_node, settings.adaption_isochrone_s)
-            cands = [e for e in ctx.out_edges[edge.to_node] if e.to_node in iso]
+            iso = ctx.isochrone(ctx.node_index[edge.from_node], settings.adaption_isochrone_s)
+            cands = [e for e in ctx.out_edges[ctx.node_index[edge.to_node]] if ctx.edge_to[e] in iso]
             drew = oracle_rng.bit_generator.state != np.random.default_rng(seed).bit_generator.state
             seen["no steps allowed"] += max_steps == 0
             seen["one step allowed"] += max_steps == 1 and drew

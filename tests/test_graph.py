@@ -115,10 +115,11 @@ def test_default_round_trip_applied():
 
 def test_apsp_triangle(triangle_graph):
     m = PlannerContext(triangle_graph, all_pairs_travel_times(triangle_graph))
-    assert m.drive_time("u", "u") == 0.0
-    assert m.drive_time("u", "v") == 10.0
-    assert m.drive_time("u", "w") == 30.0  # u -> v -> w, only path
-    assert m.drive_time("w", "v") == 25.0
+    u, v, w = (m.node_index[n] for n in "uvw")
+    assert m.drive_time(u, u) == 0.0
+    assert m.drive_time(u, v) == 10.0
+    assert m.drive_time(u, w) == 30.0  # u -> v -> w, only path
+    assert m.drive_time(w, v) == 25.0
 
 
 def test_apsp_unreachable_is_inf():
@@ -129,8 +130,9 @@ def test_apsp_unreachable_is_inf():
     }
     g = load_graph(doc)
     m = PlannerContext(g, all_pairs_travel_times(g))
-    assert m.drive_time("a", "b") == 5.0
-    assert m.drive_time("b", "a") == np.inf
+    a, b = m.node_index["a"], m.node_index["b"]
+    assert m.drive_time(a, b) == 5.0
+    assert m.drive_time(b, a) == np.inf
 
 
 def test_apsp_matches_bellman_ford_exactly():
@@ -141,7 +143,7 @@ def test_apsp_matches_bellman_ford_exactly():
         for source in list(g.nodes)[::7]:
             oracle = bellman_ford_times(g, source)
             for target in g.nodes:
-                assert m.drive_time(source, target) == oracle[target]
+                assert m.drive_time(m.node_index[source], m.node_index[target]) == oracle[target]
 
 
 def test_triangle_inequality():
@@ -158,10 +160,13 @@ def test_triangle_inequality():
 
 def test_isochrone(triangle_graph):
     m = PlannerContext(triangle_graph, all_pairs_travel_times(triangle_graph))
-    assert m.isochrone("u", 0.0) == {"u"}
-    assert m.isochrone("u", 1000.0) == {"u", "v", "w"}
+
+    def isochrone(around, limit_s):
+        return {m.node_ids[i] for i in m.isochrone(m.node_index[around], limit_s)}
+    assert isochrone("u", 0.0) == {"u"}
+    assert isochrone("u", 1000.0) == {"u", "v", "w"}
     # time-to-w: u needs 30, v needs 20, w needs 0
-    assert m.isochrone("w", 20.0) == {"v", "w"}
+    assert isochrone("w", 20.0) == {"v", "w"}
 
 
 def test_reachable_resources_ordering():
@@ -172,9 +177,13 @@ def test_reachable_resources_ordering():
         {"id": "rc", "edge": "e-vw", "lat": 0.0, "lon": 0.0, "offset_s": 1.0},
     ]
     g = load_graph(doc)
-    assert list(g.resources_by_edge["e-uv"]) == ["ra", "rb"]
-    assert list(g.resources_by_edge["e-wu"]) == []
-    assert "missing" not in g.resources_by_edge
+    ctx = PlannerContext(g, all_pairs_travel_times(g))
+
+    def street_spots(eid):
+        return [ctx.res_ids[i] for i in ctx.street_spots[ctx.edge_ids.index(eid)]]
+    assert street_spots("e-uv") == ["ra", "rb"]
+    assert street_spots("e-wu") == []
+    assert len(ctx.street_spots) == len(g.edges)
 
 
 def test_roundtrip_serialization(tmp_path):

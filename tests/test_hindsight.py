@@ -58,24 +58,24 @@ def oracle_decide(policy, view, node):
         if view.avail[ridx] and not forced[ridx]:
             value = float(ctx.res_offset[ridx] + walk[ridx])
             candidates.append((value, 0, ctx.res_ids[ridx], TakeResource(ridx), None))
-    for edge in ctx.out_edges[node]:
-        base = ctx.drive_to_resources(edge.to_node) + walk
+    for street in ctx.out_edges[node]:
+        base = ctx.drive_to_resources(ctx.edge_to[street]) + walk
         if policy.scope_horizon_s is not None:
             base = np.where(drive_here > policy.scope_horizon_s, np.inf, base)
         costs = base + wait
-        candidates.append((float(edge.drive_time_s + costs.min(axis=1).mean()), 1, edge.id,
-                           TakeRoad(edge.id), costs))
+        candidates.append((float(ctx.edge_time[street] + costs.min(axis=1).mean()), 1, ctx.edge_ids[street],
+                           TakeRoad(street), costs))
     candidates.sort(key=lambda c: c[:3])
     value, _, _, action, costs = candidates[0]
     if not np.isfinite(value):
-        raise NoPathError(f"no resource reachable from {node!r}")
+        raise NoPathError(f"no resource reachable from {ctx.node_ids[node]!r}")
     if isinstance(action, TakeResource):
         ridx = action.resource
         return RouteDecision(action, ridx, float(view.now + ctx.res_offset[ridx])), None
     modal = modal_choice(costs.argmin(axis=1), ctx.n_resources)
-    edge = ctx.graph.edges[action.edge]
-    arrival = (view.now + edge.drive_time_s) + (ctx.M[ctx.node_index[edge.to_node], ctx.res_from_idx[modal]]
-                                                 + ctx.res_offset[modal])
+    street = action.edge
+    arrival = (view.now + ctx.edge_time[street]) + (ctx.M[ctx.edge_to[street], ctx.res_from_idx[modal]]
+                                                     + ctx.res_offset[modal])
     return RouteDecision(action, modal, float(arrival)), modal
 
 
@@ -271,7 +271,7 @@ def test_hindsight_decisions_match_full_matrix_oracle():
                     table.place(i + 1, int(ridx), t_arrival=-1.0)
                 view = PlanningView(ctx, 30.0 * step, avail, CtmcParams(1e-9, 1e-9) if frozen else DEFAULT,
                                     reservations=table, agent_id=0)
-                node = str(rng.choice([n for n in graph.nodes if n != "nx"]))
+                node = ctx.node_index[str(rng.choice([n for n in graph.nodes if n != "nx"]))]
                 try:
                     decision = policy.decide(view, node, agent_rng)
                 except NoPathError:
@@ -301,7 +301,7 @@ def test_common_random_numbers_are_the_seeded_stream():
     for seed, n_det in ((0, 1), (5, 20), (9, 100)):
         policy = HindsightPolicy(ctx, dest, PlannerSettings(determinizations=n_det))
         view = PlanningView(ctx, 0.0, np.ones(ctx.n_resources, dtype=bool), DEFAULT)
-        policy.decide(view, "n0303", np.random.default_rng(seed))
+        policy.decide(view, ctx.node_index["n0303"], np.random.default_rng(seed))
         assert policy._uniforms.flags.c_contiguous
         assert np.array_equal(policy._uniforms.T, np.random.default_rng(seed).random((n_det, ctx.n_resources)))
 

@@ -79,7 +79,7 @@ def test_replan_single_adjacent_resource():
     }
     graph, ctx = make_context(doc)
     view = make_view(ctx, [True])
-    decision = replan_route(view, "s", GeoPoint(0.0, 0.001))
+    decision = replan_route(view, ctx.node_index["s"], GeoPoint(0.0, 0.001))
     assert decision.action == TakeResource(ctx.res_index["r"])
     assert decision.target_resource == ctx.res_index["r"]
     assert decision.expected_arrival == pytest.approx(5.0)
@@ -88,10 +88,10 @@ def test_replan_single_adjacent_resource():
 def test_replan_picks_cheaper_total():
     graph, ctx, dest = two_candidate_world()
     view = make_view(ctx, [True, True])
-    decision = replan_route(view, "s", dest)
+    decision = replan_route(view, ctx.node_index["s"], dest)
     # A totals 40 + 60 = 100, B totals 70 + 20 = 90
     assert ctx.res_ids[decision.target_resource] == "rB"
-    assert decision.action == TakeRoad("e-sb")
+    assert decision.action == TakeRoad(ctx.edge_ids.index("e-sb"))
     assert decision.expected_arrival == pytest.approx(70.0)
     walk = ctx.walk_vector(dest)[decision.target_resource]
     assert decision.expected_arrival + walk == pytest.approx(90.0, abs=1e-6)
@@ -101,10 +101,10 @@ def test_replan_avoids_expensive_wait():
     graph, ctx, dest = two_candidate_world()
     params = CtmcParams.from_mean_times(120.0, 2091.0)  # t_claim(120) about 3388 s
     view = make_view(ctx, [True, False], params=params)
-    decision = replan_route(view, "s", dest)
+    decision = replan_route(view, ctx.node_index["s"], dest)
     # waiting at B costs 70 + t_claim + 20 >> 100, so A wins despite worse walk
     assert ctx.res_ids[decision.target_resource] == "rA"
-    assert decision.action == TakeRoad("e-sa")
+    assert decision.action == TakeRoad(ctx.edge_ids.index("e-sa"))
 
 
 def test_replan_no_reachable_resource_raises():
@@ -116,7 +116,7 @@ def test_replan_no_reachable_resource_raises():
     graph, ctx = make_context(doc)
     view = make_view(ctx, [True])
     with pytest.raises(NoPathError):
-        replan_route(view, "s", GeoPoint(0.0, 0.0))  # s has no outgoing edges
+        replan_route(view, ctx.node_index["s"], GeoPoint(0.0, 0.0))  # s has no outgoing edges
 
 
 def test_replanning_policy_cache_contract():
@@ -124,14 +124,15 @@ def test_replanning_policy_cache_contract():
     policy = ReplanningPolicy(ctx, dest)
     rng = np.random.default_rng(0)
 
-    first = policy.decide(make_view(ctx, [True, True]), "s", rng)
+    s = ctx.node_index["s"]
+    first = policy.decide(make_view(ctx, [True, True]), s, rng)
     assert first.recomputed  # no cache yet
-    again = policy.decide(make_view(ctx, [True, True]), "s", rng)
+    again = policy.decide(make_view(ctx, [True, True]), s, rng)
     assert not again.recomputed
     assert again.action == first.action
 
     # target rB flips occupied: plan recomputed toward rA
-    changed = policy.decide(make_view(ctx, [True, False]), "s", rng)
+    changed = policy.decide(make_view(ctx, [True, False]), s, rng)
     assert changed.recomputed
     assert ctx.res_ids[changed.target_resource] == "rA"
 
@@ -161,8 +162,9 @@ def test_replan_and_cached_plan_predict_the_same_arrival():
 
     policy = ReplanningPolicy(ctx, dest)
     rng = np.random.default_rng(0)
-    first = policy.decide(view(0), "s", rng)
-    second = policy.decide(view(0), "s", rng)
+    s = ctx.node_index["s"]
+    first = policy.decide(view(0), s, rng)
+    second = policy.decide(view(0), s, rng)
     r = ctx.res_index["r"]
     assert first.recomputed and not second.recomputed
     assert first.target_resource == second.target_resource == r
@@ -170,7 +172,7 @@ def test_replan_and_cached_plan_predict_the_same_arrival():
 
     table.place(0, r, second.expected_arrival)
     assert table.spot_blocked(1, r, second.expected_arrival)
-    assert ctx.res_ids[replan_route(view(1), "s", dest).target_resource] == "r2"
+    assert ctx.res_ids[replan_route(view(1), s, dest).target_resource] == "r2"
 
 
 def test_sample_determinizations_certain_and_reserved():
@@ -180,13 +182,13 @@ def test_sample_determinizations_certain_and_reserved():
 
     # from node a, rA is at drive 0: probability 1 when anchored available
     view = make_view(ctx, [True, True])
-    dets = sample_determinizations(view, "a", 50, np.random.default_rng(1))
+    dets = sample_determinizations(view, ctx.node_index["a"], 50, np.random.default_rng(1))
     assert all(d.available[ctx.res_index["rA"]] for d in dets)
 
     table = ReservationTable(2)
     table.place(1, ctx.res_index["rA"], t_arrival=-1.0)  # strictly earlier than any arrival
     view_r = make_view(ctx, [True, True], reservations=table, agent_id=0)
-    dets = sample_determinizations(view_r, "a", 50, np.random.default_rng(2))
+    dets = sample_determinizations(view_r, ctx.node_index["a"], 50, np.random.default_rng(2))
     assert not any(d.available[ctx.res_index["rA"]] for d in dets)
 
 
@@ -198,7 +200,7 @@ def test_sample_determinizations_binomial_concentration():
     # instead: query a long horizon by sampling from s (drive 40) has dt 40; too short.
     # Use the stationary trick: lam = mu and a large dt gives probability 1/2.
     dets = sample_determinizations(
-        PlanningView(ctx, 0.0, np.array([True, True]), params), "a", 10_000,
+        PlanningView(ctx, 0.0, np.array([True, True]), params), ctx.node_index["a"], 10_000,
         np.random.default_rng(3),
     )
     # rB's street starts at b, which is drive 110 from a (a->s 40, s->b 70)
@@ -214,13 +216,13 @@ def test_solve_determinization_formula_and_tie():
 
     # both occupied in the future: uniform penalty keeps B cheapest
     d_occ = Determinization(available=np.array([False, False]))
-    rid, cost = solve_determinization(view, "s", d_occ, dest)
+    rid, cost = solve_determinization(view, ctx.node_index["s"], d_occ, dest)
     t_claim = float(view.t_claim[0])
     assert rid == "rB"
     assert cost == pytest.approx(70.0 + t_claim + 20.0, rel=1e-9)
 
     d_a = Determinization(available=np.array([True, False]))
-    rid, cost = solve_determinization(view, "s", d_a, dest)
+    rid, cost = solve_determinization(view, ctx.node_index["s"], d_a, dest)
     assert rid == "rA" and cost == pytest.approx(100.0, rel=1e-9)
 
 
@@ -243,7 +245,8 @@ def test_solve_determinization_matches_enumeration():
         best_id, best_cost = None, np.inf
         for i, rid in enumerate(ctx.res_ids):
             r = graph.resources[rid]
-            drive = ctx.drive_time(start, graph.edges[r.edge_id].from_node) + r.offset_s
+            street_start = ctx.node_index[graph.edges[r.edge_id].from_node]
+            drive = ctx.drive_time(ctx.node_index[start], street_start) + r.offset_s
             cost = drive + walking_time(r.position, dest)
             if not avail[i]:
                 cost += float(view.t_claim[i])
@@ -251,9 +254,9 @@ def test_solve_determinization_matches_enumeration():
                 best_id, best_cost = rid, cost
         if not np.isfinite(best_cost):
             with pytest.raises(NoPathError):
-                solve_determinization(view, start, det, dest)
+                solve_determinization(view, ctx.node_index[start], det, dest)
             continue
-        rid, cost = solve_determinization(view, start, det, dest)
+        rid, cost = solve_determinization(view, ctx.node_index[start], det, dest)
         assert rid == best_id
         assert cost == best_cost
 
@@ -272,7 +275,7 @@ def test_solve_determinization_tie_breaks_to_smaller_id():
     }
     graph, ctx = make_context(doc)
     view = make_view(ctx, [True, True])
-    rid, _ = solve_determinization(view, "s", Determinization(available=np.array([True, True])),
+    rid, _ = solve_determinization(view, ctx.node_index["s"], Determinization(available=np.array([True, True])),
                                    GeoPoint(0.0, 0.0))
     assert rid == "r1"
 
@@ -300,14 +303,15 @@ def test_hindsight_takes_adjacent_resource():
     graph, ctx = hindsight_world()
     policy = HindsightPolicy(ctx, GeoPoint(0.0, 0.0), PlannerSettings(determinizations=100))
     view = make_view(ctx, [True, True])
-    decision = policy.decide(view, "s", np.random.default_rng(1))
+    decision = policy.decide(view, ctx.node_index["s"], np.random.default_rng(1))
     assert decision.action == TakeResource(ctx.res_index["rN"])
     assert decision.expected_arrival == pytest.approx(10.0)
     # one-step look-ahead of the only road action: 30 to drive, then the best
     # hindsight solution from `a` costs 60 via rN in every certain future
     walk = ctx.walk_vector(GeoPoint(0.0, 0.0))
-    _, probs = planners._future_probabilities(view, ctx.drive_to_resources("s"))
-    mins, _ = HindsightPlan(view.t_claim, ctx.drive_to_resources(["a"]) + walk).solve(policy._uniforms, probs)
+    s, a = ctx.node_index["s"], ctx.node_index["a"]
+    _, probs = planners._future_probabilities(view, ctx.drive_to_resources(s))
+    mins, _ = HindsightPlan(view.t_claim, ctx.drive_to_resources([a]) + walk).solve(policy._uniforms, probs)
     assert 30.0 + mins.mean(axis=1)[0] == pytest.approx(90.0, rel=1e-6)
     rn = ctx.res_index["rN"]
     assert ctx.res_offset[rn] + walk[rn] == pytest.approx(30.0, rel=1e-9)  # the spot action's value
@@ -317,17 +321,18 @@ def test_hindsight_single_road_action():
     graph, ctx = hindsight_world()
     policy = HindsightPolicy(ctx, GeoPoint(0.0, 0.0))
     view = make_view(ctx, [True, False])  # near spot occupied: no terminal action at s
-    decision = policy.decide(view, "s", np.random.default_rng(1))
-    assert decision.action == TakeRoad("e-sa")
+    decision = policy.decide(view, ctx.node_index["s"], np.random.default_rng(1))
+    assert decision.action == TakeRoad(ctx.edge_ids.index("e-sa"))
     assert decision.target_resource is not None
 
 
 def test_hindsight_deterministic_with_seed():
     graph, ctx = hindsight_world()
     view_args = ([True, True],)
-    d1 = HindsightPolicy(ctx, GeoPoint(0.0, 0.0)).decide(make_view(ctx, *view_args), "s",
+    s = ctx.node_index["s"]
+    d1 = HindsightPolicy(ctx, GeoPoint(0.0, 0.0)).decide(make_view(ctx, *view_args), s,
                                                          np.random.default_rng(7))
-    d2 = HindsightPolicy(ctx, GeoPoint(0.0, 0.0)).decide(make_view(ctx, *view_args), "s",
+    d2 = HindsightPolicy(ctx, GeoPoint(0.0, 0.0)).decide(make_view(ctx, *view_args), s,
                                                          np.random.default_rng(7))
     assert d1 == d2
 
@@ -366,20 +371,20 @@ def test_random_policy_street_then_spot():
     graph, ctx = crossroads_world()
     dest = GeoPoint(0.0005, 0.0)  # destination on street x -> c
     policy = RandomPolicy(ctx, dest)
-    assert policy.dest_edge.id in ("e-xc", "e-cx")
+    assert ctx.edge_ids[policy.dest_edge] in ("e-xc", "e-cx")
 
     rng = np.random.default_rng(0)
     # before reaching the destination street: least-time hop toward it
     view = make_view(ctx, [True])
-    decision = policy.decide(view, "z", rng)
-    assert decision.action == TakeRoad("e-zc")
+    decision = policy.decide(view, ctx.node_index["z"], rng)
+    assert decision.action == TakeRoad(ctx.edge_ids.index("e-zc"))
 
     # once searching, an available spot on the randomly chosen street is taken
     policy2 = RandomPolicy(ctx, dest)
     policy2._searching = True
     took = 0
     for _ in range(200):
-        d = policy2.decide(make_view(ctx, [True]), "x", rng)
+        d = policy2.decide(make_view(ctx, [True]), ctx.node_index["x"], rng)
         if isinstance(d.action, TakeResource):
             took += 1
             assert ctx.res_ids[d.action.resource] == "r"
@@ -413,7 +418,7 @@ def test_random_policy_dest_edge_matches_scalar_oracle(one_way):
     dests += [GeoPoint(4.5 * deg, 4.5 * deg), GeoPoint(0.5 * deg, 0.5 * deg), GeoPoint(0.0, 2.5 * deg),
               GeoPoint(4.5 * deg, 3.0 * deg), GeoPoint(9.0 * deg, 7.5 * deg)]
     for dest in dests:
-        assert RandomPolicy(ctx, dest).dest_edge.id == scalar_dest_edge(ctx, dest), dest
+        assert ctx.edge_ids[RandomPolicy(ctx, dest).dest_edge] == scalar_dest_edge(ctx, dest), dest
 
 
 def test_random_policy_dest_edge_ignores_last_ulp_of_vectorized_distances(monkeypatch):
@@ -430,7 +435,7 @@ def test_random_policy_dest_edge_ignores_last_ulp_of_vectorized_distances(monkey
     monkeypatch.setattr(planners, "great_circle_m_many", nudged)
     deg = spacing / 111_194.93
     for dest in (GeoPoint(4.5 * deg, 4.5 * deg), GeoPoint(0.0, 2.5 * deg), GeoPoint(3.0 * deg, 6.5 * deg)):
-        assert RandomPolicy(ctx, dest).dest_edge.id == scalar_dest_edge(ctx, dest), dest
+        assert ctx.edge_ids[RandomPolicy(ctx, dest).dest_edge] == scalar_dest_edge(ctx, dest), dest
 
 
 def test_random_policy_uniform_street_choice():
@@ -443,8 +448,8 @@ def test_random_policy_uniform_street_choice():
     trials = 30_000
     view = make_view(ctx, [False])  # the one spot is occupied: pure street choice
     for _ in range(trials):
-        d = policy.decide(view, "c", rng)
-        counts[d.action.edge] += 1
+        d = policy.decide(view, ctx.node_index["c"], rng)
+        counts[ctx.edge_ids[d.action.edge]] += 1
     for edge, count in counts.items():
         assert count / trials == pytest.approx(1 / 3, abs=0.02), edge
 
@@ -486,11 +491,11 @@ def test_heuristic_policy_thresholds():
     # far away (about 111 m per milli-degree: node z is ~167 m, x is ~55 m from dest)
     far_dest = GeoPoint(-0.004, 0.0)
     far_policy = HeuristicPolicy(ctx, far_dest, settings)
-    d = far_policy.decide(make_view(ctx, [True]), "x", np.random.default_rng(0))
+    d = far_policy.decide(make_view(ctx, [True]), ctx.node_index["x"], np.random.default_rng(0))
     assert isinstance(d.action, TakeRoad)  # outside the radius nothing is accepted
 
     policy = HeuristicPolicy(ctx, dest, settings)
-    d = policy.decide(make_view(ctx, [True]), "x", np.random.default_rng(0))
+    d = policy.decide(make_view(ctx, [True]), ctx.node_index["x"], np.random.default_rng(0))
     assert d.action == TakeResource(ctx.res_index["r"])  # walk 0 s <= threshold 60 s
 
     assert policy.accept_threshold(600.0) >= policy.accept_threshold(0.0)
@@ -503,7 +508,7 @@ def test_policies_are_pure_functions_of_inputs():
         a = make_policy(kind, ctx, dest, PlannerSettings(determinizations=20))
         b = make_policy(kind, ctx, dest, PlannerSettings(determinizations=20))
         rng_a, rng_b = np.random.default_rng(42), np.random.default_rng(42)
-        for node in ("s", "a", "s", "b"):
+        for node in (ctx.node_index[n] for n in ("s", "a", "s", "b")):
             da = a.decide(make_view(ctx, [True, True]), node, rng_a)
             db = b.decide(make_view(ctx, [True, True]), node, rng_b)
             assert da == db, kind
@@ -538,10 +543,10 @@ def test_adjacent_spots_follow_street_order():
     docs.append(build_grid_graph_doc(5, 5, n_resources=60, seed=7, one_way=True))
     for doc in docs:
         graph, ctx = make_context(doc)
-        assert ctx.out_edges is graph.out_edges
-        for nid, edges in graph.out_edges.items():
-            assert [e.id for e in edges] == sorted(e.id for e in graph.edges.values() if e.from_node == nid)
-        assert ctx.adjacent_res == sorted_adjacent_spots(graph, ctx)
+        for nid, streets in zip(ctx.node_ids, ctx.out_edges):
+            want = sorted(e.id for e in graph.edges.values() if e.from_node == nid)
+            assert [ctx.edge_ids[s] for s in streets] == want
+        assert dict(zip(ctx.node_ids, map(tuple, ctx.adjacent_res))) == sorted_adjacent_spots(graph, ctx)
 
 
 def oracle_first_hops(graph, to_node):
@@ -571,20 +576,24 @@ def test_first_hop_matches_a_bellman_ford_oracle(world):
     checked = ties = no_path = 0
     for doc in docs:
         graph, ctx = make_context(doc)
+
+        def first_hop(u, v):
+            return ctx.edge_ids[ctx.first_hop(ctx.node_index[u], ctx.node_index[v])]
         for v in graph.nodes:
             want = oracle_first_hops(graph, v)
             for u in graph.nodes:
                 if u == v:
                     with pytest.raises(ValueError):
-                        ctx.first_hop(u, v)
+                        first_hop(u, v)
                 elif want[u] is None:
                     with pytest.raises(NoPathError):
-                        ctx.first_hop(u, v)
+                        first_hop(u, v)
                     no_path += 1
                 else:
-                    assert ctx.first_hop(u, v).id == want[u], (u, v)
+                    assert first_hop(u, v) == want[u], (u, v)
                     out = [e for e in graph.edges.values() if e.from_node == u]
-                    costs = sorted(e.drive_time_s + ctx.drive_time(e.to_node, v) for e in out)
+                    costs = sorted(e.drive_time_s + ctx.drive_time(ctx.node_index[e.to_node], ctx.node_index[v])
+                                   for e in out)
                     ties += len(costs) > 1 and costs[0] == costs[1]
                     checked += 1
     assert checked > 500 and ties > 50
@@ -605,11 +614,11 @@ def test_actions_are_adjacent_on_random_worlds():
         for kind in ("rpl", "hs", "random", "heuristic"):
             policy = make_policy(kind, ctx, dest, PlannerSettings(determinizations=10))
             try:
-                decision = policy.decide(view, node, rng)
+                decision = policy.decide(view, ctx.node_index[node], rng)
             except NoPathError:
                 continue
             if isinstance(decision.action, TakeRoad):
-                assert graph.edges[decision.action.edge].from_node == node
+                assert graph.edges[ctx.edge_ids[decision.action.edge]].from_node == node
             else:
                 edge = graph.edges[ctx.resources[decision.action.resource].edge_id]
                 assert edge.from_node == node
@@ -637,15 +646,16 @@ def test_decisions_follow_the_arrival_rule_on_random_worlds():
             for _ in range(6):
                 view = make_view(ctx, avail, params=params, now=now, reservations=table, agent_id=0)
                 try:
-                    decision = policy.decide(view, node, rng)
+                    decision = policy.decide(view, ctx.node_index[node], rng)
                 except NoPathError:
                     break
-                edge = graph.edges[decision.action.edge] if isinstance(decision.action, TakeRoad) else None
+                road = isinstance(decision.action, TakeRoad)
+                edge = graph.edges[ctx.edge_ids[decision.action.edge]] if road else None
                 ridx = decision.target_resource
                 if ridx is not None:
                     start, at = ((edge.to_node, now + edge.drive_time_s)
                                  if edge is not None and isinstance(policy, HindsightPolicy) else (node, now))
-                    assert decision.expected_arrival == at + ctx.drive_to_resources(start)[ridx], kind
+                    assert decision.expected_arrival == at + ctx.drive_to_resources(ctx.node_index[start])[ridx], kind
                     checked[kind, decision.recomputed] += 1
                 if edge is None:
                     break
@@ -663,12 +673,12 @@ def test_drive_rows_for_a_node_list_are_c_ordered_single_node_rows():
         graph, ctx = make_context(random_graph_doc(rng, n_nodes=9, edge_prob=0.3, n_resources=7,
                                                    integer_weights=False))
         nodes = [str(n) for n in rng.choice(list(graph.nodes), size=int(rng.integers(1, 6)))]
-        rows = ctx.drive_to_resources(nodes)
+        rows = ctx.drive_to_resources([ctx.node_index[n] for n in nodes])
         assert rows.shape == (len(nodes), ctx.n_resources)
         assert rows.flags.c_contiguous
         unreachable += int(np.isinf(rows).any())
         repeated += len(set(nodes)) < len(nodes)
         for k, node in enumerate(nodes):
-            assert np.array_equal(rows[k], ctx.drive_to_resources(node))
+            assert np.array_equal(rows[k], ctx.drive_to_resources(ctx.node_index[node]))
             checked += 1
     assert checked > 40 and unreachable and repeated
