@@ -413,8 +413,6 @@ def run_simulation(
             rt.status = "stranded"
             fleet.withdraw(key)
             del planning[key]
-            if collect_events:
-                log.append(SimEvent(now, "agent_stranded", agent=rt.spec.id, node=ctx.node_ids[rt.node]))
             return
         action = decision.action
         if isinstance(action, TakeRoad):

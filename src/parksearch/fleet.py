@@ -114,12 +114,12 @@ def adapt_probabilities(
     isochrone_s, visit_decay = settings.adaption_isochrone_s, settings.adaption_visit_decay
     ctx = view.ctx
     target_street = int(ctx.res_edge[target])
-    start_node, street_start = ctx.edge_to[target_street], ctx.edge_from[target_street]
+    start_node = ctx.edge_to[target_street]  # the walks start at the street's end
     if not ctx.out_edges[start_node]:
         raise DegenerateTargetError(f"target street {ctx.edge_ids[target_street]!r} ends in a dead end "
                                     f"at {ctx.node_ids[start_node]!r}")
-    iso_nodes = ctx.isochrone(street_start, isochrone_s)
-    dest_node = dest_node if dest_node is not None else street_start
+    iso_nodes = ctx.isochrone(ctx.edge_from[target_street], isochrone_s)
+    dest_node = dest_node if dest_node is not None else ctx.edge_from[target_street]
 
     p_initial = 1.0 - float(view.availability(t_arrival, [target])[0])
     t_start = t_arrival + (ctx.edge_time[target_street] - ctx.resources[target].offset_s)  # at the street's end

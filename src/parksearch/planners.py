@@ -176,8 +176,8 @@ class PlannerContext:
     def drive_to_resources(self, nodes: int | list[int]) -> np.ndarray:
         """Drive seconds to every resource (via its edge start, then the offset) from a node,
         or one row per node of a list."""
-        # take keeps a list's gathered rows C-ordered; M[rows][:, cols] would lay them out column-major,
-        # and every reduction along resources would then stride across memory.
+        # M[list] gathers C-ordered rows and take keeps them so; M[rows][:, cols] would lay them out
+        # column-major, and every reduction along resources would then stride across memory.
         rows = self.M[nodes].take(self.res_from_idx, axis=-1)
         rows += self.res_offset
         return rows
