@@ -373,7 +373,7 @@ def run_simulation(
     # An agent has at most one queued event, and only while driving, so (time, rank, agent) orders the
     # queue on its own: an agent event's payload is the node reached, a claim's the spot and decision time.
     starts = [ctx.node_index[spec.start_node] for spec in specs]
-    heap = [(spec.start_time, _RANK_AGENT, i, start) for i, (spec, start) in enumerate(zip(specs, starts))]
+    heap = [(spec.start_time, _RANK_AGENT, i, starts[i]) for i, spec in enumerate(specs)]
     heapq.heapify(heap)
     due = int(np.searchsorted(trace.time, horizon_s, side="right"))
     flip_time = trace.time[:due].tolist()
