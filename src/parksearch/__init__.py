@@ -10,7 +10,7 @@ from .engine import (
     save_trace, synthesize_occupations, write_results,
 )
 from .errors import (
-    AdaptionError, ConfigError, DegenerateTargetError, GraphFormatError, GraphValidationError, NoPathError,
+    AdaptionError, ConfigError, GraphFormatError, GraphValidationError, NoPathError,
     ParkSearchError, TraceError,
 )
 from .fleet import ReservationTable, adapt_probabilities
@@ -33,7 +33,7 @@ __all__ = [
     "AgentSpec", "MetricsRecord", "OccupationTrace", "compute_metrics", "load_trace",
     "read_results", "run_simulation", "save_trace", "synthesize_occupations", "write_results",
     # errors
-    "AdaptionError", "ConfigError", "DegenerateTargetError", "GraphFormatError", "GraphValidationError",
+    "AdaptionError", "ConfigError", "GraphFormatError", "GraphValidationError",
     "NoPathError", "ParkSearchError", "TraceError",
     # geometry and road graphs
     "GeoPoint", "great_circle_m", "walking_time",

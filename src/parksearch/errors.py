@@ -32,10 +32,6 @@ class AdaptionError(ParkSearchError):
     """Probability adaption walks cannot be run for a target."""
 
 
-class DegenerateTargetError(AdaptionError):
-    """Random walks cannot leave the target's street and no path was recorded."""
-
-
 def check_number(value, name: str, *, integer: bool = False, positive: bool = True) -> float | int:
     """``value`` (numpy scalars too, never bools) as a finite Python int or float in bounds, else a ConfigError."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real)

@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .availability import AdaptionOverlay
-from .errors import DegenerateTargetError
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from .geo import GeoPoint
@@ -114,10 +113,7 @@ def adapt_probabilities(
     isochrone_s, visit_decay = settings.adaption_isochrone_s, settings.adaption_visit_decay
     ctx = view.ctx
     target_street = int(ctx.res_edge[target])
-    start_node = ctx.edge_to[target_street]  # the walks start at the street's end
-    if not ctx.out_edges[start_node]:
-        raise DegenerateTargetError(f"target street {ctx.edge_ids[target_street]!r} ends in a dead end "
-                                    f"at {ctx.node_ids[start_node]!r}")
+    start_node = ctx.edge_to[target_street]  # the walks start at the street's end; at a dead end all stay
     iso_nodes = ctx.isochrone(ctx.edge_from[target_street], isochrone_s)
     dest_node = dest_node if dest_node is not None else ctx.edge_from[target_street]
 

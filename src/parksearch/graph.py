@@ -1,4 +1,4 @@
-"""Road network model: nodes, edges, on-street resources and all-pairs drive times.
+"""Road network model: nodes, edges, on-street resources and drive times between nodes.
 
 The graph document is a JSON object with three arrays::
 
@@ -22,7 +22,7 @@ from typing import Any, Iterable
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import GraphFormatError, GraphValidationError
 from .geo import GeoPoint
@@ -214,13 +214,56 @@ def save_graph(graph: RoadGraph, path: str | Path) -> None:
     Path(path).write_text(json.dumps(dump_graph(graph), indent=2, sort_keys=True) + "\n")
 
 
-def all_pairs_travel_times(graph: RoadGraph) -> np.ndarray:
-    """Least-cost directed drive seconds between every node pair, in ``graph.nodes`` order;
-    ``inf`` marks unreachable pairs."""
-    node_ids = tuple(graph.nodes)
-    index = {nid: i for i, nid in enumerate(node_ids)}
-    n = len(node_ids)
-    rows, cols, data = [], [], []
+class DriveTimes(dict):
+    """Least directed drive seconds between nodes in ``graph.nodes`` order, computed on demand.
+
+    ``times[i]``, the read-only row of seconds from node ``i`` to every node (``inf`` where
+    unreachable), runs one Dijkstra search on its first read and is kept for the life of the store:
+    the store is a dict of the rows read so far, so memory grows as rows read x n x 8 bytes, and a
+    read of a kept row is a plain dict lookup. A single-source row equals that row of the dense
+    all-pairs search bit for bit.
+    """
+
+    def __init__(self, adj: csr_matrix):
+        super().__init__()
+        self.adj = adj  # the fastest street of each node pair, without self-loops
+        self.shape = adj.shape
+        self._reverse: csr_matrix | None = None
+
+    def __missing__(self, node: int) -> np.ndarray:
+        row = self[node] = dijkstra(self.adj, directed=True, indices=node, min_only=True)
+        row.flags.writeable = False  # shared by every reader
+        return row
+
+    def reaching(self, node: int, limit_s: float) -> np.ndarray:
+        """Ascending indices of the nodes whose row reads at most ``limit_s`` at ``node``.
+
+        One search on the reversed streets, bounded by the limit widened by 1e-9 relative, picks
+        the candidates. It adds the same streets in another order, so its seconds may differ from
+        the rows' in the last bits, but never by that margin: a candidate above the limit narrowed
+        by 1e-9 is decided by its own row, and every other candidate is inside.
+        """
+        if self._reverse is None:
+            self._reverse = self.adj.T.tocsr()
+        back = dijkstra(self._reverse, directed=True, indices=node, limit=max(limit_s * (1.0 + 1e-9), 0.0),
+                        min_only=True)
+        inside = back <= limit_s * (1.0 - 1e-9)
+        for i in np.flatnonzero(~inside & (back < np.inf)).tolist():
+            inside[i] = self[i][node] <= limit_s
+        return np.flatnonzero(inside)
+
+    def outside_largest_component(self) -> int:
+        """How many nodes lie outside the largest strongly connected component: from each of them
+        some node cannot be reached, or it cannot be reached from some node."""
+        _, labels = connected_components(self.adj, directed=True, connection="strong")
+        return len(labels) - int(np.bincount(labels, minlength=1).max())
+
+
+def all_pairs_travel_times(graph: RoadGraph) -> DriveTimes:
+    """Least-cost directed drive seconds between every node pair, in ``graph.nodes`` order, as rows
+    computed on first read; ``inf`` marks unreachable pairs."""
+    index = {nid: i for i, nid in enumerate(graph.nodes)}
+    n = len(index)
     best: dict[tuple[int, int], float] = {}
     for e in graph.edges.values():
         key = (index[e.from_node], index[e.to_node])
@@ -228,12 +271,5 @@ def all_pairs_travel_times(graph: RoadGraph) -> np.ndarray:
             continue  # self-loops never shorten a path
         if key not in best or e.drive_time_s < best[key]:
             best[key] = e.drive_time_s
-    for (i, j), w in best.items():
-        rows.append(i)
-        cols.append(j)
-        data.append(w)
-    adj = csr_matrix((data, (rows, cols)), shape=(n, n))
-    dist = dijkstra(adj, directed=True)
-    np.fill_diagonal(dist, 0.0)
-    return dist
-
+    ends = list(best)
+    return DriveTimes(csr_matrix((list(best.values()), ([i for i, _ in ends], [j for _, j in ends])), shape=(n, n)))

@@ -27,7 +27,7 @@ from .availability import AdaptionOverlay, AvailabilityRates, CtmcParams, expect
 from .errors import NoPathError, check_number
 from .fleet import ReservationTable
 from .geo import GeoPoint, great_circle_m, great_circle_m_many, walking_time_many
-from .graph import RoadGraph
+from .graph import DriveTimes, RoadGraph
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,8 @@ SETTING_BOUNDS = {
 
 class PlannerContext:
     """Precomputed arrays shared by every policy evaluation on one graph; ``times`` are the least
-    drive seconds between node pairs in ``graph.nodes`` order, read only by the context's methods.
+    drive seconds between node pairs in ``graph.nodes`` order (a ``DriveTimes``, whose rows are
+    searched on first read), read only by the context's methods, which read whole forward rows.
 
     Inside a run a node is its index in ``graph.nodes``, a street its index in ``graph.edges`` and a
     spot its index in ``graph.resources``; each dict is in id order, so index order is id order.
@@ -94,12 +95,12 @@ class PlannerContext:
     per node its out-streets in id order and the spots along them in turn.
     """
 
-    def __init__(self, graph: RoadGraph, times: np.ndarray):
+    def __init__(self, graph: RoadGraph, times: DriveTimes):
         n = len(graph.nodes)
         if np.shape(times) != (n, n):
             raise ValueError(f"drive times must be {n}x{n} for the graph's nodes, got shape {np.shape(times)}")
         self.graph = graph
-        self.M = times
+        self.times = times
         self.node_ids: tuple[str, ...] = tuple(graph.nodes)
         self.node_index = {nid: i for i, nid in enumerate(self.node_ids)}
         self.node_lat = np.array([v.position.lat for v in graph.nodes.values()])
@@ -160,35 +161,35 @@ class PlannerContext:
 
     def drive_time(self, from_node: int, to_node: int) -> float:
         """Least drive seconds between two nodes; ``inf`` when unreachable."""
-        return float(self.M[from_node, to_node])
+        return float(self.times[from_node][to_node])
 
     def isochrone(self, around: int, limit_s: float) -> frozenset[int]:
         """Nodes from which ``around`` can be reached within ``limit_s`` of driving, built on first use."""
         key = (around, limit_s)
         if key not in self._isochrone_cache:
-            self._isochrone_cache[key] = frozenset(np.flatnonzero(self.M[:, around] <= limit_s).tolist())
+            self._isochrone_cache[key] = frozenset(self.times.reaching(around, limit_s).tolist())
         return self._isochrone_cache[key]
 
     def taxi_time(self, start: int, destination: GeoPoint) -> float:
         """Trip time with a drop-off as close to the destination as any node allows."""
-        return float(np.min(self.M[start] + self.node_walk_vector(destination)))
+        return float(np.min(self.times[start] + self.node_walk_vector(destination)))
 
     def drive_to_resources(self, nodes: int | list[int]) -> np.ndarray:
         """Drive seconds to every resource (via its edge start, then the offset) from a node,
-        or one row per node of a list."""
-        # M[list] gathers C-ordered rows and take keeps them so; M[rows][:, cols] would lay them out
-        # column-major, and every reduction along resources would then stride across memory.
-        rows = self.M[nodes].take(self.res_from_idx, axis=-1)
-        rows += self.res_offset
-        return rows
+        or one C-ordered row per node of a list."""
+        times = self.times
+        rows = np.array([times[node] for node in nodes]) if isinstance(nodes, list) else times[nodes]
+        out = rows.take(self.res_from_idx, axis=-1)
+        out += self.res_offset
+        return out
 
     def first_hop(self, from_node: int, to_node: int) -> int:
         """Street starting a least-time path; ties resolve to the smallest street index, which is id order."""
         if from_node == to_node:
             raise ValueError("already at the target node")
-        best, best_cost = -1, np.inf
+        times, best, best_cost = self.times, -1, np.inf
         for street in self.out_edges[from_node]:
-            c = self.edge_time[street] + self.M[self.edge_to[street], to_node]
+            c = self.edge_time[street] + times[self.edge_to[street]][to_node]
             if c < best_cost:
                 best, best_cost = street, c
         if not best_cost < np.inf:
@@ -199,7 +200,7 @@ class PlannerContext:
         """Arrival at resource ``ridx`` leaving ``node`` at ``now``: ``now + drive_to_resources(node)[ridx]``
         bit for bit. Every planner's arrival at a spot is this one sum, so reservations compare
         predictions made alike."""
-        return float(now + (self.M[node, self.res_from_idx[ridx]] + self.res_offset[ridx]))
+        return float(now + (self.times[node][self.res_from_idx[ridx]] + self.res_offset[ridx]))
 
     def toward(self, now: float, node: int, ridx: int, recomputed: bool = True) -> RouteDecision:
         """Claim resource ``ridx`` if its street starts at ``node``, else take the first hop toward it."""

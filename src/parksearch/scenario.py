@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -36,8 +37,8 @@ from .engine import (
 )
 from .errors import ConfigError, check_number
 from .geo import EARTH_RADIUS_M, GeoPoint, great_circle_m
-from .graph import DEFAULT_ROUND_TRIP_S, DEFAULT_SPEED_FACTOR, RoadGraph, load_graph
-from .planners import PLANNER_KINDS, PLANNERS, SETTING_BOUNDS, PlannerSettings
+from .graph import DEFAULT_ROUND_TRIP_S, DEFAULT_SPEED_FACTOR, RoadGraph, all_pairs_travel_times, load_graph
+from .planners import PLANNER_KINDS, PLANNERS, SETTING_BOUNDS, PlannerContext, PlannerSettings
 
 _TOP_KEYS = {
     "name", "graph", "occupation", "destinations", "planner", "adaption",
@@ -483,7 +484,11 @@ def build_agents(config: ScenarioConfig, graph: RoadGraph, rng: np.random.Genera
 
 
 def run_scenario(config: ScenarioConfig | str | Path, out_dir: str | Path | None = None) -> list[MetricsRecord]:
-    """Execute one scenario; optionally write its results file and config echo."""
+    """Execute one scenario; optionally write its results file and config echo.
+
+    When some nodes lie outside the graph's largest strongly connected component, where agents can
+    strand, their count goes to standard error; the run goes on.
+    """
     if not isinstance(config, ScenarioConfig):
         config = load_config(config)
     graph = load_graph(
@@ -491,6 +496,11 @@ def run_scenario(config: ScenarioConfig | str | Path, out_dir: str | Path | None
         speed_factor=config.speed_factor,
         default_round_trip_s=config.round_trip_s,
     )
+    ctx = PlannerContext(graph, all_pairs_travel_times(graph))
+    stray = ctx.times.outside_largest_component()
+    if stray:
+        print(f"{config.name}: {stray} of {len(graph.nodes)} nodes lie outside the largest strongly connected "
+              f"component of {config.graph_path}", file=sys.stderr)
     agent_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0xA6E7)))
     occupation = config.synthetic if config.synthetic is not None else load_trace(config.trace_path)
     shared = config.trace_path is not None and config.destinations.get("trace") == str(config.trace_path)
@@ -505,6 +515,7 @@ def run_scenario(config: ScenarioConfig | str | Path, out_dir: str | Path | None
         horizon_s=config.horizon_s,
         seed=config.seed,
         measure_computation=config.measure_computation,
+        ctx=ctx,
     )
     if out_dir is not None:
         out = Path(out_dir)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from parksearch.availability import AdaptionOverlay
-from parksearch.errors import DegenerateTargetError
 from parksearch.fleet import _edge_jump_weight
 from parksearch.planners import PlannerContext
 
@@ -52,10 +51,7 @@ def oracle_adapt_probabilities(view, target, t_arrival, agent, settings, rng, de
     isochrone_s, visit_decay = settings.adaption_isochrone_s, settings.adaption_visit_decay
     ctx = view.ctx
     target_edge = int(ctx.res_edge[target])
-    start_node = ctx.edge_to[target_edge]
-    if not ctx.out_edges[start_node]:
-        raise DegenerateTargetError(f"target street {ctx.edge_ids[target_edge]!r} ends in a dead end "
-                                    f"at {ctx.node_ids[start_node]!r}")
+    start_node = ctx.edge_to[target_edge]  # a dead end has no candidates, so every walk stays
     iso_nodes = ctx.isochrone(ctx.edge_from[target_edge], isochrone_s)
     dest_node = dest_node if dest_node is not None else ctx.edge_from[target_edge]
 

@@ -5,6 +5,7 @@ from parksearch.availability import CtmcParams
 from parksearch.engine import OccupationTrace
 from parksearch.graph import all_pairs_travel_times, load_graph
 from parksearch.planners import PlannerContext
+from parksearch.scenario import build_grid_graph_doc
 
 
 def triangle_doc():
@@ -69,6 +70,14 @@ def default_params():
 def make_context(doc):
     graph = load_graph(doc)
     return graph, PlannerContext(graph, all_pairs_travel_times(graph))
+
+
+def sink_grid_doc():
+    """A 4x4 grid with spots and one extra node, 'sink', that a street from n0303 enters and none leaves."""
+    doc = build_grid_graph_doc(4, 4, n_resources=12, seed=5)
+    doc["nodes"].append({"id": "sink", "lat": 0.00405, "lon": 0.0054})  # 150 m east of n0303
+    doc["edges"].append({"id": "e-sink", "from": "n0303", "to": "sink", "length_m": 150.0, "drive_time_s": 30.0})
+    return doc
 
 
 def bellman_ford_times(graph, source):

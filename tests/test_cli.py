@@ -6,6 +6,8 @@ from click.testing import CliRunner
 from parksearch.cli import main
 from parksearch.engine import read_results
 
+from conftest import sink_grid_doc
+
 
 def test_cli_end_to_end(tmp_path):
     runner = CliRunner()
@@ -170,3 +172,26 @@ def test_cli_malformed_results_file_is_a_cli_error(tmp_path):
     (cfg_dir / "broken.json").write_text(json.dumps({"graph": "missing.json"}))
     result = runner.invoke(main, ["batch", str(cfg_dir), "--out", str(out_dir)])
     assert result.exit_code == 1 and f"{bad} line 2" in result.output
+
+
+def test_cli_reports_nodes_outside_the_largest_strong_component(tmp_path):
+    """simulate and batch name how many nodes can strand an agent, on standard error, and still run."""
+    runner = CliRunner()
+    (tmp_path / "sink.json").write_text(json.dumps(sink_grid_doc()))
+    runner.invoke(main, ["gen-scenario", "grid-demo", "--rows", "4", "--cols", "4", "--resources", "8",
+                         "--out", str(tmp_path / "grid.json")])
+    cfg_dir = tmp_path / "configs"
+    for name in ("sink", "grid"):
+        result = runner.invoke(main, ["gen-scenario", "single", "--graph", str(tmp_path / f"{name}.json"),
+                                      "--destination", "0.0005", "0.0005", "--start-node", "n0000", "--agents", "2",
+                                      "--out", str(cfg_dir / f"{name}.json")])
+        assert result.exit_code == 0, result.output
+    notice = "1 of 17 nodes lie outside the largest strongly connected component"
+    result = runner.invoke(main, ["simulate", str(cfg_dir / "sink.json"), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    assert notice in result.stderr and notice not in result.stdout
+    result = runner.invoke(main, ["simulate", str(cfg_dir / "grid.json"), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0 and "strongly connected" not in result.stderr
+    result = runner.invoke(main, ["batch", str(cfg_dir), "--out", str(tmp_path / "batch")])
+    assert result.exit_code == 0, result.output
+    assert result.stderr.count("strongly connected") == 1 and notice in result.stderr

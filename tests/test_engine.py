@@ -30,7 +30,7 @@ from parksearch.graph import all_pairs_travel_times, load_graph
 from parksearch.planners import PLANNER_KINDS, PLANNERS, PlannerContext, PlannerSettings, PlanningView, make_policy
 from parksearch.scenario import build_grid_graph_doc
 
-from conftest import trace_from_rows, trace_rows
+from conftest import sink_grid_doc, trace_from_rows, trace_rows
 
 M_PER_DEG = math.pi * EARTH_RADIUS_M / 180.0
 FROZEN = CtmcParams(1e-9, 1e-9)
@@ -261,11 +261,7 @@ def test_graph_without_spots(kind):
 
 
 def sink_world():
-    """A 4x4 grid with spots and one extra node, 'sink', that a street from n0303 enters and none leaves."""
-    doc = build_grid_graph_doc(4, 4, n_resources=12, seed=5)
-    doc["nodes"].append({"id": "sink", "lat": 0.00405, "lon": 0.0054})  # 150 m east of n0303
-    doc["edges"].append({"id": "e-sink", "from": "n0303", "to": "sink", "length_m": 150.0, "drive_time_s": 30.0})
-    return load_graph(doc)
+    return load_graph(sink_grid_doc())
 
 
 @pytest.mark.parametrize("kind", PLANNER_KINDS)
@@ -295,6 +291,20 @@ def test_random_agents_that_reach_a_sink_strand_without_aborting_the_run():
         assert len(records) == 4 and all(math.isfinite(r.parking_s) for r in records)
         statuses.update(r.status for r in records)
     assert statuses["stranded"] and statuses["parked"], statuses
+
+
+def test_hs_a_agents_aimed_at_a_dead_end_street_finish():
+    """A spot on the street into the sink sends every hs_a adaption walk nowhere: they all stay at the
+    target, and the run returns a record per agent instead of aborting."""
+    doc = sink_grid_doc()
+    doc["resources"].append({"id": "r-sink", "edge": "e-sink", "lat": 0.00405, "lon": 0.004725, "offset_s": 15.0})
+    graph = load_graph(doc)
+    dest = GeoPoint(0.00405, 0.004725)
+    agents = [AgentSpec(f"a{i}", "n0000", dest, 0.0, "hs_a") for i in range(3)]
+    records = run_simulation(graph, agents, CtmcParams.from_mean_times(200.0, 600.0), seed=3, horizon_s=1800.0,
+                             settings=PlannerSettings(determinizations=10), measure_computation=False)
+    assert [r.agent_id for r in records] == ["a0", "a1", "a2"]
+    assert [r.status for r in records] == ["parked"] * 3 and all(math.isfinite(r.parking_s) for r in records)
 
 
 def test_synthesize_occupations_properties(default_params):

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from parksearch.availability import AdaptionOverlay, CtmcParams
-from parksearch.errors import DegenerateTargetError
 from parksearch.fleet import ReservationTable, _edge_jump_weight, adapt_probabilities
 from parksearch.planners import PlannerSettings, PlanningView
 from parksearch.scenario import build_grid_graph_doc
 
 from adaption_oracle import WalkPath, create_adaptions, oracle_adapt_probabilities
 from conftest import make_context, random_graph_doc
+from drive_time_oracle import dense_travel_times
 from ctmc_oracle import ResourceBelief, ResourceState, availability_probability
 
 FROZEN = CtmcParams(1e-9, 1e-9)
@@ -347,16 +347,27 @@ def test_adapt_probabilities_walk_invariants():
 
 
 def test_adapt_probabilities_degenerate_target():
+    """A target street that ends in a dead end offers no candidate street, so every walk stays: the
+    target street gets the stay mass of all of them, and no draw is made."""
     doc = {
         "nodes": [{"id": "a", "lat": 0.0, "lon": 0.0}, {"id": "b", "lat": 0.0, "lon": 0.001}],
         "edges": [{"id": "e1", "from": "a", "to": "b", "length_m": 100.0, "drive_time_s": 10.0}],
         "resources": [{"id": "r", "edge": "e1", "lat": 0.0, "lon": 0.0005, "offset_s": 5.0}],
     }
     graph, ctx = make_context(doc)
-    view = PlanningView(ctx, 0.0, np.array([True]), FROZEN, overlay=AdaptionOverlay(), agent_id=0)
-    with pytest.raises(DegenerateTargetError):
-        adapt_probabilities(view, 0, 10.0, 0, PlannerSettings(adaption_samples=5, adaption_isochrone_s=300.0),
-                            np.random.default_rng(1))
+    view = PlanningView(ctx, 0.0, np.array([False]), FROZEN, overlay=AdaptionOverlay(), agent_id=0)
+    rng = np.random.default_rng(1)
+    adapt_probabilities(view, 0, 10.0, 0, PlannerSettings(adaption_samples=5, adaption_isochrone_s=300.0), rng)
+    p_initial = 1.0 - float(view.availability(10.0, [0])[0])
+    p_sum = 0.0
+    for _ in range(5):
+        p_sum += p_initial
+    assert p_initial > 0.99
+    assert view.overlay.spot.tolist() == [0]
+    assert view.overlay.activation.tolist() == [10.0]
+    assert view.overlay.delta.tolist() == [p_sum / 5]
+    assert view.overlay.owner.tolist() == [0]
+    assert rng.bit_generator.state == np.random.default_rng(1).bit_generator.state
 
 
 def test_reverse_adaptions_round_trip_exact():
@@ -423,6 +434,7 @@ def test_adapt_probabilities_matches_walk_oracle():
             continue
         street_s = float(np.median([e.drive_time_s for e in graph.edges.values()]))
         overlay, oracle_overlay = AdaptionOverlay(), AdaptionOverlay()
+        dense = dense_travel_times(graph)
         for call in range(40):
             # mostly occupied streets stop most walks at once; mostly free ones let them wander
             free = rng.random() < 0.6
@@ -447,17 +459,11 @@ def test_adapt_probabilities_matches_walk_oracle():
             walk_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             # a far destination keeps every street's distance factor at 1, so free walks wander
             edge = graph.edges[ctx.resources[target].edge_id]
-            reach = ctx.M[ctx.node_index[edge.to_node]]
+            reach = dense[ctx.node_index[edge.to_node]]
             far = int(np.argmax(np.where(np.isfinite(reach), reach, -1.0)))
             dest = ((far if free else ctx.node_index[str(rng.choice(list(graph.nodes)))]) if rng.random() < 0.75
                     else None)
-            try:
-                paths = oracle_adapt_probabilities(views[1], target, t_arrival, agent, settings, oracle_rng, dest)
-            except DegenerateTargetError:
-                with pytest.raises(DegenerateTargetError):
-                    adapt_probabilities(views[0], target, t_arrival, agent, settings, walk_rng, dest)
-                seen["dead end"] += 1
-                continue
+            paths = oracle_adapt_probabilities(views[1], target, t_arrival, agent, settings, oracle_rng, dest)
             adapt_probabilities(views[0], target, t_arrival, agent, settings, walk_rng, dest)
             for column in ("spot", "activation", "delta", "owner"):
                 assert getattr(overlay, column).tobytes() == getattr(oracle_overlay, column).tobytes(), column
@@ -467,6 +473,7 @@ def test_adapt_probabilities_matches_walk_oracle():
             cands = [e for e in ctx.out_edges[ctx.node_index[edge.to_node]] if ctx.edge_to[e] in iso]
             drew = oracle_rng.bit_generator.state != np.random.default_rng(seed).bit_generator.state
             seen["no steps allowed"] += max_steps == 0
+            seen["dead end"] += not ctx.out_edges[ctx.node_index[edge.to_node]]
             seen["one step allowed"] += max_steps == 1 and drew
             seen["no candidates"] += max_steps > 0 and not cands
             seen["zero total weight"] += max_steps > 0 and bool(cands) and not drew

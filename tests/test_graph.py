@@ -1,13 +1,22 @@
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from parksearch.availability import CtmcParams
+from parksearch.engine import AgentSpec, run_simulation
 from parksearch.errors import GraphFormatError, GraphValidationError
+from parksearch.geo import GeoPoint
 from parksearch.graph import all_pairs_travel_times, dump_graph, load_graph, save_graph
 from parksearch.planners import PlannerContext
+from parksearch.scenario import build_grid_graph_doc, load_config
 
-from conftest import bellman_ford_times, random_graph_doc, triangle_doc
+from conftest import bellman_ford_times, random_graph_doc, sink_grid_doc, triangle_doc
+from drive_time_oracle import dense_travel_times
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_triangle_counts(triangle_graph):
@@ -149,8 +158,9 @@ def test_apsp_matches_bellman_ford_exactly():
 def test_triangle_inequality():
     rng = np.random.default_rng(5)
     g = load_graph(random_graph_doc(rng, n_nodes=20, n_resources=0))
-    vals = all_pairs_travel_times(g)
-    n = vals.shape[0]
+    times = all_pairs_travel_times(g)
+    n = len(g.nodes)
+    vals = np.array([times[i] for i in range(n)])
     for u in range(n):
         for v in range(n):
             for w in range(n):
@@ -167,6 +177,94 @@ def test_isochrone(triangle_graph):
     assert isochrone("u", 1000.0) == {"u", "v", "w"}
     # time-to-w: u needs 30, v needs 20, w needs 0
     assert isochrone("w", 20.0) == {"v", "w"}
+
+
+def drive_time_worlds(rng):
+    """Random graphs with integer and with non-integer drive times, the same with a sink that no street
+    leaves (so rows and columns hold inf), and one-way grids of non-integer streets."""
+    for integer in (True, False):
+        for _ in range(4):
+            yield random_graph_doc(rng, n_nodes=int(rng.integers(8, 25)), edge_prob=0.2, n_resources=0,
+                                   integer_weights=integer)
+        doc = random_graph_doc(rng, n_nodes=15, edge_prob=0.25, n_resources=0, integer_weights=integer)
+        doc["nodes"].append({"id": "sink", "lat": 0.0, "lon": 0.0})
+        for k, nid in enumerate(("n00", "n07")):
+            doc["edges"].append({"id": f"e-sink{k}", "from": nid, "to": "sink", "length_m": 50.0,
+                                 "drive_time_s": float(rng.uniform(1, 100))})
+        yield doc
+    for seed in (1, 2):
+        yield build_grid_graph_doc(5, 6, drive_time_s=float(rng.uniform(10, 40)), n_resources=0, seed=seed,
+                                   one_way=True)
+
+
+def test_drive_time_rows_equal_the_dense_oracle_bit_for_bit():
+    rng = np.random.default_rng(2201)
+    unreachable = 0
+    for doc in drive_time_worlds(rng):
+        g = load_graph(doc)
+        dense = dense_travel_times(g)
+        times = all_pairs_travel_times(g)
+        n = len(g.nodes)
+        assert times.shape == (n, n) and len(times) == 0
+        for k, i in enumerate(rng.permutation(n).tolist()):
+            row = times[i]
+            assert row.tobytes() == dense[i].tobytes(), i
+            assert times[i] is row and len(times) == k + 1  # kept, searched once
+            assert not row.flags.writeable
+        unreachable += int(np.isinf(dense).sum())
+    assert unreachable > 100
+
+
+def test_isochrone_equals_the_dense_column_at_exact_path_lengths():
+    """Limits at a node's exact drive time and one step either side decide it as its own row does, though
+    the reverse search that picks candidates may add the same streets to a slightly different sum."""
+    rng = np.random.default_rng(2202)
+    checked = boundary = 0
+    for doc in drive_time_worlds(rng):
+        g = load_graph(doc)
+        dense = dense_travel_times(g)
+        n = len(g.nodes)
+        ctx = PlannerContext(g, all_pairs_travel_times(g))
+        for around in rng.choice(n, size=min(n, 4), replace=False).tolist():
+            column = dense[:, around]
+            lengths = np.unique(column[np.isfinite(column)])
+            for length in rng.choice(lengths, size=min(len(lengths), 6), replace=False).tolist():
+                for limit in (np.nextafter(length, -np.inf), length, np.nextafter(length, np.inf)):
+                    want = np.flatnonzero(column <= limit).tolist()
+                    assert sorted(ctx.isochrone(around, limit)) == want, (around, limit)
+                    checked += 1
+                boundary += int(np.count_nonzero(column == length))
+        assert sorted(ctx.isochrone(0, np.inf)) == list(range(n))  # unreachable nodes too, as inf <= inf
+        assert sorted(ctx.isochrone(0, -1.0)) == []
+    assert checked > 300 and boundary > 100
+
+
+def test_drive_times_are_computed_on_demand():
+    """Building the store and a context on a 3,600-node one-way grid allocates a small share of the
+    dense matrix, and one rpl trip searches fewer rows than there are nodes."""
+    g = load_graph(build_grid_graph_doc(60, 60, n_resources=600, seed=6, one_way=True, resource_streets=300))
+    n = len(g.nodes)
+    tracemalloc.start()
+    try:
+        times = all_pairs_travel_times(g)
+        ctx = PlannerContext(g, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * n * n * 8, peak
+    dest = GeoPoint(float(ctx.node_lat[n // 2 + 30]), float(ctx.node_lon[n // 2 + 30]))
+    (record,) = run_simulation(g, [AgentSpec("a0", "n0000", dest, 0.0, "rpl")],
+                               CtmcParams.from_mean_times(300.0, 600.0), seed=1, ctx=ctx, measure_computation=False)
+    assert record.status == "parked"
+    assert 0 < len(times) < n
+
+
+def test_nodes_outside_the_largest_strong_component_are_counted():
+    assert all_pairs_travel_times(load_graph(sink_grid_doc())).outside_largest_component() == 1
+    for path in sorted(CONFIGS.glob("*.json")):
+        config = load_config(path)
+        g = load_graph(config.graph_path, speed_factor=config.speed_factor)
+        assert all_pairs_travel_times(g).outside_largest_component() == 0, path.name
 
 
 def test_reachable_resources_ordering():

@@ -74,7 +74,7 @@ def oracle_decide(policy, view, node):
         return RouteDecision(action, ridx, float(view.now + ctx.res_offset[ridx])), None
     modal = modal_choice(costs.argmin(axis=1), ctx.n_resources)
     street = action.edge
-    arrival = (view.now + ctx.edge_time[street]) + (ctx.M[ctx.edge_to[street], ctx.res_from_idx[modal]]
+    arrival = (view.now + ctx.edge_time[street]) + (ctx.drive_time(ctx.edge_to[street], ctx.res_from_idx[modal])
                                                      + ctx.res_offset[modal])
     return RouteDecision(action, modal, float(arrival)), modal
 

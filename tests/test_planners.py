@@ -30,6 +30,7 @@ from parksearch.planners import (
 from parksearch.scenario import build_grid_graph_doc
 
 from conftest import bellman_ford_times, make_context, random_graph_doc, triangle_doc
+from drive_time_oracle import dense_travel_times
 from hindsight_oracle import Determinization, sample_determinizations, solve_determinization
 
 M_PER_DEG = math.pi * EARTH_RADIUS_M / 180.0
@@ -516,7 +517,8 @@ def test_policies_are_pure_functions_of_inputs():
 
 def test_context_rejects_drive_times_of_the_wrong_shape():
     graph, ctx = make_context(triangle_doc())
-    for times in (ctx.M[:2, :2], ctx.M[:, :2], ctx.M.ravel()):
+    dense = dense_travel_times(graph)
+    for times in (dense[:2, :2], dense[:, :2], dense.ravel()):
         with pytest.raises(ValueError, match="3x3"):
             PlannerContext(graph, times)
 

@@ -14,7 +14,7 @@ from parksearch.engine import read_results, write_results
 from parksearch.engine import MetricsRecord
 from parksearch.errors import ConfigError
 from parksearch.geo import EARTH_RADIUS_M, GeoPoint, great_circle_m
-from parksearch.graph import all_pairs_travel_times, load_graph
+from parksearch.graph import load_graph
 from parksearch.scenario import (
     Cluster,
     build_grid_graph_doc,
@@ -31,6 +31,7 @@ from parksearch.scenario import (
 )
 
 from conftest import trace_from_rows
+from drive_time_oracle import dense_travel_times
 
 M_PER_DEG = math.pi * EARTH_RADIUS_M / 180.0
 
@@ -528,6 +529,5 @@ def test_grid_builder_connectivity():
     for one_way in (False, True):
         doc = build_grid_graph_doc(6, 6, n_resources=10, seed=3, one_way=one_way)
         graph = load_graph(doc)
-        matrix = all_pairs_travel_times(graph)
-        assert np.isfinite(matrix).all(), f"one_way={one_way}"
+        assert np.isfinite(dense_travel_times(graph)).all(), f"one_way={one_way}"
     assert len(load_graph(build_grid_graph_doc(10, 10, n_resources=150, seed=42)).resources) == 150
