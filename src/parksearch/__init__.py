@@ -10,8 +10,7 @@ from .engine import (
     save_trace, synthesize_occupations, write_results,
 )
 from .errors import (
-    AdaptionError, ConfigError, GraphFormatError, GraphValidationError, NoPathError,
-    ParkSearchError, TraceError,
+    ConfigError, GraphFormatError, GraphValidationError, NoPathError, ParkSearchError, TraceError,
 )
 from .fleet import ReservationTable, adapt_probabilities
 from .geo import GeoPoint, great_circle_m, walking_time
@@ -33,8 +32,8 @@ __all__ = [
     "AgentSpec", "MetricsRecord", "OccupationTrace", "compute_metrics", "load_trace",
     "read_results", "run_simulation", "save_trace", "synthesize_occupations", "write_results",
     # errors
-    "AdaptionError", "ConfigError", "GraphFormatError", "GraphValidationError",
-    "NoPathError", "ParkSearchError", "TraceError",
+    "ConfigError", "GraphFormatError", "GraphValidationError", "NoPathError", "ParkSearchError",
+    "TraceError",
     # geometry and road graphs
     "GeoPoint", "great_circle_m", "walking_time",
     "RoadGraph", "all_pairs_travel_times", "dump_graph", "load_graph", "save_graph",

@@ -65,63 +65,36 @@ class AvailabilityRates:
 class AdaptionOverlay:
     """Probability subtractions as four parallel columns in insertion order: ``spot`` (a
     ``PlannerContext`` resource index), ``activation`` (the time from which it counts), ``delta`` and
-    ``owner`` (a run's agent index, never negative). Each owner's entries are withdrawn exactly.
+    ``owner`` (a run's agent index). Each owner's entries are withdrawn exactly.
 
-    The columns are the used slots of buffers that double when full, so an add writes only its own
-    entries. A withdrawal marks its owner's entries dead (owner -1 and activation NaN, which no time
-    reaches, so no sum counts them); once half the slots are dead, or when a column is read, the dead
-    ones are dropped and the rest keep their order.
+    ``add`` and ``withdraw`` replace the columns rather than write into them, so a column read
+    earlier keeps its values.
     """
 
     def __init__(self) -> None:
-        self._buffers = (np.zeros(64, dtype=np.intp), np.zeros(64), np.zeros(64), np.zeros(64, dtype=np.intp))
-        self._size = 0  # used slots, dead ones included
-        self._dead = 0
-        self._slots = tuple(b[:0] for b in self._buffers)  # spot, activation, delta, owner of the used slots
-
-    def _resize(self, size: int) -> None:
-        self._size = size
-        self._slots = tuple(b[:size] for b in self._buffers)
-
-    def _live(self) -> tuple[np.ndarray, ...]:
-        if self._dead:
-            keep = self._slots[3] >= 0
-            for buf, col in zip(self._buffers, self._slots):
-                kept = col[keep]
-                buf[:len(kept)] = kept
-            self._dead = 0
-            self._resize(int(np.count_nonzero(keep)))
-        return self._slots
-
-    spot = property(lambda self: self._live()[0])
-    activation = property(lambda self: self._live()[1])
-    delta = property(lambda self: self._live()[2])
-    owner = property(lambda self: self._live()[3])
+        self.spot = np.zeros(0, dtype=np.intp)
+        self.activation = np.zeros(0)
+        self.delta = np.zeros(0)
+        self.owner = np.zeros(0, dtype=np.intp)
 
     def add(self, spot, activation, delta, owner: int) -> None:
         """Append entries of ``owner`` on one spot or an array of spots; ``activation`` and ``delta``
         are one value or one per spot."""
         spot = np.array(spot, dtype=np.intp, ndmin=1)
-        start, end = self._size, self._size + len(spot)
-        if end > len(self._buffers[0]):
-            self._buffers = tuple(np.concatenate((col, np.empty(2 * end - start, dtype=col.dtype)))
-                                  for col in self._slots)
-        for buf, value in zip(self._buffers, (spot, activation, delta, owner)):
-            buf[start:end] = value
-        self._resize(end)
+        act, dlt = np.empty(len(spot)), np.empty(len(spot))
+        act[:], dlt[:] = activation, delta
+        self.spot = np.concatenate((self.spot, spot))
+        self.activation = np.concatenate((self.activation, act))
+        self.delta = np.concatenate((self.delta, dlt))
+        self.owner = np.concatenate((self.owner, np.full(len(spot), owner, dtype=np.intp)))
 
     def withdraw(self, owner: int) -> None:
         """Remove every entry of ``owner``; the rest keep their order, so each sum reads as if it never
         added any. Withdrawing an owner without entries changes nothing."""
-        _, activation, _, owners = self._slots
-        gone = owners == owner
-        n_gone = int(np.count_nonzero(gone))
-        if n_gone:
-            activation[gone] = np.nan
-            owners[gone] = -1
-            self._dead += n_gone
-            if 2 * self._dead > self._size:
-                self._live()
+        keep = self.owner != owner
+        if not keep.all():
+            self.spot, self.activation, self.delta, self.owner = (
+                self.spot[keep], self.activation[keep], self.delta[keep], self.owner[keep])
 
     def subtraction(self, n_spots: int, at: np.ndarray | float, exclude_owner: int | None = None) -> np.ndarray:
         """Per spot, the sum in insertion order of its deltas whose activation is at most ``at``, one
@@ -131,14 +104,14 @@ class AdaptionOverlay:
         the fleet; they never feed back into that agent's own predictions, so
         callers pass their identity as ``exclude_owner``.
         """
-        spot, activation, delta, owner = self._slots
-        active = activation <= (at if np.ndim(at) == 0 else np.asarray(at)[spot])
+        spot = self.spot
+        active = self.activation <= (at if np.ndim(at) == 0 else np.asarray(at)[spot])
         if exclude_owner is not None:
-            active &= owner != exclude_owner
-        return np.bincount(spot[active], weights=delta[active], minlength=n_spots)
+            active &= self.owner != exclude_owner
+        return np.bincount(spot[active], weights=self.delta[active], minlength=n_spots)
 
     def __len__(self) -> int:
-        return self._size - self._dead
+        return len(self.spot)
 
 
 def expected_wait_times_rates(rates: AvailabilityRates, t_tr: np.ndarray) -> np.ndarray:

@@ -28,10 +28,6 @@ class ConfigError(ParkSearchError, ValueError):
     """Scenario configuration or planner settings are invalid."""
 
 
-class AdaptionError(ParkSearchError):
-    """Probability adaption walks cannot be run for a target."""
-
-
 def check_number(value, name: str, *, integer: bool = False, positive: bool = True) -> float | int:
     """``value`` (numpy scalars too, never bools) as a finite Python int or float in bounds, else a ConfigError."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real)

@@ -506,6 +506,8 @@ class RandomPolicy:
             raise NoPathError(f"dead end at {ctx.node_ids[node]!r}")
         # The driver cruises one random street at a time and takes the first
         # free spot on the street it chose, not spots seen on cross streets.
+        # A street into a dead end is taken only when every street leads into one.
+        edges = [e for e in edges if ctx.out_edges[ctx.edge_to[e]]] or edges
         street = edges[int(rng.integers(len(edges)))]
         for ridx in ctx.street_spots[street].tolist():
             if view.avail[ridx]:

@@ -483,35 +483,46 @@ def test_overlay_subtraction_matches_scalar_oracle():
 
 
 def test_overlay_growth_and_withdrawn_slots_keep_every_sum():
-    """Past the first buffer's size and through withdrawals that leave dead slots behind, every
-    subtraction equals the in-order sum over the test's own list of live entries, bit for bit, before
-    any column is read; then the columns hold exactly those entries in insertion order."""
+    """Through interleaved adds and withdrawals, every subtraction equals the in-order sum over the
+    test's own list of entries, bit for bit; then the columns hold exactly those entries in insertion
+    order."""
     rng = np.random.default_rng(1920)
     n_spots = 40
     overlay, entries = AdaptionOverlay(), []  # entries: (spot, activation, delta, owner)
-    seen = {"grown": 0, "dead slots queried": 0, "compacted": 0}
     for _ in range(300):
         owner = int(rng.integers(8))
-        size = overlay._size
         if rng.random() < 0.3:
             overlay.withdraw(owner)
             entries = [e for e in entries if e[3] != owner]
-            seen["compacted"] += overlay._size < size
         else:
             spots = rng.integers(n_spots, size=int(rng.integers(1, 25)))
             activation, delta = 10.0 * rng.integers(10, size=len(spots)), rng.uniform(0.0, 0.2, len(spots))
-            capacity = len(overlay._buffers[0])
             overlay.add(spots, activation, delta, owner)
             entries += list(zip(spots.tolist(), activation.tolist(), delta.tolist(), [owner] * len(spots)))
-            seen["grown"] += len(overlay._buffers[0]) > capacity
         assert len(overlay) == len(entries)
-        seen["dead slots queried"] += overlay._dead > 0
         spot, act, delta, own = (np.array(c) for c in zip(*entries)) if entries else [np.zeros(0)] * 4
         at = 10.0 * float(rng.integers(11))
         for exclude in (None, owner):
             active = (act <= at) & (own != exclude)
             expected = np.bincount(spot[active].astype(int), weights=delta[active], minlength=n_spots)
             assert overlay.subtraction(n_spots, at, exclude).tobytes() == expected.tobytes()
-    assert min(seen.values()) > 0, seen
     assert [overlay.spot.tolist(), overlay.activation.tolist(), overlay.delta.tolist(), overlay.owner.tolist()] \
         == [list(column) for column in zip(*entries)]
+
+
+def test_overlay_columns_read_earlier_keep_their_values():
+    """A column is a snapshot: later adds and withdrawals replace the columns, never rewrite one that a
+    caller holds."""
+    rng = np.random.default_rng(2023)
+    overlay = AdaptionOverlay()
+    for _ in range(300):
+        held = (overlay.spot, overlay.activation, overlay.delta, overlay.owner)
+        copies = [column.copy() for column in held]
+        owner = int(rng.integers(6))
+        if rng.random() < 0.4:
+            overlay.withdraw(owner)
+        else:
+            n = int(rng.integers(1, 10))
+            overlay.add(rng.integers(30, size=n), rng.uniform(0.0, 100.0, n), rng.uniform(0.0, 0.2, n), owner)
+        for column, copy in zip(held, copies):
+            assert column.tobytes() == copy.tobytes()

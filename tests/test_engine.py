@@ -31,6 +31,7 @@ from parksearch.planners import PLANNER_KINDS, PLANNERS, PlannerContext, Planner
 from parksearch.scenario import build_grid_graph_doc
 
 from conftest import sink_grid_doc, trace_from_rows, trace_rows
+from run_invariants import check_end_of_run
 
 M_PER_DEG = math.pi * EARTH_RADIUS_M / 180.0
 FROZEN = CtmcParams(1e-9, 1e-9)
@@ -279,7 +280,7 @@ def test_agent_starting_at_a_sink_is_stranded_and_the_run_goes_on(kind):
     assert compute_metrics(records)[kind]["stranded"] == 1
 
 
-def test_random_agents_that_reach_a_sink_strand_without_aborting_the_run():
+def test_random_agents_avoid_a_sink_while_another_street_leads_on():
     graph = sink_world()
     dest = GeoPoint(0.0015, 0.0030)
     starts = ("n0000", "n0102", "n0201", "n0303")
@@ -290,7 +291,24 @@ def test_random_agents_that_reach_a_sink_strand_without_aborting_the_run():
                                  horizon_s=3600.0, measure_computation=False)
         assert len(records) == 4 and all(math.isfinite(r.parking_s) for r in records)
         statuses.update(r.status for r in records)
-    assert statuses["stranded"] and statuses["parked"], statuses
+    assert statuses["stranded"] == 0 and statuses["parked"], statuses
+
+
+def test_random_agent_with_only_dead_ends_ahead_takes_one_and_strands():
+    """Every street out of the fork ends in a dead end: the searching agent still drives into one, is
+    stranded there, and the run returns a record for each agent."""
+    doc = {
+        "nodes": [{"id": "fork", "lat": 0.0, "lon": 0.0}, {"id": "s1", "lat": 0.0, "lon": 0.001},
+                  {"id": "s2", "lat": 0.001, "lon": 0.0}],
+        "edges": [{"id": "e1", "from": "fork", "to": "s1", "length_m": 100.0, "drive_time_s": 10.0},
+                  {"id": "e2", "from": "fork", "to": "s2", "length_m": 100.0, "drive_time_s": 10.0}],
+        "resources": [],
+    }
+    agents = [AgentSpec(f"a{i}", "fork", GeoPoint(0.0, 0.0005), 0.0, "random") for i in range(2)]
+    records = run_simulation(load_graph(doc), agents, OccupationTrace(), params=FROZEN, horizon_s=600.0,
+                             measure_computation=False)
+    assert [r.status for r in records] == ["stranded"] * 2
+    assert all(r.total_trip_s == 600.0 and math.isfinite(r.parking_s) for r in records)
 
 
 def test_hs_a_agents_aimed_at_a_dead_end_street_finish():
@@ -768,6 +786,28 @@ def test_fleet_holds_nothing_after_a_mixed_run(monkeypatch):
     (captured,) = fleets
     assert len(captured.reservations) == 0
     assert not captured.overlay and len(captured.overlay) == 0
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_mixed_run_ends_with_every_invariant_held(seed, monkeypatch):
+    # the mixed-1 golden world: 28 agents of all seven kinds share one run's fleet
+    from test_acceptance import competition_world
+
+    fleets = []
+    original = fleet.Fleet.__init__
+
+    def captured(self, *args):
+        original(self, *args)
+        fleets.append(self)
+
+    monkeypatch.setattr(fleet.Fleet, "__init__", captured)
+    graph, ctx, dest, ring, overrides = competition_world()
+    agents = [AgentSpec(f"a{i:03d}", "n0009", dest, 7.0 + 3.0 * (i % 4), PLANNER_KINDS[i % 7])
+              for i in range(28)]
+    records, log = run_simulation(graph, agents, ring, params_by_resource=overrides, seed=seed, ctx=ctx,
+                                  measure_computation=False, collect_events=True)
+    (run_fleet,) = fleets
+    check_end_of_run(records, log, run_fleet)
 
 
 def test_hs_a_computation_includes_adaption(monkeypatch):

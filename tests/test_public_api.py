@@ -26,6 +26,16 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+def test_every_exported_exception_is_raised():
+    """An exported exception class is raised somewhere in the package, or is the base of one that is."""
+    source = "\n".join(path.read_text() for path in (ROOT / "src" / "parksearch").glob("*.py"))
+    raised = {getattr(ps, name) for name in re.findall(r"\braise\s+(\w+)", source) if name in ps.__all__}
+    exported = [getattr(ps, name) for name in ps.__all__]
+    unused = [cls.__name__ for cls in exported if isinstance(cls, type) and issubclass(cls, BaseException)
+              and not any(issubclass(r, cls) for r in raised)]
+    assert unused == []
+
+
 def test_import_leaves_scipy_spatial_out():
     """``scipy.spatial`` alone adds about 6 MB of resident memory to every process that imports the package."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
