@@ -93,6 +93,10 @@ class PlannerContext:
     spot its index in ``graph.resources``; each dict is in id order, so index order is id order.
     Per street the context keeps its ids, ends and drive time, and its spots by offset, then index;
     per node its out-streets in id order and the spots along them in turn.
+
+    ``walk_vector`` keeps each destination's walking seconds from every spot. ``dest_node`` and
+    ``taxi_time`` keep only their answers, per destination and per (start, destination), each from a
+    node walk vector computed for that miss alone.
     """
 
     def __init__(self, graph: RoadGraph, times: DriveTimes):
@@ -134,7 +138,8 @@ class PlannerContext:
         self.adjacent_res = [[r for s in out for r in self.street_spots[s].tolist()] for out in self.out_edges]
 
         self._walk_cache: dict[tuple[float, float], np.ndarray] = {}
-        self._node_walk_cache: dict[tuple[float, float], np.ndarray] = {}
+        self._dest_node: dict[tuple[float, float], int] = {}
+        self._taxi: dict[tuple[int, float, float], float] = {}
         self._isochrone_cache: dict[tuple[int, float], frozenset[int]] = {}
         # the engine's last synthesized trace on this graph and its key (see run_simulation)
         self.synthesized: tuple[tuple, object] | None = None
@@ -149,15 +154,12 @@ class PlannerContext:
             self._walk_cache[key] = walking_time_many(self.res_lat, self.res_lon, destination)
         return self._walk_cache[key]
 
-    def node_walk_vector(self, destination: GeoPoint) -> np.ndarray:
-        key = (destination.lat, destination.lon)
-        if key not in self._node_walk_cache:
-            self._node_walk_cache[key] = walking_time_many(self.node_lat, self.node_lon, destination)
-        return self._node_walk_cache[key]
-
     def dest_node(self, destination: GeoPoint) -> int:
         """Node whose position is walk-closest to the destination."""
-        return int(np.argmin(self.node_walk_vector(destination)))
+        key = (destination.lat, destination.lon)
+        if key not in self._dest_node:
+            self._dest_node[key] = int(np.argmin(walking_time_many(self.node_lat, self.node_lon, destination)))
+        return self._dest_node[key]
 
     def drive_time(self, from_node: int, to_node: int) -> float:
         """Least drive seconds between two nodes; ``inf`` when unreachable."""
@@ -172,7 +174,11 @@ class PlannerContext:
 
     def taxi_time(self, start: int, destination: GeoPoint) -> float:
         """Trip time with a drop-off as close to the destination as any node allows."""
-        return float(np.min(self.times[start] + self.node_walk_vector(destination)))
+        key = (start, destination.lat, destination.lon)
+        if key not in self._taxi:
+            walk = walking_time_many(self.node_lat, self.node_lon, destination)
+            self._taxi[key] = float(np.min(self.times[start] + walk))
+        return self._taxi[key]
 
     def drive_to_resources(self, nodes: int | list[int]) -> np.ndarray:
         """Drive seconds to every resource (via its edge start, then the offset) from a node,
@@ -490,20 +496,20 @@ class RandomPolicy:
         # The vectorized and scalar formulas may differ in the last ulps, so the
         # streets near the minimum are ranked again with the scalar one: exact
         # ties (both directions of a two-way street) go to the first in graph order.
-        near = np.flatnonzero(dist <= dist.min() + 1e-6).tolist()
+        near = np.flatnonzero(dist <= dist.min(initial=np.inf) + 1e-6).tolist()
         walks = [great_circle_m(GeoPoint(float(mid_lat[i]), float(mid_lon[i])), destination) for i in near]
-        self.dest_edge = near[walks.index(min(walks))]  # a street index
+        self.dest_edge = near[walks.index(min(walks))] if near else None  # a street index; None without streets
 
     def decide(self, view: PlanningView, node: int, rng: np.random.Generator) -> RouteDecision:
         ctx = view.ctx
+        edges = ctx.out_edges[node]
+        if not edges:  # before dest_edge is read: on a graph without streets it is None
+            raise NoPathError(f"dead end at {ctx.node_ids[node]!r}")
         start = ctx.edge_from[self.dest_edge]
         if not self._searching and node == start:
             self._searching = True
         if not self._searching:
             return RouteDecision(TakeRoad(ctx.first_hop(node, start)))
-        edges = ctx.out_edges[node]
-        if not edges:
-            raise NoPathError(f"dead end at {ctx.node_ids[node]!r}")
         # The driver cruises one random street at a time and takes the first
         # free spot on the street it chose, not spots seen on cross streets.
         # A street into a dead end is taken only when every street leads into one.

@@ -8,8 +8,23 @@
 - event times never decrease.
 
 It does not assert ``parking_s >= 0``: a spot closer to the destination than any node can still give a
-negative search time.
+negative search time. ``capture_fleets(monkeypatch)`` returns the list that every ``Fleet`` built from then
+on joins, so a test can hand a run's fleet to the checker.
 """
+
+from parksearch import fleet
+
+
+def capture_fleets(monkeypatch) -> list:
+    fleets = []
+    original = fleet.Fleet.__init__
+
+    def captured(self, *args):
+        original(self, *args)
+        fleets.append(self)
+
+    monkeypatch.setattr(fleet.Fleet, "__init__", captured)
+    return fleets
 
 
 def check_end_of_run(records, log, fleet) -> None:

@@ -2,6 +2,7 @@ import hashlib
 import math
 import re
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -31,7 +32,7 @@ from parksearch.planners import PLANNER_KINDS, PLANNERS, PlannerContext, Planner
 from parksearch.scenario import build_grid_graph_doc
 
 from conftest import sink_grid_doc, trace_from_rows, trace_rows
-from run_invariants import check_end_of_run
+from run_invariants import capture_fleets, check_end_of_run
 
 M_PER_DEG = math.pi * EARTH_RADIUS_M / 180.0
 FROZEN = CtmcParams(1e-9, 1e-9)
@@ -311,6 +312,16 @@ def test_random_agent_with_only_dead_ends_ahead_takes_one_and_strands():
     assert all(r.total_trip_s == 600.0 and math.isfinite(r.parking_s) for r in records)
 
 
+def test_every_kind_strands_on_a_graph_without_streets():
+    doc = {"nodes": [{"id": "n0", "lat": 0.0, "lon": 0.0}, {"id": "n1", "lat": 0.0, "lon": 0.001}],
+           "edges": [], "resources": []}
+    agents = [AgentSpec(f"a{i}", "n0", GeoPoint(0.0, 0.0005), 0.0, kind) for i, kind in enumerate(PLANNER_KINDS)]
+    records = run_simulation(load_graph(doc), agents, OccupationTrace(), params=FROZEN, horizon_s=600.0,
+                             measure_computation=False)
+    assert [(r.planner, r.status) for r in records] == [(kind, "stranded") for kind in PLANNER_KINDS]
+    assert all(r.total_trip_s == 600.0 and r.parked_resource is None for r in records)
+
+
 def test_hs_a_agents_aimed_at_a_dead_end_street_finish():
     """A spot on the street into the sink sends every hs_a adaption walk nowhere: they all stay at the
     target, and the run returns a record per agent instead of aborting."""
@@ -516,6 +527,47 @@ def test_taxi_time_examples():
         for v in graph.nodes
     )
     assert ctx.taxi_time(ctx.node_index[spec2.start_node], spec2.destination) == brute
+    # the context memoizes each (start, destination): two of each, every pair asked twice
+    expected = {
+        (start, d): min(ctx.drive_time(ctx.node_index[start], ctx.node_index[v])
+                        + walking_time(graph.nodes[v].position, d) for v in graph.nodes)
+        for start in ("n0", "n2") for d in (dest, GeoPoint(-0.0003, 0.0002))
+    }
+    assert len(set(expected.values())) == 4  # a key without the start or the destination would show
+    for _ in range(2):
+        for (start, d), brute in expected.items():
+            assert ctx.taxi_time(ctx.node_index[start], d) == brute
+
+
+def test_dest_node_is_the_walk_closest_node():
+    graph = load_graph(build_grid_graph_doc(6, 6, n_resources=10, seed=3))
+    ctx = PlannerContext(graph, all_pairs_travel_times(graph))
+    rng = np.random.default_rng(24)
+    dests = [GeoPoint(float(rng.uniform(-0.001, 0.008)), float(rng.uniform(-0.001, 0.008))) for _ in range(20)]
+    positions = [v.position for v in graph.nodes.values()]
+    for d in dests + dests:
+        walks = [walking_time(p, d) for p in positions]
+        assert ctx.dest_node(d) == walks.index(min(walks))
+
+
+def test_taxi_time_and_dest_node_keep_no_node_vector():
+    """300 destinations through one context keep their answers only, not a vector over the nodes each."""
+    graph = load_graph(build_grid_graph_doc(50, 50, n_resources=100, seed=1))
+    ctx = PlannerContext(graph, all_pairs_travel_times(graph))
+    start = ctx.node_index["n2525"]
+    ctx.times[start]  # the drive-time row is searched on first read and kept; read it before measuring
+    rng = np.random.default_rng(300)
+    dests = [GeoPoint(float(rng.uniform(0.0, 0.066)), float(rng.uniform(0.0, 0.066))) for _ in range(300)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for d in dests:
+            ctx.taxi_time(start, d)
+            ctx.dest_node(d)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 0.1 * len(dests) * len(graph.nodes) * 8, kept
 
 
 def test_compute_metrics_arithmetic():
@@ -793,14 +845,7 @@ def test_mixed_run_ends_with_every_invariant_held(seed, monkeypatch):
     # the mixed-1 golden world: 28 agents of all seven kinds share one run's fleet
     from test_acceptance import competition_world
 
-    fleets = []
-    original = fleet.Fleet.__init__
-
-    def captured(self, *args):
-        original(self, *args)
-        fleets.append(self)
-
-    monkeypatch.setattr(fleet.Fleet, "__init__", captured)
+    fleets = capture_fleets(monkeypatch)
     graph, ctx, dest, ring, overrides = competition_world()
     agents = [AgentSpec(f"a{i:03d}", "n0009", dest, 7.0 + 3.0 * (i % 4), PLANNER_KINDS[i % 7])
               for i in range(28)]
