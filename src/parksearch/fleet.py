@@ -52,12 +52,17 @@ class ReservationTable:
         t_res = self.arrival[holders]
         return (holders != query) & ((t_res < t) | ((t_res == t) & (holders < query)))
 
-    def blocked(self, agent: int | None, arrivals: np.ndarray) -> np.ndarray:
-        """Mask over ``arrivals``, one per spot, of the spots another agent reaches first."""
+    def blocked_spots(self, agent: int | None, arrival_at) -> np.ndarray:
+        """The reserved spots that another agent reaches before ``agent``, repeats included;
+        ``arrival_at(spots)`` gives the asking agent's arrival at each of an array of spot indices."""
         holders = (self.spot >= 0).nonzero()[0]
         spots = self.spot[holders]
+        return spots[self._first(holders, arrival_at(spots), agent)]
+
+    def blocked(self, agent: int | None, arrivals: np.ndarray) -> np.ndarray:
+        """Mask over ``arrivals``, one per spot, of the spots another agent reaches first."""
         mask = np.zeros(len(arrivals), dtype=bool)
-        mask[spots[self._first(holders, arrivals[spots], agent)]] = True
+        mask[self.blocked_spots(agent, arrivals.take)] = True
         return mask
 
     def spot_blocked(self, agent: int | None, spot: int, t_arrival: float) -> bool:

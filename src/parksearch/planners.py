@@ -180,13 +180,16 @@ class PlannerContext:
             self._taxi[key] = float(np.min(self.times[start] + walk))
         return self._taxi[key]
 
-    def drive_to_resources(self, nodes: int | list[int]) -> np.ndarray:
-        """Drive seconds to every resource (via its edge start, then the offset) from a node,
-        or one C-ordered row per node of a list."""
+    def drive_to_resources(self, nodes: int | list[int], spots: np.ndarray | None = None) -> np.ndarray:
+        """Drive seconds (via a resource's edge start, then its offset) to every resource, or to the
+        resource indices ``spots``, from a node, or one C-ordered row per node of a list."""
         times = self.times
         rows = np.array([times[node] for node in nodes]) if isinstance(nodes, list) else times[nodes]
-        out = rows.take(self.res_from_idx, axis=-1)
-        out += self.res_offset
+        starts, offset = self.res_from_idx, self.res_offset
+        if spots is not None:
+            starts, offset = starts.take(spots), offset.take(spots)
+        out = rows.take(starts, axis=-1)
+        out += offset
         return out
 
     def first_hop(self, from_node: int, to_node: int) -> int:
@@ -224,8 +227,9 @@ class PlanningView:
     later trace flips and claims overwrite it, so a view describes the world only at ``now``.
     ``rates`` is the availability rule for per-resource flip rates; it defaults to the global
     pair in ``params`` when the scenario does not override them. ``t_claim`` is the expected
-    circling wait at each resource. Every view of a run shares that run's arrays. ``agent_id``
-    is the agent's index in the run, which orders agents as their ids do.
+    circling wait at each resource, and ``least_claim`` a lower bound on the cost of any plan that
+    pays one (``least_claim_cost``). Every view of a run shares that run's arrays. ``agent_id`` is the
+    agent's index in the run, which orders agents as their ids do.
     """
 
     ctx: PlannerContext
@@ -237,6 +241,7 @@ class PlanningView:
     agent_id: int | None = None
     rates: AvailabilityRates | None = None
     t_claim: np.ndarray | None = None
+    least_claim: float | None = None
 
     def __post_init__(self) -> None:
         n = self.ctx.n_resources
@@ -244,6 +249,8 @@ class PlanningView:
             self.rates = AvailabilityRates(np.full(n, self.params.lam), np.full(n, self.params.mu))
         if self.t_claim is None:
             self.t_claim = expected_wait_times_rates(self.rates, self.ctx.res_t_tr)
+        if self.least_claim is None:
+            self.least_claim = least_claim_cost(self.ctx, self.t_claim)
 
     def availability(self, at: np.ndarray | float, idx=None) -> np.ndarray:
         """Predicted availability at ``at`` of every resource, or of the distinct resource indices ``idx``.
@@ -276,12 +283,34 @@ class PlanningView:
         return self.reservations.blocked(self.agent_id, arrivals)
 
 
+def least_claim_cost(ctx: PlannerContext, t_claim: np.ndarray) -> float:
+    """A lower bound on the cost of every plan that pays the circling wait, ``min(offset + t_claim)``:
+    drive and walk seconds are never negative and rounding is monotone, so such a spot's
+    ``(drive + walk) + t_claim`` is at least its ``offset + t_claim``; ``inf`` without spots."""
+    return float((ctx.res_offset + t_claim).min(initial=np.inf))
+
+
 def replan_route(view: PlanningView, from_node: int, destination: GeoPoint) -> RouteDecision:
-    """Least-cost plan in the most likely future; occupied targets pay the expected circling wait."""
+    """Least-cost plan in the most likely future; occupied targets pay the expected circling wait.
+
+    The treated-available spots (free now, and no fleet agent reaches them first; arrivals are
+    priced only at reserved spots) are priced first, in index order: their cheapest is the plan when
+    it costs strictly less than ``view.least_claim``, as every other spot costs at least that. Only
+    otherwise is every spot priced; both give the full vector's first argmin, bit for bit.
+    """
     ctx = view.ctx
-    drive = ctx.drive_to_resources(from_node)
-    treated = view.avail & ~view.reserved(view.now + drive)
-    costs = drive + ctx.walk_vector(destination) + view.claim_wait(treated)
+    walk = ctx.walk_vector(destination)
+    treated = view.avail.copy()
+    if view.reservations is not None:
+        treated[view.reservations.blocked_spots(
+            view.agent_id, lambda spots: view.now + ctx.drive_to_resources(from_node, spots))] = False
+    free = treated.nonzero()[0]
+    if free.size:
+        costs = ctx.drive_to_resources(from_node, free) + walk.take(free)
+        best = int(np.argmin(costs))
+        if costs[best] < view.least_claim:
+            return ctx.toward(view.now, from_node, int(free[best]))
+    costs = ctx.drive_to_resources(from_node) + walk + view.claim_wait(treated)
     best = int(np.argmin(costs)) if costs.size else 0
     if not costs.size or not np.isfinite(costs[best]):
         raise NoPathError(f"no resource reachable from {ctx.node_ids[from_node]!r}")

@@ -598,12 +598,22 @@ def build_grid_graph_doc(
     (eastbound on even rows, southbound on even columns), which forces
     block-sized loops to revisit a street, like an inner-city street plan.
     ``resource_streets`` limits how many streets carry parking at all.
+    Node ids are ``n`` plus the row and the column, each padded to the
+    digits of the largest index (at least two), so id order is row-major.
     """
+    rows, cols = check_number(rows, "rows", integer=True), check_number(cols, "cols", integer=True)
+    n_resources = check_number(n_resources, "n_resources", integer=True, positive=False)
+    if resource_streets is not None:
+        resource_streets = check_number(resource_streets, "resource_streets", integer=True)
+    if n_resources and rows * cols == 1:
+        raise ConfigError(f"n_resources must be 0 on a 1x1 grid, which has no streets, got {n_resources}")
     deg = spacing_m / 111_194.93  # meters per degree of latitude on the sphere
+    width = max(2, len(str(max(rows, cols) - 1)))
+    node_id = [[f"n{r:0{width}d}{c:0{width}d}" for c in range(cols)] for r in range(rows)]
     nodes = []
     for r in range(rows):
         for c in range(cols):
-            nodes.append({"id": f"n{r:02d}{c:02d}", "lat": r * deg, "lon": c * deg})
+            nodes.append({"id": node_id[r][c], "lat": r * deg, "lon": c * deg})
 
     def _edge(a: str, b: str) -> dict:
         return {"id": f"e{a}-{b}", "from": a, "to": b, "length_m": spacing_m,
@@ -612,9 +622,9 @@ def build_grid_graph_doc(
     edges = []
     for r in range(rows):
         for c in range(cols):
-            here = f"n{r:02d}{c:02d}"
+            here = node_id[r][c]
             if c + 1 < cols:
-                there = f"n{r:02d}{c + 1:02d}"
+                there = node_id[r][c + 1]
                 two_way = not one_way or r in (0, rows - 1)  # perimeter stays two-way
                 if two_way:
                     edges.append(_edge(here, there))
@@ -624,7 +634,7 @@ def build_grid_graph_doc(
                 else:
                     edges.append(_edge(there, here))
             if r + 1 < rows:
-                there = f"n{r + 1:02d}{c:02d}"
+                there = node_id[r + 1][c]
                 two_way = not one_way or c in (0, cols - 1)
                 if two_way:
                     edges.append(_edge(here, there))

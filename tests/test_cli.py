@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from parksearch.cli import main
@@ -156,6 +157,18 @@ def test_cli_gen_commands_create_missing_output_directories(tmp_path):
     # a file where the directory should be is a CLI error, not a traceback
     result = runner.invoke(main, ["gen-scenario", "grid-demo", "--out", str(trace_path / "grid.json")])
     assert result.exit_code == 1 and "cannot write" in result.output
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--rows", "0"], "rows must be a positive integer, got 0"),
+    (["--rows", "1", "--cols", "1"], "n_resources must be 0 on a 1x1 grid, which has no streets, got 150"),
+    (["--resources", "-5"], "n_resources must be a non-negative integer, got -5"),
+])
+def test_cli_grid_demo_rejects_bad_sizes(tmp_path, args, message):
+    out = tmp_path / "grid.json"
+    result = CliRunner().invoke(main, ["gen-scenario", "grid-demo", *args, "--out", str(out)])
+    assert result.exit_code == 1 and f"Error: {message}" in result.output, result.output
+    assert not out.exists()
 
 
 def test_cli_malformed_results_file_is_a_cli_error(tmp_path):

@@ -586,6 +586,8 @@ def test_compute_metrics_arithmetic():
     assert stats["rpl"]["stranded"] == 1
     assert stats["rpl"]["negative_parking"] == 0
     assert stats["hs"]["mean_parking_s"] == pytest.approx((300.0 + 100.0 - 10.0) / 3)
+    assert stats["hs"]["mean_parking_s_clamped"] == pytest.approx((300.0 + 100.0 + 0.0) / 3)
+    assert stats["rpl"]["mean_parking_s_clamped"] == stats["rpl"]["mean_parking_s"]  # nothing below zero
     assert stats["hs"]["median_computation_ms"] == pytest.approx(600.0)
     assert stats["hs"]["timed_out"] == stats["hs"]["stranded"] == 0
     assert stats["hs"]["negative_parking"] == 1

@@ -176,6 +176,119 @@ def test_replan_and_cached_plan_predict_the_same_arrival():
     assert ctx.res_ids[replan_route(view(1), s, dest).target_resource] == "r2"
 
 
+def oracle_replan(view, node, destination):
+    """Per-spot scalar oracle of ``replan_route``: each spot costs ``((row[start] + offset) + walk) + wait``
+    in Python floats, where ``wait`` is 0 if the spot is free now and no other fleet agent reaches it
+    first (the scalar reservation rule), else its ``t_claim``; ties go to the first index. Returns that
+    spot, how many spots share its cost and the arrival there, or None when no spot costs a finite amount."""
+    ctx, table = view.ctx, view.reservations
+    row, walk = ctx.times[node], ctx.walk_vector(destination)
+    costs, arrivals = [], []
+    for i in range(ctx.n_resources):
+        drive = float(row[int(ctx.res_from_idx[i])]) + float(ctx.res_offset[i])
+        arrival = view.now + drive
+        blocked = table is not None and any(
+            a != view.agent_id and (float(table.arrival[a]) < arrival or (
+                float(table.arrival[a]) == arrival and (view.agent_id is None or a < view.agent_id)))
+            for a in range(len(table.spot)) if table.spot[a] == i)
+        free = bool(view.avail[i]) and not blocked
+        costs.append((drive + float(walk[i])) + (0.0 if free else float(view.t_claim[i])))
+        arrivals.append(arrival)
+    least = min(costs, default=math.inf)
+    if not least < math.inf:
+        return None
+    best = costs.index(least)
+    return best, costs.count(least), arrivals[best]
+
+
+def test_replan_route_matches_the_scalar_oracle(monkeypatch):
+    """On seeded random worlds, with and without reservations, replan_route's target, action and
+    arrival equal the oracle's, whether the free spots alone decide or every spot is priced: worlds
+    with no free spot, with every free spot unreachable, and with circling waits cheaper than every
+    free spot force the full vector."""
+    calls = Counter()
+    claim_wait = PlanningView.claim_wait
+
+    def counted_claim_wait(self, available):  # only the full-vector pricing pays circling waits
+        calls["full vector"] += 1
+        return claim_wait(self, available)
+
+    monkeypatch.setattr(PlanningView, "claim_wait", counted_claim_wait)
+    rng = np.random.default_rng(2507)
+    seen = Counter()
+    for _ in range(60):
+        doc = random_graph_doc(rng, int(rng.integers(4, 10)), edge_prob=float(rng.uniform(0.15, 0.45)),
+                               n_resources=int(rng.integers(1, 14)), integer_weights=bool(rng.random() < 0.5))
+        for r in doc["resources"]:
+            if rng.random() < 0.6:
+                r["lat"], r["lon"] = float(rng.uniform(-0.02, 0.02)), float(rng.uniform(-0.02, 0.02))
+            else:  # at (0, 0) and the street's start, so whole-second streets make equal costs
+                r["offset_s"] = 0.0
+        if not doc["resources"]:
+            continue
+        graph, ctx = make_context(doc)
+        n, n_agents = ctx.n_resources, 4
+        for _ in range(8):
+            node = int(rng.integers(len(ctx.node_ids)))
+            now = float(rng.choice([0.0, rng.uniform(0.0, 100.0)]))
+            drive = ctx.drive_to_resources(node)
+            case = str(rng.choice(["random", "none free", "unreachable free", "cheap wait"]))
+            if case == "unreachable free":
+                avail = ~np.isfinite(drive)
+                if not avail.any() or avail.all():
+                    case, avail = "random", rng.random(n) < 0.5
+            else:
+                avail = np.zeros(n, dtype=bool) if case == "none free" else rng.random(n) < 0.5
+            low, high, cap = (0.0, 5.0, 0.0) if case == "cheap wait" else (2000.0, 4000.0, 0.1)
+            t_claim = np.where(rng.random(n) < cap, np.inf, rng.uniform(low, high, n))
+            table, agent = None, None
+            if rng.random() < 0.5:
+                table, agent = ReservationTable(n_agents), [None, *range(n_agents)][int(rng.integers(n_agents + 1))]
+                for holder in range(n_agents):
+                    if rng.random() < 0.7:
+                        spot = int(rng.integers(n))
+                        exact = now + drive[spot] if np.isfinite(drive[spot]) else now
+                        table.place(holder, spot, float(rng.choice([exact, exact - 1.0, exact + 1.0])))
+                seen["reservations"] += 1
+            view = make_view(ctx, avail, now=now, t_claim=t_claim, reservations=table, agent_id=agent)
+            dest = GeoPoint(float(rng.uniform(-0.02, 0.02)), float(rng.uniform(-0.02, 0.02)))
+            expected = oracle_replan(view, node, dest)
+            before = calls["full vector"]
+            if expected is None:
+                with pytest.raises(NoPathError):
+                    replan_route(view, node, dest)
+                seen["no path"] += 1
+                continue
+            decision = replan_route(view, node, dest)
+            best, ties, arrival = expected
+            start = int(ctx.res_from_idx[best])
+            assert decision.target_resource == best
+            assert decision.action == (TakeResource(best) if start == node else TakeRoad(ctx.first_hop(node, start)))
+            assert decision.expected_arrival == arrival
+            seen[case] += 1
+            seen["full vector" if calls["full vector"] > before else "free spots"] += 1
+            seen["tie"] += ties > 1
+    assert min(seen.values()) >= 5, seen
+
+
+def test_replan_tie_between_a_free_spot_and_a_circling_wait_goes_to_the_smaller_index():
+    """Occupied r0 costs 5 + 0 + 100 and free r1 costs 105 + 0, both exactly the least circling cost:
+    the full vector's first argmin is r0, so the free spots alone must not decide."""
+    doc = {
+        "nodes": [{"id": "s", "lat": 0.0, "lon": 0.0}, {"id": "t", "lat": 0.0, "lon": 0.01}],
+        "edges": [{"id": "e-st", "from": "s", "to": "t", "length_m": 500.0, "drive_time_s": 200.0},
+                  {"id": "e-ts", "from": "t", "to": "s", "length_m": 500.0, "drive_time_s": 200.0}],
+        "resources": [{"id": "r0", "edge": "e-st", "lat": 0.0, "lon": 0.005, "offset_s": 5.0},
+                      {"id": "r1", "edge": "e-st", "lat": 0.0, "lon": 0.005, "offset_s": 105.0}],
+    }
+    graph, ctx = make_context(doc)
+    view = make_view(ctx, [False, True], t_claim=np.array([100.0, 100.0]))
+    assert view.least_claim == 105.0
+    decision = replan_route(view, ctx.node_index["s"], GeoPoint(0.0, 0.005))
+    assert decision.target_resource == ctx.res_index["r0"] == 0
+    assert decision.action == TakeResource(0) and decision.expected_arrival == 5.0
+
+
 def test_sample_determinizations_certain_and_reserved():
     graph, ctx, dest = two_candidate_world()
     doc_offsets_zero = ctx.res_offset

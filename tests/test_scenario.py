@@ -531,3 +531,26 @@ def test_grid_builder_connectivity():
         graph = load_graph(doc)
         assert np.isfinite(dense_travel_times(graph)).all(), f"one_way={one_way}"
     assert len(load_graph(build_grid_graph_doc(10, 10, n_resources=150, seed=42)).resources) == 150
+
+
+def test_grid_ids_stay_unique_beyond_100_rows_and_columns():
+    doc = build_grid_graph_doc(102, 101, n_resources=3)
+    ids = [n["id"] for n in doc["nodes"]]
+    assert ids[:2] == ["n000000", "n000001"] and ids[101] == "n001000" and ids[-1] == "n101100"
+    assert list(load_graph(doc).nodes) == ids  # unique, and id order is row-major
+    small = [n["id"] for n in build_grid_graph_doc(10, 10, n_resources=0)["nodes"]]
+    assert small == [f"n{r:02d}{c:02d}" for r in range(10) for c in range(10)]
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"rows": 0}, "rows must be a positive integer, got 0"),
+    ({"cols": -2}, "cols must be a positive integer, got -2"),
+    ({"rows": 2.5}, "rows must be a positive integer, got 2.5"),
+    ({"n_resources": -5}, "n_resources must be a non-negative integer, got -5"),
+    ({"resource_streets": 0}, "resource_streets must be a positive integer, got 0"),
+    ({"rows": 1, "cols": 1}, "n_resources must be 0 on a 1x1 grid, which has no streets, got 5"),
+])
+def test_grid_builder_rejects_bad_sizes(kwargs, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build_grid_graph_doc(**{"rows": 3, "cols": 3, "n_resources": 5, **kwargs})
+    assert build_grid_graph_doc(1, 1, n_resources=0)["edges"] == []
