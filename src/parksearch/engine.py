@@ -38,7 +38,6 @@ from .planners import (
     PlannerSettings,
     PlanningView,
     TakeRoad,
-    least_claim_cost,
     make_policy,
     PLANNERS,
 )
@@ -339,7 +338,6 @@ def run_simulation(
         mu_vec[ctx.res_index[rid]] = p.mu
     rates = AvailabilityRates(lam_vec, mu_vec)
     t_claim = expected_wait_times_rates(rates, ctx.res_t_tr)
-    least_claim = least_claim_cost(ctx, t_claim)
 
     try:
         trace_idx = np.array([ctx.res_index[rid] for rid in trace.resources.tolist()], dtype=np.intp)
@@ -365,7 +363,7 @@ def run_simulation(
             ctx, spec.start_time, avail, params,
             reservations=fleet.reservations if shares == "reservations" else None,
             overlay=fleet.overlay if shares == "overlay" else None,
-            agent_id=i, rates=rates, t_claim=t_claim, least_claim=least_claim,
+            agent_id=i, rates=rates, t_claim=t_claim,
         )
         policy = make_policy(spec.planner, ctx, spec.destination, settings)
         if isinstance(policy, HindsightPolicy):

@@ -19,7 +19,7 @@ and ``ctx.res_ids[i]`` are the ids).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -227,8 +227,10 @@ class PlanningView:
     later trace flips and claims overwrite it, so a view describes the world only at ``now``.
     ``rates`` is the availability rule for per-resource flip rates; it defaults to the global
     pair in ``params`` when the scenario does not override them. ``t_claim`` is the expected
-    circling wait at each resource, and ``least_claim`` a lower bound on the cost of any plan that
-    pays one (``least_claim_cost``). Every view of a run shares that run's arrays. ``agent_id`` is the
+    circling wait at each resource, and ``least_claim``, ``min(offset + t_claim)``, a lower bound on
+    the cost of any plan that pays one: drive and walk seconds are never negative and rounding is
+    monotone, so such a spot's ``(drive + walk) + t_claim`` is at least its ``offset + t_claim``
+    (``inf`` without spots). Every view of a run shares that run's arrays. ``agent_id`` is the
     agent's index in the run, which orders agents as their ids do.
     """
 
@@ -241,7 +243,7 @@ class PlanningView:
     agent_id: int | None = None
     rates: AvailabilityRates | None = None
     t_claim: np.ndarray | None = None
-    least_claim: float | None = None
+    least_claim: float = field(init=False)
 
     def __post_init__(self) -> None:
         n = self.ctx.n_resources
@@ -249,8 +251,7 @@ class PlanningView:
             self.rates = AvailabilityRates(np.full(n, self.params.lam), np.full(n, self.params.mu))
         if self.t_claim is None:
             self.t_claim = expected_wait_times_rates(self.rates, self.ctx.res_t_tr)
-        if self.least_claim is None:
-            self.least_claim = least_claim_cost(self.ctx, self.t_claim)
+        self.least_claim = float((self.ctx.res_offset + self.t_claim).min(initial=np.inf))
 
     def availability(self, at: np.ndarray | float, idx=None) -> np.ndarray:
         """Predicted availability at ``at`` of every resource, or of the distinct resource indices ``idx``.
@@ -281,13 +282,6 @@ class PlanningView:
         if self.reservations is None:
             return np.zeros(len(arrivals), dtype=bool)
         return self.reservations.blocked(self.agent_id, arrivals)
-
-
-def least_claim_cost(ctx: PlannerContext, t_claim: np.ndarray) -> float:
-    """A lower bound on the cost of every plan that pays the circling wait, ``min(offset + t_claim)``:
-    drive and walk seconds are never negative and rounding is monotone, so such a spot's
-    ``(drive + walk) + t_claim`` is at least its ``offset + t_claim``; ``inf`` without spots."""
-    return float((ctx.res_offset + t_claim).min(initial=np.inf))
 
 
 def replan_route(view: PlanningView, from_node: int, destination: GeoPoint) -> RouteDecision:
