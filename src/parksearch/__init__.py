@@ -14,7 +14,7 @@ from .errors import (
 )
 from .fleet import ReservationTable, adapt_probabilities
 from .geo import GeoPoint, great_circle_m, walking_time
-from .graph import RoadGraph, all_pairs_travel_times, dump_graph, load_graph, save_graph
+from .graph import RoadGraph, all_pairs_travel_times, load_graph
 from .planners import (
     PLANNER_KINDS, PlannerContext, PlannerSettings, PlanningView, RouteDecision, TakeResource, TakeRoad,
     make_policy,
@@ -36,7 +36,7 @@ __all__ = [
     "TraceError",
     # geometry and road graphs
     "GeoPoint", "great_circle_m", "walking_time",
-    "RoadGraph", "all_pairs_travel_times", "dump_graph", "load_graph", "save_graph",
+    "RoadGraph", "all_pairs_travel_times", "load_graph",
     # planners
     "PLANNER_KINDS", "PlannerContext", "PlannerSettings", "PlanningView", "RouteDecision", "TakeResource",
     "TakeRoad", "make_policy",

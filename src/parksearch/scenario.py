@@ -15,7 +15,7 @@ import math
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ from .engine import (
     run_simulation,
     write_results,
 )
-from .errors import ConfigError, check_number
+from .errors import ConfigError, check, check_id, check_keys, check_number, check_point
 from .geo import EARTH_RADIUS_M, GeoPoint, great_circle_m
 from .graph import DEFAULT_ROUND_TRIP_S, DEFAULT_SPEED_FACTOR, RoadGraph, all_pairs_travel_times, load_graph
 from .planners import PLANNER_KINDS, PLANNERS, SETTING_BOUNDS, PlannerContext, PlannerSettings
@@ -108,51 +108,21 @@ class ScenarioConfig:
         }
 
 
-def _require(ok, path: str, need: str, value) -> None:
-    """A ConfigError naming the key path and what its value must be, unless ``ok``."""
-    if not ok:
-        raise ConfigError(f"{path} must be {need}, got {value!r}")
+def _number(section: dict, key: str, where: str, default=None, **bounds) -> float | int:
+    """``section[key]`` (or ``default``) as a finite number; ``where`` is the section's key path."""
+    return check_number(section.get(key, default), f"{where}.{key}", **bounds)
 
 
-def _expect_keys(obj, allowed: set[str], prefix: str, required: tuple[str, ...] = ()) -> None:
-    """An object with only ``allowed`` keys and all ``required`` ones; a ConfigError naming the key path otherwise."""
-    what = prefix[:-1] or "scenario config"
-    _require(isinstance(obj, dict), what, "an object", obj)
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"{what} has unknown keys: {sorted(unknown)}")
-    for key in required:
-        if key not in obj:
-            raise ConfigError(f"{prefix}{key} is missing")
-
-
-def _number(section: dict, key: str, prefix: str = "", default=None, **bounds) -> float | int:
-    """``section[key]`` (or ``default``) as a finite number; a ConfigError naming the key path otherwise."""
-    return check_number(section.get(key, default), prefix + key, **bounds)
-
-
-def _point(value, path: str) -> list[float]:
-    """A ``[lat, lon]`` pair in degrees; a ConfigError naming the key path otherwise."""
-    try:
-        lat, lon = value
-        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in (lat, lon)):
-            raise TypeError
-        GeoPoint(float(lat), float(lon))  # range check
-        return [float(lat), float(lon)]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path} must be a [lat, lon] pair in degrees, got {value!r}") from exc
-
-
-def _rates(section: dict, prefix: str, default: CtmcParams | None = DEFAULT_CTMC) -> CtmcParams:
+def _rates(section: dict, where: str, default: CtmcParams | None = DEFAULT_CTMC) -> CtmcParams:
     """Mean sojourn times ``lambda_inv_s``/``mu_inv_s`` as rates; missing keys take ``default``'s."""
     means = _mean_times(default) if default else {}
-    return CtmcParams.from_mean_times(*(_number(section, key, prefix, means.get(key))
+    return CtmcParams.from_mean_times(*(_number(section, key, where, means.get(key))
                                         for key in ("lambda_inv_s", "mu_inv_s")))
 
 
 def _file(value, path: str, base_dir: Path | None) -> Path:
     """An existing file, as an absolute path; relative paths resolve against ``base_dir`` (default: the cwd)."""
-    _require(isinstance(value, str), path, "a file path", value)
+    check(isinstance(value, str), path, "a file path", value)
     file = Path(base_dir or ".").joinpath(value).resolve()
     if not file.exists():
         raise ConfigError(f"{path} file not found: {file}")
@@ -170,10 +140,10 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 def parse_config(doc: dict, *, base_dir: Path | None = None, default_name: str = "scenario") -> ScenarioConfig:
     """Validate a scenario document; relative paths resolve against ``base_dir`` (default: the cwd)."""
-    _expect_keys(doc, _TOP_KEYS, "", ("graph", "occupation", "destinations", "planner", "seed"))
+    check_keys(doc, "", _TOP_KEYS, ("graph", "occupation", "destinations", "planner", "seed"))
     graph_path = _file(doc["graph"], "graph", base_dir)
     occupation = doc["occupation"]
-    _expect_keys(occupation, {"trace", "synthetic"}, "occupation.")
+    check_keys(occupation, "occupation", {"trace", "synthetic"})
     if ("trace" in occupation) == ("synthetic" in occupation):
         raise ConfigError("occupation needs exactly one of 'trace' or 'synthetic'")
     trace_path = synthetic = None
@@ -182,36 +152,36 @@ def parse_config(doc: dict, *, base_dir: Path | None = None, default_name: str =
         trace_path = _file(occupation["trace"], "occupation.trace", base_dir)
     else:
         syn = occupation["synthetic"]
-        _expect_keys(syn, {"lambda_inv_s", "mu_inv_s", "zones"}, "occupation.synthetic.")
-        synthetic = _rates(syn, "occupation.synthetic.")
-        _require(isinstance(syn.get("zones", []), list), "occupation.synthetic.zones", "a list", syn.get("zones"))
+        check_keys(syn, "occupation.synthetic", {"lambda_inv_s", "mu_inv_s", "zones"})
+        synthetic = _rates(syn, "occupation.synthetic")
+        check(isinstance(syn.get("zones", []), list), "occupation.synthetic.zones", "a list", syn.get("zones"))
         for k, raw in enumerate(syn.get("zones", [])):
-            where = f"occupation.synthetic.zones[{k}]."
-            _expect_keys(raw, {"center", "radius_m", "lambda_inv_s", "mu_inv_s"}, where)
-            zones.append(RateZone(GeoPoint(*_point(raw.get("center"), f"{where}center")),
+            where = f"occupation.synthetic.zones[{k}]"
+            check_keys(raw, where, {"center", "radius_m", "lambda_inv_s", "mu_inv_s"})
+            zones.append(RateZone(check_point(raw.get("center"), f"{where}.center"),
                                   _number(raw, "radius_m", where, positive=False), _rates(raw, where, None)))
 
     sections = {"planner": doc["planner"], "adaption": doc.get("adaption", {})}
     for section, raw in sections.items():
         extra = {"kind"} if section == "planner" else set()
-        _expect_keys(raw, extra | {key for s, key in _SETTING_KEYS.values() if s == section}, f"{section}.")
+        check_keys(raw, section, extra | {key for s, key in _SETTING_KEYS.values() if s == section})
     kind = sections["planner"].get("kind")
-    _require(kind in PLANNER_KINDS, "planner.kind", f"one of {PLANNER_KINDS}", kind)
+    check(kind in PLANNER_KINDS, "planner.kind", f"one of {PLANNER_KINDS}", kind)
     settings = {}
     for f in fields(PlannerSettings):
         section, key = _SETTING_KEYS[f.name]
         if f.default is not None or sections[section].get(key) is not None:  # absent or null keeps a None default
-            settings[f.name] = _number(sections[section], key, f"{section}.", f.default, **SETTING_BOUNDS[f.name])
+            settings[f.name] = _number(sections[section], key, section, f.default, **SETTING_BOUNDS[f.name])
 
     ctmc_doc = doc.get("ctmc", {})
-    _expect_keys(ctmc_doc, {"lambda_inv_s", "mu_inv_s"}, "ctmc.")
+    check_keys(ctmc_doc, "ctmc", {"lambda_inv_s", "mu_inv_s"})
     defaults = doc.get("graph_defaults", {})
-    _expect_keys(defaults, {"round_trip_s", "speed_factor"}, "graph_defaults.")
+    check_keys(defaults, "graph_defaults", {"round_trip_s", "speed_factor"})
     measure_computation = doc.get("measure_computation", True)
-    _require(isinstance(measure_computation, bool), "measure_computation", "true or false", measure_computation)
+    check(isinstance(measure_computation, bool), "measure_computation", "true or false", measure_computation)
     name = str(doc.get("name", default_name))  # names the results files inside the output directory
-    _require(name not in ("", ".", "..") and "/" not in name and "\\" not in name, "name",
-             "a file name other than '', '.' or '..', without '/' or '\\'", name)
+    check(name not in ("", ".", "..") and "/" not in name and "\\" not in name, "name",
+          "a file name other than '', '.' or '..', without '/' or '\\'", name)
 
     return ScenarioConfig(
         name=name,
@@ -221,60 +191,59 @@ def parse_config(doc: dict, *, base_dir: Path | None = None, default_name: str =
         destinations=_destinations(doc["destinations"], kind, trace_path, base_dir),
         planner_kind=kind,
         settings=PlannerSettings(**settings),
-        ctmc=_rates(ctmc_doc, "ctmc.") if ctmc_doc else synthetic or DEFAULT_CTMC,
-        seed=_number(doc, "seed", integer=True, positive=False),
-        horizon_s=_number(doc, "horizon_s", default=DEFAULT_HORIZON_S),
+        ctmc=_rates(ctmc_doc, "ctmc") if ctmc_doc else synthetic or DEFAULT_CTMC,
+        seed=check_number(doc["seed"], "seed", integer=True, positive=False),
+        horizon_s=check_number(doc.get("horizon_s", DEFAULT_HORIZON_S), "horizon_s"),
         measure_computation=measure_computation,
-        round_trip_s=_number(defaults, "round_trip_s", "graph_defaults.", DEFAULT_ROUND_TRIP_S),
-        speed_factor=_number(defaults, "speed_factor", "graph_defaults.", DEFAULT_SPEED_FACTOR),
+        round_trip_s=_number(defaults, "round_trip_s", "graph_defaults", DEFAULT_ROUND_TRIP_S),
+        speed_factor=_number(defaults, "speed_factor", "graph_defaults", DEFAULT_SPEED_FACTOR),
         zones=tuple(zones),
     )
 
 
 def _destinations(raw, kind: str, trace_path: Path | None, base_dir: Path | None) -> dict:
     """The ``destinations`` section validated, with every default filled in and every path absolute."""
-    _require(isinstance(raw, dict) and "mode" in raw, "destinations", "an object with a 'mode'", raw)
-    mode, where = raw["mode"], "destinations."
+    check(isinstance(raw, dict) and "mode" in raw, "destinations", "an object with a 'mode'", raw)
+    mode, where = raw["mode"], "destinations"
     if mode == "single":
-        _expect_keys(raw, {"mode", "destination", "start_node", "agents", "start_time_s"}, where,
-                     ("destination", "start_node"))
+        check_keys(raw, where, {"mode", "destination", "start_node", "agents", "start_time_s"},
+                   ("destination", "start_node"))
         return {
             "mode": mode,
-            "destination": _point(raw["destination"], f"{where}destination"),
-            "start_node": raw["start_node"],
+            "destination": list(astuple(check_point(raw["destination"], f"{where}.destination"))),
+            "start_node": check_id(raw["start_node"], f"{where}.start_node"),
             "agents": _number(raw, "agents", where, 20, integer=True),
             "start_time_s": _number(raw, "start_time_s", where, 0.0, positive=False),
         }
     if mode == "explicit":
-        _expect_keys(raw, {"mode", "agents"}, where, ("agents",))
+        check_keys(raw, where, {"mode", "agents"}, ("agents",))
         listed = raw["agents"]
-        _require(isinstance(listed, list) and listed, f"{where}agents", "a non-empty list", listed)
+        check(isinstance(listed, list) and listed, f"{where}.agents", "a non-empty list", listed)
         agents = {}
         for k, agent in enumerate(listed):
-            at = f"{where}agents[{k}]."
-            _expect_keys(agent, {"id", "start_node", "destination", "start_time_s", "planner"}, at,
-                         ("id", "start_node"))
+            at = f"{where}.agents[{k}]"
+            check_keys(agent, at, {"id", "start_node", "destination", "start_time_s", "planner"}, ("id", "start_node"))
             agent_id = str(agent["id"])
-            _require(agent_id not in agents, f"{at}id", "unique", agent_id)
+            check(agent_id not in agents, f"{at}.id", "unique", agent_id)
             planner = agent.get("planner", kind)
-            _require(planner in PLANNER_KINDS, f"{at}planner", f"one of {PLANNER_KINDS}", planner)
+            check(planner in PLANNER_KINDS, f"{at}.planner", f"one of {PLANNER_KINDS}", planner)
             agents[agent_id] = {
                 "id": agent_id,
-                "start_node": str(agent["start_node"]),
-                "destination": _point(agent.get("destination"), f"{at}destination"),
+                "start_node": check_id(agent["start_node"], f"{at}.start_node"),
+                "destination": list(astuple(check_point(agent.get("destination"), f"{at}.destination"))),
                 "start_time_s": _number(agent, "start_time_s", at, 0.0, positive=False),
                 "planner": planner,
             }
         return {"mode": mode, "agents": list(agents.values())}
     if mode == "data_driven":
-        _expect_keys(raw, {"mode", "trace", "start_node", "eps_m", "min_pts", "clusters"}, where,
-                     ("start_node", "eps_m", "min_pts"))
-        trace = _file(raw["trace"], f"{where}trace", base_dir) if "trace" in raw else trace_path
-        _require(trace is not None, f"{where}trace", "given when occupations are synthetic", trace)
+        check_keys(raw, where, {"mode", "trace", "start_node", "eps_m", "min_pts", "clusters"},
+                   ("start_node", "eps_m", "min_pts"))
+        trace = _file(raw["trace"], f"{where}.trace", base_dir) if "trace" in raw else trace_path
+        check(trace is not None, f"{where}.trace", "given when occupations are synthetic", trace)
         return {
             "mode": mode,
             "trace": str(trace),
-            "start_node": raw["start_node"],
+            "start_node": check_id(raw["start_node"], f"{where}.start_node"),
             "eps_m": _number(raw, "eps_m", where),
             "min_pts": _number(raw, "min_pts", where, integer=True),
             "clusters": _number(raw, "clusters", where, 2, integer=True),

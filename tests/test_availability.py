@@ -160,6 +160,7 @@ def test_check_number_takes_numpy_scalars(value, integer, expected):
 @pytest.mark.parametrize("value, integer", [
     (True, False), (np.bool_(True), False), (np.bool_(True), True), (np.float64("nan"), False),
     (np.float32("inf"), False), (-math.inf, False), (np.float64(2.0), True), (np.int64(-1), True), ("3", False),
+    pytest.param(10**400, False, id="int beyond float"), pytest.param(10**400, True, id="integer beyond float"),
 ])
 def test_check_number_refuses_bools_and_non_finite(value, integer):
     with pytest.raises(ConfigError, match="^x must be a positive"):

@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from parksearch.cli import main
 from parksearch.engine import read_results
+from parksearch.scenario import build_grid_graph_doc
 
 from conftest import sink_grid_doc
 
@@ -84,12 +85,27 @@ def test_cli_batch_reports_failures(tmp_path):
     assert summary["failed"]
 
 
-def test_cli_rejects_bad_config(tmp_path):
-    runner = CliRunner()
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"graph": "missing.json"}))
-    result = runner.invoke(main, ["simulate", str(bad)])
-    assert result.exit_code != 0
+@pytest.mark.parametrize("bad, key", [
+    ("missing_graph", "graph"),
+    ("start_node_list", "destinations.start_node"),
+    ("null_edges", "edges"),
+])
+def test_cli_rejects_bad_config(tmp_path, bad, key):
+    """A bad config or graph value ends the run with ``Error:`` naming its key and exit code 1, not a traceback."""
+    graph = build_grid_graph_doc(4, 4, n_resources=8, seed=1)
+    config = {"graph": "grid.json", "occupation": {"synthetic": {}}, "planner": {"kind": "rpl"}, "seed": 1,
+              "destinations": {"mode": "single", "destination": [0.0005, 0.0005], "start_node": "n0000"}}
+    if bad == "missing_graph":
+        config["graph"] = "missing.json"
+    elif bad == "start_node_list":
+        config["destinations"]["start_node"] = [1]
+    else:
+        graph["edges"] = None
+    (tmp_path / "grid.json").write_text(json.dumps(graph))
+    (tmp_path / "bad.json").write_text(json.dumps(config))
+    result = CliRunner().invoke(main, ["simulate", str(tmp_path / "bad.json"), "--out", str(tmp_path / "out")])
+    assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+    assert "Error:" in result.output and key in result.output and "Traceback" not in result.output
 
 
 def test_cli_generated_scenarios_resolve_from_any_directory(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 import json
+import math
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -7,16 +9,17 @@ import pytest
 
 from parksearch.availability import CtmcParams
 from parksearch.engine import AgentSpec, run_simulation
-from parksearch.errors import GraphFormatError, GraphValidationError
+from parksearch.errors import GraphFormatError, GraphValidationError, ParkSearchError
 from parksearch.geo import GeoPoint
-from parksearch.graph import all_pairs_travel_times, dump_graph, load_graph, save_graph
+from parksearch.graph import all_pairs_travel_times, load_graph
 from parksearch.planners import PlannerContext
 from parksearch.scenario import build_grid_graph_doc, load_config
 
 from conftest import bellman_ford_times, random_graph_doc, sink_grid_doc, triangle_doc
 from drive_time_oracle import dense_travel_times
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def test_triangle_counts(triangle_graph):
@@ -57,6 +60,37 @@ def test_unknown_top_level_field_rejected():
     doc["meta"] = {}
     with pytest.raises(GraphFormatError):
         load_graph(doc)
+
+
+@pytest.mark.parametrize("value", [5, True, None, {}])
+@pytest.mark.parametrize("section", ["nodes", "edges", "resources"])
+def test_graph_sections_must_be_lists(section, value):
+    doc = triangle_doc()
+    doc[section] = value
+    with pytest.raises(GraphFormatError, match=rf"^{section} must be a list"):
+        load_graph(doc)
+
+
+def test_graph_document_mutations_raise_named_errors_or_load():
+    """Each whole section, and each field of the first node, edge and resource of the demo grid, set to
+    each bad value: the document loads or raises a graph error, never a raw exception."""
+    doc = json.loads((ROOT / "data" / "demo_grid.json").read_text())
+    outcomes = Counter()
+    for section in ("nodes", "edges", "resources"):
+        first, *rest = doc[section]
+        for key in (None, *first):
+            for value in (None, [], {}, "x", -1, 0, math.inf, math.nan, True, 10**30, "n9999", [1]):
+                entries = value if key is None else [{**first, key: value}, *rest]
+                try:
+                    load_graph({**doc, section: entries})
+                    outcomes["loaded"] += 1
+                except (GraphFormatError, GraphValidationError) as exc:
+                    outcomes[type(exc).__name__] += 1
+                except ParkSearchError as exc:
+                    pytest.fail(f"{section} {key} = {value!r}: {type(exc).__name__}, not a graph error")
+    # a bad section, key or id is a format error, a bad number, position or reference a validation error;
+    # what loads is a new unreferenced id, another valid position, a zero offset or a huge number
+    assert outcomes == {"GraphFormatError": 75, "GraphValidationError": 106, "loaded": 23}
 
 
 def test_invalid_json_rejected(tmp_path):
@@ -113,7 +147,7 @@ def test_graph_numbers_must_be_finite_and_positive(section, field, name, value):
     if field == "speed_limit_kmh":
         del entry["drive_time_s"]  # the drive time is derived from the limit
     entry[field] = value
-    with pytest.raises(GraphValidationError, match=f"{name}: {field} must be finite and positive"):
+    with pytest.raises(GraphValidationError, match=f"{name}: {field} must be a positive number"):
         load_graph(doc)
 
 
@@ -282,15 +316,3 @@ def test_reachable_resources_ordering():
     assert street_spots("e-uv") == ["ra", "rb"]
     assert street_spots("e-wu") == []
     assert len(ctx.street_spots) == len(g.edges)
-
-
-def test_roundtrip_serialization(tmp_path):
-    rng = np.random.default_rng(2)
-    g = load_graph(random_graph_doc(rng, n_nodes=12, n_resources=4))
-    path = tmp_path / "g.json"
-    save_graph(g, path)
-    g2 = load_graph(path)
-    assert g2.nodes == g.nodes
-    assert g2.edges == g.edges
-    assert g2.resources == g.resources
-    assert dump_graph(g2) == dump_graph(g)

@@ -27,9 +27,10 @@ def test_every_exported_name_resolves():
 
 
 def test_every_exported_exception_is_raised():
-    """An exported exception class is raised somewhere in the package, or is the base of one that is."""
+    """An exported exception class is raised somewhere in the package (by ``raise`` or as the ``error=`` class
+    of a checker in ``errors.py``), or is the base of one that is."""
     source = "\n".join(path.read_text() for path in (ROOT / "src" / "parksearch").glob("*.py"))
-    raised = {getattr(ps, name) for name in re.findall(r"\braise\s+(\w+)", source) if name in ps.__all__}
+    raised = {getattr(ps, name) for name in re.findall(r"\b(?:raise\s+|error=)(\w+)", source) if name in ps.__all__}
     exported = [getattr(ps, name) for name in ps.__all__]
     unused = [cls.__name__ for cls in exported if isinstance(cls, type) and issubclass(cls, BaseException)
               and not any(issubclass(r, cls) for r in raised)]

@@ -34,6 +34,7 @@ from conftest import trace_from_rows
 from drive_time_oracle import dense_travel_times
 
 M_PER_DEG = math.pi * EARTH_RADIUS_M / 180.0
+DEMO_TRACE = Path(__file__).resolve().parent.parent / "data" / "demo_trace.csv"
 
 
 def write_demo_world(tmp_path, rows=4, cols=4, n_resources=10):
@@ -101,6 +102,7 @@ def test_config_validation(tmp_path):
     ("occupation.synthetic.lambda_inv_s", 0),
     ("horizon_s", -5),
     ("destinations.agents", "many"),
+    ("destinations.start_node", [1]),
     ("planner.determinizations", 0),
     ("occupation.synthetic.zones", 5),
     ("graph", 5),
@@ -136,6 +138,10 @@ def explicit_agents(agents):
     ("destinations.agents[1].id", explicit_agents([{"id": "a", "start_node": "n0000", "destination": [0.0, 0.0]},
                                                    {"id": "a", "start_node": "n0001", "destination": [0.0, 0.0]}])),
     ("destinations.trace", {"mode": "data_driven", "start_node": "n0000", "eps_m": 100.0, "min_pts": 3}),
+    ("destinations.start_node", {"mode": "data_driven", "trace": str(DEMO_TRACE), "start_node": {}, "eps_m": 100.0,
+                                 "min_pts": 3}),
+    ("destinations.agents[0].start_node",
+     explicit_agents([{"id": "a", "start_node": 1.5, "destination": [0.0, 0.0]}])),
 ])
 def test_destination_errors_raise_at_parse_time(tmp_path, path, destinations):
     graph_path, _ = write_demo_world(tmp_path)
