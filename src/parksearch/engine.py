@@ -30,7 +30,7 @@ import numpy as np
 from .availability import AvailabilityRates, CtmcParams, expected_wait_times_rates, stationary_availability
 from .errors import ConfigError, NoPathError, ParkSearchError, TraceError, check_number
 from .fleet import Fleet
-from .geo import GeoPoint, walking_time
+from .geo import GeoPoint
 from .graph import RoadGraph, all_pairs_travel_times
 from .planners import (
     HindsightPolicy,
@@ -261,8 +261,7 @@ def _validate_agents(graph: RoadGraph, agents: Iterable[AgentSpec]) -> list[Agen
         seen.add(spec.id)
         if spec.start_node not in graph.nodes:
             raise ConfigError(f"agent {spec.id!r}: unknown start node {spec.start_node!r}")
-        if not 0.0 <= spec.start_time < math.inf:
-            raise ConfigError(f"agent {spec.id!r}: start time must be finite and non-negative, got {spec.start_time}")
+        check_number(spec.start_time, f"agent {spec.id!r}: start time", positive=False)
         if spec.planner not in PLANNERS:
             raise ConfigError(f"agent {spec.id!r}: unknown planner {spec.planner!r}")
     return specs
@@ -449,7 +448,7 @@ def run_simulation(
                 rt.status = "parked"
                 rt.park_time = now
                 rt.parked_resource = ridx
-                rt.walk_s = walking_time(resource.position, rt.spec.destination)
+                rt.walk_s = float(ctx.walk_vector(rt.spec.destination)[ridx])  # the walk the planners priced
                 fleet.withdraw(key)
                 del planning[key]
                 if collect_events:

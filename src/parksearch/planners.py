@@ -26,7 +26,7 @@ import numpy as np
 from .availability import AdaptionOverlay, AvailabilityRates, CtmcParams, expected_wait_times_rates
 from .errors import NoPathError, check_number
 from .fleet import ReservationTable
-from .geo import GeoPoint, great_circle_m, great_circle_m_many, walking_time_many
+from .geo import GeoPoint, great_circle_m_many, walking_time_many
 from .graph import DriveTimes, RoadGraph
 
 
@@ -514,14 +514,9 @@ class RandomPolicy:
         self.ctx = ctx
         self.destination = destination
         self._searching = False
-        mid_lat, mid_lon = ctx.street_mid_lat, ctx.street_mid_lon
-        dist = great_circle_m_many(mid_lat, mid_lon, destination)
-        # The vectorized and scalar formulas may differ in the last ulps, so the
-        # streets near the minimum are ranked again with the scalar one: exact
-        # ties (both directions of a two-way street) go to the first in graph order.
-        near = np.flatnonzero(dist <= dist.min(initial=np.inf) + 1e-6).tolist()
-        walks = [great_circle_m(GeoPoint(float(mid_lat[i]), float(mid_lon[i])), destination) for i in near]
-        self.dest_edge = near[walks.index(min(walks))] if near else None  # a street index; None without streets
+        dist = great_circle_m_many(ctx.street_mid_lat, ctx.street_mid_lon, destination)
+        # a street index, exact ties (both directions of a two-way street) to the first; None without streets
+        self.dest_edge = int(np.argmin(dist)) if dist.size else None
 
     def decide(self, view: PlanningView, node: int, rng: np.random.Generator) -> RouteDecision:
         ctx = view.ctx
@@ -562,7 +557,8 @@ class HeuristicPolicy:
         self.relax_s_per_min = settings.heuristic_relax_s_per_min
         self.dest_node = ctx.dest_node(destination)
         self._search_started: float | None = None
-        self._far: dict[int, bool] = {}  # per node: outside the search radius
+        # per node: outside the search radius
+        self._far = great_circle_m_many(ctx.node_lat, ctx.node_lon, destination) > self.far_radius_m
         self._circling_pool: list[int] | None = None  # streets to circle on from dest_node
 
     def accept_threshold(self, search_time_s: float) -> float:
@@ -570,9 +566,6 @@ class HeuristicPolicy:
 
     def decide(self, view: PlanningView, node: int, rng: np.random.Generator) -> RouteDecision:
         ctx = view.ctx
-        if node not in self._far:
-            here = GeoPoint(float(ctx.node_lat[node]), float(ctx.node_lon[node]))
-            self._far[node] = great_circle_m(here, self.destination) > self.far_radius_m
         if self._far[node] and node != self.dest_node:
             return RouteDecision(TakeRoad(ctx.first_hop(node, self.dest_node)))
         if self._search_started is None:

@@ -36,7 +36,7 @@ from .engine import (
     write_results,
 )
 from .errors import ConfigError, check, check_id, check_keys, check_number, check_point
-from .geo import EARTH_RADIUS_M, GeoPoint, great_circle_m
+from .geo import EARTH_RADIUS_M, GeoPoint, great_circle_m_many
 from .graph import DEFAULT_ROUND_TRIP_S, DEFAULT_SPEED_FACTOR, RoadGraph, all_pairs_travel_times, load_graph
 from .planners import PLANNER_KINDS, PLANNERS, SETTING_BOUNDS, PlannerContext, PlannerSettings
 
@@ -253,13 +253,12 @@ def _destinations(raw, kind: str, trace_path: Path | None, base_dir: Path | None
 
 def zone_rate_overrides(graph: RoadGraph, zones: tuple[RateZone, ...]) -> dict[str, CtmcParams]:
     """Per-resource rate overrides from zone membership; first matching zone wins."""
-    overrides: dict[str, CtmcParams] = {}
-    for rid, resource in graph.resources.items():
-        for zone in zones:
-            if great_circle_m(resource.position, zone.center) <= zone.radius_m:
-                overrides[rid] = zone.params
-                break
-    return overrides
+    lat = np.array([r.position.lat for r in graph.resources.values()])
+    lon = np.array([r.position.lon for r in graph.resources.values()])
+    zone_of = np.full(len(lat), len(zones))
+    for k in reversed(range(len(zones))):  # an earlier zone overwrites a later one
+        zone_of[great_circle_m_many(lat, lon, zones[k].center) <= zones[k].radius_m] = k
+    return {rid: zones[k].params for rid, k in zip(graph.resources, zone_of.tolist()) if k < len(zones)}
 
 
 def generate_single_destination(
@@ -271,8 +270,7 @@ def generate_single_destination(
     planner: str,
 ) -> list[AgentSpec]:
     """Identical start, destination and departure for every agent; only ids differ."""
-    if n_agents < 1:
-        raise ConfigError(f"agent count must be positive, got {n_agents}")
+    n_agents = check_number(n_agents, "n_agents", integer=True)
     if start_node not in graph.nodes:
         raise ConfigError(f"unknown start node {start_node!r}")
     width = max(3, len(str(n_agents - 1)))
@@ -338,10 +336,8 @@ def dbscan(points: list[GeoPoint], eps_m: float, min_pts: int) -> list[Cluster]:
     lowest core index. A border point joins the lowest-numbered cluster among
     its core neighbors, and members are listed in index order.
     """
-    if not math.isfinite(eps_m) or eps_m <= 0:
-        raise ConfigError(f"eps must be positive and finite, got {eps_m!r}")
-    if min_pts < 1:
-        raise ConfigError("min_pts must be at least 1")
+    eps_m = check_number(eps_m, "eps_m")
+    min_pts = check_number(min_pts, "min_pts", integer=True)
     n = len(points)
     if n == 0:
         return []
@@ -382,7 +378,7 @@ def _sample_in_cluster(cluster: Cluster, eps_m: float, rng: np.random.Generator)
     lo_lon, hi_lon = min(lons), max(lons)
     for _ in range(1000):
         cand = GeoPoint(float(rng.uniform(lo_lat, hi_lat)), float(rng.uniform(lo_lon, hi_lon)))
-        if any(great_circle_m(cand, m) <= eps_m for m in cluster.members):
+        if (great_circle_m_many(lats, lons, cand) <= eps_m).any():
             return cand
     return cluster.members[int(rng.integers(len(cluster.members)))]
 

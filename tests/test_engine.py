@@ -697,8 +697,8 @@ def test_agent_validation():
         run_simulation(graph, [AgentSpec("a", "nope", dest, 0.0, "rpl")], OccupationTrace())
     with pytest.raises(ConfigError):
         run_simulation(graph, [AgentSpec("a", "n0", dest, -5.0, "rpl")], OccupationTrace())
-    for start in (math.nan, math.inf):
-        with pytest.raises(ConfigError, match="agent 'a': start time"):
+    for start in (math.nan, math.inf, -1.0, "0", None, True):
+        with pytest.raises(ConfigError, match="agent 'a': start time must be a non-negative number"):
             run_simulation(graph, [AgentSpec("a", "n0", dest, start, "rpl")], OccupationTrace())
     with pytest.raises(ConfigError):
         run_simulation(graph, [AgentSpec("a", "n0", dest, 0.0, "warp")], OccupationTrace())

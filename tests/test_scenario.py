@@ -179,8 +179,9 @@ def test_generate_single_destination(tmp_path):
                == ("n0000", dest, 0.0, "rpl") for s in specs)
 
     assert len(generate_single_destination(graph, dest, "n0000", 1, 0.0, "hs")) == 1
-    with pytest.raises(ConfigError):
-        generate_single_destination(graph, dest, "n0000", 0, 0.0, "rpl")
+    for count in (0, "3", 2.5, True, None):
+        with pytest.raises(ConfigError, match="n_agents must be a positive integer"):
+            generate_single_destination(graph, dest, "n0000", count, 0.0, "rpl")
     with pytest.raises(ConfigError):
         generate_single_destination(graph, dest, "ghost", 3, 0.0, "rpl")
 
@@ -274,9 +275,10 @@ def test_dbscan_order_independent_up_to_labels():
 
 @pytest.mark.parametrize("eps_m, min_pts", [
     (0.0, 3), (-1.0, 3), (math.nan, 3), (math.inf, 3), (-math.inf, 3), (100.0, 0),
+    ("x", 3), (None, 3), (True, 3), (10.0, "3"), (10.0, 2.5), (10.0, True),
 ])
 def test_dbscan_rejects_bad_parameters(eps_m, min_pts):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="eps_m must be" if min_pts == 3 else "min_pts must be"):
         dbscan([GeoPoint(0.0, 0.0)], eps_m, min_pts)
 
 
@@ -437,6 +439,20 @@ def test_zone_rate_overrides():
     for rid, r in graph.resources.items():
         inside = great_circle_m(r.position, zone.center) <= 200.0
         assert (rid in overrides) == inside
+
+    # two overlapping zones: a spot inside both takes the first one's rates
+    zones = (RateZone(GeoPoint(0.0, 0.0), 250.0, CtmcParams.from_mean_times(10.0, 20.0)),
+             RateZone(GeoPoint(0.0, 0.002), 250.0, CtmcParams.from_mean_times(30.0, 40.0)))
+    oracle = {}
+    for rid, r in graph.resources.items():
+        for z in zones:
+            if great_circle_m(r.position, z.center) <= z.radius_m:
+                oracle[rid] = z.params
+                break
+    overrides = zone_rate_overrides(graph, zones)
+    assert overrides == oracle and list(overrides) == list(oracle)
+    inside = [[great_circle_m(r.position, z.center) <= z.radius_m for z in zones] for r in graph.resources.values()]
+    assert [True, True] in inside and [False, False] in inside
 
 
 def test_run_scenario_and_echo(tmp_path):
