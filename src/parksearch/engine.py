@@ -428,7 +428,8 @@ def run_simulation(
             heapq.heappush(heap, (now + resource.offset_s, _RANK_CLAIM, key, (action.resource, now)))
 
     while heap:
-        apply_flips(heap[0][0])
+        if next_flip < due and flip_time[next_flip] <= heap[0][0]:  # apply_flips' own loop condition
+            apply_flips(heap[0][0])
         now, rank, key, payload = heapq.heappop(heap)
         if now > horizon_s:
             break

@@ -33,6 +33,16 @@ def great_circle_m_many(lat: np.ndarray, lon: np.ndarray, point: GeoPoint) -> np
     return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(h)))
 
 
+def latitude_band(lat: np.ndarray, point: GeoPoint, radius_m: float) -> np.ndarray:
+    """Ascending indices of the latitudes ``lat`` within ``radius_m`` of ``point``'s. A great circle is
+    never shorter than its meridian gap, so no point outside the band lies within ``radius_m`` of
+    ``point``. The band is widened by 1e-5 degrees (1.1 m), 20 times the most the kernel's rounding was
+    seen to fall below the meridian gap (5e-7 degrees, near opposite poles, where the arcsine is
+    ill-conditioned), so the kernel puts every point outside the band farther than the radius."""
+    half = math.degrees(radius_m / EARTH_RADIUS_M) + 1e-5
+    return np.flatnonzero(np.abs(np.asarray(lat, dtype=float) - point.lat) <= half)
+
+
 def great_circle_m(a: GeoPoint, b: GeoPoint) -> float:
     """Haversine distance in meters: the kernel on a one-element array, so it equals ``a``'s element of any
     longer call bit for bit (a 0-d call may not)."""

@@ -19,6 +19,7 @@ and ``ctx.res_ids[i]`` are the ids).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -26,16 +27,17 @@ import numpy as np
 from .availability import AdaptionOverlay, AvailabilityRates, CtmcParams, expected_wait_times_rates
 from .errors import NoPathError, check_number
 from .fleet import ReservationTable
-from .geo import GeoPoint, great_circle_m_many, walking_time_many
+from .geo import GeoPoint, great_circle_m_many, latitude_band, walking_time_many
 from .graph import DriveTimes, RoadGraph
 
 
-@dataclass(frozen=True)
+# Decisions are slotted records, made once per decision: equal by type and value, not hashable.
+@dataclass(slots=True)
 class TakeRoad:
     edge: int  # street index
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TakeResource:
     resource: int  # spot index
 
@@ -43,7 +45,7 @@ class TakeResource:
 Action = TakeRoad | TakeResource
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RouteDecision:
     action: Action
     target_resource: int | None = None  # spot index
@@ -198,7 +200,7 @@ class PlannerContext:
             raise ValueError("already at the target node")
         times, best, best_cost = self.times, -1, np.inf
         for street in self.out_edges[from_node]:
-            c = self.edge_time[street] + times[self.edge_to[street]][to_node]
+            c = self.edge_time[street] + times[self.edge_to[street]].item(to_node)
             if c < best_cost:
                 best, best_cost = street, c
         if not best_cost < np.inf:
@@ -208,12 +210,12 @@ class PlannerContext:
     def arrival(self, now: float, node: int, ridx: int) -> float:
         """Arrival at resource ``ridx`` leaving ``node`` at ``now``: ``now + drive_to_resources(node)[ridx]``
         bit for bit. Every planner's arrival at a spot is this one sum, so reservations compare
-        predictions made alike."""
-        return float(now + (self.times[node][self.res_from_idx[ridx]] + self.res_offset[ridx]))
+        predictions made alike. Python floats throughout, so a float ``now`` gives a float."""
+        return now + (self.times[node].item(self.res_from_idx.item(ridx)) + self.res_offset.item(ridx))
 
     def toward(self, now: float, node: int, ridx: int, recomputed: bool = True) -> RouteDecision:
         """Claim resource ``ridx`` if its street starts at ``node``, else take the first hop toward it."""
-        start = int(self.res_from_idx[ridx])
+        start = self.res_from_idx.item(ridx)
         action = TakeResource(ridx) if start == node else TakeRoad(self.first_hop(node, start))
         return RouteDecision(action, ridx, self.arrival(now, node, ridx), recomputed)
 
@@ -514,9 +516,18 @@ class RandomPolicy:
         self.ctx = ctx
         self.destination = destination
         self._searching = False
-        dist = great_circle_m_many(ctx.street_mid_lat, ctx.street_mid_lon, destination)
-        # a street index, exact ties (both directions of a two-way street) to the first; None without streets
-        self.dest_edge = int(np.argmin(dist)) if dist.size else None
+        # the street whose midpoint is nearest, exact ties (both directions of a two-way street) to the
+        # first index; None without streets. The haversine runs on the latitude band as wide as a
+        # flat-map guess's distance: every street outside it is strictly farther, so the band's first
+        # argmin is the full one.
+        self.dest_edge = None
+        lat, lon = ctx.street_mid_lat, ctx.street_mid_lon
+        if lat.size:
+            east = (lon - destination.lon) * math.cos(math.radians(destination.lat))
+            guess = int(np.argmin((lat - destination.lat) ** 2 + east ** 2))
+            radius = great_circle_m_many(lat[guess:guess + 1], lon[guess:guess + 1], destination)[0]
+            band = latitude_band(lat, destination, radius)
+            self.dest_edge = int(band[np.argmin(great_circle_m_many(lat[band], lon[band], destination))])
 
     def decide(self, view: PlanningView, node: int, rng: np.random.Generator) -> RouteDecision:
         ctx = view.ctx
@@ -557,8 +568,10 @@ class HeuristicPolicy:
         self.relax_s_per_min = settings.heuristic_relax_s_per_min
         self.dest_node = ctx.dest_node(destination)
         self._search_started: float | None = None
-        # per node: outside the search radius
-        self._far = great_circle_m_many(ctx.node_lat, ctx.node_lon, destination) > self.far_radius_m
+        # per node: outside the search radius, as every node outside the radius's latitude band is
+        self._far = np.ones(len(ctx.node_ids), dtype=bool)
+        band = latitude_band(ctx.node_lat, destination, self.far_radius_m)
+        self._far[band] = great_circle_m_many(ctx.node_lat[band], ctx.node_lon[band], destination) > self.far_radius_m
         self._circling_pool: list[int] | None = None  # streets to circle on from dest_node
 
     def accept_threshold(self, search_time_s: float) -> float:

@@ -371,16 +371,16 @@ def occupation_points(graph: RoadGraph, trace: OccupationTrace) -> list[tuple[Ge
             if where[s] is not None]
 
 
-def _sample_in_cluster(cluster: Cluster, eps_m: float, rng: np.random.Generator) -> GeoPoint:
-    lats = [p.lat for p in cluster.members]
-    lons = [p.lon for p in cluster.members]
-    lo_lat, hi_lat = min(lats), max(lats)
-    lo_lon, hi_lon = min(lons), max(lons)
+def _sample_in_cluster(members: tuple[GeoPoint, ...], lats: np.ndarray, lons: np.ndarray,
+                       box: tuple[float, float, float, float], eps_m: float, rng: np.random.Generator) -> GeoPoint:
+    """A point drawn in the members' bounding box ``box`` (least and greatest latitude, then longitude)
+    that lies within ``eps_m`` of a member; after 1000 misses, a member."""
+    lo_lat, hi_lat, lo_lon, hi_lon = box
     for _ in range(1000):
         cand = GeoPoint(float(rng.uniform(lo_lat, hi_lat)), float(rng.uniform(lo_lon, hi_lon)))
         if (great_circle_m_many(lats, lons, cand) <= eps_m).any():
             return cand
-    return cluster.members[int(rng.integers(len(cluster.members)))]
+    return members[int(rng.integers(len(members)))]
 
 
 def generate_data_driven(
@@ -416,8 +416,11 @@ def generate_data_driven(
             continue
         clusters.sort(key=lambda c: (-len(c.members), c.label))
         for cluster in clusters[:n_clusters]:
+            lats = np.array([p.lat for p in cluster.members])
+            lons = np.array([p.lon for p in cluster.members])
+            box = (lats.min().item(), lats.max().item(), lons.min().item(), lons.max().item())
             for _ in cluster.members:
-                destination = _sample_in_cluster(cluster, eps_m, rng)
+                destination = _sample_in_cluster(cluster.members, lats, lons, box, eps_m, rng)
                 start = hour * 3600.0 + float(rng.uniform(0.0, 3600.0))
                 specs.append(AgentSpec(f"a{counter:04d}", start_node, destination, start, planner))
                 counter += 1

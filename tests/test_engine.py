@@ -814,6 +814,35 @@ def test_event_log_order():
         "a07e5cfc3ae5a00e9466dbae99b1493a4ee581b3c08ca54e572a7039cc2e8d91")
 
 
+def test_flip_at_an_agent_event_and_a_long_stretch_without_flips():
+    # r2 frees at exactly t=30, when a1 reaches n1 after its failed claim on r1, so a1 sees it and takes
+    # it; then no flip is due for hundreds of seconds while a2 circles, until one flip at t=500.
+    doc = {
+        "nodes": [{"id": f"n{i}", "lat": 0.0, "lon": 0.001 * i} for i in range(3)],
+        "edges": [{"id": f"e{a}{b}", "from": f"n{a}", "to": f"n{b}", "length_m": 111.0, "drive_time_s": 30.0}
+                  for a, b in ((0, 1), (1, 0), (1, 2), (2, 1))],
+        "resources": [{"id": "r1", "edge": "e01", "lat": 0.0, "lon": 0.0004, "offset_s": 12.0},
+                      {"id": "r2", "edge": "e12", "lat": 0.0, "lon": 0.0014, "offset_s": 12.0}],
+    }
+    graph = load_graph(doc)
+    dest = GeoPoint(0.0, 0.001)
+    trace = trace_from_rows([("r2", 30.0, A), ("r1", 500.0, O)], {"r2": O})
+    agents = [AgentSpec("a0", "n0", dest, 0.0, "rpl"), AgentSpec("a1", "n0", dest, 0.0, "rpl"),
+              AgentSpec("a2", "n0", dest, 60.0, "heuristic")]
+    records, log = run_simulation(graph, agents, trace, params=FROZEN, horizon_s=600.0, seed=4,
+                                  measure_computation=False, collect_events=True)
+    by_id = {r.agent_id: r for r in records}
+    assert by_id["a0"].parked_resource == "r1" and by_id["a1"].parked_resource == "r2"
+    assert by_id["a1"].unsuccessful_claims == 1 and by_id["a2"].status == "timed_out"
+    flips = [ev.time for ev in log if ev.kind == "resource_flip"]
+    assert flips == [30.0, 500.0]
+    assert [ev.kind for ev in log if ev.time == 30.0] == ["resource_flip", "agent_at_node"]
+    assert sum(1 for ev in log if 30.0 < ev.time < 500.0) > 10
+    text = "\n".join(repr((ev.time, ev.kind, ev.agent, ev.node, ev.resource, ev.detail)) for ev in log)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e8bbd6210c0cdb1c7428254720484483fd30ed9eb1fb9a93226e546482b20154")
+
+
 def test_fleet_holds_nothing_after_a_mixed_run(monkeypatch):
     # every kind in one run: agents that park and agents that time out both withdraw what they shared
     fleets, peak = [], {"reservations": 0, "overlay": 0}

@@ -13,6 +13,7 @@ from parksearch.geo import (
     GeoPoint,
     great_circle_m,
     great_circle_m_many,
+    latitude_band,
     walking_time,
     walking_time_many,
 )
@@ -70,6 +71,85 @@ def test_vectorized_matches_scalar():
             p = GeoPoint(float(lat[i]), float(lon[i]))
             assert great_circle_m(p, ref) == d[i], (spread_deg, p)
             assert walking_time(p, ref) == w[i], (spread_deg, p)
+
+
+def test_kernel_on_an_index_subset_equals_the_full_call():
+    # the policies run the kernel on a latitude band's points alone, so each element must not depend on
+    # the array around it; lengths around the SIMD widths cover vector bodies and scalar tails
+    rng = np.random.default_rng(11)
+    ref = GeoPoint(48.1, 11.6)
+    for n in (1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 257, 1000):
+        lat = ref.lat + rng.uniform(-0.5, 0.5, size=n)
+        lon = ref.lon + rng.uniform(-0.5, 0.5, size=n)
+        full = great_circle_m_many(lat, lon, ref)
+        for k in {0, 1, n // 3, n - 1, n}:
+            idx = np.sort(rng.choice(n, size=k, replace=False))
+            sub = great_circle_m_many(lat[idx], lon[idx], ref)
+            assert sub.tolist() == full[idx].tolist(), (n, k)
+            if k:
+                assert great_circle_m_many(lat[idx[-1]:idx[-1] + 1], lon[idx[-1]:idx[-1] + 1], ref)[0] == full[idx[-1]]
+
+
+def band_far_mask(lat, lon, point, radius_m):
+    """The far mask as HeuristicPolicy builds it: the kernel on the latitude band, far elsewhere."""
+    far = np.ones(len(lat), dtype=bool)
+    band = latitude_band(lat, point, radius_m)
+    far[band] = great_circle_m_many(lat[band], lon[band], point) > radius_m
+    return far
+
+
+def band_argmin(lat, lon, point, guess):
+    """The first argmin as RandomPolicy finds it: the kernel on the band as wide as ``guess``'s distance."""
+    radius = great_circle_m_many(lat[guess:guess + 1], lon[guess:guess + 1], point)[0]
+    band = latitude_band(lat, point, radius)
+    return int(band[np.argmin(great_circle_m_many(lat[band], lon[band], point))])
+
+
+def band_worlds():
+    """Seeded (lat, lon, point) worlds: city scale, near-identical latitudes, the poles, the antimeridian
+    and duplicated points with exact ties."""
+    rng = np.random.default_rng(29)
+    for _ in range(5):
+        point = GeoPoint(float(rng.uniform(-60, 60)), float(rng.uniform(-170, 170)))
+        yield point.lat + rng.uniform(-0.05, 0.05, 500), point.lon + rng.uniform(-0.05, 0.05, 500), point
+        # within a few millimetres of the point's latitude, some exactly on it
+        lat = point.lat + rng.uniform(-3e-8, 3e-8, 500)
+        lat[::7] = point.lat
+        yield lat, point.lon + rng.uniform(-1e-7, 1e-7, 500), point
+    for pole in (90.0, -90.0):
+        # near the opposite pole the arcsine is ill-conditioned and the kernel falls furthest below the
+        # meridian gap
+        near = np.sign(pole) * 10.0 ** rng.uniform(-9, -2, 200)
+        lat = np.concatenate([np.full(20, pole), pole - near, rng.uniform(-90, 90, 60), np.full(20, -pole), near - pole])
+        lon = rng.uniform(-180, 180, len(lat))
+        yield lat, lon, GeoPoint(pole, float(rng.uniform(-180, 180)))
+        yield lat, lon, GeoPoint(pole - float(near[0]), 0.0)
+    for side in (180.0, -180.0):
+        lon = np.concatenate([np.full(20, side), np.full(20, -side), rng.uniform(179.9, 180, 200) * np.sign(side),
+                              -np.sign(side) * rng.uniform(179.9, 180, 200)])
+        yield rng.uniform(-0.05, 0.05, len(lon)), lon, GeoPoint(0.0, side)
+    # duplicated points, so the nearest distance is tied exactly between several indices
+    lat, lon = rng.uniform(-0.01, 0.01, 40), rng.uniform(-0.01, 0.01, 40)
+    order = rng.permutation(120)
+    yield np.tile(lat, 3)[order], np.tile(lon, 3)[order], GeoPoint(0.001, 0.002)
+    yield np.tile(lat, 3)[order], np.tile(lon, 3)[order], GeoPoint(float(lat[5]), float(lon[5]))
+
+
+def test_latitude_band_keeps_the_full_far_mask_and_first_argmin():
+    # every point's own distance is a radius, the tightest case for the band's margin, and a guess
+    worlds = 0
+    for lat, lon, point in band_worlds():
+        worlds += 1
+        full = great_circle_m_many(lat, lon, point)
+        for r in (0.0, 1e-4, 1e-3, 0.01, 0.5, 10.0, 150.0, 1000.0, 1e5, 1e7, 2.1e7, *full.tolist()):
+            assert band_far_mask(lat, lon, point, r).tolist() == (full > r).tolist(), (point, r)
+        first = int(np.argmin(full))
+        for guess in range(len(lat)):
+            assert band_argmin(lat, lon, point, guess) == first, (point, guess)
+    assert worlds == 18
+    # the band is ascending and holds every point within the radius
+    lat = np.array([0.0, 1e-5, -2e-5, 0.0, 5e-6])
+    assert latitude_band(lat, GeoPoint(0.0, 0.0), 0.0).tolist() == [0, 1, 3, 4]
 
 
 def test_a_run_makes_no_scalar_great_circle_call(monkeypatch):

@@ -10,7 +10,7 @@ from parksearch import planners
 from parksearch.availability import CtmcParams
 from parksearch.errors import NoPathError
 from parksearch.fleet import ReservationTable
-from parksearch.geo import EARTH_RADIUS_M, GeoPoint, great_circle_m
+from parksearch.geo import EARTH_RADIUS_M, GeoPoint, great_circle_m, great_circle_m_many
 from parksearch.planners import (
     PLANNER_KINDS,
     HeuristicPolicy,
@@ -21,6 +21,7 @@ from parksearch.planners import (
     PlanningView,
     RandomPolicy,
     ReplanningPolicy,
+    RouteDecision,
     TakeResource,
     TakeRoad,
     make_policy,
@@ -599,6 +600,32 @@ def test_heuristic_policy_thresholds():
     assert policy.accept_threshold(600.0) == pytest.approx(160.0)  # 60 base + 10 min * 10 s
 
 
+def test_heuristic_far_mask_equals_the_kernel_over_every_node():
+    # the policy runs the kernel only on the latitude band around the destination; the mask must still be
+    # the full call's, radius 0 and destinations on a node (distance exactly 0) included
+    graph, ctx = make_context(build_grid_graph_doc(12, 12, spacing_m=150.0, n_resources=20, seed=4))
+    rng = np.random.default_rng(8)
+    deg = 150.0 / 111_194.93
+    dests = [GeoPoint(float(rng.uniform(-1, 12)) * deg, float(rng.uniform(-1, 12)) * deg) for _ in range(30)]
+    dests += [GeoPoint(float(ctx.node_lat[i]), float(ctx.node_lon[i])) for i in (0, 13, 143)]
+    for dest in dests:
+        full = great_circle_m_many(ctx.node_lat, ctx.node_lon, dest)
+        for radius in (0.0, 0.5, 150.0, 500.0, 1e4, float(np.sort(full)[5])):
+            policy = HeuristicPolicy(ctx, dest, PlannerSettings(heuristic_far_radius_m=radius))
+            assert policy._far.tolist() == (full > radius).tolist(), (dest, radius)
+
+
+def test_decisions_are_slotted_records_equal_by_type_and_value():
+    assert TakeRoad(3) != TakeResource(3)
+    assert TakeRoad(3) == TakeRoad(3) and TakeRoad(3) != TakeRoad(4)
+    assert RouteDecision(TakeResource(2), 2, 10.5) == RouteDecision(TakeResource(2), 2, 10.5, True)
+    assert RouteDecision(TakeResource(2), 2, 10.5) != RouteDecision(TakeResource(2), 2, 10.5, False)
+    for record in (TakeRoad(3), TakeResource(3), RouteDecision(TakeRoad(3))):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(TypeError):
+            hash(record)
+
+
 def test_policies_are_pure_functions_of_inputs():
     graph, ctx, dest = two_candidate_world()
     for kind in ("random", "heuristic", "rpl", "hs"):
@@ -754,6 +781,7 @@ def test_decisions_follow_the_arrival_rule_on_random_worlds():
                     start, at = ((edge.to_node, now + edge.drive_time_s)
                                  if edge is not None and isinstance(policy, HindsightPolicy) else (node, now))
                     assert decision.expected_arrival == at + ctx.drive_to_resources(ctx.node_index[start])[ridx], kind
+                    assert type(decision.expected_arrival) is float, kind  # not a numpy scalar
                     checked[kind, decision.recomputed] += 1
                 if edge is None:
                     break
