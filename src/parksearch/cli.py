@@ -10,7 +10,7 @@ import click
 
 from .engine import compute_metrics
 from .errors import ParkSearchError
-from .scenario import build_grid_graph_doc, run_batch, run_scenario, summarize_results
+from .scenario import build_grid_graph_doc, parse_config, run_batch, run_scenario, summarize_results
 
 
 class _Commands(click.Group):
@@ -83,7 +83,8 @@ def _write_json(out_path: str, doc: dict, *, sort_keys: bool = False) -> None:
 
 def _write_scenario(out_path: str, graph: str, trace: str | None, destinations: dict, planner: str,
                     seed: int) -> None:
-    """Write a scenario with absolute paths; parse defaults fill in synthetic rates and destination keys left None."""
+    """Write a scenario with absolute paths; parse defaults fill in synthetic rates and destination keys left None.
+    A document that ``simulate`` would reject is not written, and its ``ConfigError`` names the key."""
     doc = {
         "graph": str(Path(graph).resolve()),
         "occupation": {"trace": str(Path(trace).resolve())} if trace else {"synthetic": {}},
@@ -91,6 +92,7 @@ def _write_scenario(out_path: str, graph: str, trace: str | None, destinations: 
         "planner": {"kind": planner},
         "seed": seed,
     }
+    parse_config(doc)
     _write_json(out_path, doc, sort_keys=True)
     click.echo(f"wrote {out_path}")
 

@@ -359,10 +359,10 @@ def run_simulation(
     for i, spec in enumerate(specs):
         shares = PLANNERS[spec.planner].shares
         view = PlanningView(
-            ctx, spec.start_time, avail, params,
+            ctx, spec.start_time, avail, rates, t_claim,
             reservations=fleet.reservations if shares == "reservations" else None,
             overlay=fleet.overlay if shares == "overlay" else None,
-            agent_id=i, rates=rates, t_claim=t_claim,
+            agent_id=i,
         )
         policy = make_policy(spec.planner, ctx, spec.destination, settings)
         if isinstance(policy, HindsightPolicy):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .availability import AdaptionOverlay, AvailabilityRates, CtmcParams, expected_wait_times_rates
+from .availability import AdaptionOverlay, AvailabilityRates
 from .errors import NoPathError, check_number
 from .fleet import ReservationTable
 from .geo import GeoPoint, great_circle_m_many, latitude_band, walking_time_many
@@ -227,32 +227,26 @@ class PlanningView:
     The engine keeps one view per agent for the whole run and sets ``now`` before each of
     that agent's decisions. ``avail`` is the engine's live availability array, not a copy:
     later trace flips and claims overwrite it, so a view describes the world only at ``now``.
-    ``rates`` is the availability rule for per-resource flip rates; it defaults to the global
-    pair in ``params`` when the scenario does not override them. ``t_claim`` is the expected
-    circling wait at each resource, and ``least_claim``, ``min(offset + t_claim)``, a lower bound on
-    the cost of any plan that pays one: drive and walk seconds are never negative and rounding is
-    monotone, so such a spot's ``(drive + walk) + t_claim`` is at least its ``offset + t_claim``
-    (``inf`` without spots). Every view of a run shares that run's arrays. ``agent_id`` is the
-    agent's index in the run, which orders agents as their ids do.
+    ``rates`` are the run's per-resource flip rates and ``t_claim`` the expected circling wait at
+    each resource under them; ``run_simulation`` builds both once per run. ``least_claim``,
+    ``min(offset + t_claim)``, is a lower bound on the cost of any plan that pays one: drive and
+    walk seconds are never negative and rounding is monotone, so such a spot's
+    ``(drive + walk) + t_claim`` is at least its ``offset + t_claim`` (``inf`` without spots).
+    Every view of a run shares that run's arrays. ``agent_id`` is the agent's index in the run,
+    which orders agents as their ids do.
     """
 
     ctx: PlannerContext
     now: float
     avail: np.ndarray  # current availability per resource, aligned with ctx.res_ids
-    params: CtmcParams
+    rates: AvailabilityRates
+    t_claim: np.ndarray
     reservations: ReservationTable | None = None
     overlay: AdaptionOverlay | None = None
     agent_id: int | None = None
-    rates: AvailabilityRates | None = None
-    t_claim: np.ndarray | None = None
     least_claim: float = field(init=False)
 
     def __post_init__(self) -> None:
-        n = self.ctx.n_resources
-        if self.rates is None:
-            self.rates = AvailabilityRates(np.full(n, self.params.lam), np.full(n, self.params.mu))
-        if self.t_claim is None:
-            self.t_claim = expected_wait_times_rates(self.rates, self.ctx.res_t_tr)
         self.least_claim = float((self.ctx.res_offset + self.t_claim).min(initial=np.inf))
 
     def availability(self, at: np.ndarray | float, idx=None) -> np.ndarray:
@@ -277,13 +271,6 @@ class PlanningView:
     def claim_wait(self, available: np.ndarray) -> np.ndarray:
         """Extra cost per resource: nothing where available, the expected circling wait where occupied."""
         return np.where(available, 0.0, self.t_claim)
-
-    def reserved(self, arrivals: np.ndarray) -> np.ndarray:
-        """Mask over ``arrivals``, one per resource, of the spots another fleet agent reaches first
-        (``ReservationTable.blocked``)."""
-        if self.reservations is None:
-            return np.zeros(len(arrivals), dtype=bool)
-        return self.reservations.blocked(self.agent_id, arrivals)
 
 
 def replan_route(view: PlanningView, from_node: int, destination: GeoPoint) -> RouteDecision:
@@ -317,7 +304,8 @@ def _future_probabilities(view: PlanningView, drive: np.ndarray) -> tuple[np.nda
     """The resources reserved against the agent and the availability at arrival that every sampled
     future thresholds (zero where reserved), given the drive times to every resource."""
     arrivals = view.now + drive
-    forced = view.reserved(arrivals)
+    table = view.reservations
+    forced = np.zeros(len(arrivals), dtype=bool) if table is None else table.blocked(view.agent_id, arrivals)
     probs = view.availability(arrivals)
     probs[forced] = 0.0
     return forced, probs

@@ -15,6 +15,7 @@ import math
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
@@ -509,17 +510,9 @@ def run_batch(config_paths: list[str | Path], out_dir: str | Path, parallel: int
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     jobs = [(str(p), str(out)) for p in sorted(str(p) for p in config_paths)]
-    failures: dict[str, str] = {}
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            for path, error in pool.map(_run_batch_worker, jobs):
-                if error:
-                    failures[path] = error
-    else:
-        for job in jobs:
-            path, error = _run_batch_worker(job)
-            if error:
-                failures[path] = error
+    with ProcessPoolExecutor(max_workers=parallel) if parallel > 1 else nullcontext() as pool:
+        runs = (pool.map if pool else map)(_run_batch_worker, jobs)
+        failures = {path: error for path, error in runs if error}
     summary = summarize_results(out)
     summary["failed"] = failures
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -590,27 +583,15 @@ def build_grid_graph_doc(
     edges = []
     for r in range(rows):
         for c in range(cols):
-            here = node_id[r][c]
-            if c + 1 < cols:
-                there = node_id[r][c + 1]
-                two_way = not one_way or r in (0, rows - 1)  # perimeter stays two-way
-                if two_way:
-                    edges.append(_edge(here, there))
-                    edges.append(_edge(there, here))
-                elif r % 2 == 0:
-                    edges.append(_edge(here, there))
-                else:
-                    edges.append(_edge(there, here))
-            if r + 1 < rows:
-                there = node_id[r + 1][c]
-                two_way = not one_way or c in (0, cols - 1)
-                if two_way:
-                    edges.append(_edge(here, there))
-                    edges.append(_edge(there, here))
-                elif c % 2 == 0:
-                    edges.append(_edge(here, there))
-                else:
-                    edges.append(_edge(there, here))
+            # east, then south; a street on row (east) or column (south) k of last index `last` is
+            # two-way on the perimeter, else one-way forward on even k and backward on odd k
+            for r2, c2, k, last in ((r, c + 1, r, rows - 1), (r + 1, c, c, cols - 1)):
+                if r2 < rows and c2 < cols:
+                    here, there = node_id[r][c], node_id[r2][c2]
+                    if not one_way or k in (0, last):
+                        edges += [_edge(here, there), _edge(there, here)]
+                    else:
+                        edges.append(_edge(here, there) if k % 2 == 0 else _edge(there, here))
     rng = np.random.default_rng(seed)
     node_pos = {n["id"]: (n["lat"], n["lon"]) for n in nodes}
     resources = []

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from parksearch.availability import CtmcParams
+from parksearch.availability import AvailabilityRates, CtmcParams, expected_wait_times_rates
 from parksearch.engine import OccupationTrace
 from parksearch.graph import all_pairs_travel_times, load_graph
-from parksearch.planners import PlannerContext
+from parksearch.planners import PlannerContext, PlanningView
 from parksearch.scenario import build_grid_graph_doc
+
+FROZEN = CtmcParams(1e-9, 1e-9)  # state changes are effectively impossible
 
 
 def triangle_doc():
@@ -70,6 +72,16 @@ def default_params():
 def make_context(doc):
     graph = load_graph(doc)
     return graph, PlannerContext(graph, all_pairs_travel_times(graph))
+
+
+def make_view(ctx, avail, params=FROZEN, now=0.0, *, t_claim=None, **kw):
+    """A ``PlanningView`` at ``now`` whose spots all flip with ``params``, as a run without rate overrides
+    builds it; ``t_claim`` defaults to the expected circling waits under those rates."""
+    n = ctx.n_resources
+    rates = AvailabilityRates(np.full(n, params.lam), np.full(n, params.mu))
+    if t_claim is None:
+        t_claim = expected_wait_times_rates(rates, ctx.res_t_tr)
+    return PlanningView(ctx, now, np.asarray(avail, dtype=bool), rates, t_claim, **kw)
 
 
 def sink_grid_doc():

@@ -21,10 +21,10 @@ from parksearch.errors import NoPathError
 from parksearch.fleet import ReservationTable
 from parksearch.geo import EARTH_RADIUS_M, GeoPoint, great_circle_m, walking_time
 from parksearch.graph import all_pairs_travel_times, load_graph
-from parksearch.planners import PlannerContext, PlanningView
+from parksearch.planners import PlannerContext
 from parksearch.scenario import build_grid_graph_doc, dbscan, run_batch
 
-from conftest import bellman_ford_times, random_graph_doc, trace_rows
+from conftest import bellman_ford_times, make_view, random_graph_doc, trace_rows
 from ctmc_oracle import ResourceBelief, ResourceState, availability_probability, transition_probability
 from hindsight_oracle import Determinization, sample_determinizations, solve_determinization
 
@@ -141,7 +141,7 @@ def test_criterion_03_oracle_equivalences():
         if not graph.resources:
             continue
         ctx = PlannerContext(graph, all_pairs_travel_times(graph))
-        view = PlanningView(ctx, 0.0, rng.random(len(graph.resources)) < 0.5, params)
+        view = make_view(ctx, rng.random(len(graph.resources)) < 0.5, params)
         dest = GeoPoint(float(rng.uniform(-0.01, 0.01)), float(rng.uniform(-0.01, 0.01)))
         avail = rng.random(len(graph.resources)) < 0.5
         start = str(rng.choice(list(graph.nodes)))
@@ -297,7 +297,7 @@ def test_criterion_04_hindsight_lower_bound():
 
     u_star = U[("u", (0, 0, 0))]
 
-    view = PlanningView(ctx, 0.0, np.zeros(3, dtype=bool), params)
+    view = make_view(ctx, np.zeros(3, dtype=bool), params)
     u = ctx.node_index["u"]
     dets = sample_determinizations(view, u, 4000, np.random.default_rng(404))
     costs = np.array([solve_determinization(view, u, d, dest)[1] for d in dets])

@@ -344,8 +344,9 @@ def test_view_availability_matches_oracle():
         for _ in range(int(rng.integers(0, 12))):
             overlay.add(int(rng.integers(n)), now + float(rng.uniform(0, 300)),
                         float(rng.uniform(0, 0.6)), int(rng.integers(3)))  # the viewing agent is 0
-        view = PlanningView(ctx, now, avail, CtmcParams(1.0, 1.0), overlay=overlay, agent_id=0,
-                            rates=AvailabilityRates(lam, mu))
+        rates = AvailabilityRates(lam, mu)
+        view = PlanningView(ctx, now, avail, rates, expected_wait_times_rates(rates, ctx.res_t_tr),
+                            overlay=overlay, agent_id=0)
         beliefs = [ResourceBelief(i, A if avail[i] else O, now, CtmcParams(float(lam[i]), float(mu[i])))
                    for i in range(n)]
 
@@ -400,7 +401,8 @@ def test_rates_encoding_is_bit_identical_to_the_formula():
                         float(rng.uniform(0, 0.6)), int(rng.integers(3)))  # the viewing agent is 0
         seen["overlay" if overlay else "no overlay"] += 1
         avail = rng.random(n) < 0.5
-        view = PlanningView(ctx, now, avail, CtmcParams(1.0, 1.0), overlay=overlay, agent_id=0, rates=rates)
+        view = PlanningView(ctx, now, avail, rates, expected_wait_times_rates(rates, ctx.res_t_tr),
+                            overlay=overlay, agent_id=0)
         subset = rng.permutation(n)[: int(rng.integers(1, n + 1))]
         for idx in (None, subset, subset.tolist()):
             size = n if idx is None else len(idx)
@@ -474,8 +476,9 @@ def test_overlay_subtraction_matches_scalar_oracle():
                     seen["tie"] += any(e[1] == times[e[0]] for e in entries)
                     expected = [pending_subtraction(reference, s, float(times[s]), exclude) for s in range(n)]
                     assert overlay.subtraction(n, at, exclude).tolist() == expected
-                view, oracle_view = (PlanningView(ctx, 0.0, avail, CtmcParams(1.0, 1.0), overlay=o,
-                                                  agent_id=exclude, rates=rates) for o in (overlay, reference))
+                t_claim = expected_wait_times_rates(rates, ctx.res_t_tr)
+                view, oracle_view = (PlanningView(ctx, 0.0, avail, rates, t_claim, overlay=o, agent_id=exclude)
+                                     for o in (overlay, reference))
                 subset = rng.permutation(n)[: int(rng.integers(1, n + 1))]
                 for at in (10.0 * float(rng.integers(11)), 10.0 * rng.integers(11, size=len(subset))):
                     assert np.array_equal(view.availability(at, subset),

@@ -187,6 +187,26 @@ def test_cli_grid_demo_rejects_bad_sizes(tmp_path, args, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, args, message", [
+    ("single", ["--planner", "bogus", "--agents", "0"], "planner.kind must be one of"),
+    ("single", ["--agents", "0"], "destinations.agents must be a positive integer, got 0"),
+    ("single", ["--destination", "95", "0"], "destinations.destination"),
+    ("data-driven", ["--eps-m", "-5", "--min-pts", "0"], "destinations.eps_m must be a positive number, got -5.0"),
+    ("data-driven", ["--min-pts", "0"], "destinations.min_pts must be a positive integer, got 0"),
+])
+def test_cli_gen_scenario_rejects_what_simulate_would(tmp_path, command, args, message):
+    """A generated scenario goes through the config parser first: a bad value is a CLI error naming its key,
+    and no file is written."""
+    graph_path, trace_path, out = tmp_path / "grid.json", tmp_path / "trace.csv", tmp_path / "s.json"
+    graph_path.write_text(json.dumps(build_grid_graph_doc(3, 3, n_resources=4)))
+    trace_path.write_text("resource_id,time_s,state\nr000,10,occupied\n")
+    required = {"single": ["--destination", "0.0005", "0.0005"], "data-driven": ["--trace", str(trace_path)]}[command]
+    result = CliRunner().invoke(main, ["gen-scenario", command, "--graph", str(graph_path), "--start-node", "n0000",
+                                       *required, *args, "--out", str(out)])
+    assert result.exit_code == 1 and f"Error: {message}" in result.output, result.output
+    assert not out.exists()
+
+
 def test_cli_malformed_results_file_is_a_cli_error(tmp_path):
     runner = CliRunner()
     out_dir = tmp_path / "out"

@@ -28,10 +28,10 @@ from parksearch.engine import (
 from parksearch.errors import ConfigError, NoPathError, TraceError
 from parksearch.geo import EARTH_RADIUS_M, GeoPoint, walking_time
 from parksearch.graph import all_pairs_travel_times, load_graph
-from parksearch.planners import PLANNER_KINDS, PLANNERS, PlannerContext, PlannerSettings, PlanningView, make_policy
+from parksearch.planners import PLANNER_KINDS, PLANNERS, PlannerContext, PlannerSettings, make_policy
 from parksearch.scenario import build_grid_graph_doc
 
-from conftest import sink_grid_doc, trace_from_rows, trace_rows
+from conftest import make_view, sink_grid_doc, trace_from_rows, trace_rows
 from run_invariants import capture_fleets, check_end_of_run
 
 M_PER_DEG = math.pi * EARTH_RADIUS_M / 180.0
@@ -257,7 +257,7 @@ def test_graph_without_spots(kind):
     assert record.total_trip_s == 600.0 and record.parked_resource is None
     if not baseline:
         ctx = PlannerContext(graph, all_pairs_travel_times(graph))
-        view = PlanningView(ctx, 0.0, np.ones(0, dtype=bool), FROZEN)
+        view = make_view(ctx, np.ones(0, dtype=bool))
         with pytest.raises(NoPathError, match="no resource reachable from 'n0000'"):
             make_policy(kind, ctx, dest).decide(view, ctx.node_index["n0000"], np.random.default_rng(0))
 

@@ -6,15 +6,14 @@ import pytest
 
 from parksearch.availability import AdaptionOverlay, CtmcParams
 from parksearch.fleet import ReservationTable, _edge_jump_weight, adapt_probabilities
-from parksearch.planners import PlannerSettings, PlanningView
+from parksearch.planners import PlannerSettings
 from parksearch.scenario import build_grid_graph_doc
 
 from adaption_oracle import WalkPath, create_adaptions, oracle_adapt_probabilities
-from conftest import make_context, random_graph_doc
+from conftest import make_context, make_view, random_graph_doc
 from drive_time_oracle import dense_travel_times
 from ctmc_oracle import ResourceBelief, ResourceState, availability_probability
 
-FROZEN = CtmcParams(1e-9, 1e-9)
 
 
 class Held(NamedTuple):
@@ -187,7 +186,7 @@ def test_edge_jump_weight_formula():
     params = CtmcParams(0.01, 0.01)
     # occupied anchor, probability of still being occupied = 0.8 at dt
     dt = math.log(1.0 / 0.6) / 0.02
-    view = PlanningView(ctx, 0.0, np.array([True, False, True]), params)
+    view = make_view(ctx, [True, False, True], params)
 
     e12, n0, n2 = ctx.edge_ids.index("e12"), ctx.node_index["n0"], ctx.node_index["n2"]
     # edge e12 ends at n2; drive n2 -> n0 is 300 s; with a 600 s isochrone delta = 0.5
@@ -199,7 +198,7 @@ def test_edge_jump_weight_formula():
     w_visited = _edge_jump_weight(view, e12, dt, {e12}, n0, 600.0, 0.95)
     assert w_visited == pytest.approx(0.95 * 0.5 * 0.2, abs=1e-9)
 
-    view_sure = PlanningView(ctx, 0.0, np.array([True, True, True]), FROZEN)
+    view_sure = make_view(ctx, [True, True, True])
     w_sure = _edge_jump_weight(view_sure, e12, 100.0, set(), n0, 600.0, 0.95)
     delta = min(1.0, ctx.drive_time(n2, n0) / 600.0)
     assert w_sure == pytest.approx(delta * 1.0, rel=1e-6)
@@ -270,8 +269,8 @@ def test_adapt_probabilities_without_steps_spreads_the_stay_over_the_target_stre
     }
     graph, ctx = make_context(doc)
     overlay = AdaptionOverlay()
-    view = PlanningView(ctx, 0.0, np.array([False, True, False]), CtmcParams.from_mean_times(300.0, 900.0),
-                        overlay=overlay, agent_id=2)
+    view = make_view(ctx, [False, True, False], CtmcParams.from_mean_times(300.0, 900.0),
+                     overlay=overlay, agent_id=2)
     target, t_arrival = ctx.res_index["p"], 40.0
     p_initial = 1.0 - float(view.availability(t_arrival, [target])[0])
     settings = PlannerSettings(adaption_samples=7, adaption_isochrone_s=300.0, adaption_max_steps=0)
@@ -309,8 +308,7 @@ def test_adapt_probabilities_walks_ending_on_a_street_without_spots_add_nothing(
     assert [ctx.edge_ids[e] for e in ctx.out_edges[ctx.node_index["b"]]] == ["u-bare", "v-spots"]
     settings = PlannerSettings(adaption_samples=5, adaption_isochrone_s=300.0, adaption_max_steps=1)
     overlay, oracle_overlay = AdaptionOverlay(), AdaptionOverlay()
-    views = [PlanningView(ctx, 0.0, np.array([False, True]), FROZEN, overlay=o, agent_id=0)
-             for o in (overlay, oracle_overlay)]
+    views = [make_view(ctx, [False, True], overlay=o, agent_id=0) for o in (overlay, oracle_overlay)]
     paths = oracle_adapt_probabilities(views[1], ctx.res_index["r"], 20.0, 0, settings, ZeroDraws())
     assert [ctx.edge_ids[p.final_edge] for p in paths] == ["u-bare"] * 5
     adapt_probabilities(views[0], ctx.res_index["r"], 20.0, 0, settings, ZeroDraws())
@@ -322,8 +320,7 @@ def test_adapt_probabilities_walks_ending_on_a_street_without_spots_add_nothing(
 def test_adapt_probabilities_zero_when_target_certainly_available():
     graph, ctx = linear_walk_world()
     overlay = AdaptionOverlay()
-    view = PlanningView(ctx, 0.0, np.array([True, True, True]), FROZEN,
-                        overlay=overlay, agent_id=0)
+    view = make_view(ctx, [True, True, True], overlay=overlay, agent_id=0)
     settings = PlannerSettings(adaption_samples=20, adaption_isochrone_s=600.0)
     adapt_probabilities(view, ctx.res_index["rt"], 0.0, 0, settings, np.random.default_rng(0))
     assert all(d == pytest.approx(0.0, abs=1e-12) for d in overlay.delta)
@@ -334,8 +331,7 @@ def test_adapt_probabilities_walk_invariants():
     graph, ctx = linear_walk_world()
     params = CtmcParams.from_mean_times(600.0, 1800.0)
     overlay = AdaptionOverlay()
-    view = PlanningView(ctx, 0.0, np.array([False, False, True]), params,
-                        overlay=overlay, agent_id=0)
+    view = make_view(ctx, [False, False, True], params, overlay=overlay, agent_id=0)
     t_arrival = 250.0
     target = graph.resources["rt"]
     p_initial = 1.0 - availability_probability(
@@ -361,7 +357,7 @@ def test_adapt_probabilities_degenerate_target():
         "resources": [{"id": "r", "edge": "e1", "lat": 0.0, "lon": 0.0005, "offset_s": 5.0}],
     }
     graph, ctx = make_context(doc)
-    view = PlanningView(ctx, 0.0, np.array([False]), FROZEN, overlay=AdaptionOverlay(), agent_id=0)
+    view = make_view(ctx, [False], overlay=AdaptionOverlay(), agent_id=0)
     rng = np.random.default_rng(1)
     adapt_probabilities(view, 0, 10.0, 0, PlannerSettings(adaption_samples=5, adaption_isochrone_s=300.0), rng)
     p_initial = 1.0 - float(view.availability(10.0, [0])[0])
@@ -390,8 +386,7 @@ def test_reverse_adaptions_round_trip_exact():
     create_adaptions([WalkPath((e12,), 0.25, 400.0, e12)], keeper, ctx, overlay)
     before = [availability_probability(beliefs[i], t, overlay) for i, t in probes]
 
-    view = PlanningView(ctx, 0.0, np.array([False, True, False]), params,
-                        overlay=overlay, agent_id=walker)
+    view = make_view(ctx, [False, True, False], params, overlay=overlay, agent_id=walker)
     adapt_probabilities(view, ctx.res_index["rt"], 300.0, walker,
                         PlannerSettings(adaption_samples=25, adaption_isochrone_s=600.0), rng)
     overlay.withdraw(walker)
@@ -460,7 +455,7 @@ def test_adapt_probabilities_matches_walk_oracle():
                     o.add(np.arange(n), now, 1.0, 9)
                 if call % 10 == 4:
                     o.withdraw(9)
-            views = [PlanningView(ctx, now, avail, params, overlay=o, agent_id=agent) for o in (overlay, oracle_overlay)]
+            views = [make_view(ctx, avail, params, now, overlay=o, agent_id=agent) for o in (overlay, oracle_overlay)]
             seed = int(rng.integers(1 << 30))
             walk_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             # a far destination keeps every street's distance factor at 1, so free walks wander

@@ -25,7 +25,6 @@ from parksearch.planners import (
     HindsightPlan,
     HindsightPolicy,
     PlannerSettings,
-    PlanningView,
     RouteDecision,
     TakeResource,
     TakeRoad,
@@ -33,7 +32,7 @@ from parksearch.planners import (
 )
 from parksearch.scenario import build_grid_graph_doc
 
-from conftest import make_context
+from conftest import FROZEN, make_context, make_view
 
 K = planners.PRUNE_COLUMNS
 DEFAULT = CtmcParams.from_mean_times(120.0, 2091.0)
@@ -149,7 +148,7 @@ def _kernel_case(rng, n_res):
         uniforms[f, c_free] = 0.0
         probs[c_free] = max(probs[c_free], 0.5)
         assert base[e, c_occ] + t_claim[c_occ] == base[e, c_free]
-    view = PlanningView(ctx, 0.0, np.ones(n_res, dtype=bool), DEFAULT, t_claim=t_claim)
+    view = make_view(ctx, np.ones(n_res, dtype=bool), DEFAULT, t_claim=t_claim)
     return view, base, uniforms, probs
 
 
@@ -269,8 +268,8 @@ def test_hindsight_decisions_match_full_matrix_oracle():
                 table = ReservationTable(6)  # agent 0 decides; agents 1 to 5 hold reservations
                 for i, ridx in enumerate(rng.choice(ctx.n_resources, size=5, replace=False)):
                     table.place(i + 1, int(ridx), t_arrival=-1.0)
-                view = PlanningView(ctx, 30.0 * step, avail, CtmcParams(1e-9, 1e-9) if frozen else DEFAULT,
-                                    reservations=table, agent_id=0)
+                view = make_view(ctx, avail, FROZEN if frozen else DEFAULT, 30.0 * step,
+                                 reservations=table, agent_id=0)
                 node = ctx.node_index[str(rng.choice([n for n in graph.nodes if n != "nx"]))]
                 try:
                     decision = policy.decide(view, node, agent_rng)
@@ -300,7 +299,7 @@ def test_common_random_numbers_are_the_seeded_stream():
     dest = GeoPoint(0.0, 0.0)
     for seed, n_det in ((0, 1), (5, 20), (9, 100)):
         policy = HindsightPolicy(ctx, dest, PlannerSettings(determinizations=n_det))
-        view = PlanningView(ctx, 0.0, np.ones(ctx.n_resources, dtype=bool), DEFAULT)
+        view = make_view(ctx, np.ones(ctx.n_resources, dtype=bool), DEFAULT)
         policy.decide(view, ctx.node_index["n0303"], np.random.default_rng(seed))
         assert policy._uniforms.flags.c_contiguous
         assert np.array_equal(policy._uniforms.T, np.random.default_rng(seed).random((n_det, ctx.n_resources)))

@@ -30,12 +30,11 @@ from parksearch.planners import (
 )
 from parksearch.scenario import build_grid_graph_doc
 
-from conftest import bellman_ford_times, make_context, random_graph_doc, triangle_doc
+from conftest import bellman_ford_times, make_context, make_view, random_graph_doc, triangle_doc
 from drive_time_oracle import dense_travel_times
 from hindsight_oracle import Determinization, sample_determinizations, solve_determinization
 
 M_PER_DEG = math.pi * EARTH_RADIUS_M / 180.0
-FROZEN = CtmcParams(1e-9, 1e-9)  # state changes are effectively impossible
 
 
 def offset_point(walk_s: float) -> dict:
@@ -64,10 +63,6 @@ def two_candidate_world():
     }
     graph, ctx = make_context(doc)
     return graph, ctx, GeoPoint(0.0, 0.0)
-
-
-def make_view(ctx, avail, params=FROZEN, now=0.0, **kw):
-    return PlanningView(ctx, now, np.asarray(avail, dtype=bool), params, **kw)
 
 
 def test_replan_single_adjacent_resource():
@@ -290,6 +285,15 @@ def test_replan_tie_between_a_free_spot_and_a_circling_wait_goes_to_the_smaller_
     assert decision.action == TakeResource(0) and decision.expected_arrival == 5.0
 
 
+def test_a_view_takes_the_runs_rates_and_t_claim():
+    """A view derives no rule of its own: rates and t_claim are required, and only least_claim is computed."""
+    assert [f.name for f in dataclasses.fields(PlanningView) if f.init] == [
+        "ctx", "now", "avail", "rates", "t_claim", "reservations", "overlay", "agent_id"]
+    graph, ctx = make_context(triangle_doc())
+    with pytest.raises(TypeError):
+        PlanningView(ctx, 0.0, np.ones(1, dtype=bool))
+
+
 def test_sample_determinizations_certain_and_reserved():
     graph, ctx, dest = two_candidate_world()
     doc_offsets_zero = ctx.res_offset
@@ -315,7 +319,7 @@ def test_sample_determinizations_binomial_concentration():
     # instead: query a long horizon by sampling from s (drive 40) has dt 40; too short.
     # Use the stationary trick: lam = mu and a large dt gives probability 1/2.
     dets = sample_determinizations(
-        PlanningView(ctx, 0.0, np.array([True, True]), params), ctx.node_index["a"], 10_000,
+        make_view(ctx, [True, True], params), ctx.node_index["a"], 10_000,
         np.random.default_rng(3),
     )
     # rB's street starts at b, which is drive 110 from a (a->s 40, s->b 70)

@@ -1,3 +1,5 @@
+import copy
+import hashlib
 import json
 import math
 import re
@@ -12,7 +14,7 @@ from parksearch import scenario as scenario_module
 from parksearch.availability import CtmcParams
 from parksearch.engine import read_results, write_results
 from parksearch.engine import MetricsRecord
-from parksearch.errors import ConfigError
+from parksearch.errors import ConfigError, ParkSearchError
 from parksearch.geo import EARTH_RADIUS_M, GeoPoint, great_circle_m
 from parksearch.graph import load_graph
 from parksearch.scenario import (
@@ -122,6 +124,59 @@ def test_malformed_config_value_names_its_key(tmp_path, path, value):
         warnings.simplefilter("error")  # a numpy warning on the way would hide the real cause
         with pytest.raises(ConfigError, match=re.escape(path)):
             run_scenario(parse_config(doc, base_dir=tmp_path))
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# 10**30 is left out: as horizon_s or destinations.agents it is accepted, and the run does not end
+BAD_VALUES = (None, [], {}, "x", -1, 0, 1e309, True, math.nan, "n9999", [1], [[1, 2]])
+
+
+def key_paths(node, prefix=()):
+    """Every key path under a document, list items included, parents before children."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield (*prefix, key)
+        yield from key_paths(child, (*prefix, key))
+
+
+def test_config_mutations_raise_named_errors_or_finish(monkeypatch):
+    """Each key path of each bundled config, under a 300 s horizon, set to each bad value: the run
+    raises a ParkSearchError, or it ends with one record per agent, each with a final status and
+    finite totals; never a raw exception."""
+    agents, run_simulation = [], scenario_module.run_simulation
+
+    def recording(graph, specs, *args, **kwargs):
+        agents[:] = specs
+        return run_simulation(graph, specs, *args, **kwargs)
+
+    monkeypatch.setattr(scenario_module, "run_simulation", recording)
+    outcomes = Counter()
+    for path in sorted(CONFIGS.glob("*.json")):
+        doc = {**json.loads(path.read_text()), "horizon_s": 300.0}
+        for keys in key_paths(doc):
+            for value in BAD_VALUES:
+                case = copy.deepcopy(doc)
+                *parents, last = keys
+                section = case
+                for key in parents:
+                    section = section[key]
+                section[last] = value
+                where = f"{path.name} {keys} = {value!r}"
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", UserWarning)  # an hour without clusters
+                        records = run_scenario(parse_config(case, base_dir=CONFIGS))
+                except ParkSearchError as exc:
+                    outcomes[type(exc).__name__] += 1
+                    continue
+                except Exception as exc:
+                    pytest.fail(f"{where}: raw {type(exc).__name__}: {exc}")
+                assert sorted(r.agent_id for r in records) == sorted(s.id for s in agents), where
+                assert all(r.status in ("parked", "timed_out", "stranded") for r in records), where
+                assert all(math.isfinite(x) for r in records for x in (r.total_trip_s, r.taxi_s, r.parking_s)), where
+                outcomes["finished"] += 1
+    # 56 key paths, 12 values each
+    assert outcomes == {"ConfigError": 651, "finished": 21}
 
 
 def explicit_agents(agents):
@@ -512,13 +567,16 @@ def test_run_batch_and_summary_reductions(tmp_path):
 def test_batch_isolates_failures(tmp_path):
     graph_path, _ = write_demo_world(tmp_path)
     good = tmp_path / "good.json"
-    good.write_text(json.dumps(base_config(graph_path)))
+    good.write_text(json.dumps({**base_config(graph_path), "measure_computation": False}))
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"graph": "nope.json"}))
     out = tmp_path / "out"
     summary = run_batch([good, bad], out, parallel=1)
     assert list(summary["failed"]) == [str(bad)]
     assert (out / "good.results.csv").exists()
+    # two worker processes run the same loop: the same summary and results file
+    assert run_batch([good, bad], tmp_path / "pool", parallel=2) == summary
+    assert (tmp_path / "pool" / "good.results.csv").read_bytes() == (out / "good.results.csv").read_bytes()
 
 
 def test_summary_reduction_hand_example(tmp_path):
@@ -545,6 +603,29 @@ def test_scenario_generation_is_pure(tmp_path):
     a = generate_data_driven(graph, events, "n0000", "rpl", eps_m=100.0, min_pts=3, rng=rng1)
     b = generate_data_driven(graph, events, "n0000", "rpl", eps_m=100.0, min_pts=3, rng=rng2)
     assert a == b
+
+
+# SHA-256 of json.dumps of each document, captured before the east and south streets shared one rule
+GRID_DOC_DIGESTS = {
+    "1x6": ({"rows": 1, "cols": 6, "n_resources": 10, "seed": 3},
+            "d831adfa9b816793f0afa5a174b3146c007bb4866292f1f6664be093ee3bd125"),
+    "6x1": ({"rows": 6, "cols": 1, "n_resources": 10, "seed": 3},
+            "3be165e770504c80cc8e4b551187cb459fac39d6b76edaac4d49ddf259c64918"),
+    "1x1 without spots": ({"rows": 1, "cols": 1, "n_resources": 0},
+                          "076542b54b249c2b12fbaba7993f19763e21aac25ddcded974f59f1695895f83"),
+    "7x5 one-way": ({"rows": 7, "cols": 5, "n_resources": 40, "seed": 11, "one_way": True},
+                    "f19065350fa12bf2e209e2225c595662580c2ca0525c56f1a868f8fc149c8ff1"),
+    "6x8 one-way on 7 streets": ({"rows": 6, "cols": 8, "n_resources": 30, "seed": 2, "one_way": True,
+                                  "resource_streets": 7},
+                                 "e426a4103d9adfc6e6ea70ac702059985c82ba7f3f6f66322c4e4a46e415b7a9"),
+}
+
+
+@pytest.mark.parametrize("shape", GRID_DOC_DIGESTS)
+def test_grid_documents_are_pinned(shape):
+    """Edge order (per node, row-major: east, then south) decides which streets the seeded draws pick."""
+    kwargs, digest = GRID_DOC_DIGESTS[shape]
+    assert hashlib.sha256(json.dumps(build_grid_graph_doc(**kwargs)).encode()).hexdigest() == digest
 
 
 def test_grid_builder_connectivity():
