@@ -9,7 +9,8 @@ from pathlib import Path
 import click
 
 from .engine import compute_metrics
-from .errors import ParkSearchError
+from .errors import ParkSearchError, check
+from .graph import load_graph
 from .scenario import build_grid_graph_doc, parse_config, run_batch, run_scenario, summarize_results
 
 
@@ -84,7 +85,7 @@ def _write_json(out_path: str, doc: dict, *, sort_keys: bool = False) -> None:
 def _write_scenario(out_path: str, graph: str, trace: str | None, destinations: dict, planner: str,
                     seed: int) -> None:
     """Write a scenario with absolute paths; parse defaults fill in synthetic rates and destination keys left None.
-    A document that ``simulate`` would reject is not written, and its ``ConfigError`` names the key."""
+    A document ``simulate`` would reject, at a start node the graph lacks too, is not written; errors name the key."""
     doc = {
         "graph": str(Path(graph).resolve()),
         "occupation": {"trace": str(Path(trace).resolve())} if trace else {"synthetic": {}},
@@ -93,6 +94,8 @@ def _write_scenario(out_path: str, graph: str, trace: str | None, destinations: 
         "seed": seed,
     }
     parse_config(doc)
+    start = destinations["start_node"]
+    check(start in load_graph(graph).nodes, "destinations.start_node", "a node of the graph", start)
     _write_json(out_path, doc, sort_keys=True)
     click.echo(f"wrote {out_path}")
 

@@ -318,80 +318,67 @@ def free_in_some_future(probs: np.ndarray, floor: np.ndarray) -> np.ndarray:
     return probs > floor
 
 
-# Columns of each cost row that every future scans; with at most twice as many resources, the
-# bookkeeping costs more than it saves and every column is scanned.
-PRUNE_COLUMNS = 96
+# How many spots nearest its destination by walk a hindsight trip scans first; with no more spots, all.
+CANDIDATES = 160
 
 
 class HindsightPlan:
-    """The static half of hindsight at one node, from ``(t_claim, base)`` alone, so one plan serves
-    every decision that shares them. ``solve(uniforms, probs)`` gives each out-edge row's least cost
-    of ``base[row] + wait`` in every future ``f``, where resource ``c`` is available when
-    ``uniforms[c, f] < probs[c]`` and otherwise pays ``t_claim[c]``, and its first argmin; both equal
-    the full ``(futures x resources)`` cost matrix's bit for bit (``inf`` and 0 with no resources).
+    """The static half of hindsight at one node, from ``(t_claim, base)`` and the trip's ``candidates``
+    alone, so one plan serves every decision that shares them. ``solve`` gives each out-edge row's least
+    cost of ``base[row] + wait`` in every future ``f``, where resource ``c`` is available when
+    ``drawn[f, c] < probs[c]`` and otherwise pays ``t_claim[c]``, and its first argmin; both equal the full
+    ``(futures x resources)`` cost matrix's bit for bit (``inf`` and 0 with no resources). ``candidates``
+    is ``(cols, claim_on)``: the ascending candidate spots, and ``t_claim`` on them and 0 elsewhere; None
+    makes every spot one.
 
-    A future's first available column of S in (base, index) order is exact when its base is strictly
-    below ``bound[row]``: later columns of S cost at least their base, which is no less (ties have a
-    larger index), and occupied ones at least ``min(base + t_claim)``. S is every column; with more
-    than ``2 * PRUNE_COLUMNS`` resources it is the union of every row's ``PRUNE_COLUMNS`` cheapest,
-    and ``bound`` also takes the row's next cheapest base, below which no omitted column costs. Other
-    pairs are solved over every column. The order is kept as weights, ``|S|`` minus a column's place,
-    so the first available column is the available one of largest weight; 0 means none (base inf).
-
-    Given each resource's least uniform over the futures (its floor), a resource whose probability is
-    at or below its floor is free in no future, so it adds 0 to every future's largest weight, and an
-    unpruned plan scans only the resources above their floor. A pruned plan scans all of S: most of
-    its columns lie above their floor, and the filter would cost more than it saves.
+    No spot costs less than its base, nor an occupied candidate less than base + ``t_claim`` (positive or
+    inf, as ``round_trip_s > 0`` is validated), so only a free candidate can cost less than ``bound[row]
+    = min(base + claim_on)``, and a future's first free candidate in (base, index) order is exact when its
+    base is strictly below it: later ones cost at least their base (ties have a larger index). Other pairs
+    are solved over every column. The order is kept as weights, the number of candidates minus a place,
+    so the first free candidate is the free one of largest weight; 0 means none (base inf). Given each
+    candidate's floor, its least uniform over the futures, ``solve`` skips those at or below it (never free).
     """
 
-    def __init__(self, t_claim: np.ndarray, base: np.ndarray):
-        self.t_claim, self.base = t_claim, base
+    def __init__(self, t_claim: np.ndarray, base: np.ndarray,
+                 candidates: tuple[np.ndarray, np.ndarray] | None = None):
+        self.t_claim, self.base, self.weight = t_claim, base, None
         n_rows, n_res = base.shape
-        self.cols = self.weight = None
         if n_res == 0:
             return
-        # t_claim = round_trip / p is positive or inf (round_trip_s > 0 is validated), so an
-        # occupied column costs at least this, and no column costs less than its base.
-        bound = (base + t_claim).min(axis=1)
+        self.cols, claim_on = (np.arange(n_res), t_claim) if candidates is None else candidates
+        self.bound = (base + claim_on).min(axis=1)[:, None]
         row = np.arange(n_rows)[:, None]
-        if n_res > 2 * PRUNE_COLUMNS:
-            part = np.argpartition(base, PRUNE_COLUMNS, axis=1)
-            in_s = np.zeros(n_res, dtype=bool)
-            in_s[part[:, :PRUNE_COLUMNS]] = True
-            self.cols = np.flatnonzero(in_s)
-            np.minimum(bound, base[row[:, 0], part[:, PRUNE_COLUMNS]], out=bound)
-        self.bound = bound[:, None]
-        # S is ascending, so a stable sort keeps equal bases in index order.
-        order = np.argsort(base if self.cols is None else base.take(self.cols, axis=1), axis=1, kind="stable")
+        # cols is ascending, so a stable sort keeps equal bases in index order.
+        order = np.argsort(base.take(self.cols, axis=1), axis=1, kind="stable")
         n_s = order.shape[1]
         weight = np.empty((n_rows, n_s), dtype=np.min_scalar_type(n_s))
         weight[row, order] = np.arange(n_s, 0, -1)
         self.weight = weight[:, :, None]  # broadcasts over futures
         # per row, the resource index and the base of each weight's column, from weight 0 (none) up
         self.column = np.zeros((n_rows, n_s + 1), dtype=np.intp)
-        self.column[:, :0:-1] = order if self.cols is None else self.cols[order]
+        self.column[:, :0:-1] = self.cols[order]
         self.value = base[row, self.column]
         self.value[:, 0] = np.inf
         self.offset = row * (n_s + 1)  # where each row starts in value and column, flattened
 
-    def solve(self, uniforms: np.ndarray, probs: np.ndarray,
+    def solve(self, drawn: np.ndarray, kernel: np.ndarray, probs: np.ndarray,
               floor: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(rows, futures)`` minima, C-ordered, and their first argmins, given ``(resources,
-        futures)`` uniforms, the availability at arrival per resource and, optionally, each resource's
-        least uniform (``uniforms.min(axis=1)``)."""
-        n = uniforms.shape[1]
+        """The ``(rows, futures)`` minima, C-ordered, and their first argmins, given the ``(futures,
+        resources)`` uniforms, the candidates' ones as ``(candidates, futures)``, the availability at
+        arrival per resource and, optionally, each candidate's least uniform (``kernel.min(axis=1)``)."""
+        n = drawn.shape[0]
         if self.weight is None:
             return np.full((len(self.base), n), np.inf), np.zeros((len(self.base), n), dtype=int)
-        cols, weight = self.cols, self.weight
-        if cols is None and floor is not None:
-            cols = np.flatnonzero(free_in_some_future(probs, floor))
-            weight = weight.take(cols, axis=1)
-        free = uniforms < probs[:, None] if cols is None else uniforms.take(cols, 0) < probs.take(cols)[:, None]
-        first = (free * weight).max(axis=1, initial=0) + self.offset  # each future's first available column
+        weight, p = self.weight, probs.take(self.cols)
+        if floor is not None:
+            keep = np.flatnonzero(free_in_some_future(p, floor))
+            weight, kernel, p = weight.take(keep, axis=1), kernel.take(keep, axis=0), p.take(keep)
+        first = ((kernel < p[:, None]) * weight).max(axis=1, initial=0) + self.offset  # each future's first free
         mins, picks = self.value.take(first), self.column.take(first)
         rows, futures = np.nonzero(~(mins < self.bound))
         if rows.size:
-            full = self.base[rows] + np.where(uniforms[:, futures].T < probs, 0.0, self.t_claim)
+            full = self.base[rows] + np.where(drawn[futures] < probs, 0.0, self.t_claim)
             mins[rows, futures] = full.min(axis=1)
             picks[rows, futures] = full.argmin(axis=1)
         return mins, picks
@@ -429,6 +416,10 @@ class HindsightPolicy:
     thresholds the same variates against fresh availability predictions, so
     plans change when observations change, not because of resampling noise.
 
+    The trip keeps them as drawn, ``(futures, resources)``, and a contiguous ``(candidates, futures)`` copy
+    of its candidates', the ``CANDIDATES`` spots nearest the destination by walk. With no more spots, all are
+    candidates, the drawn array is the copy's transposed view, and plans skip spots at or below their floor.
+
     A node's plan (drive times from it and its out-edges' ``HindsightPlan``) depends only on the
     node, the destination, the scope and the run's ``t_claim``. ``plans``, a dict by node that
     ``run_simulation`` shares among a destination's hindsight agents, keeps them; ``None`` keeps none.
@@ -441,8 +432,7 @@ class HindsightPolicy:
         self.n = settings.determinizations
         self.scope_horizon_s = settings.scope_horizon_s
         self.plans: dict[int, tuple[np.ndarray, HindsightPlan | None]] | None = None
-        self._uniforms: np.ndarray | None = None
-        self._floor: np.ndarray | None = None  # each resource's least uniform over the futures
+        self._drawn: np.ndarray | None = None
 
     def _plan(self, view: PlanningView, node: int) -> tuple[np.ndarray, HindsightPlan | None]:
         """Drive times from ``node`` to every resource, and the plan of its out-edges (None without any)."""
@@ -453,7 +443,7 @@ class HindsightPolicy:
             base = drive[1:] + ctx.walk_vector(self.destination)
             if self.scope_horizon_s is not None:
                 base[:, drive[0] > self.scope_horizon_s] = np.inf
-            entry = drive[0], HindsightPlan(view.t_claim, base) if edges else None
+            entry = drive[0], HindsightPlan(view.t_claim, base, self._candidates) if edges else None
             if self.plans is not None:
                 self.plans[node] = entry
         return entry
@@ -461,31 +451,38 @@ class HindsightPolicy:
     def decide(self, view: PlanningView, node: int, rng: np.random.Generator) -> RouteDecision:
         ctx = view.ctx
         walk = ctx.walk_vector(self.destination)
+        if self._drawn is None:
+            self._drawn = rng.random((self.n, ctx.n_resources))
+            self._candidates = self._floor = None
+            if ctx.n_resources > CANDIDATES:
+                cols = np.sort(np.argpartition(walk, CANDIDATES)[:CANDIDATES])
+                claim_on = np.zeros(ctx.n_resources)
+                claim_on[cols] = view.t_claim[cols]
+                self._candidates = cols, claim_on
+                self._kernel = np.ascontiguousarray(self._drawn[:, cols].T)
+            else:  # one copy: the drawn uniforms are the kernel's transposed view
+                self._kernel = np.ascontiguousarray(self._drawn.T)
+                self._drawn, self._floor = self._kernel.T, self._kernel.min(axis=1)
         here, plan = self._plan(view, node)
         forced, probs = _future_probabilities(view, here)
-        if self._uniforms is None:
-            # (resources, futures), so the kernel gathers a column's futures as one contiguous row
-            self._uniforms = np.ascontiguousarray(rng.random((self.n, ctx.n_resources)).T)
-            if ctx.n_resources <= 2 * PRUNE_COLUMNS:  # only a plan over every resource reads the floor
-                self._floor = self._uniforms.min(axis=1)
 
-        # (value, preference rank, resource index or out-edge row) per candidate; a spot wins ties, and
+        # (value, preference rank, resource index or out-edge row) per action; a spot wins ties, and
         # index and row order are id order.
-        candidates: list[tuple[float, int, int]] = []
+        actions: list[tuple[float, int, int]] = []
         for ridx in ctx.adjacent_res[node]:
             if view.avail[ridx] and not forced[ridx]:
-                candidates.append((float(ctx.res_offset[ridx] + walk[ridx]), 0, ridx))
+                actions.append((float(ctx.res_offset[ridx] + walk[ridx]), 0, ridx))
         edges = ctx.out_edges[node]
         if plan is not None:
-            mins, picks = plan.solve(self._uniforms, probs, self._floor)
+            mins, picks = plan.solve(self._drawn, self._kernel, probs, self._floor)
             # mins is C-ordered, so each row is summed exactly as the 1-D mean of that row would be,
             # and divided by its count as mean divides.
             means = mins.sum(axis=1) / self.n
             for row, street in enumerate(edges):
-                candidates.append((float(ctx.edge_time[street] + means[row]), 1, row))
-        if not candidates:
+                actions.append((float(ctx.edge_time[street] + means[row]), 1, row))
+        if not actions:
             raise NoPathError(f"no actions available at {ctx.node_ids[node]!r}")
-        value, rank, k = min(candidates)
+        value, rank, k = min(actions)
         if not np.isfinite(value):
             raise NoPathError(f"no resource reachable from {ctx.node_ids[node]!r}")
         if rank == 0:

@@ -40,7 +40,8 @@ def solve_determinization(
     ctx = view.ctx
     base = ctx.drive_to_resources([from_node]) + ctx.walk_vector(destination)
     # The future whose uniforms are all 0: 0 < p holds exactly where det.available is set.
-    mins, picks = HindsightPlan(view.t_claim, base).solve(np.zeros((ctx.n_resources, 1)), det.available)
+    zeros = np.zeros((1, ctx.n_resources))
+    mins, picks = HindsightPlan(view.t_claim, base).solve(zeros, zeros.T, det.available)
     cost = float(mins[0, 0])
     if not np.isfinite(cost):
         raise NoPathError(f"no resource reachable from {ctx.node_ids[from_node]!r}")

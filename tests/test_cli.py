@@ -207,6 +207,24 @@ def test_cli_gen_scenario_rejects_what_simulate_would(tmp_path, command, args, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["single", "data-driven"])
+def test_cli_gen_scenario_rejects_a_start_node_the_graph_lacks(tmp_path, command):
+    """The start node is checked against the graph the scenario names: a CLI error naming the key, and no file."""
+    graph_path, trace_path, out = tmp_path / "grid.json", tmp_path / "trace.csv", tmp_path / "s.json"
+    graph_path.write_text(json.dumps(build_grid_graph_doc(3, 3, n_resources=4)))
+    trace_path.write_text("resource_id,time_s,state\nr000,10,occupied\n")
+    required = {"single": ["--destination", "0.0005", "0.0005"], "data-driven": ["--trace", str(trace_path)]}[command]
+    for start, ok in (("nosuch", False), ("n0202", True)):
+        result = CliRunner().invoke(main, ["gen-scenario", command, "--graph", str(graph_path), "--start-node", start,
+                                           *required, "--out", str(out)])
+        if ok:
+            assert result.exit_code == 0 and json.loads(out.read_text())["destinations"]["start_node"] == start
+        else:
+            assert result.exit_code == 1, result.output
+            assert "Error: destinations.start_node must be a node of the graph, got 'nosuch'" in result.output
+            assert not out.exists()
+
+
 def test_cli_malformed_results_file_is_a_cli_error(tmp_path):
     runner = CliRunner()
     out_dir = tmp_path / "out"

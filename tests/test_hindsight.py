@@ -3,12 +3,14 @@
 ``full_costs`` and ``oracle_decide`` are the reference: they build every
 future's cost of every resource, ``base + claim_wait(uniforms < probs)``, and
 take its minimum and first argmin. ``HindsightPlan.solve`` takes most futures'
-minimum from the first available resource in (base, index) order among a few of
-each row's cheapest resources, so these tests require bit-equal minima, equal
-argmins and equal decisions, on worlds with fewer and with more resources than
-the pruning cut-off, also when one plan is solved again for later decisions.
-The kernel and ``HindsightPolicy._uniforms`` hold uniforms as (resources,
-futures); the oracles read them transposed.
+minimum from the first available spot in (base, index) order among a trip's
+candidate spots, so these tests require bit-equal minima, equal argmins and
+equal decisions for any candidate set (random ones, none, one, every spot, one
+that omits each row's cheapest spots and one of more than 255 spots), also when
+one plan is solved again for later decisions, and identical decisions and
+records whatever ``planners.CANDIDATES`` is. Uniforms are (futures, resources)
+as drawn, as ``HindsightPolicy._drawn`` holds them; the kernel's copy of the
+candidates' uniforms is (candidates, futures).
 """
 
 from collections import Counter
@@ -18,6 +20,7 @@ import pytest
 
 from parksearch import planners
 from parksearch.availability import CtmcParams
+from parksearch.engine import AgentSpec, run_simulation
 from parksearch.errors import NoPathError
 from parksearch.fleet import ReservationTable
 from parksearch.geo import GeoPoint
@@ -34,8 +37,9 @@ from parksearch.scenario import build_grid_graph_doc
 
 from conftest import FROZEN, make_context, make_view
 
-K = planners.PRUNE_COLUMNS
 DEFAULT = CtmcParams.from_mean_times(120.0, 2091.0)
+SET_KINDS = ("random", "empty", "one column", "every column", "default", "omits each row's cheapest",
+             "more than 255 columns")
 
 
 def full_costs(view, base, uniforms, probs):
@@ -51,7 +55,7 @@ def oracle_decide(policy, view, node):
     walk = ctx.walk_vector(policy.destination)
     drive_here = ctx.drive_to_resources(node)
     forced, probs = planners._future_probabilities(view, drive_here)
-    wait = view.claim_wait(policy._uniforms.T < probs)
+    wait = view.claim_wait(policy._drawn < probs)
     candidates = []
     for ridx in ctx.adjacent_res[node]:
         if view.avail[ridx] and not forced[ridx]:
@@ -87,8 +91,35 @@ def _context(n_res):
     return _CONTEXTS[n_res]
 
 
-def _kernel_case(rng, n_res):
-    """Random base, (futures, resources) uniforms, probabilities and waits, with the edge cases planted."""
+def _candidate_set(rng, kind, base):
+    """Ascending candidate spots of one kind from ``SET_KINDS``; None (every spot, the default) for "default"."""
+    n_res = base.shape[1]
+    if kind == "default":
+        return None
+    if kind == "omits each row's cheapest":
+        cheapest = np.argsort(base, axis=1, kind="stable")[:, :int(rng.integers(1, 4))]
+        pool = np.setdiff1d(np.arange(n_res), cheapest)
+    else:
+        pool = np.arange(n_res)
+    size = {"empty": 0, "one column": 1, "every column": n_res}.get(kind, int(rng.integers(pool.size + 1)))
+    if kind == "more than 255 columns" and n_res > 255:
+        size = int(rng.integers(256, n_res + 1))
+    return np.sort(rng.choice(pool, size=min(size, pool.size), replace=False))
+
+
+def _occupy_before(base_row, cols, column, uniforms, probs, f):
+    """Make every candidate before ``column`` in (base, index) order occupied in future ``f``, and
+    ``column`` free there."""
+    before = cols[(base_row[cols] < base_row[column]) | ((base_row[cols] == base_row[column]) & (cols < column))]
+    uniforms[f, before] = 0.999999
+    probs[before] = np.minimum(probs[before], 0.9)
+    uniforms[f, column] = 0.0
+    probs[column] = max(probs[column], 0.5)
+
+
+def _kernel_case(rng, n_res, kind):
+    """Random base, (futures, resources) uniforms, probabilities, waits and a candidate set of ``kind``,
+    with the edge cases planted."""
     ctx = _context(n_res)
     n_rows = int(rng.integers(1, 5))
     n = int(rng.choice([1, 2, 10, 100]))
@@ -114,12 +145,32 @@ def _kernel_case(rng, n_res):
     if rng.random() < 0.2:
         probs[:] = 0.0
     t_claim[rng.random(n_res) < 0.02] = np.inf  # a spot that never frees within a round trip
+    cols = _candidate_set(rng, kind, base)
+    every = np.arange(n_res) if cols is None else cols
+    outside = np.setdiff1d(np.arange(n_res), every)
 
-    # Plant a future whose minimum over a row's cheapest columns equals the cheapest other
-    # base, reached through a later column's circling wait: c_lo ties with c_hi + t_claim[c_hi].
+    # Plant a future whose first free candidate's base equals the least base outside the set: that base
+    # is the bound, so the pair falls back, and the outside spot, when free and of smaller index, wins.
+    e, f = int(rng.integers(n_rows)), int(rng.integers(n))
+    if every.size and outside.size and np.isfinite(base[e, outside]).any():
+        c_out = int(outside[np.argmin(base[e, outside])])
+        c_in = int(rng.choice(every))
+        base[e, c_in] = base[e, c_out]
+        _occupy_before(base[e], every, c_in, uniforms, probs, f)
+        uniforms[f, c_out] = 0.0 if rng.random() < 0.5 else 0.999999
+        assert base[e, c_in] == base[e, outside].min()
+
+    # Plant a future with no candidate free.
+    if every.size and rng.random() < 0.5:
+        f = int(rng.integers(n))
+        uniforms[f, every] = 0.999999
+        probs[every] = np.minimum(probs[every], 0.9)
+
+    # Plant a future whose minimum is a free spot's base reached also through a later spot's circling
+    # wait: c_lo ties with c_hi + t_claim[c_hi], and c_lo, of smaller index, is the first argmin.
     e, f = int(rng.integers(n_rows)), int(rng.integers(n))
     order = np.argsort(base[e], kind="stable")
-    rank = min(K, n_res - 1) if rng.random() < 0.7 else int(rng.integers(n_res))
+    rank = int(rng.integers(n_res))
     c_lo = int(order[rank])
     cheaper = order[:rank][order[:rank] > c_lo]
     if cheaper.size and np.isfinite(base[e, c_lo]) and np.isfinite(t_claim[cheaper]).all():
@@ -132,33 +183,33 @@ def _kernel_case(rng, n_res):
             probs[c_lo] = max(probs[c_lo], 0.5)
             assert base[e, c_hi] + t_claim[c_hi] == base[e, c_lo]
 
-    # Plant a future whose first free column's base equals an occupied column's cost exactly,
-    # where that occupied column has the smaller index and so is the first argmin.
+    # Plant a future whose first free candidate's base equals an occupied candidate's cost exactly,
+    # where that occupied candidate has the smaller index and so is the first argmin.
     e, f = int(rng.integers(n_rows)), int(rng.integers(n))
-    order = np.argsort(base[e], kind="stable")
-    rank = int(rng.integers(1, min(K, n_res - 1) + 1)) if n_res > 1 else 0
-    c_free = int(order[rank])
-    before = order[:rank]
-    occupied = before[(before < c_free) & (base[e, before] < base[e, c_free])]
-    if occupied.size and np.isfinite(base[e, c_free]):
-        c_occ = int(occupied[0])
-        t_claim[c_occ] = base[e, c_free] - base[e, c_occ]
-        uniforms[f, before] = 0.999999
-        probs[before] = np.minimum(probs[before], 0.9)
-        uniforms[f, c_free] = 0.0
-        probs[c_free] = max(probs[c_free], 0.5)
-        assert base[e, c_occ] + t_claim[c_occ] == base[e, c_free]
+    ranked = every[np.lexsort((every, base[e, every]))]
+    rank = int(rng.integers(1, ranked.size)) if ranked.size > 1 else 0
+    if ranked.size:
+        c_free = int(ranked[rank])
+        before = ranked[:rank]
+        occupied = before[(before < c_free) & (base[e, before] < base[e, c_free])]
+        if occupied.size and np.isfinite(base[e, c_free]):
+            c_occ = int(occupied[0])
+            t_claim[c_occ] = base[e, c_free] - base[e, c_occ]
+            _occupy_before(base[e], every, c_free, uniforms, probs, f)
+            assert base[e, c_occ] + t_claim[c_occ] == base[e, c_free]
     view = make_view(ctx, np.ones(n_res, dtype=bool), DEFAULT, t_claim=t_claim)
-    return view, base, uniforms, probs
+    return view, base, uniforms, probs, cols
 
 
-def _record_cases(seen, base, uniforms, probs, t_claim, costs, mins):
+def _record_cases(seen, base, uniforms, probs, t_claim, cols, costs, mins):
     n_res = base.shape[1]
+    cols = np.arange(n_res) if cols is None else cols
+    inside = np.zeros(n_res, dtype=bool)
+    inside[cols] = True
     available = uniforms < probs
     ties = (costs == mins[:, :, None]).sum(axis=2) > 1
     at_min_free = ((costs == mins[:, :, None]) & available).any(axis=2)
     at_min_waiting = ((costs == mins[:, :, None]) & ~available).any(axis=2)
-    seen["pruned" if n_res > 2 * K else "unpruned"] += 1
     seen["equal minima"] += int((ties & np.isfinite(mins)).any())
     seen["base equals another base + t_claim"] += int((ties & at_min_free & at_min_waiting).any())
     seen["inf base"] += int(np.isinf(base).any())
@@ -167,27 +218,33 @@ def _record_cases(seen, base, uniforms, probs, t_claim, costs, mins):
     seen["every spot occupied"] += int((~available.any(axis=1)).any())
     seen["one future"] += int(len(uniforms) == 1)
     seen["2,000 spots"] += int(n_res == 2000)
-    if n_res > 2 * K:
-        kth = np.sort(base, axis=1)[:, K][:, None]
-        seen["minimum not below the cheapest omitted base"] += int((~(mins < kth)).any())
-        seen["minimum equals the cheapest omitted base"] += int((ties & (mins == kth)).any())
-        s_cols = np.unique(np.argpartition(base, K, axis=1)[:, :K])
-        seen["more than 255 columns in S"] += int(len(s_cols) > 255)  # weights wider than a byte
-    else:
-        s_cols = np.arange(n_res)
-    # Each (row, future)'s first free column of S in (base, index) order, found independently.
-    occupied_bound = (base + t_claim).min(axis=1)
+    seen["set of more than 255 columns"] += int(cols.size > 255)  # weights wider than a byte
+    seen["set omits each row's cheapest"] += int(cols.size > 0 and not inside[base.argmin(axis=1)].any())
+    seen["no candidate free, another spot free"] += int(
+        (~available[:, cols].any(axis=1) & available[:, ~inside].any(axis=1)).any())
+    least_outside = np.where(inside, np.inf, base).min(axis=1)[:, None]
+    seen["minimum not below the least base outside the set"] += int(
+        (np.isfinite(mins) & ~(mins < least_outside)).any())
+    seen["minimum equals the least base outside the set"] += int((ties & (mins == least_outside)).any())
+    # Each (row, future)'s first free candidate in (base, index) order, found independently.
+    bound = (base + np.where(inside, t_claim, 0.0)).min(axis=1)
     for r in range(len(base)):
-        ranked = s_cols[np.lexsort((s_cols, base[r, s_cols]))]
-        free = available[:, ranked]  # (futures, |S|)
+        ranked = cols[np.lexsort((cols, base[r, cols]))]
+        free = available[:, ranked]  # (futures, candidates)
         for f in np.flatnonzero(free.any(axis=1)):
             c = ranked[free[f].argmax()]
             seen["first free base is inf"] += int(np.isinf(base[r, c]))
-            seen["first free base equals min(base + t_claim)"] += int(
-                np.isfinite(base[r, c]) and base[r, c] == occupied_bound[r])
+            seen["first free base equals the bound"] += int(np.isfinite(base[r, c]) and base[r, c] == bound[r])
             seen["equal-base free columns"] += int(
                 np.isfinite(base[r, c]) and (free[f] & (base[r, ranked] == base[r, c])).sum() > 1)
-        seen["no column of S free"] += int((~free.any(axis=1)).any())
+
+
+def _plan(view, base, cols):
+    """The plan over the candidate spots ``cols``, with ``t_claim`` on them and 0 elsewhere; None is every spot."""
+    if cols is None:
+        return HindsightPlan(view.t_claim, base)
+    claim_on = np.where(np.isin(np.arange(base.shape[1]), cols), view.t_claim, 0.0)
+    return HindsightPlan(view.t_claim, base, (cols, claim_on))
 
 
 def _fresh_draw(rng, n, n_res):
@@ -200,15 +257,22 @@ def _fresh_draw(rng, n, n_res):
     return uniforms, probs
 
 
+def _kernel_copy(uniforms, cols):
+    """The candidates' uniforms as the policy keeps them for the kernel: one C-ordered (candidates, futures) array."""
+    return np.ascontiguousarray(uniforms.T if cols is None else uniforms[:, cols].T)
+
+
 def test_future_minima_matches_full_matrix():
     rng = np.random.default_rng(606)
     seen = Counter()
-    for n_res in (1, 7, 150, 2 * K, 2 * K + 1, 250, 600, 2000):
-        for _ in range(40):
-            view, base, uniforms, probs = _kernel_case(rng, n_res)
+    for n_res in (1, 7, 150, 160, 161, 250, 600, 2000):
+        for trial in range(40):
+            kind = SET_KINDS[trial % len(SET_KINDS)]
+            view, base, uniforms, probs, cols = _kernel_case(rng, n_res, kind)
+            seen[f"set: {kind}"] += 1
             # One plan serves several decisions, as a run's shared table does; the planted draw
             # comes at a random place among fresh ones, so it is often solved on a reused plan.
-            plan = HindsightPlan(view.t_claim, base)
+            plan = _plan(view, base, cols)
             planted = (uniforms, probs)
             draws = [_fresh_draw(rng, len(uniforms), n_res) for _ in range(int(rng.integers(1, 3)))]
             draws.insert(int(rng.integers(len(draws) + 1)), planted)
@@ -217,7 +281,9 @@ def test_future_minima_matches_full_matrix():
                 uniforms, probs = draw
                 costs = full_costs(view, base, uniforms, probs)
                 mins = costs.min(axis=2)
-                got, picks = plan.solve(uniforms.T, probs)
+                # as the policy keeps them: with every spot a candidate, drawn is the kernel's transposed view
+                kernel = _kernel_copy(uniforms, cols)
+                got, picks = plan.solve(kernel.T if cols is None else uniforms, kernel, probs)
                 assert np.array_equal(got, mins)
                 # C-ordered, so each row mean is summed exactly as the oracle's
                 assert got.flags.c_contiguous
@@ -225,13 +291,14 @@ def test_future_minima_matches_full_matrix():
                 for row in range(len(base)):
                     assert np.array_equal(picks[row], costs[row].argmin(axis=1))
                 if draw is planted:  # the edge cases are planted in this draw
-                    _record_cases(seen, base, uniforms, probs, view.t_claim, costs, mins)
+                    _record_cases(seen, base, uniforms, probs, view.t_claim, cols, costs, mins)
     missing = [case for case in (
-        "pruned", "unpruned", "equal minima", "base equals another base + t_claim", "inf base",
-        "every resource unreachable", "reserved", "every spot occupied", "one future",
-        "minimum not below the cheapest omitted base", "minimum equals the cheapest omitted base",
-        "first free base is inf", "first free base equals min(base + t_claim)", "no column of S free",
-        "equal-base free columns", "2,000 spots", "planted draw on a reused plan", "more than 255 columns in S",
+        *(f"set: {kind}" for kind in SET_KINDS), "equal minima", "base equals another base + t_claim",
+        "inf base", "every resource unreachable", "reserved", "every spot occupied", "one future",
+        "minimum not below the least base outside the set", "minimum equals the least base outside the set",
+        "first free base is inf", "first free base equals the bound", "no candidate free, another spot free",
+        "equal-base free columns", "2,000 spots", "planted draw on a reused plan", "set of more than 255 columns",
+        "set omits each row's cheapest",
     ) if not seen[case]]
     assert not missing, missing
 
@@ -249,11 +316,16 @@ def _decision_world(rng, n_res):
     return make_context(doc)
 
 
-def test_hindsight_decisions_match_full_matrix_oracle():
+def _oracle_world_decisions(monkeypatch=None, candidates=None, check=None):
+    """Every decision on the oracle's worlds, in order, with ``planners.CANDIDATES`` set to ``candidates``
+    (the world's spot count for "spots"; the default for None): a ``RouteDecision``, or ``NoPathError``
+    where ``decide`` raised it. ``check(policy, view, node, decision)`` sees each one."""
     rng = np.random.default_rng(607)
-    seen = Counter()
+    decisions = []
     for n_res in (60, 150, 400):
         graph, ctx = _decision_world(rng, n_res)
+        if candidates is not None:
+            monkeypatch.setattr(planners, "CANDIDATES", ctx.n_resources if candidates == "spots" else candidates)
         deg = 200.0 / 111_194.93
         for trial in range(12):
             n_det = int(rng.choice([1, 20, 100]))
@@ -274,81 +346,145 @@ def test_hindsight_decisions_match_full_matrix_oracle():
                 try:
                     decision = policy.decide(view, node, agent_rng)
                 except NoPathError:
-                    with pytest.raises(NoPathError):
-                        oracle_decide(policy, view, node)
-                    continue
-                expected, modal = oracle_decide(policy, view, node)
-                assert decision == expected
-                if modal is not None:
-                    assert decision.target_resource == modal
-                forced, probs = planners._future_probabilities(view, ctx.drive_to_resources(node))
-                seen["pruned" if ctx.n_resources > 2 * K else "unpruned"] += 1
-                seen["reserved"] += int(forced.any())
-                seen["every spot occupied"] += int((~(policy._uniforms.T < probs).any(axis=1)).any())
-                seen["one future"] += int(n_det == 1)
-                seen["out of scope"] += int(scope is not None)
-                seen["unreachable"] += int(np.isinf(ctx.drive_to_resources(node)).any())
-                seen["road action"] += int(modal is not None)
-                seen["spot action"] += int(modal is None)
-    assert all(seen[c] for c in ("pruned", "unpruned", "reserved", "every spot occupied", "one future",
+                    decision = NoPathError
+                decisions.append(decision)
+                if check is not None:
+                    check(policy, view, node, decision)
+    return decisions
+
+
+def test_hindsight_decisions_match_full_matrix_oracle():
+    seen = Counter()
+
+    def check(policy, view, node, decision):
+        ctx = view.ctx
+        if decision is NoPathError:
+            with pytest.raises(NoPathError):
+                oracle_decide(policy, view, node)
+            return
+        expected, modal = oracle_decide(policy, view, node)
+        assert decision == expected
+        if modal is not None:
+            assert decision.target_resource == modal
+        forced, probs = planners._future_probabilities(view, ctx.drive_to_resources(node))
+        seen["every spot" if policy._candidates is None else "candidates"] += 1
+        seen["reserved"] += int(forced.any())
+        seen["every spot occupied"] += int((~(policy._drawn < probs).any(axis=1)).any())
+        seen["one future"] += int(policy.n == 1)
+        seen["out of scope"] += int(policy.scope_horizon_s is not None)
+        seen["unreachable"] += int(np.isinf(ctx.drive_to_resources(node)).any())
+        seen["road action"] += int(modal is not None)
+        seen["spot action"] += int(modal is None)
+
+    _oracle_world_decisions(check=check)
+    assert all(seen[c] for c in ("every spot", "candidates", "reserved", "every spot occupied", "one future",
                                  "out of scope", "unreachable", "road action", "spot action")), seen
 
 
+def _hs_r_records():
+    """One hs_r run on a 6x6 grid with 300 spots: 12 agents, three to each of four destinations, so each
+    destination's agents share a plan table."""
+    rng = np.random.default_rng(610)
+    doc = build_grid_graph_doc(6, 6, spacing_m=200.0, drive_time_s=20.0, n_resources=300, seed=610)
+    graph, _ = make_context(doc)
+    deg = 200.0 / 111_194.93
+    dests = [GeoPoint(float(rng.uniform(1, 4)) * deg, float(rng.uniform(1, 4)) * deg) for _ in range(4)]
+    nodes = sorted(graph.nodes)
+    agents = [AgentSpec(f"a{i:02d}", str(rng.choice(nodes)), dests[i % 4], float(rng.uniform(0, 120)), "hs_r")
+              for i in range(12)]
+    return run_simulation(graph, agents, DEFAULT, seed=3, horizon_s=3600.0,
+                          settings=PlannerSettings(determinizations=20), measure_computation=False)
+
+
+def test_hindsight_results_do_not_depend_on_the_candidate_set(monkeypatch):
+    """Any candidate set is exact, so one spot, seven, the default and every spot give the same decisions
+    on the oracle's worlds and the same hs_r records."""
+    default = planners.CANDIDATES
+    runs = {}
+    for candidates in (1, 7, default, "spots"):
+        decisions = _oracle_world_decisions(monkeypatch, candidates)
+        monkeypatch.setattr(planners, "CANDIDATES", 300 if candidates == "spots" else candidates)
+        runs[candidates] = decisions, _hs_r_records()
+    decisions, records = runs[default]
+    assert sum(d is not NoPathError and isinstance(d.action, TakeRoad) for d in decisions) > len(decisions) // 2
+    assert {r.status for r in records} >= {"parked"}
+    for candidates, run in runs.items():
+        assert run == (decisions, records), candidates
+
+
 def test_common_random_numbers_are_the_seeded_stream():
-    _, ctx = _decision_world(np.random.default_rng(608), 60)
-    dest = GeoPoint(0.0, 0.0)
-    for seed, n_det in ((0, 1), (5, 20), (9, 100)):
-        policy = HindsightPolicy(ctx, dest, PlannerSettings(determinizations=n_det))
-        view = make_view(ctx, np.ones(ctx.n_resources, dtype=bool), DEFAULT)
-        policy.decide(view, ctx.node_index["n0303"], np.random.default_rng(seed))
-        assert policy._uniforms.flags.c_contiguous
-        assert np.array_equal(policy._uniforms.T, np.random.default_rng(seed).random((n_det, ctx.n_resources)))
+    """A trip's uniforms are the seeded stream as drawn, (futures, resources), and the kernel's copy holds
+    the candidates' uniforms: the ``CANDIDATES`` spots nearest the destination by walk, or every spot."""
+    for n_res in (60, 400):
+        _, ctx = _decision_world(np.random.default_rng(608), n_res)
+        dest = GeoPoint(0.0, 0.0)
+        walk = ctx.walk_vector(dest)
+        for seed, n_det in ((0, 1), (5, 20), (9, 100)):
+            policy = HindsightPolicy(ctx, dest, PlannerSettings(determinizations=n_det))
+            view = make_view(ctx, np.ones(ctx.n_resources, dtype=bool), DEFAULT)
+            policy.decide(view, ctx.node_index["n0303"], np.random.default_rng(seed))
+            drawn = np.random.default_rng(seed).random((n_det, ctx.n_resources))
+            assert np.array_equal(policy._drawn, drawn)
+            if policy._candidates is None:
+                cols = np.arange(ctx.n_resources)
+            else:  # the plans' bound adds t_claim on the candidates and nothing elsewhere
+                cols, claim_on = policy._candidates
+                assert np.array_equal(claim_on[cols], view.t_claim[cols]) and not np.delete(claim_on, cols).any()
+            assert cols.size == min(planners.CANDIDATES, ctx.n_resources)
+            assert np.all(np.diff(cols) > 0)
+            assert walk[cols].max() <= np.delete(walk, cols).min(initial=np.inf)
+            assert policy._kernel.flags.c_contiguous
+            assert np.array_equal(policy._kernel, drawn[:, cols].T)
 
 
-def _floor_case(rng, n_res):
-    """A kernel case, as (resources, futures) uniforms, with probabilities planted at, just below and
-    just above each resource's floor, forced zeros, and sometimes every resource at or below it."""
-    view, base, uniforms, probs = _kernel_case(rng, n_res)
-    uniforms = np.ascontiguousarray(uniforms.T)
-    floor = uniforms.min(axis=1)
-    where = rng.integers(6, size=n_res)
-    probs = np.select([where == 0, where == 1, where == 2, where == 3],
-                      [floor, np.nextafter(floor, -np.inf), np.nextafter(floor, np.inf), 0.0], probs)
+def _floor_case(rng, n_res, kind):
+    """A kernel case with the candidates' uniforms copied as the policy keeps them and each candidate's
+    floor, with probabilities planted at, just below and just above each candidate's floor, forced
+    zeros, and sometimes every candidate at or below it."""
+    view, base, uniforms, probs, cols = _kernel_case(rng, n_res, kind)
+    every = np.arange(n_res) if cols is None else cols
+    kernel = _kernel_copy(uniforms, cols)
+    floor = kernel.min(axis=1)
+    where = rng.integers(6, size=every.size)
+    probs[every] = np.select([where == 0, where == 1, where == 2, where == 3],
+                             [floor, np.nextafter(floor, -np.inf), np.nextafter(floor, np.inf), 0.0], probs[every])
     if rng.random() < 0.15:
-        probs = np.minimum(probs, floor)  # every pair falls back
-    return view, base, uniforms, np.maximum(probs, 0.0), floor
+        probs[every] = np.minimum(probs[every], floor)  # every candidate pair falls back
+    return view, base, uniforms, np.maximum(probs, 0.0), cols, kernel, floor
 
 
 def test_floor_kernel_matches_full_matrix():
-    """``solve`` with each resource's floor returns the same minima and argmins, bit for bit, as
-    without it and as the full cost matrix, on unpruned and pruned plans; the resources it scans on an
-    unpruned plan are exactly those free in some future, so none at its floor is scanned."""
+    """``solve`` with each candidate's floor returns the same minima and argmins, bit for bit, as
+    without it and as the full cost matrix, for every kind of candidate set; the candidates it scans
+    are exactly those free in some future, so none at its floor is scanned."""
     rng = np.random.default_rng(609)
     seen = Counter()
-    for n_res in (1, 7, 150, 2 * K, 2 * K + 1, 600):
-        for _ in range(30):
-            view, base, uniforms, probs, floor = _floor_case(rng, n_res)
-            plan = HindsightPlan(view.t_claim, base)
-            costs = full_costs(view, base, uniforms.T, probs)
-            mins, picks = plan.solve(uniforms, probs, floor)
-            plain_mins, plain_picks = plan.solve(uniforms, probs)
+    for n_res in (1, 7, 150, 160, 161, 600):
+        for trial in range(30):
+            kind = SET_KINDS[trial % len(SET_KINDS)]
+            view, base, uniforms, probs, cols, kernel, floor = _floor_case(rng, n_res, kind)
+            plan = _plan(view, base, cols)
+            costs = full_costs(view, base, uniforms, probs)
+            mins, picks = plan.solve(uniforms, kernel, probs, floor)
+            plain_mins, plain_picks = plan.solve(uniforms, kernel, probs)
             assert np.array_equal(mins, costs.min(axis=2)) and np.array_equal(mins, plain_mins)
             assert np.array_equal(picks, costs.argmin(axis=2)) and np.array_equal(picks, plain_picks)
             assert mins.flags.c_contiguous
-            free_somewhere = (uniforms < probs[:, None]).any(axis=1)
-            assert np.array_equal(planners.free_in_some_future(probs, floor), free_somewhere)
-            seen["pruned" if n_res > 2 * K else "unpruned"] += 1
-            seen["at the floor"] += int((probs == floor).any())
-            seen["just below the floor"] += int((probs == np.nextafter(floor, -np.inf)).any())
-            seen["just above the floor"] += int((probs == np.nextafter(floor, np.inf)).any())
+            p = probs if cols is None else probs[cols]
+            free_somewhere = (kernel < p[:, None]).any(axis=1)
+            assert np.array_equal(planners.free_in_some_future(p, floor), free_somewhere)
+            seen[f"set: {kind}"] += 1
+            seen["at the floor"] += int((p == floor).any())
+            seen["just below the floor"] += int((p == np.nextafter(floor, -np.inf)).any())
+            seen["just above the floor"] += int((p == np.nextafter(floor, np.inf)).any())
             seen["free only where the uniform is the floor"] += int(
-                ((uniforms < probs[:, None]).sum(axis=1) == 1)[probs == np.nextafter(floor, np.inf)].any())
-            seen["forced zero"] += int((probs == 0.0).any())
-            seen["every resource at or below its floor"] += int(n_res > 1 and not free_somewhere.any())
-            seen["one future"] += int(uniforms.shape[1] == 1)
+                ((kernel < p[:, None]).sum(axis=1) == 1)[p == np.nextafter(floor, np.inf)].any())
+            seen["forced zero"] += int((p == 0.0).any())
+            seen["every candidate at or below its floor"] += int(p.size > 1 and not free_somewhere.any())
+            seen["one future"] += int(uniforms.shape[0] == 1)
     missing = [case for case in (
-        "pruned", "unpruned", "at the floor", "just below the floor", "just above the floor",
-        "free only where the uniform is the floor", "forced zero", "every resource at or below its floor",
+        *(f"set: {kind}" for kind in SET_KINDS), "at the floor", "just below the floor", "just above the floor",
+        "free only where the uniform is the floor", "forced zero", "every candidate at or below its floor",
         "one future",
     ) if not seen[case]]
     assert not missing, missing

@@ -2,6 +2,7 @@
 """City-scale smoke run: drive times on demand must keep a 10,000-node city in bounded memory.
 
     python tools/city_smoke.py
+    python tools/city_smoke.py --hindsight
 
 Builds a generated 100x100 one-way grid (nothing to download), runs 20 agents
 of each of random, heuristic, rpl and rpl_r on one shared context, and fails
@@ -11,8 +12,14 @@ It prints a Markdown table of set-up seconds, drive-time rows computed, wall
 seconds per kind and peak RSS. Kinds run in the order listed, and each one's
 seconds include the drive-time rows it is the first to read; they are
 reported, not gated.
+
+With ``--hindsight`` it runs 20 hs agents on the same world and trips instead,
+in a process of their own, and reports the same table; peak RSS is not gated
+there, since each searching agent holds 100 uniforms per spot (8 MB on 10,000
+spots). It still fails unless every agent ends parked or timed out.
 """
 
+import argparse
 import resource
 import sys
 import time
@@ -34,7 +41,11 @@ SEED = 1
 SPACING_M = 150.0
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--hindsight", action="store_true", help="run 20 hs agents instead, with no RSS gate")
+    hindsight = parser.parse_args(argv).hindsight
+    kinds, max_rss_mb = (("hs",), None) if hindsight else (KINDS, MAX_RSS_MB)
     rng = np.random.default_rng([SEED, 0x5C17])
     g = graph.load_graph(scenario.build_grid_graph_doc(
         SIDE, SIDE, spacing_m=SPACING_M, drive_time_s=30.0, n_resources=SIDE * SIDE, seed=SEED,
@@ -51,7 +62,7 @@ def main() -> int:
     trips = [(starts[i % len(starts)], GeoPoint(float(rng.uniform(lo, hi)), float(rng.uniform(lo, hi))),
               float(rng.uniform(0.0, 1800.0))) for i in range(AGENTS)]
     bad, wall_s = [], {}
-    for kind in KINDS:
+    for kind in kinds:
         agents = tuple(AgentSpec(f"a{i:03d}", *trip, kind) for i, trip in enumerate(trips))
         start = time.perf_counter()
         records = engine.run_simulation(g, agents, engine.DEFAULT_CTMC, seed=SEED, ctx=ctx,
@@ -63,15 +74,16 @@ def main() -> int:
     print(f"| {len(node_ids):,}-node one-way grid | value |\n| --- | ---: |")
     print(f"| set-up (drive-time store and context) | {setup_s:.3f} s |")
     print(f"| drive-time rows computed | {len(times):,} of {len(node_ids):,} |")
-    for kind in KINDS:
+    for kind in kinds:
         print(f"| {kind} wall time ({AGENTS} agents) | {wall_s[kind]:.3f} s |")
-    print(f"| peak RSS | {peak_mb:.1f} MB (bound {MAX_RSS_MB:g}) |")
-    print(f"| agents not parked or timed out | {len(bad)} of {AGENTS * len(KINDS)} |")
+    print(f"| peak RSS | {peak_mb:.1f} MB ({'not gated' if max_rss_mb is None else f'bound {max_rss_mb:g}'}) |")
+    print(f"| agents not parked or timed out | {len(bad)} of {AGENTS * len(kinds)} |")
     if bad:
         print(f"agents not parked or timed out: {bad}", file=sys.stderr)
-    if peak_mb >= MAX_RSS_MB:
-        print(f"peak RSS {peak_mb:.1f} MB is not under {MAX_RSS_MB:g} MB", file=sys.stderr)
-    return 1 if bad or peak_mb >= MAX_RSS_MB else 0
+    too_big = max_rss_mb is not None and peak_mb >= max_rss_mb
+    if too_big:
+        print(f"peak RSS {peak_mb:.1f} MB is not under {max_rss_mb:g} MB", file=sys.stderr)
+    return 1 if bad or too_big else 0
 
 
 if __name__ == "__main__":
