@@ -356,6 +356,8 @@ def run_simulation(
     # run's t_claim and scope; a lone agent's would seldom be reused and would only hold memory.
     heading = Counter(spec.destination for spec in specs if PLANNERS[spec.planner].policy is HindsightPolicy)
     plans = {destination: {} for destination, count in heading.items() if count > 1}
+    if heading and settings.determinizations * max(ctx.n_resources, 1) * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(f"determinizations: {settings.determinizations} futures exceed numpy's largest array")
     for i, spec in enumerate(specs):
         shares = PLANNERS[spec.planner].shares
         view = PlanningView(

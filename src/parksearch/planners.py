@@ -311,13 +311,6 @@ def _future_probabilities(view: PlanningView, drive: np.ndarray) -> tuple[np.nda
     return forced, probs
 
 
-def free_in_some_future(probs: np.ndarray, floor: np.ndarray) -> np.ndarray:
-    """Mask of the resources available in at least one future, given each one's least uniform over
-    the futures: some uniform is below the probability exactly when the least one is, so a resource
-    at or below its floor, such as a reserved one at 0, is free in none."""
-    return probs > floor
-
-
 # How many spots nearest its destination by walk a hindsight trip scans first; with no more spots, all.
 CANDIDATES = 160
 
@@ -335,46 +328,49 @@ class HindsightPlan:
     inf, as ``round_trip_s > 0`` is validated), so only a free candidate can cost less than ``bound[row]
     = min(base + claim_on)``, and a future's first free candidate in (base, index) order is exact when its
     base is strictly below it: later ones cost at least their base (ties have a larger index). Other pairs
-    are solved over every column. The order is kept as weights, the number of candidates minus a place,
-    so the first free candidate is the free one of largest weight; 0 means none (base inf). Given each
-    candidate's floor, its least uniform over the futures, ``solve`` skips those at or below it (never free).
+    are solved over every column. The order is kept as weights, the number of candidates minus a place
+    (0 means none, base inf), and as rank powers ``power = 4.0**weight``. A future's free powers below
+    the largest sum to less than a third of it, and a rounded sum of non-negative terms is never below
+    its largest term, so the binary exponent of the sum, ``2 * weight + 1``, names the first free
+    candidate whatever the summation order; ``4.0**511`` is the largest such power in float64, so a plan
+    takes at most 511 candidates. Bases are sorted by the default kind, and again stably (``cols`` is
+    ascending, so equal bases keep index order) only when two are equal.
     """
 
     def __init__(self, t_claim: np.ndarray, base: np.ndarray,
                  candidates: tuple[np.ndarray, np.ndarray] | None = None):
-        self.t_claim, self.base, self.weight = t_claim, base, None
+        self.t_claim, self.base, self.power = t_claim, base, None
         n_rows, n_res = base.shape
         if n_res == 0:
             return
         self.cols, claim_on = (np.arange(n_res), t_claim) if candidates is None else candidates
+        n_s = self.cols.size
+        if n_s > 511:
+            raise ValueError(f"a hindsight plan takes at most 511 candidates, got {n_s}")
         self.bound = (base + claim_on).min(axis=1)[:, None]
         row = np.arange(n_rows)[:, None]
-        # cols is ascending, so a stable sort keeps equal bases in index order.
-        order = np.argsort(base.take(self.cols, axis=1), axis=1, kind="stable")
-        n_s = order.shape[1]
-        weight = np.empty((n_rows, n_s), dtype=np.min_scalar_type(n_s))
-        weight[row, order] = np.arange(n_s, 0, -1)
-        self.weight = weight[:, :, None]  # broadcasts over futures
+        bases = base.take(self.cols, axis=1)
+        order = np.argsort(bases, axis=1)
+        ranked = bases[row, order]  # the same values whichever equal bases the sort swapped
+        if (ranked[:, 1:] == ranked[:, :-1]).any():
+            order = np.argsort(bases, axis=1, kind="stable")
+        self.power = np.empty((n_rows, n_s))
+        self.power[row, order] = 4.0 ** np.arange(n_s, 0, -1)
         # per row, the resource index and the base of each weight's column, from weight 0 (none) up
         self.column = np.zeros((n_rows, n_s + 1), dtype=np.intp)
         self.column[:, :0:-1] = self.cols[order]
-        self.value = base[row, self.column]
-        self.value[:, 0] = np.inf
+        self.value = np.concatenate([np.full((n_rows, 1), np.inf), ranked[:, ::-1]], axis=1)
         self.offset = row * (n_s + 1)  # where each row starts in value and column, flattened
 
-    def solve(self, drawn: np.ndarray, kernel: np.ndarray, probs: np.ndarray,
-              floor: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def solve(self, drawn: np.ndarray, kernel: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The ``(rows, futures)`` minima, C-ordered, and their first argmins, given the ``(futures,
-        resources)`` uniforms, the candidates' ones as ``(candidates, futures)``, the availability at
-        arrival per resource and, optionally, each candidate's least uniform (``kernel.min(axis=1)``)."""
+        resources)`` uniforms, the candidates' ones as ``(candidates, futures)`` and the availability at
+        arrival per resource."""
         n = drawn.shape[0]
-        if self.weight is None:
+        if self.power is None:
             return np.full((len(self.base), n), np.inf), np.zeros((len(self.base), n), dtype=int)
-        weight, p = self.weight, probs.take(self.cols)
-        if floor is not None:
-            keep = np.flatnonzero(free_in_some_future(p, floor))
-            weight, kernel, p = weight.take(keep, axis=1), kernel.take(keep, axis=0), p.take(keep)
-        first = ((kernel < p[:, None]) * weight).max(axis=1, initial=0) + self.offset  # each future's first free
+        free = kernel < probs.take(self.cols)[:, None]
+        first = (np.frexp(self.power @ free)[1] >> 1) + self.offset  # each future's first free candidate
         mins, picks = self.value.take(first), self.column.take(first)
         rows, futures = np.nonzero(~(mins < self.bound))
         if rows.size:
@@ -418,7 +414,9 @@ class HindsightPolicy:
 
     The trip keeps them as drawn, ``(futures, resources)``, and a contiguous ``(candidates, futures)`` copy
     of its candidates', the ``CANDIDATES`` spots nearest the destination by walk. With no more spots, all are
-    candidates, the drawn array is the copy's transposed view, and plans skip spots at or below their floor.
+    candidates and the drawn array is the copy's transposed view. A decision thresholds the copy against its
+    availability and finds every future's first free candidate of every out-edge with one matrix product of
+    the plan's rank powers and that free mask (see ``HindsightPlan``).
 
     A node's plan (drive times from it and its out-edges' ``HindsightPlan``) depends only on the
     node, the destination, the scope and the run's ``t_claim``. ``plans``, a dict by node that
@@ -453,7 +451,7 @@ class HindsightPolicy:
         walk = ctx.walk_vector(self.destination)
         if self._drawn is None:
             self._drawn = rng.random((self.n, ctx.n_resources))
-            self._candidates = self._floor = None
+            self._candidates = None
             if ctx.n_resources > CANDIDATES:
                 cols = np.sort(np.argpartition(walk, CANDIDATES)[:CANDIDATES])
                 claim_on = np.zeros(ctx.n_resources)
@@ -462,7 +460,7 @@ class HindsightPolicy:
                 self._kernel = np.ascontiguousarray(self._drawn[:, cols].T)
             else:  # one copy: the drawn uniforms are the kernel's transposed view
                 self._kernel = np.ascontiguousarray(self._drawn.T)
-                self._drawn, self._floor = self._kernel.T, self._kernel.min(axis=1)
+                self._drawn = self._kernel.T
         here, plan = self._plan(view, node)
         forced, probs = _future_probabilities(view, here)
 
@@ -474,7 +472,7 @@ class HindsightPolicy:
                 actions.append((float(ctx.res_offset[ridx] + walk[ridx]), 0, ridx))
         edges = ctx.out_edges[node]
         if plan is not None:
-            mins, picks = plan.solve(self._drawn, self._kernel, probs, self._floor)
+            mins, picks = plan.solve(self._drawn, self._kernel, probs)
             # mins is C-ordered, so each row is summed exactly as the 1-D mean of that row would be,
             # and divided by its count as mean divides.
             means = mins.sum(axis=1) / self.n

@@ -3,7 +3,8 @@
 ``HindsightPolicy`` thresholds a trip's common random numbers against every
 out-edge's plan at once; these helpers sample and solve one determinized
 future from one node, so tests can check the solve against enumeration and the
-hindsight value against the optimum.
+hindsight value against the optimum. ``first_free_weight`` is the dense
+weight maximum that ``HindsightPlan.solve``'s product of rank powers replaces.
 """
 
 from dataclasses import dataclass
@@ -46,3 +47,15 @@ def solve_determinization(
     if not np.isfinite(cost):
         raise NoPathError(f"no resource reachable from {ctx.node_ids[from_node]!r}")
     return ctx.res_ids[int(picks[0, 0])], cost
+
+
+def first_free_weight(bases: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Each row's first free column in every future, as ``(rows, futures)`` weights: the number of columns
+    minus the column's place in (base, index) order, and 0 where none is free. ``bases`` is ``(rows,
+    columns)`` and ``free`` ``(columns, futures)``; this is the largest free weight of the dense ``(rows,
+    columns, futures)`` product of weights and the free mask."""
+    n_rows, n_s = bases.shape
+    order = np.argsort(bases, axis=1, kind="stable")
+    weight = np.empty((n_rows, n_s), dtype=np.min_scalar_type(n_s))
+    weight[np.arange(n_rows)[:, None], order] = np.arange(n_s, 0, -1)
+    return (free * weight[:, :, None]).max(axis=1, initial=0)

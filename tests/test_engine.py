@@ -405,6 +405,20 @@ def test_unknown_override_resource_rejected():
             run_simulation(graph, agents, occupation, params_by_resource=overrides)
 
 
+def test_determinizations_beyond_numpy_arrays_are_rejected():
+    """A hindsight run whose (determinizations x spots) uniforms no numpy array can hold stops at its start
+    with an error that names the setting, not with numpy's; a run without hindsight agents is unaffected."""
+    graph = load_graph(build_grid_graph_doc(3, 3, n_resources=10))
+    dest = GeoPoint(0.001, 0.001)
+    for n in (10**30, 2**62, 2**60):
+        settings = PlannerSettings(determinizations=n)
+        with pytest.raises(ConfigError, match="determinizations"):
+            run_simulation(graph, [AgentSpec("a0", "n0000", dest, 0.0, "hs")], DEFAULT_CTMC, settings=settings)
+        (record,) = run_simulation(graph, [AgentSpec("a0", "n0000", dest, 0.0, "rpl")], DEFAULT_CTMC,
+                                   settings=settings, measure_computation=False)
+        assert record.status == "parked"
+
+
 def test_integer_rates_keep_float_overrides():
     # Rates are kept as Python floats, so integer global rates no longer make the run's rate arrays
     # integer, which truncated a float override (here to 0, a NaN prediction).

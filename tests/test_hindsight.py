@@ -5,12 +5,14 @@ future's cost of every resource, ``base + claim_wait(uniforms < probs)``, and
 take its minimum and first argmin. ``HindsightPlan.solve`` takes most futures'
 minimum from the first available spot in (base, index) order among a trip's
 candidate spots, so these tests require bit-equal minima, equal argmins and
-equal decisions for any candidate set (random ones, none, one, every spot, one
-that omits each row's cheapest spots and one of more than 255 spots), also when
-one plan is solved again for later decisions, and identical decisions and
-records whatever ``planners.CANDIDATES`` is. Uniforms are (futures, resources)
-as drawn, as ``HindsightPolicy._drawn`` holds them; the kernel's copy of the
-candidates' uniforms is (candidates, futures).
+equal decisions for any candidate set of at most 511 spots (random ones, none,
+one, every spot, one that omits each row's cheapest spots and one of 511 spots),
+also when one plan is solved again for later decisions, and identical decisions
+and records whatever ``planners.CANDIDATES`` is. The first free candidate, the
+exponent of a sum of rank powers, is checked against the dense weight maximum of
+``hindsight_oracle.first_free_weight`` in any summation order. Uniforms are
+(futures, resources) as drawn, as ``HindsightPolicy._drawn`` holds them; the
+kernel's copy of the candidates' uniforms is (candidates, futures).
 """
 
 from collections import Counter
@@ -36,10 +38,12 @@ from parksearch.planners import (
 from parksearch.scenario import build_grid_graph_doc
 
 from conftest import FROZEN, make_context, make_view
+from hindsight_oracle import first_free_weight
 
 DEFAULT = CtmcParams.from_mean_times(120.0, 2091.0)
 SET_KINDS = ("random", "empty", "one column", "every column", "default", "omits each row's cheapest",
-             "more than 255 columns")
+             "511 columns")
+WIDEST = 511  # the most candidates a plan takes: 4.0**511 is the largest rank power float64 holds
 
 
 def full_costs(view, base, uniforms, probs):
@@ -92,19 +96,19 @@ def _context(n_res):
 
 
 def _candidate_set(rng, kind, base):
-    """Ascending candidate spots of one kind from ``SET_KINDS``; None (every spot, the default) for "default"."""
+    """Ascending candidate spots of one kind from ``SET_KINDS``; None (every spot, the default) for "default".
+    A set of more than ``WIDEST`` spots, "default" too, is cut to a random ``WIDEST`` of them."""
     n_res = base.shape[1]
     if kind == "default":
-        return None
+        return None if n_res <= WIDEST else np.sort(rng.choice(n_res, size=WIDEST, replace=False))
     if kind == "omits each row's cheapest":
         cheapest = np.argsort(base, axis=1, kind="stable")[:, :int(rng.integers(1, 4))]
         pool = np.setdiff1d(np.arange(n_res), cheapest)
     else:
         pool = np.arange(n_res)
-    size = {"empty": 0, "one column": 1, "every column": n_res}.get(kind, int(rng.integers(pool.size + 1)))
-    if kind == "more than 255 columns" and n_res > 255:
-        size = int(rng.integers(256, n_res + 1))
-    return np.sort(rng.choice(pool, size=min(size, pool.size), replace=False))
+    size = {"empty": 0, "one column": 1, "every column": n_res, "511 columns": WIDEST}.get(
+        kind, int(rng.integers(pool.size + 1)))
+    return np.sort(rng.choice(pool, size=min(size, pool.size, WIDEST), replace=False))
 
 
 def _occupy_before(base_row, cols, column, uniforms, probs, f):
@@ -197,6 +201,18 @@ def _kernel_case(rng, n_res, kind):
             t_claim[c_occ] = base[e, c_free] - base[e, c_occ]
             _occupy_before(base[e], every, c_free, uniforms, probs, f)
             assert base[e, c_occ] + t_claim[c_occ] == base[e, c_free]
+
+    # Plant probabilities at a candidate's floor, its least uniform over the futures, one ulp below and one
+    # above it, and forced zeros, and sometimes every candidate at or below its floor: ``u < p`` is strict, so
+    # a candidate at its floor is free in no future and one just above it only where its uniform is the floor.
+    if every.size and rng.random() < 0.5:
+        floor = uniforms[:, every].min(axis=0)
+        where = rng.integers(12, size=every.size)
+        probs[every] = np.select([where == 0, where == 1, where == 2, where == 3],
+                                 [floor, np.nextafter(floor, -np.inf), np.nextafter(floor, np.inf), 0.0], probs[every])
+        if rng.random() < 0.2:
+            probs[every] = np.minimum(probs[every], floor)  # every candidate pair falls back
+        probs = np.maximum(probs, 0.0)
     view = make_view(ctx, np.ones(n_res, dtype=bool), DEFAULT, t_claim=t_claim)
     return view, base, uniforms, probs, cols
 
@@ -218,10 +234,20 @@ def _record_cases(seen, base, uniforms, probs, t_claim, cols, costs, mins):
     seen["every spot occupied"] += int((~available.any(axis=1)).any())
     seen["one future"] += int(len(uniforms) == 1)
     seen["2,000 spots"] += int(n_res == 2000)
-    seen["set of more than 255 columns"] += int(cols.size > 255)  # weights wider than a byte
+    seen["set of 511 columns"] += int(cols.size == WIDEST)  # the largest rank power, 4.0**511
     seen["set omits each row's cheapest"] += int(cols.size > 0 and not inside[base.argmin(axis=1)].any())
     seen["no candidate free, another spot free"] += int(
         (~available[:, cols].any(axis=1) & available[:, ~inside].any(axis=1)).any())
+    floor = uniforms[:, cols].min(axis=0)
+    p = probs[cols]
+    free_somewhere = available[:, cols].any(axis=0)
+    seen["at the floor"] += int((p == floor).any())
+    seen["just below the floor"] += int((p == np.nextafter(floor, -np.inf)).any())
+    seen["just above the floor"] += int((p == np.nextafter(floor, np.inf)).any())
+    seen["free only where the uniform is the floor"] += int(
+        (available[:, cols].sum(axis=0) == 1)[p == np.nextafter(floor, np.inf)].any())
+    seen["forced zero candidate"] += int((p == 0.0).any())
+    seen["every candidate at or below its floor"] += int(p.size > 1 and not free_somewhere.any())
     least_outside = np.where(inside, np.inf, base).min(axis=1)[:, None]
     seen["minimum not below the least base outside the set"] += int(
         (np.isfinite(mins) & ~(mins < least_outside)).any())
@@ -297,8 +323,9 @@ def test_future_minima_matches_full_matrix():
         "inf base", "every resource unreachable", "reserved", "every spot occupied", "one future",
         "minimum not below the least base outside the set", "minimum equals the least base outside the set",
         "first free base is inf", "first free base equals the bound", "no candidate free, another spot free",
-        "equal-base free columns", "2,000 spots", "planted draw on a reused plan", "set of more than 255 columns",
-        "set omits each row's cheapest",
+        "equal-base free columns", "2,000 spots", "planted draw on a reused plan", "set of 511 columns",
+        "set omits each row's cheapest", "at the floor", "just below the floor", "just above the floor",
+        "free only where the uniform is the floor", "forced zero candidate", "every candidate at or below its floor",
     ) if not seen[case]]
     assert not missing, missing
 
@@ -437,54 +464,34 @@ def test_common_random_numbers_are_the_seeded_stream():
             assert np.array_equal(policy._kernel, drawn[:, cols].T)
 
 
-def _floor_case(rng, n_res, kind):
-    """A kernel case with the candidates' uniforms copied as the policy keeps them and each candidate's
-    floor, with probabilities planted at, just below and just above each candidate's floor, forced
-    zeros, and sometimes every candidate at or below it."""
-    view, base, uniforms, probs, cols = _kernel_case(rng, n_res, kind)
-    every = np.arange(n_res) if cols is None else cols
-    kernel = _kernel_copy(uniforms, cols)
-    floor = kernel.min(axis=1)
-    where = rng.integers(6, size=every.size)
-    probs[every] = np.select([where == 0, where == 1, where == 2, where == 3],
-                             [floor, np.nextafter(floor, -np.inf), np.nextafter(floor, np.inf), 0.0], probs[every])
-    if rng.random() < 0.15:
-        probs[every] = np.minimum(probs[every], floor)  # every candidate pair falls back
-    return view, base, uniforms, np.maximum(probs, 0.0), cols, kernel, floor
-
-
-def test_floor_kernel_matches_full_matrix():
-    """``solve`` with each candidate's floor returns the same minima and argmins, bit for bit, as
-    without it and as the full cost matrix, for every kind of candidate set; the candidates it scans
-    are exactly those free in some future, so none at its floor is scanned."""
-    rng = np.random.default_rng(609)
-    seen = Counter()
-    for n_res in (1, 7, 150, 160, 161, 600):
-        for trial in range(30):
-            kind = SET_KINDS[trial % len(SET_KINDS)]
-            view, base, uniforms, probs, cols, kernel, floor = _floor_case(rng, n_res, kind)
-            plan = _plan(view, base, cols)
-            costs = full_costs(view, base, uniforms, probs)
-            mins, picks = plan.solve(uniforms, kernel, probs, floor)
-            plain_mins, plain_picks = plan.solve(uniforms, kernel, probs)
-            assert np.array_equal(mins, costs.min(axis=2)) and np.array_equal(mins, plain_mins)
-            assert np.array_equal(picks, costs.argmin(axis=2)) and np.array_equal(picks, plain_picks)
-            assert mins.flags.c_contiguous
-            p = probs if cols is None else probs[cols]
-            free_somewhere = (kernel < p[:, None]).any(axis=1)
-            assert np.array_equal(planners.free_in_some_future(p, floor), free_somewhere)
-            seen[f"set: {kind}"] += 1
-            seen["at the floor"] += int((p == floor).any())
-            seen["just below the floor"] += int((p == np.nextafter(floor, -np.inf)).any())
-            seen["just above the floor"] += int((p == np.nextafter(floor, np.inf)).any())
-            seen["free only where the uniform is the floor"] += int(
-                ((kernel < p[:, None]).sum(axis=1) == 1)[p == np.nextafter(floor, np.inf)].any())
-            seen["forced zero"] += int((p == 0.0).any())
-            seen["every candidate at or below its floor"] += int(p.size > 1 and not free_somewhere.any())
-            seen["one future"] += int(uniforms.shape[0] == 1)
-    missing = [case for case in (
-        *(f"set: {kind}" for kind in SET_KINDS), "at the floor", "just below the floor", "just above the floor",
-        "free only where the uniform is the floor", "forced zero", "every candidate at or below its floor",
-        "one future",
-    ) if not seen[case]]
-    assert not missing, missing
+def test_rank_powers_find_the_first_free_candidate():
+    """The exponent of the sum of a future's free rank powers is its largest free weight, bit for bit as
+    the dense weight maximum, whatever the summation order: with no, one, every and random candidates
+    free, equal and inf bases included, at 1, 160 and 511 columns. A plan of 512 columns is refused."""
+    rng = np.random.default_rng(611)
+    for n_s in (1, 160, WIDEST):
+        for n_res in (n_s, n_s + 89):
+            base = 100.0 + rng.integers(0, 64, size=(3, n_res)) / 8.0  # many equal bases
+            base[0, rng.random(n_res) < 0.1] = np.inf
+            t_claim = rng.uniform(100.0, 400.0, n_res)
+            cols = np.sort(rng.choice(n_res, size=n_s, replace=False))
+            plan = HindsightPlan(t_claim, base, (cols, np.where(np.isin(np.arange(n_res), cols), t_claim, 0.0)))
+            bases = base[:, cols]
+            # with column j alone free in future j, the weight maximum is every column's weight
+            assert np.array_equal(plan.power, 4.0 ** first_free_weight(bases, np.eye(n_s, dtype=bool)))
+            one = np.zeros((n_s, 3 * n_s), dtype=bool)
+            one[np.arange(3 * n_s) % n_s, np.arange(3 * n_s)] = True
+            for name, free in (("none", np.zeros((n_s, 5), dtype=bool)), ("one", one),
+                               ("every", np.ones((n_s, 5), dtype=bool)),
+                               ("random", rng.random((n_s, 100)) < rng.uniform(0.0, 1.0, (n_s, 1)))):
+                want = first_free_weight(bases, free)
+                assert want.any() == (name != "none") and (name != "every" or (want == n_s).all())
+                for order in (slice(None), slice(None, None, -1), rng.permutation(n_s)):
+                    # as solve finds it: the sum of the free powers has binary exponent 2 * weight + 1
+                    power, mask = np.ascontiguousarray(plan.power[:, order]), np.ascontiguousarray(free[order])
+                    got = np.frexp(power @ mask)[1] >> 1
+                    assert np.array_equal(got, want), (n_s, name)
+    with pytest.raises(ValueError, match="511"):
+        HindsightPlan(np.ones(WIDEST + 1), np.zeros((1, WIDEST + 1)))
+    with pytest.raises(ValueError, match="511"):
+        HindsightPlan(np.ones(600), np.zeros((1, 600)), (np.arange(WIDEST + 1), np.ones(600)))
