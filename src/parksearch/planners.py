@@ -313,6 +313,7 @@ def _future_probabilities(view: PlanningView, drive: np.ndarray) -> tuple[np.nda
 
 # How many spots nearest its destination by walk a hindsight trip scans first; with no more spots, all.
 CANDIDATES = 160
+RANK_POWERS = 4.0 ** np.arange(511, 0, -1)  # 4.0**511 is the largest power of four float64 holds
 
 
 class HindsightPlan:
@@ -321,8 +322,7 @@ class HindsightPlan:
     cost of ``base[row] + wait`` in every future ``f``, where resource ``c`` is available when
     ``drawn[f, c] < probs[c]`` and otherwise pays ``t_claim[c]``, and its first argmin; both equal the full
     ``(futures x resources)`` cost matrix's bit for bit (``inf`` and 0 with no resources). ``candidates``
-    is ``(cols, claim_on)``: the ascending candidate spots, and ``t_claim`` on them and 0 elsewhere; None
-    makes every spot one.
+    is ``(cols, claim_on)``: the ascending candidate spots, and ``t_claim`` on them and 0 elsewhere.
 
     No spot costs less than its base, nor an occupied candidate less than base + ``t_claim`` (positive or
     inf, as ``round_trip_s > 0`` is validated), so only a free candidate can cost less than ``bound[row]
@@ -337,36 +337,37 @@ class HindsightPlan:
     ascending, so equal bases keep index order) only when two are equal.
     """
 
-    def __init__(self, t_claim: np.ndarray, base: np.ndarray,
-                 candidates: tuple[np.ndarray, np.ndarray] | None = None):
+    def __init__(self, t_claim: np.ndarray, base: np.ndarray, candidates: tuple[np.ndarray, np.ndarray]):
         self.t_claim, self.base, self.power = t_claim, base, None
         n_rows, n_res = base.shape
         if n_res == 0:
             return
-        self.cols, claim_on = (np.arange(n_res), t_claim) if candidates is None else candidates
+        self.cols, claim_on = candidates
         n_s = self.cols.size
-        if n_s > 511:
+        if n_s > RANK_POWERS.size:
             raise ValueError(f"a hindsight plan takes at most 511 candidates, got {n_s}")
         self.bound = (base + claim_on).min(axis=1)[:, None]
         row = np.arange(n_rows)[:, None]
         bases = base.take(self.cols, axis=1)
         order = np.argsort(bases, axis=1)
-        ranked = bases[row, order]  # the same values whichever equal bases the sort swapped
+        ranked = bases.take(flat := order + row * n_s)  # the same values whichever equal bases the sort swapped
         if (ranked[:, 1:] == ranked[:, :-1]).any():
             order = np.argsort(bases, axis=1, kind="stable")
+            flat = order + row * n_s
         self.power = np.empty((n_rows, n_s))
-        self.power[row, order] = 4.0 ** np.arange(n_s, 0, -1)
+        self.power.put(flat, RANK_POWERS[-n_s:])  # each row's powers, from 4.0**n_s down
         # per row, the resource index and the base of each weight's column, from weight 0 (none) up
         self.column = np.zeros((n_rows, n_s + 1), dtype=np.intp)
-        self.column[:, :0:-1] = self.cols[order]
-        self.value = np.concatenate([np.full((n_rows, 1), np.inf), ranked[:, ::-1]], axis=1)
+        self.column[:, :0:-1] = self.cols.take(order)
+        self.value = np.empty((n_rows, n_s + 1))
+        self.value[:, 0], self.value[:, 1:] = np.inf, ranked[:, ::-1]
         self.offset = row * (n_s + 1)  # where each row starts in value and column, flattened
 
     def solve(self, drawn: np.ndarray, kernel: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The ``(rows, futures)`` minima, C-ordered, and their first argmins, given the ``(futures,
-        resources)`` uniforms, the candidates' ones as ``(candidates, futures)`` and the availability at
-        arrival per resource."""
-        n = drawn.shape[0]
+        resources)`` uniforms (read only as ``drawn[futures]``, so ``DrawnRows`` will do), the candidates'
+        ones as ``(candidates, futures)`` and the availability at arrival per resource."""
+        n = kernel.shape[1]
         if self.power is None:
             return np.full((len(self.base), n), np.inf), np.zeros((len(self.base), n), dtype=int)
         free = kernel < probs.take(self.cols)[:, None]
@@ -380,6 +381,27 @@ class HindsightPlan:
         return mins, picks
 
 
+class DrawnRows:
+    """Rows ``[futures]`` of the ``(futures, spots)`` uniforms ``random`` draws from a bit generator's state, bit for
+    bit: a float64 takes one output, so PCG64 jumps ``f * spots`` outputs to row ``f``; others draw and discard."""
+
+    def __init__(self, bit_generator: np.random.BitGenerator, n_spots: int):
+        self.state, self.kind, self.n_spots, self._rng = bit_generator.state, type(bit_generator), n_spots, None
+
+    def __getitem__(self, futures: np.ndarray) -> np.ndarray:
+        self._rng = self._rng or np.random.Generator(self.kind(0))  # at a trip's first fallback; seed overwritten
+        self._rng.bit_generator.state, rows, at, last = self.state, np.empty((futures.size, self.n_spots)), 0, 0
+        skip = self._rng.bit_generator.advance if self.kind is np.random.PCG64 else self._rng.random
+        for f, i in sorted(zip(futures.tolist(), range(futures.size))):  # in stream order
+            if f < at:  # a repeat of the row just drawn
+                rows[i] = rows[last]
+            else:
+                skip((f - at) * self.n_spots)  # the rows between (Philox's advance would count blocks of four)
+                self._rng.random(out=rows[i])
+            at, last = f + 1, i
+        return rows
+
+
 def modal_choice(choices: np.ndarray, n: int) -> int:
     """Most frequent index among per-future choices; ties go to the smallest index."""
     return int(np.bincount(choices, minlength=n).argmax())
@@ -389,7 +411,6 @@ class ReplanningPolicy:
     """Follow the cached plan while its target stays treated available; otherwise plan again."""
 
     def __init__(self, ctx: PlannerContext, destination: GeoPoint, settings: PlannerSettings | None = None):
-        self.ctx = ctx
         self.destination = destination
         self._target: int | None = None
 
@@ -412,11 +433,10 @@ class HindsightPolicy:
     thresholds the same variates against fresh availability predictions, so
     plans change when observations change, not because of resampling noise.
 
-    The trip keeps them as drawn, ``(futures, resources)``, and a contiguous ``(candidates, futures)`` copy
-    of its candidates', the ``CANDIDATES`` spots nearest the destination by walk. With no more spots, all are
-    candidates and the drawn array is the copy's transposed view. A decision thresholds the copy against its
-    availability and finds every future's first free candidate of every out-edge with one matrix product of
-    the plan's rank powers and that free mask (see ``HindsightPlan``).
+    The trip keeps only its candidates' uniforms (the ``CANDIDATES`` spots nearest the destination by walk, or
+    all) as a contiguous ``(candidates, futures)`` kernel, drawn in row blocks no larger than it; a fallback over
+    every spot reads its rows from ``DrawnRows``. A decision finds each out-edge's first free candidate in every
+    future with one product of the plan's rank powers and the kernel's free mask (see ``HindsightPlan``).
 
     A node's plan (drive times from it and its out-edges' ``HindsightPlan``) depends only on the
     node, the destination, the scope and the run's ``t_claim``. ``plans``, a dict by node that
@@ -424,13 +444,12 @@ class HindsightPolicy:
     """
 
     def __init__(self, ctx: PlannerContext, destination: GeoPoint, settings: PlannerSettings | None = None):
-        self.ctx = ctx
         self.destination = destination
         settings = settings or PlannerSettings()
         self.n = settings.determinizations
         self.scope_horizon_s = settings.scope_horizon_s
         self.plans: dict[int, tuple[np.ndarray, HindsightPlan | None]] | None = None
-        self._drawn: np.ndarray | None = None
+        self._rows: DrawnRows | None = None
 
     def _plan(self, view: PlanningView, node: int) -> tuple[np.ndarray, HindsightPlan | None]:
         """Drive times from ``node`` to every resource, and the plan of its out-edges (None without any)."""
@@ -449,18 +468,16 @@ class HindsightPolicy:
     def decide(self, view: PlanningView, node: int, rng: np.random.Generator) -> RouteDecision:
         ctx = view.ctx
         walk = ctx.walk_vector(self.destination)
-        if self._drawn is None:
-            self._drawn = rng.random((self.n, ctx.n_resources))
-            self._candidates = None
-            if ctx.n_resources > CANDIDATES:
-                cols = np.sort(np.argpartition(walk, CANDIDATES)[:CANDIDATES])
-                claim_on = np.zeros(ctx.n_resources)
-                claim_on[cols] = view.t_claim[cols]
-                self._candidates = cols, claim_on
-                self._kernel = np.ascontiguousarray(self._drawn[:, cols].T)
-            else:  # one copy: the drawn uniforms are the kernel's transposed view
-                self._kernel = np.ascontiguousarray(self._drawn.T)
-                self._drawn = self._kernel.T
+        if self._rows is None:
+            n, n_res = self.n, ctx.n_resources
+            cols = np.sort(np.argpartition(walk, CANDIDATES)[:CANDIDATES]) if n_res > CANDIDATES else np.arange(n_res)
+            self._candidates = cols, np.bincount(cols, view.t_claim[cols], n_res)  # t_claim on them, 0 elsewhere
+            self._rows, kernel = DrawnRows(rng.bit_generator, n_res), np.empty((n, cols.size))
+            block = np.empty((max(1, n * cols.size // max(n_res, 1)), n_res))  # no larger than the kernel
+            for start in range(0, n, len(block)):
+                rng.random(out=block[:n - start])
+                block[:n - start].take(cols, axis=1, out=kernel[start:start + len(block)], mode="clip")
+            self._kernel = np.ascontiguousarray(kernel.T)
         here, plan = self._plan(view, node)
         forced, probs = _future_probabilities(view, here)
 
@@ -472,7 +489,7 @@ class HindsightPolicy:
                 actions.append((float(ctx.res_offset[ridx] + walk[ridx]), 0, ridx))
         edges = ctx.out_edges[node]
         if plan is not None:
-            mins, picks = plan.solve(self._drawn, self._kernel, probs)
+            mins, picks = plan.solve(self._rows, self._kernel, probs)
             # mins is C-ordered, so each row is summed exactly as the 1-D mean of that row would be,
             # and divided by its count as mean divides.
             means = mins.sum(axis=1) / self.n
@@ -496,7 +513,6 @@ class RandomPolicy:
     """Drive to the destination street, then take random streets until a spot is found."""
 
     def __init__(self, ctx: PlannerContext, destination: GeoPoint, settings: PlannerSettings | None = None):
-        self.ctx = ctx
         self.destination = destination
         self._searching = False
         # the street whose midpoint is nearest, exact ties (both directions of a two-way street) to the
@@ -543,7 +559,6 @@ class HeuristicPolicy:
     """
 
     def __init__(self, ctx: PlannerContext, destination: GeoPoint, settings: PlannerSettings | None = None):
-        self.ctx = ctx
         self.destination = destination
         settings = settings or PlannerSettings()
         self.far_radius_m = settings.heuristic_far_radius_m

@@ -42,7 +42,8 @@ def solve_determinization(
     base = ctx.drive_to_resources([from_node]) + ctx.walk_vector(destination)
     # The future whose uniforms are all 0: 0 < p holds exactly where det.available is set.
     zeros = np.zeros((1, ctx.n_resources))
-    mins, picks = HindsightPlan(view.t_claim, base).solve(zeros, zeros.T, det.available)
+    every_spot = np.arange(ctx.n_resources), view.t_claim
+    mins, picks = HindsightPlan(view.t_claim, base, every_spot).solve(zeros, zeros.T, det.available)
     cost = float(mins[0, 0])
     if not np.isfinite(cost):
         raise NoPathError(f"no resource reachable from {ctx.node_ids[from_node]!r}")

@@ -11,8 +11,9 @@ also when one plan is solved again for later decisions, and identical decisions
 and records whatever ``planners.CANDIDATES`` is. The first free candidate, the
 exponent of a sum of rank powers, is checked against the dense weight maximum of
 ``hindsight_oracle.first_free_weight`` in any summation order. Uniforms are
-(futures, resources) as drawn, as ``HindsightPolicy._drawn`` holds them; the
-kernel's copy of the candidates' uniforms is (candidates, futures).
+(futures, resources) as the agent's seeded stream draws them, rebuilt here from
+the seed; the policy keeps only the candidates' uniforms, as a (candidates,
+futures) kernel, and regenerates other rows from ``planners.DrawnRows``.
 """
 
 from collections import Counter
@@ -27,6 +28,7 @@ from parksearch.errors import NoPathError
 from parksearch.fleet import ReservationTable
 from parksearch.geo import GeoPoint
 from parksearch.planners import (
+    DrawnRows,
     HindsightPlan,
     HindsightPolicy,
     PlannerSettings,
@@ -52,14 +54,14 @@ def full_costs(view, base, uniforms, probs):
     return np.stack([row + wait for row in base])
 
 
-def oracle_decide(policy, view, node):
-    """``HindsightPolicy.decide`` with one full cost matrix per out-edge; call it after the
-    policy has drawn its uniforms."""
+def oracle_decide(policy, view, node, uniforms):
+    """``HindsightPolicy.decide`` with one full cost matrix per out-edge, given the trip's whole
+    (futures, resources) uniforms as its agent's stream draws them."""
     ctx = view.ctx
     walk = ctx.walk_vector(policy.destination)
     drive_here = ctx.drive_to_resources(node)
     forced, probs = planners._future_probabilities(view, drive_here)
-    wait = view.claim_wait(policy._drawn < probs)
+    wait = view.claim_wait(uniforms < probs)
     candidates = []
     for ridx in ctx.adjacent_res[node]:
         if view.avail[ridx] and not forced[ridx]:
@@ -268,7 +270,7 @@ def _record_cases(seen, base, uniforms, probs, t_claim, cols, costs, mins):
 def _plan(view, base, cols):
     """The plan over the candidate spots ``cols``, with ``t_claim`` on them and 0 elsewhere; None is every spot."""
     if cols is None:
-        return HindsightPlan(view.t_claim, base)
+        return HindsightPlan(view.t_claim, base, (np.arange(base.shape[1]), view.t_claim))
     claim_on = np.where(np.isin(np.arange(base.shape[1]), cols), view.t_claim, 0.0)
     return HindsightPlan(view.t_claim, base, (cols, claim_on))
 
@@ -343,10 +345,17 @@ def _decision_world(rng, n_res):
     return make_context(doc)
 
 
+def _agent_rng(trial):
+    """The agent stream of an oracle-world trial: PCG64 (``default_rng``) in most, MT19937 or Philox in some."""
+    kind = {1: np.random.MT19937, 4: np.random.Philox}.get(trial % 5, np.random.PCG64)
+    return np.random.Generator(kind(trial))
+
+
 def _oracle_world_decisions(monkeypatch=None, candidates=None, check=None):
     """Every decision on the oracle's worlds, in order, with ``planners.CANDIDATES`` set to ``candidates``
     (the world's spot count for "spots"; the default for None): a ``RouteDecision``, or ``NoPathError``
-    where ``decide`` raised it. ``check(policy, view, node, decision)`` sees each one."""
+    where ``decide`` raised it. ``check(policy, view, node, decision, uniforms)`` sees each one, with the
+    trip's uniforms rebuilt from its agent's seed."""
     rng = np.random.default_rng(607)
     decisions = []
     for n_res in (60, 150, 400):
@@ -360,7 +369,8 @@ def _oracle_world_decisions(monkeypatch=None, candidates=None, check=None):
             settings = PlannerSettings(determinizations=n_det, scope_horizon_s=scope)
             dest = GeoPoint(float(rng.uniform(0, 5)) * deg, float(rng.uniform(0, 5)) * deg)
             policy = HindsightPolicy(ctx, dest, settings)
-            agent_rng = np.random.default_rng(trial)
+            agent_rng = _agent_rng(trial)
+            uniforms = _agent_rng(trial).random((n_det, ctx.n_resources))
             for step in range(3):
                 frozen = trial % 4 == 1  # nothing frees up before arrival: every future is occupied
                 avail = np.zeros(ctx.n_resources, dtype=bool) if frozen else rng.random(ctx.n_resources) < 0.3
@@ -376,27 +386,28 @@ def _oracle_world_decisions(monkeypatch=None, candidates=None, check=None):
                     decision = NoPathError
                 decisions.append(decision)
                 if check is not None:
-                    check(policy, view, node, decision)
+                    check(policy, view, node, decision, uniforms)
     return decisions
 
 
 def test_hindsight_decisions_match_full_matrix_oracle():
     seen = Counter()
 
-    def check(policy, view, node, decision):
+    def check(policy, view, node, decision, uniforms):
         ctx = view.ctx
         if decision is NoPathError:
             with pytest.raises(NoPathError):
-                oracle_decide(policy, view, node)
+                oracle_decide(policy, view, node, uniforms)
             return
-        expected, modal = oracle_decide(policy, view, node)
+        expected, modal = oracle_decide(policy, view, node, uniforms)
         assert decision == expected
         if modal is not None:
             assert decision.target_resource == modal
         forced, probs = planners._future_probabilities(view, ctx.drive_to_resources(node))
-        seen["every spot" if policy._candidates is None else "candidates"] += 1
+        seen["every spot" if policy._candidates[0].size == ctx.n_resources else "candidates"] += 1
         seen["reserved"] += int(forced.any())
-        seen["every spot occupied"] += int((~(policy._drawn < probs).any(axis=1)).any())
+        seen["every spot occupied"] += int((~(uniforms < probs).any(axis=1)).any())
+        seen[f"rows rebuilt: {policy._rows.kind.__name__}"] += int(policy._rows._rng is not None)
         seen["one future"] += int(policy.n == 1)
         seen["out of scope"] += int(policy.scope_horizon_s is not None)
         seen["unreachable"] += int(np.isinf(ctx.drive_to_resources(node)).any())
@@ -405,7 +416,8 @@ def test_hindsight_decisions_match_full_matrix_oracle():
 
     _oracle_world_decisions(check=check)
     assert all(seen[c] for c in ("every spot", "candidates", "reserved", "every spot occupied", "one future",
-                                 "out of scope", "unreachable", "road action", "spot action")), seen
+                                 "out of scope", "unreachable", "road action", "spot action",
+                                 "rows rebuilt: PCG64", "rows rebuilt: MT19937", "rows rebuilt: Philox")), seen
 
 
 def _hs_r_records():
@@ -439,29 +451,80 @@ def test_hindsight_results_do_not_depend_on_the_candidate_set(monkeypatch):
         assert run == (decisions, records), candidates
 
 
+def _one_row_past_a_block(n_res):
+    """Futures whose draw ends with a block of one row, where a block is ``max(1, n * candidates // spots)``
+    rows, no more floats than the kernel; with every spot a candidate the draw is one block, of 21 rows here."""
+    n_s = min(planners.CANDIDATES, n_res)
+    return 21 if n_s == n_res else next(n for n in range(2, 1000) if n % max(1, n * n_s // n_res) == 1
+                                            and n > max(1, n * n_s // n_res))
+
+
 def test_common_random_numbers_are_the_seeded_stream():
-    """A trip's uniforms are the seeded stream as drawn, (futures, resources), and the kernel's copy holds
-    the candidates' uniforms: the ``CANDIDATES`` spots nearest the destination by walk, or every spot."""
+    """A trip's kernel holds the candidates' uniforms of the seeded stream, (futures, resources) as drawn,
+    the candidates being the ``CANDIDATES`` spots nearest the destination by walk, or every spot. After the
+    first decision the agent's stream stands where one whole draw leaves it, and the trip's rows are those
+    of that draw, with one future, with a last block of one row and with 100 futures."""
     for n_res in (60, 400):
         _, ctx = _decision_world(np.random.default_rng(608), n_res)
         dest = GeoPoint(0.0, 0.0)
         walk = ctx.walk_vector(dest)
-        for seed, n_det in ((0, 1), (5, 20), (9, 100)):
+        for seed, n_det in ((0, 1), (5, _one_row_past_a_block(ctx.n_resources)), (9, 100)):
             policy = HindsightPolicy(ctx, dest, PlannerSettings(determinizations=n_det))
             view = make_view(ctx, np.ones(ctx.n_resources, dtype=bool), DEFAULT)
-            policy.decide(view, ctx.node_index["n0303"], np.random.default_rng(seed))
-            drawn = np.random.default_rng(seed).random((n_det, ctx.n_resources))
-            assert np.array_equal(policy._drawn, drawn)
-            if policy._candidates is None:
-                cols = np.arange(ctx.n_resources)
-            else:  # the plans' bound adds t_claim on the candidates and nothing elsewhere
-                cols, claim_on = policy._candidates
-                assert np.array_equal(claim_on[cols], view.t_claim[cols]) and not np.delete(claim_on, cols).any()
+            agent = np.random.default_rng(seed)
+            policy.decide(view, ctx.node_index["n0303"], agent)
+            stream = np.random.default_rng(seed)
+            drawn = stream.random((n_det, ctx.n_resources))
+            assert agent.bit_generator.state == stream.bit_generator.state
+            assert np.array_equal(policy._rows[np.arange(n_det)], drawn)
+            # the plans' bound adds t_claim on the candidates and nothing elsewhere
+            cols, claim_on = policy._candidates
+            assert np.array_equal(claim_on[cols], view.t_claim[cols]) and not np.delete(claim_on, cols).any()
             assert cols.size == min(planners.CANDIDATES, ctx.n_resources)
             assert np.all(np.diff(cols) > 0)
             assert walk[cols].max() <= np.delete(walk, cols).min(initial=np.inf)
             assert policy._kernel.flags.c_contiguous
             assert np.array_equal(policy._kernel, drawn[:, cols].T)
+
+
+@pytest.mark.parametrize("kind", [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64])
+def test_drawn_rows_are_the_seeded_stream(kind):
+    """``DrawnRows`` gives the rows of the draw from the state it saw, bit for bit, in the order asked for:
+    sorted, unsorted, repeated, none, the first and the last, also on 0 and 1 spots and after a draw
+    has moved the stream on."""
+    for n_spots, n in ((0, 5), (1, 7), (37, 50), (600, 20)):
+        rng = np.random.Generator(kind(n_spots))
+        rng.random(3)  # the trip's draw need not start the stream
+        rows = DrawnRows(rng.bit_generator, n_spots)
+        drawn = rng.random((n, n_spots))
+        for futures in ([0], [n - 1], [], [1, 3, 4], [4, 1, 3], [3, 3, 0, n - 1, 3, 0], list(range(n))[::-1]):
+            futures = np.array(futures, dtype=np.intp)
+            got = rows[futures]
+            assert got.shape == (futures.size, n_spots)
+            assert np.array_equal(got, drawn[futures]), (kind.__name__, n_spots, futures)
+
+
+def test_trip_keeps_no_array_larger_than_its_kernel():
+    """After a trip's first decision on 2,000 spots with 100 futures, neither the policy nor its row source
+    holds an array larger than the (candidates, futures) kernel: no (futures, spots) matrix is kept."""
+    ctx = _context(2000)
+    policy = HindsightPolicy(ctx, GeoPoint(0.0, 0.0), PlannerSettings(determinizations=100))
+    view = make_view(ctx, np.random.default_rng(1).random(ctx.n_resources) < 0.3, DEFAULT)
+    policy.decide(view, ctx.node_index["n0101"], np.random.default_rng(2))
+    assert policy._kernel.shape == (planners.CANDIDATES, 100)
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                yield from arrays(item)
+        elif isinstance(value, dict):
+            for item in value.values():
+                yield from arrays(item)
+
+    held = list(arrays(vars(policy))) + list(arrays(vars(policy._rows)))
+    assert held and max(a.nbytes for a in held) <= policy._kernel.nbytes
 
 
 def test_rank_powers_find_the_first_free_candidate():
@@ -492,6 +555,6 @@ def test_rank_powers_find_the_first_free_candidate():
                     got = np.frexp(power @ mask)[1] >> 1
                     assert np.array_equal(got, want), (n_s, name)
     with pytest.raises(ValueError, match="511"):
-        HindsightPlan(np.ones(WIDEST + 1), np.zeros((1, WIDEST + 1)))
+        HindsightPlan(np.ones(WIDEST + 1), np.zeros((1, WIDEST + 1)), (np.arange(WIDEST + 1), np.ones(WIDEST + 1)))
     with pytest.raises(ValueError, match="511"):
         HindsightPlan(np.ones(600), np.zeros((1, 600)), (np.arange(WIDEST + 1), np.ones(600)))

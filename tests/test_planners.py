@@ -430,8 +430,8 @@ def test_hindsight_takes_adjacent_resource():
     walk = ctx.walk_vector(GeoPoint(0.0, 0.0))
     s, a = ctx.node_index["s"], ctx.node_index["a"]
     _, probs = planners._future_probabilities(view, ctx.drive_to_resources(s))
-    plan = HindsightPlan(view.t_claim, ctx.drive_to_resources([a]) + walk)
-    mins, _ = plan.solve(policy._drawn, policy._kernel, probs)
+    plan = HindsightPlan(view.t_claim, ctx.drive_to_resources([a]) + walk, (np.arange(ctx.n_resources), view.t_claim))
+    mins, _ = plan.solve(policy._rows, policy._kernel, probs)
     assert 30.0 + mins.mean(axis=1)[0] == pytest.approx(90.0, rel=1e-6)
     rn = ctx.res_index["rN"]
     assert ctx.res_offset[rn] + walk[rn] == pytest.approx(30.0, rel=1e-9)  # the spot action's value
