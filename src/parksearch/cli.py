@@ -15,12 +15,12 @@ from .scenario import build_grid_graph_doc, parse_config, run_batch, run_scenari
 
 
 class _Commands(click.Group):
-    """Every command reports a ParkSearchError as a CLI error: its message and exit code 1."""
+    """Every command reports a ParkSearchError or an OSError as a CLI error: its message and exit code 1."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except ParkSearchError as exc:
+        except (ParkSearchError, OSError) as exc:
             raise click.ClickException(str(exc)) from exc
 
 

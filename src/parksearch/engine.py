@@ -20,7 +20,7 @@ import csv
 import heapq
 import math
 import time as _time
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -242,14 +242,7 @@ class MetricsRecord:
     status: str
 
 
-@dataclass(frozen=True)
-class SimEvent:
-    time: float
-    kind: str
-    agent: str | None = None
-    node: str | None = None
-    resource: str | None = None
-    detail: str | None = None
+SimEvent = namedtuple("SimEvent", "time kind agent node resource detail")  # agent, node, resource: ids or None
 
 
 def _validate_agents(graph: RoadGraph, agents: Iterable[AgentSpec]) -> list[AgentSpec]:
@@ -278,9 +271,9 @@ def run_simulation(
     horizon_s: float = DEFAULT_HORIZON_S,
     seed: int = 0,
     measure_computation: bool = True,
-    collect_events: bool = False,
+    events: list[SimEvent] | None = None,
     ctx: PlannerContext | None = None,
-):
+) -> list[MetricsRecord]:
     """Run one scenario to completion and return per-agent metrics.
 
     ``occupation`` is either a prepared trace or availability-process
@@ -288,7 +281,9 @@ def run_simulation(
     (honoring ``params_by_resource`` overrides). Planners predict with the
     same rates. Identical inputs produce identical outputs; planner
     wall-clock is the one measured quantity and can be disabled with
-    ``measure_computation=False``.
+    ``measure_computation=False``. A list given as ``events`` receives a
+    ``SimEvent`` per trace flip, agent arrival and claim, in processing order;
+    it changes no result.
 
     Runs that share a ``ctx``, rates, overrides, horizon and seed reuse one
     synthesized trace: the context keeps the last one drawn on its graph
@@ -382,17 +377,16 @@ def run_simulation(
     flip_up = trace.up[:due].tolist()
     next_flip = 0
 
-    log: list[SimEvent] = []
-
     def apply_flips(until: float) -> None:
         """Replay the trace up to and including ``until``; flips rank first at equal times."""
         nonlocal next_flip
         while next_flip < due and flip_time[next_flip] <= until:
-            if flip_res[next_flip] not in fleet_parked:
-                avail[flip_res[next_flip]] = flip_up[next_flip]
-            if collect_events:
-                log.append(SimEvent(flip_time[next_flip], "resource_flip", resource=ctx.res_ids[flip_res[next_flip]],
-                                    detail="available" if flip_up[next_flip] else "occupied"))
+            spot = flip_res[next_flip]
+            if spot not in fleet_parked:
+                avail[spot] = flip_up[next_flip]
+            if events is not None:
+                events.append(SimEvent(flip_time[next_flip], "resource_flip", None, None, ctx.res_ids[spot],
+                                       "available" if flip_up[next_flip] else "occupied"))
             next_flip += 1
 
     def decide(key: int, now: float) -> None:
@@ -437,14 +431,13 @@ def run_simulation(
             break
         rt = runtimes[key]
         if rank == _RANK_AGENT:
-            if collect_events:
+            if events is not None:
                 kind = "agent_spawn" if rt.node is None else "agent_at_node"
-                log.append(SimEvent(now, kind, agent=rt.spec.id, node=ctx.node_ids[payload]))
+                events.append(SimEvent(now, kind, rt.spec.id, ctx.node_ids[payload], None, None))
             rt.node = payload
             decide(key, now)
         else:
             ridx, decision_time = payload
-            resource = ctx.resources[ridx]
             if avail[ridx]:
                 avail[ridx] = False  # taking the spot occupies it for the rest of the run
                 fleet_parked.add(ridx)
@@ -454,15 +447,15 @@ def run_simulation(
                 rt.walk_s = float(ctx.walk_vector(rt.spec.destination)[ridx])  # the walk the planners priced
                 fleet.withdraw(key)
                 del planning[key]
-                if collect_events:
-                    log.append(SimEvent(now, "agent_claim", agent=rt.spec.id, resource=resource.id, detail="success"))
             else:
                 rt.unsuccessful_claims += 1
                 street = ctx.res_edge[ridx]
                 heapq.heappush(heap, (decision_time + ctx.edge_time[street], _RANK_AGENT, key, ctx.edge_to[street]))
-                if collect_events:
-                    log.append(SimEvent(now, "agent_claim", agent=rt.spec.id, resource=resource.id, detail="failed"))
-    apply_flips(horizon_s)
+            if events is not None:
+                events.append(SimEvent(now, "agent_claim", rt.spec.id, None, ctx.res_ids[ridx],
+                                       "success" if rt.parked_resource == ridx else "failed"))
+    if events is not None:  # the rest of the trace changes no record
+        apply_flips(horizon_s)
 
     records: list[MetricsRecord] = []
     for i, (spec, rt) in enumerate(zip(specs, runtimes)):
@@ -487,8 +480,6 @@ def run_simulation(
                 status=rt.status,
             )
         )
-    if collect_events:
-        return records, log
     return records
 
 

@@ -59,12 +59,6 @@ class ReservationTable:
         spots = self.spot[holders]
         return spots[self._first(holders, arrival_at(spots), agent)]
 
-    def blocked(self, agent: int | None, arrivals: np.ndarray) -> np.ndarray:
-        """Mask over ``arrivals``, one per spot, of the spots another agent reaches first."""
-        mask = np.zeros(len(arrivals), dtype=bool)
-        mask[self.blocked_spots(agent, arrivals.take)] = True
-        return mask
-
     def spot_blocked(self, agent: int | None, spot: int, t_arrival: float) -> bool:
         """Whether another agent reaches ``spot`` before ``agent`` at ``t_arrival``; holder by holder, as a
         spot has few (usually just the asking agent)."""

@@ -304,8 +304,9 @@ def _future_probabilities(view: PlanningView, drive: np.ndarray) -> tuple[np.nda
     """The resources reserved against the agent and the availability at arrival that every sampled
     future thresholds (zero where reserved), given the drive times to every resource."""
     arrivals = view.now + drive
-    table = view.reservations
-    forced = np.zeros(len(arrivals), dtype=bool) if table is None else table.blocked(view.agent_id, arrivals)
+    forced = np.zeros(len(arrivals), dtype=bool)
+    if view.reservations is not None:
+        forced[view.reservations.blocked_spots(view.agent_id, arrivals.take)] = True
     probs = view.availability(arrivals)
     probs[forced] = 0.0
     return forced, probs

@@ -506,7 +506,8 @@ def _run_batch_worker(args: tuple[str, str]) -> tuple[str, str | None]:
 
 
 def run_batch(config_paths: list[str | Path], out_dir: str | Path, parallel: int = 1) -> dict:
-    """Run every scenario, then summarize all written results files."""
+    """Run every scenario, ``parallel`` at a time, then summarize all written results files."""
+    parallel = check_number(parallel, "parallel", integer=True)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     jobs = [(str(p), str(out)) for p in sorted(str(p) for p in config_paths)]

@@ -1,7 +1,8 @@
 """End-of-run invariants of one simulation, for tests to check after a run.
 
-``check_end_of_run(records, log, fleet)`` takes a run's records, its ``collect_events`` log and the
-``fleet.Fleet`` the run built, and asserts that:
+``run_logged(...)`` takes ``run_simulation``'s arguments and returns the run's records and its event log,
+the ``SimEvent`` list the run filled as ``events``. ``check_end_of_run(records, log, fleet)`` takes both and
+the ``fleet.Fleet`` the run built, and asserts that:
 
 - no spot is parked on twice, in the records or in the log's successful claims, and the two agree;
 - the fleet ends with no reservation and an empty adaption overlay;
@@ -13,6 +14,12 @@ on joins, so a test can hand a run's fleet to the checker.
 """
 
 from parksearch import fleet
+from parksearch.engine import run_simulation
+
+
+def run_logged(*args, **kwargs) -> tuple[list, list]:
+    events = []
+    return run_simulation(*args, events=events, **kwargs), events
 
 
 def capture_fleets(monkeypatch) -> list:

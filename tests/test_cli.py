@@ -6,7 +6,8 @@ from click.testing import CliRunner
 
 from parksearch.cli import main
 from parksearch.engine import read_results
-from parksearch.scenario import build_grid_graph_doc
+from parksearch.errors import ConfigError
+from parksearch.scenario import build_grid_graph_doc, run_batch
 
 from conftest import sink_grid_doc
 
@@ -83,6 +84,39 @@ def test_cli_batch_reports_failures(tmp_path):
     assert result.exit_code == 1
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["failed"]
+
+
+def _small_scenario(tmp_path) -> Path:
+    """A directory holding one valid scenario, ``s.json``, on a 4x4 grid with two agents."""
+    cfg_dir = tmp_path / "configs"
+    cfg_dir.mkdir()
+    (tmp_path / "grid.json").write_text(json.dumps(build_grid_graph_doc(4, 4, n_resources=8, seed=1)))
+    (cfg_dir / "s.json").write_text(json.dumps({
+        "graph": "../grid.json", "occupation": {"synthetic": {}}, "planner": {"kind": "rpl"}, "seed": 1,
+        "destinations": {"mode": "single", "destination": [0.0005, 0.0005], "start_node": "n0000", "agents": 2}}))
+    return cfg_dir
+
+
+@pytest.mark.parametrize("command", ["simulate", "batch"])
+def test_cli_unwritable_output_directory_is_a_cli_error(tmp_path, command):
+    """An output directory below a file is an OSError reported as ``Error:`` with exit code 1, not a traceback."""
+    cfg_dir = _small_scenario(tmp_path)
+    target = {"simulate": cfg_dir / "s.json", "batch": cfg_dir}[command]
+    result = CliRunner().invoke(main, [command, str(target), "--out", str(cfg_dir / "s.json" / "sub")])
+    assert isinstance(result.exception, SystemExit) and result.exit_code == 1, result.output
+    assert "Error:" in result.output and "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("parallel", [0, -5])
+def test_parallel_below_one_is_rejected(tmp_path, parallel):
+    cfg_dir = _small_scenario(tmp_path)
+    with pytest.raises(ConfigError, match=f"parallel must be a positive integer, got {parallel}"):
+        run_batch([cfg_dir / "s.json"], tmp_path / "lib-out", parallel=parallel)
+    result = CliRunner().invoke(main, ["batch", str(cfg_dir), "--parallel", str(parallel),
+                                       "--out", str(tmp_path / "cli-out")])
+    assert isinstance(result.exception, SystemExit) and result.exit_code == 1, result.output
+    assert "Error: parallel" in result.output and "Traceback" not in result.output
+    assert not list(tmp_path.glob("*-out/*.results.csv"))  # nothing ran
 
 
 @pytest.mark.parametrize("bad, key", [

@@ -4,6 +4,7 @@ import re
 import time
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,8 +33,9 @@ from parksearch.planners import PLANNER_KINDS, PLANNERS, PlannerContext, Planner
 from parksearch.scenario import build_grid_graph_doc
 
 from conftest import make_view, sink_grid_doc, trace_from_rows, trace_rows
-from run_invariants import capture_fleets, check_end_of_run
+from run_invariants import capture_fleets, check_end_of_run, run_logged
 
+DATA = Path(__file__).resolve().parent.parent / "data"
 M_PER_DEG = math.pi * EARTH_RADIUS_M / 180.0
 FROZEN = CtmcParams(1e-9, 1e-9)
 A, O = True, False  # the available flag of a trace row
@@ -677,8 +679,7 @@ def test_conservation_and_no_teleport():
     dest = GeoPoint(0.001, 0.001)
     agents = [AgentSpec(f"a{i:02d}", "n0000", dest, 0.0, "rpl") for i in range(5)]
     params = CtmcParams.from_mean_times(200.0, 600.0)
-    records, events = run_simulation(graph, agents, params, seed=3, horizon_s=3000.0,
-                                     measure_computation=False, collect_events=True)
+    records, events = run_logged(graph, agents, params, seed=3, horizon_s=3000.0, measure_computation=False)
     assert len(records) == 5
     assert all(r.status in ("parked", "timed_out") for r in records)
 
@@ -794,9 +795,8 @@ def test_flips_apply_before_claims_and_arrivals_at_equal_time():
     graph = line_world()
     dest = GeoPoint(0.0, 0.001)
     trace = trace_from_rows([("r1", 12.0, O), ("r1", 60.0, A)])
-    records, log = run_simulation(graph, [AgentSpec("a0", "n0", dest, 0.0, "rpl")], trace,
-                                  params=FROZEN, horizon_s=600.0, measure_computation=False,
-                                  collect_events=True)
+    records, log = run_logged(graph, [AgentSpec("a0", "n0", dest, 0.0, "rpl")], trace,
+                              params=FROZEN, horizon_s=600.0, measure_computation=False)
     assert records[0].unsuccessful_claims == 1
     assert records[0].status == "parked"
     assert records[0].total_trip_s == pytest.approx(72.0 + walking_time(graph.resources["r1"].position, dest))
@@ -812,8 +812,8 @@ def test_flips_apply_before_claims_and_arrivals_at_equal_time():
 def test_event_log_order():
     graph = load_graph(build_grid_graph_doc(5, 5, n_resources=15, seed=8))
     agents = [AgentSpec(f"a{i:02d}", "n0000", GeoPoint(0.001, 0.001), 10.0 * i, "rpl") for i in range(5)]
-    _, log = run_simulation(graph, agents, CtmcParams.from_mean_times(200.0, 600.0), seed=3,
-                            horizon_s=3000.0, measure_computation=False, collect_events=True)
+    _, log = run_logged(graph, agents, CtmcParams.from_mean_times(200.0, 600.0), seed=3,
+                        horizon_s=3000.0, measure_computation=False)
     rank = {"resource_flip": 0, "agent_claim": 1, "agent_spawn": 2, "agent_at_node": 2}
     for a, b in zip(log, log[1:]):
         assert (a.time, rank[a.kind]) <= (b.time, rank[b.kind])
@@ -843,8 +843,8 @@ def test_flip_at_an_agent_event_and_a_long_stretch_without_flips():
     trace = trace_from_rows([("r2", 30.0, A), ("r1", 500.0, O)], {"r2": O})
     agents = [AgentSpec("a0", "n0", dest, 0.0, "rpl"), AgentSpec("a1", "n0", dest, 0.0, "rpl"),
               AgentSpec("a2", "n0", dest, 60.0, "heuristic")]
-    records, log = run_simulation(graph, agents, trace, params=FROZEN, horizon_s=600.0, seed=4,
-                                  measure_computation=False, collect_events=True)
+    records, log = run_logged(graph, agents, trace, params=FROZEN, horizon_s=600.0, seed=4,
+                              measure_computation=False)
     by_id = {r.agent_id: r for r in records}
     assert by_id["a0"].parked_resource == "r1" and by_id["a1"].parked_resource == "r2"
     assert by_id["a1"].unsuccessful_claims == 1 and by_id["a2"].status == "timed_out"
@@ -894,10 +894,39 @@ def test_mixed_run_ends_with_every_invariant_held(seed, monkeypatch):
     graph, ctx, dest, ring, overrides = competition_world()
     agents = [AgentSpec(f"a{i:03d}", "n0009", dest, 7.0 + 3.0 * (i % 4), PLANNER_KINDS[i % 7])
               for i in range(28)]
-    records, log = run_simulation(graph, agents, ring, params_by_resource=overrides, seed=seed, ctx=ctx,
-                                  measure_computation=False, collect_events=True)
+    records, log = run_logged(graph, agents, ring, params_by_resource=overrides, seed=seed, ctx=ctx,
+                              measure_computation=False)
     (run_fleet,) = fleets
     check_end_of_run(records, log, run_fleet)
+
+
+@pytest.mark.parametrize("world", ["mixed-1", "recorded trace"])
+def test_an_event_log_changes_no_result(world, tmp_path):
+    # the mixed-1 golden world (28 agents of all seven kinds), and the bundled grid replaying its recorded trace
+    if world == "mixed-1":
+        from test_acceptance import competition_world
+
+        graph, ctx, dest, occupation, overrides = competition_world()
+        agents = [AgentSpec(f"a{i:03d}", "n0009", dest, 7.0 + 3.0 * (i % 4), PLANNER_KINDS[i % 7])
+                  for i in range(28)]
+        options = {"params_by_resource": overrides, "ctx": ctx}
+    else:
+        graph, occupation = load_graph(DATA / "demo_grid.json"), load_trace(DATA / "demo_trace.csv")
+        agents = [AgentSpec(f"a{i:02d}", "n0000", GeoPoint(0.0015 + 0.0005 * (i % 3), 0.002), 60.0 * i,
+                            PLANNER_KINDS[i % 7]) for i in range(14)]
+        options = {"params": CtmcParams.from_mean_times(120.0, 600.0), "horizon_s": 3600.0,
+                   "settings": PlannerSettings(determinizations=20)}
+    events = []
+    logged = run_simulation(graph, agents, occupation, seed=1, measure_computation=False, events=events, **options)
+    plain = run_simulation(graph, agents, occupation, seed=1, measure_computation=False, **options)
+    kinds = Counter(ev.kind for ev in events)
+    assert kinds["resource_flip"] and kinds["agent_claim"] and kinds["agent_spawn"] == len(agents)
+    assert events[-1].kind == "resource_flip"  # the logged run replays the trace past the last agent event
+    for records in (logged, plain):
+        assert isinstance(records, list) and all(isinstance(r, MetricsRecord) for r in records)
+    write_results(tmp_path / "logged.csv", logged)
+    write_results(tmp_path / "plain.csv", plain)
+    assert (tmp_path / "logged.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
 def test_hs_a_computation_includes_adaption(monkeypatch):

@@ -24,11 +24,10 @@ class Held(NamedTuple):
     t_arrival: float
 
 
-def effective_availability(table, spot, querying_agent, query_arrival, currently_available, n_spots=4):
-    """Availability as seen by a fleet agent expecting to arrive at ``query_arrival``; the full query
-    over ``n_spots`` spots, the reserved-spots query and the one-spot query must agree."""
+def effective_availability(table, spot, querying_agent, query_arrival, currently_available):
+    """Availability as seen by a fleet agent expecting to arrive at ``query_arrival``; the reserved-spots
+    query and the one-spot query must agree."""
     blocked = table.spot_blocked(querying_agent, spot, query_arrival)
-    assert table.blocked(querying_agent, np.full(n_spots, query_arrival))[spot] == blocked
     spots = table.blocked_spots(querying_agent, lambda spots: np.full(len(spots), query_arrival))
     assert (spot in spots.tolist()) == blocked
     return currently_available and not blocked
@@ -79,7 +78,6 @@ def test_blocked_matches_scalar_oracle():
                                      for res in held.values() if res.spot == i)
                                  for i in range(n_spots)], dtype=bool)
             seen["tie"] += sum(res.t_arrival == arrivals[res.spot] for res in held.values())
-            assert np.array_equal(table.blocked(agent, arrivals), expected)
             asked = []
             spots = table.blocked_spots(agent, lambda s: asked.append(s.tolist()) or arrivals[s]).tolist()
             assert sorted(set(spots)) == np.flatnonzero(expected).tolist()

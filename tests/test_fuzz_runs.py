@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 
 from parksearch.availability import CtmcParams
-from parksearch.engine import AgentSpec, run_simulation
+from parksearch.engine import AgentSpec
 from parksearch.geo import GeoPoint
 from parksearch.graph import load_graph
 from parksearch.planners import PLANNER_KINDS, PlannerSettings
 from parksearch.scenario import build_grid_graph_doc
 
 from conftest import random_graph_doc
-from run_invariants import capture_fleets, check_end_of_run
+from run_invariants import capture_fleets, check_end_of_run, run_logged
 
 SEEDS = range(8)
 AGENTS_PER_KIND = 2
@@ -61,9 +61,8 @@ def test_every_kind_finishes_awkward_worlds(world, monkeypatch):
                       float(rng.uniform(0.0, 300.0)), kind)
             for i, kind in enumerate(k for k in PLANNER_KINDS for _ in range(AGENTS_PER_KIND))
         ]
-        records, log = run_simulation(graph, agents, CtmcParams.from_mean_times(200.0, 600.0), seed=seed,
-                                      horizon_s=1800.0, settings=SETTINGS, measure_computation=False,
-                                      collect_events=True)
+        records, log = run_logged(graph, agents, CtmcParams.from_mean_times(200.0, 600.0), seed=seed,
+                                  horizon_s=1800.0, settings=SETTINGS, measure_computation=False)
         assert [r.agent_id for r in records] == [a.id for a in agents]
         for r in records:
             assert r.status in ("parked", "timed_out", "stranded"), r
