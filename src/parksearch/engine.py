@@ -225,8 +225,7 @@ class AgentRuntime:
     unsuccessful_claims: int = 0
     computation_s: float = 0.0
     parked_resource: int | None = None  # spot index
-    park_time: float | None = None
-    walk_s: float = 0.0
+    total_trip_s: float | None = None  # set on parking: the drive since start_time plus the walk the planners priced
 
 
 @dataclass(frozen=True)
@@ -442,9 +441,8 @@ def run_simulation(
                 avail[ridx] = False  # taking the spot occupies it for the rest of the run
                 fleet_parked.add(ridx)
                 rt.status = "parked"
-                rt.park_time = now
                 rt.parked_resource = ridx
-                rt.walk_s = float(ctx.walk_vector(rt.spec.destination)[ridx])  # the walk the planners priced
+                rt.total_trip_s = (now - rt.spec.start_time) + float(ctx.walk_vector(rt.spec.destination)[ridx])
                 fleet.withdraw(key)
                 del planning[key]
             else:
@@ -460,20 +458,18 @@ def run_simulation(
     records: list[MetricsRecord] = []
     for i, (spec, rt) in enumerate(zip(specs, runtimes)):
         taxi = ctx.taxi_time(starts[i], spec.destination)
-        if rt.status == "parked":
-            total = (rt.park_time - spec.start_time) + rt.walk_s
-        else:
+        if rt.total_trip_s is None:  # never parked: the trip lasts the horizon
             if rt.status == "driving":
                 rt.status = "timed_out"
             fleet.withdraw(i)
-            total = horizon_s
+            rt.total_trip_s = horizon_s
         records.append(
             MetricsRecord(
                 agent_id=spec.id,
                 planner=spec.planner,
-                total_trip_s=float(total),
+                total_trip_s=float(rt.total_trip_s),
                 taxi_s=float(taxi),
-                parking_s=float(total - taxi),
+                parking_s=float(rt.total_trip_s - taxi),
                 unsuccessful_claims=rt.unsuccessful_claims,
                 computation_s=rt.computation_s,
                 parked_resource=None if rt.parked_resource is None else ctx.res_ids[rt.parked_resource],

@@ -53,37 +53,24 @@ class RouteDecision:
     recomputed: bool = True
 
 
+# Each field's metadata holds its check_number bounds (empty: a positive number); a None default allows None.
 @dataclass(frozen=True)
 class PlannerSettings:
-    determinizations: int = 100
+    determinizations: int = field(default=100, metadata={"integer": True})
     scope_horizon_s: float | None = None
-    heuristic_far_radius_m: float = 500.0
-    heuristic_accept_walk_s: float = 120.0
-    heuristic_relax_s_per_min: float = 10.0
-    adaption_samples: int = 30
+    heuristic_far_radius_m: float = field(default=500.0, metadata={"positive": False})
+    heuristic_accept_walk_s: float = field(default=120.0, metadata={"positive": False})
+    heuristic_relax_s_per_min: float = field(default=10.0, metadata={"positive": False})
+    adaption_samples: int = field(default=30, metadata={"integer": True})
     adaption_isochrone_s: float = 300.0
-    adaption_visit_decay: float = 0.95
-    adaption_max_steps: int = 1000
+    adaption_visit_decay: float = field(default=0.95, metadata={"positive": False})
+    adaption_max_steps: int = field(default=1000, metadata={"integer": True, "positive": False})
 
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             if value is not None or f.default is not None:  # kept as a Python number, numpy scalars too
-                object.__setattr__(self, f.name, check_number(value, f.name, **SETTING_BOUNDS[f.name]))
-
-
-# check_number bounds of each PlannerSettings field (default: a positive number); a None default allows None.
-SETTING_BOUNDS = {
-    "determinizations": {"integer": True},
-    "scope_horizon_s": {},
-    "heuristic_far_radius_m": {"positive": False},
-    "heuristic_accept_walk_s": {"positive": False},
-    "heuristic_relax_s_per_min": {"positive": False},
-    "adaption_samples": {"integer": True},
-    "adaption_isochrone_s": {},
-    "adaption_visit_decay": {"positive": False},
-    "adaption_max_steps": {"integer": True, "positive": False},
-}
+                object.__setattr__(self, f.name, check_number(value, f.name, **f.metadata))
 
 
 class PlannerContext:
@@ -446,9 +433,7 @@ class HindsightPolicy:
 
     def __init__(self, ctx: PlannerContext, destination: GeoPoint, settings: PlannerSettings | None = None):
         self.destination = destination
-        settings = settings or PlannerSettings()
-        self.n = settings.determinizations
-        self.scope_horizon_s = settings.scope_horizon_s
+        self.settings = settings or PlannerSettings()
         self.plans: dict[int, tuple[np.ndarray, HindsightPlan | None]] | None = None
         self._rows: DrawnRows | None = None
 
@@ -459,8 +444,8 @@ class HindsightPolicy:
             ctx, edges = view.ctx, view.ctx.out_edges[node]
             drive = ctx.drive_to_resources([node] + [ctx.edge_to[s] for s in edges])  # here, then each edge's end
             base = drive[1:] + ctx.walk_vector(self.destination)
-            if self.scope_horizon_s is not None:
-                base[:, drive[0] > self.scope_horizon_s] = np.inf
+            if self.settings.scope_horizon_s is not None:
+                base[:, drive[0] > self.settings.scope_horizon_s] = np.inf
             entry = drive[0], HindsightPlan(view.t_claim, base, self._candidates) if edges else None
             if self.plans is not None:
                 self.plans[node] = entry
@@ -470,7 +455,7 @@ class HindsightPolicy:
         ctx = view.ctx
         walk = ctx.walk_vector(self.destination)
         if self._rows is None:
-            n, n_res = self.n, ctx.n_resources
+            n, n_res = self.settings.determinizations, ctx.n_resources
             cols = np.sort(np.argpartition(walk, CANDIDATES)[:CANDIDATES]) if n_res > CANDIDATES else np.arange(n_res)
             self._candidates = cols, np.bincount(cols, view.t_claim[cols], n_res)  # t_claim on them, 0 elsewhere
             self._rows, kernel = DrawnRows(rng.bit_generator, n_res), np.empty((n, cols.size))
@@ -493,7 +478,7 @@ class HindsightPolicy:
             mins, picks = plan.solve(self._rows, self._kernel, probs)
             # mins is C-ordered, so each row is summed exactly as the 1-D mean of that row would be,
             # and divided by its count as mean divides.
-            means = mins.sum(axis=1) / self.n
+            means = mins.sum(axis=1) / self.settings.determinizations
             for row, street in enumerate(edges):
                 actions.append((float(ctx.edge_time[street] + means[row]), 1, row))
         if not actions:
@@ -553,7 +538,7 @@ class RandomPolicy:
 class HeuristicPolicy:
     """Stand-in for an uninformed human driver.
 
-    Beyond ``far_radius_m`` of the destination the driver just heads there.
+    Beyond ``settings.heuristic_far_radius_m`` of the destination the driver just heads there.
     Inside the radius it accepts any currently available adjacent spot whose
     walk stays under a threshold that relaxes linearly with search time, and
     otherwise keeps driving toward, then circling around, the destination.
@@ -561,20 +546,18 @@ class HeuristicPolicy:
 
     def __init__(self, ctx: PlannerContext, destination: GeoPoint, settings: PlannerSettings | None = None):
         self.destination = destination
-        settings = settings or PlannerSettings()
-        self.far_radius_m = settings.heuristic_far_radius_m
-        self.accept_walk_s = settings.heuristic_accept_walk_s
-        self.relax_s_per_min = settings.heuristic_relax_s_per_min
+        self.settings = settings or PlannerSettings()
         self.dest_node = ctx.dest_node(destination)
         self._search_started: float | None = None
         # per node: outside the search radius, as every node outside the radius's latitude band is
         self._far = np.ones(len(ctx.node_ids), dtype=bool)
-        band = latitude_band(ctx.node_lat, destination, self.far_radius_m)
-        self._far[band] = great_circle_m_many(ctx.node_lat[band], ctx.node_lon[band], destination) > self.far_radius_m
+        radius = self.settings.heuristic_far_radius_m
+        band = latitude_band(ctx.node_lat, destination, radius)
+        self._far[band] = great_circle_m_many(ctx.node_lat[band], ctx.node_lon[band], destination) > radius
         self._circling_pool: list[int] | None = None  # streets to circle on from dest_node
 
     def accept_threshold(self, search_time_s: float) -> float:
-        return self.accept_walk_s + self.relax_s_per_min * (search_time_s / 60.0)
+        return self.settings.heuristic_accept_walk_s + self.settings.heuristic_relax_s_per_min * (search_time_s / 60.0)
 
     def decide(self, view: PlanningView, node: int, rng: np.random.Generator) -> RouteDecision:
         ctx = view.ctx
@@ -604,7 +587,7 @@ class HeuristicPolicy:
             raise NoPathError(f"dead end at {ctx.node_ids[self.dest_node]!r}")
         ends = [ctx.edge_to[s] for s in edges]
         dist = great_circle_m_many(ctx.node_lat[ends], ctx.node_lon[ends], self.destination)
-        inside = [e for e, d in zip(edges, dist) if d <= self.far_radius_m]
+        inside = [e for e, d in zip(edges, dist) if d <= self.settings.heuristic_far_radius_m]
         return inside if inside else [edges[int(np.argmin(dist))]]
 
 

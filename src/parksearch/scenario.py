@@ -39,7 +39,7 @@ from .engine import (
 from .errors import ConfigError, check, check_id, check_keys, check_number, check_point
 from .geo import EARTH_RADIUS_M, GeoPoint, great_circle_m_many
 from .graph import DEFAULT_ROUND_TRIP_S, DEFAULT_SPEED_FACTOR, RoadGraph, all_pairs_travel_times, load_graph
-from .planners import PLANNER_KINDS, PLANNERS, SETTING_BOUNDS, PlannerContext, PlannerSettings
+from .planners import PLANNER_KINDS, PLANNERS, PlannerContext, PlannerSettings
 
 _TOP_KEYS = {
     "name", "graph", "occupation", "destinations", "planner", "adaption",
@@ -172,7 +172,7 @@ def parse_config(doc: dict, *, base_dir: Path | None = None, default_name: str =
     for f in fields(PlannerSettings):
         section, key = _SETTING_KEYS[f.name]
         if f.default is not None or sections[section].get(key) is not None:  # absent or null keeps a None default
-            settings[f.name] = _number(sections[section], key, section, f.default, **SETTING_BOUNDS[f.name])
+            settings[f.name] = _number(sections[section], key, section, f.default, **f.metadata)
 
     ctmc_doc = doc.get("ctmc", {})
     check_keys(ctmc_doc, "ctmc", {"lambda_inv_s", "mu_inv_s"})
@@ -511,7 +511,8 @@ def run_batch(config_paths: list[str | Path], out_dir: str | Path, parallel: int
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     jobs = [(str(p), str(out)) for p in sorted(str(p) for p in config_paths)]
-    with ProcessPoolExecutor(max_workers=parallel) if parallel > 1 else nullcontext() as pool:
+    workers = min(parallel, len(jobs))  # a pool forks every worker at its first submit
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         runs = (pool.map if pool else map)(_run_batch_worker, jobs)
         failures = {path: error for path, error in runs if error}
     summary = summarize_results(out)

@@ -69,8 +69,8 @@ def oracle_decide(policy, view, node, uniforms):
             candidates.append((value, 0, ctx.res_ids[ridx], TakeResource(ridx), None))
     for street in ctx.out_edges[node]:
         base = ctx.drive_to_resources(ctx.edge_to[street]) + walk
-        if policy.scope_horizon_s is not None:
-            base = np.where(drive_here > policy.scope_horizon_s, np.inf, base)
+        if policy.settings.scope_horizon_s is not None:
+            base = np.where(drive_here > policy.settings.scope_horizon_s, np.inf, base)
         costs = base + wait
         candidates.append((float(ctx.edge_time[street] + costs.min(axis=1).mean()), 1, ctx.edge_ids[street],
                            TakeRoad(street), costs))
@@ -408,8 +408,8 @@ def test_hindsight_decisions_match_full_matrix_oracle():
         seen["reserved"] += int(forced.any())
         seen["every spot occupied"] += int((~(uniforms < probs).any(axis=1)).any())
         seen[f"rows rebuilt: {policy._rows.kind.__name__}"] += int(policy._rows._rng is not None)
-        seen["one future"] += int(policy.n == 1)
-        seen["out of scope"] += int(policy.scope_horizon_s is not None)
+        seen["one future"] += int(policy.settings.determinizations == 1)
+        seen["out of scope"] += int(policy.settings.scope_horizon_s is not None)
         seen["unreachable"] += int(np.isinf(ctx.drive_to_resources(node)).any())
         seen["road action"] += int(modal is not None)
         seen["spot action"] += int(modal is None)

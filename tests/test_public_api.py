@@ -1,5 +1,7 @@
 """The documented library surface: the README snippet runs, and every exported name resolves."""
 
+import dataclasses
+import json
 import os
 import re
 import subprocess
@@ -18,6 +20,21 @@ def test_readme_library_snippet_runs(capsys):
     metrics_line, taxi_line = capsys.readouterr().out.splitlines()
     assert "'hs_r': {'agents': 20" in metrics_line
     assert float(taxi_line) > 0.0
+
+
+def test_readme_lists_every_planner_setting_default():
+    """README's ``planner.*`` and ``adaption.*`` setting rows (one key, or a key and ``.sibling`` keys) list
+    exactly ``PlannerSettings()``'s defaults, ``null`` for None."""
+    readme = (ROOT / "README.md").read_text()
+    listed = {}
+    for section, keys, defaults in re.findall(r"^\| `(planner|adaption)(\.(?!kind`)[^|]*) \| ([^|]*) \|", readme, re.M):
+        keys = [k.strip().strip("`").removeprefix(".") for k in keys.split(",")]
+        values = [json.loads(v.strip().strip("`")) for v in defaults.split(",")]
+        assert len(keys) == len(values), keys
+        prefix = "adaption_" if section == "adaption" else ""
+        listed.update((prefix + key, value) for key, value in zip(keys, values))
+    settings = ps.PlannerSettings()
+    assert listed == {f.name: getattr(settings, f.name) for f in dataclasses.fields(settings)}
 
 
 def test_every_exported_name_resolves():

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -17,6 +18,7 @@ from parksearch.engine import MetricsRecord
 from parksearch.errors import ConfigError, ParkSearchError
 from parksearch.geo import EARTH_RADIUS_M, GeoPoint, great_circle_m
 from parksearch.graph import load_graph
+from parksearch.planners import PlannerSettings
 from parksearch.scenario import (
     Cluster,
     build_grid_graph_doc,
@@ -221,6 +223,25 @@ def test_explicit_agents_fill_defaults_and_run(tmp_path):
     assert parse_config(json.loads(json.dumps(config.to_dict())), base_dir=tmp_path / "elsewhere") == config
     records = run_scenario(config)
     assert {(r.agent_id, r.planner) for r in records} == {("7", "rpl"), ("b", "heuristic")}
+
+
+def test_every_planner_setting_round_trips(tmp_path):
+    """All nine settings off their defaults, the non-negative ones at their bound of 0, parse to those values
+    and come back equal through the config echo."""
+    graph_path, _ = write_demo_world(tmp_path)
+    doc = base_config(graph_path, kind="hs")
+    doc["planner"].update(determinizations=7, scope_horizon_s=90.5, heuristic_far_radius_m=0,
+                          heuristic_accept_walk_s=0, heuristic_relax_s_per_min=0)
+    doc["adaption"] = {"samples": 3, "isochrone_s": 45.0, "visit_decay": 0, "max_steps": 0}
+    config = parse_config(doc, base_dir=tmp_path)
+    expected = PlannerSettings(determinizations=7, scope_horizon_s=90.5, heuristic_far_radius_m=0.0,
+                               heuristic_accept_walk_s=0.0, heuristic_relax_s_per_min=0.0, adaption_samples=3,
+                               adaption_isochrone_s=45.0, adaption_visit_decay=0.0, adaption_max_steps=0)
+    assert config.settings == expected
+    assert all(getattr(config.settings, f.name) != f.default for f in dataclasses.fields(PlannerSettings))
+    assert [type(getattr(config.settings, f.name)) for f in dataclasses.fields(PlannerSettings)] == [
+        int, float, float, float, float, int, float, float, int]
+    assert parse_config(json.loads(json.dumps(config.to_dict())), base_dir=tmp_path / "elsewhere") == config
 
 
 def test_generate_single_destination(tmp_path):
@@ -577,6 +598,35 @@ def test_batch_isolates_failures(tmp_path):
     # two worker processes run the same loop: the same summary and results file
     assert run_batch([good, bad], tmp_path / "pool", parallel=2) == summary
     assert (tmp_path / "pool" / "good.results.csv").read_bytes() == (out / "good.results.csv").read_bytes()
+
+
+def test_batch_workers_are_capped_at_the_number_of_configs(tmp_path, monkeypatch):
+    """A pool forks all its workers at the first submit, so it gets one per config at most, and none for one."""
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(scenario_module, "ProcessPoolExecutor", InProcessPool)
+    graph_path, _ = write_demo_world(tmp_path)
+    configs = []
+    for seed in (1, 2, 3):
+        configs.append(tmp_path / f"s{seed}.json")
+        configs[-1].write_text(json.dumps({**base_config(graph_path, seed=seed), "measure_computation": False}))
+    summary = run_batch(configs, tmp_path / "three", parallel=5000)
+    assert pools == [3] and summary["failed"] == {} and summary["runs"] == 3
+    assert run_batch(configs[:1], tmp_path / "one", parallel=8)["runs"] == 1
+    assert pools == [3]  # one config runs in this process, with no pool
 
 
 def test_summary_reduction_hand_example(tmp_path):
